@@ -579,12 +579,14 @@ _VALIDATORS = {
         _grid(cfg.params["phase_grid"]),
         [_POTENTIALS[name] for name in cfg.params["potentials"]],
         [unified_kappa_check(k) for k in cfg.params["kappas"]],
+        time_step_check(cfg.params["dt"], cfg.params["t_final"]),
     ),
     "wigner": lambda cfg: (
         _grid(cfg.params["grid"]), _grid(cfg.params["p_grid"]),
         wigner_state_check(cfg.params["state"]),
     ),
-    "oscillator": lambda cfg: _grid(cfg.params["phase_grid"]),
+    "oscillator": lambda cfg: (_grid(cfg.params["phase_grid"]),
+                               step_count_check(cfg.params["n_steps"])),
     "aharonov-bohm": lambda cfg: [
         SolenoidConfig(
             alpha=float(a), n=int(cfg.params["n_values"][0]), pz0=float(cfg.params["pz0"]),
@@ -603,6 +605,19 @@ def unified_kappa_check(kappa) -> float:
     if not 0.0 <= k <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {k}")
     return k
+
+
+def time_step_check(dt, t_final) -> float:
+    dt, t_final = float(dt), float(t_final)
+    if not (np.isfinite(t_final) and 0.0 < dt <= t_final):
+        raise ValueError(f"dt must lie in (0, t_final] with both finite, got {dt} and {t_final}")
+    return dt
+
+
+def step_count_check(n) -> int:
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n!r}")
+    return n
 
 
 def wigner_state_check(state: str) -> str:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryMassError
-from .grid import Grid1D, PhaseGrid
+from .grid import Grid1D, PhaseGrid, edge_mass
 from .kernels import free_kvn_propagate, free_quantum_propagate
 from .states import KvNWavefunction, QWavefunction
 
@@ -33,7 +33,6 @@ from .states import KvNWavefunction, QWavefunction
 #: masked pipelines cannot meet the much tighter evolve() limit; this one
 #: still catches a main beam reaching the wall.
 APERTURE_BOUNDARY_LIMIT = 1e-3
-_EDGE_CELLS = 4
 _MASK_REFINEMENT = 4
 
 
@@ -117,16 +116,6 @@ class ScreenResult:
     boundary_mass: float
 
 
-def _edge_mass(rho_times_measure: np.ndarray) -> float:
-    c = _EDGE_CELLS
-    if rho_times_measure.ndim == 1:
-        return float(rho_times_measure[:c].sum() + rho_times_measure[-c:].sum())
-    m = rho_times_measure
-    return float(
-        m[:c, :].sum() + m[-c:, :].sum() + m[c:-c, :c].sum() + m[c:-c, -c:].sum()
-    )
-
-
 def _check_edges(mass: float, limit: float) -> None:
     if mass > limit:
         raise BoundaryMassError(
@@ -151,7 +140,7 @@ def run_quantum(
     at_screen = free_quantum_propagate(behind, cfg.t_R - cfg.t_M, cfg.mass, cfg.hbar)
     rho = np.abs(at_screen.amplitudes) ** 2
     rho = rho / (np.sum(rho) * g.dx)
-    edge = _edge_mass(rho * g.dx)
+    edge = edge_mass(rho * g.dx)
     _check_edges(edge, boundary_limit)
     return ScreenResult(g.points.copy(), rho, weight, edge)
 
@@ -177,7 +166,7 @@ def run_kvn(
     behind = KvNWavefunction(pg, masked / np.sqrt(weight), time=at_wall.time)
     at_screen = free_kvn_propagate(behind, cfg.t_R - cfg.t_M, cfg.mass)
     rho2d = np.abs(at_screen.amplitudes) ** 2
-    edge = _edge_mass(rho2d * pg.cell_area)
+    edge = edge_mass(rho2d * pg.cell_area)
     _check_edges(edge, boundary_limit)
     density = rho2d.sum(axis=1) * pg.p.dx
     density = density / (np.sum(density) * pg.q.dx)

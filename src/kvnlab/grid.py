@@ -28,6 +28,9 @@ from .errors import DegenerateInputError
 #: Highest derivative order served by :func:`spectral_derivative` by default.
 DEFAULT_ORDER_CAP = 4
 
+#: Width, in cells, of the strip along each domain edge that ``edge_mass`` sums.
+EDGE_CELLS = 4
+
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
@@ -106,3 +109,11 @@ def spectral_derivative(
         )
     k = wavenumbers(g)
     return np.fft.ifft(np.fft.fft(f) * (1j * k) ** order)
+
+
+def edge_mass(rho_times_measure: np.ndarray) -> float:
+    """Probability within ``EDGE_CELLS`` cells of any edge of a 1-D or phase grid."""
+    m, c = rho_times_measure, EDGE_CELLS
+    if m.ndim == 1:
+        return float(m[:c].sum() + m[-c:].sum())
+    return float(m[:c].sum() + m[-c:].sum() + m[c:-c, :c].sum() + m[c:-c, -c:].sum())

@@ -28,7 +28,7 @@ split-step propagators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -257,32 +257,9 @@ def hamiltonian(
     )
 
 
-def _classical_parts(pg: PhaseGrid, vprime: Potential, mass: float):
-    kq = wavenumbers(pg.q)[:, None]
-    kp = wavenumbers(pg.p)[None, :]
-    p = pg.p.points[None, :]
-    q = pg.q.points[:, None]
-    advection = p * kq / mass  # p theta / m, diagonal in (theta-mode, p)
-    force = -np.asarray(vprime(q), dtype=float) * kp  # -V'(q) lambda, diagonal in (q, lambda-mode)
-    return force, advection
-
-
 def liouvillian(pg: PhaseGrid, vprime: Potential, mass: float = 1.0) -> Generator:
     """Classical Liouville generator -i(p/m) d/dq + i V'(q) d/dp."""
-    force, advection = _classical_parts(pg, vprime, mass)
-    return Generator(
-        label="liouville",
-        grid=pg,
-        position_part=force,
-        position_axis=1,
-        conjugate_part=advection,
-        conjugate_axis=0,
-        phase_scale=1.0,
-        mass=mass,
-        hbar=1.0,
-        kappa=0.0,
-        potential_prime=vprime,
-    )
+    return replace(koopman_generator(pg, vprime, mass), label="liouville")
 
 
 def koopman_generator(
@@ -297,17 +274,20 @@ def koopman_generator(
     hook that adds a (q, p)-diagonal real term so its irrelevance for the
     |psi|^2 evolution can be demonstrated.
     """
-    force, advection = _classical_parts(pg, vprime, mass)
+    Q, P = pg.meshes()
+    kq = wavenumbers(pg.q)[:, None]
+    kp = wavenumbers(pg.p)[None, :]
     c_part = None
     if constant is not None:
-        Q, P = pg.meshes()
         c_part = np.asarray(constant(Q, P), dtype=float) * np.ones(pg.shape)
     return Generator(
         label="koopman",
         grid=pg,
-        position_part=force,
+        # -V'(q) lambda, diagonal in (q, lambda-mode)
+        position_part=-np.asarray(vprime(Q), dtype=float) * kp,
         position_axis=1,
-        conjugate_part=advection,
+        # p theta / m, diagonal in (theta-mode, p)
+        conjugate_part=P * kq / mass,
         conjugate_axis=0,
         phase_scale=1.0,
         mass=mass,

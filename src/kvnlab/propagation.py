@@ -1,75 +1,122 @@
-"""Time evolution by exponentiated generators with split-step spectral integrators.
+"""Time evolution by exponentiated generators: one cached Strang engine.
 
-One step applies the Strang composition
+A :class:`Propagator` advances states of one generator G at one step dt by
+exp(-i B dt/2) exp(-i A dt) exp(-i B dt/2), where A is G's conjugate-diagonal
+part and B its position-side part (an optional constant part C wraps the
+step as exp(-i C dt/2) on both sides).
+Each factor is exact in the representation where its part is diagonal, so
+the step is unitary and second order in dt, and for classical generators
+every factor is an advection shear.  The factors are built once per (G, dt);
+a time-dependent force enters through ``position_scale``, which rescales B
+at each step's midpoint for one complex exponential per step.  On a phase
+grid a step ends in the (q, lambda) representation and the next step opens
+from that spectrum, so a step costs five FFTs.
 
-    exp(-i B dt/2) exp(-i A dt) exp(-i B dt/2)
-
-where A is the generator's conjugate-diagonal part and B its position-side
-part (plus an optional constant part), each exponentiated exactly in the
-representation where it is diagonal.  The step is unitary by construction,
-second-order accurate in dt, and for classical generators every factor is an
-exact advection shear.
-
-``evolve`` repeats steps, records expectation series and aborts if
-probability mass reaches the edge of the periodic box (the domain was chosen
-too small in that case and any Ehrenfest check would be meaningless).
+Recording rule: ``Propagator.run`` samples the state before the first step
+and after every step.  Each sample computes rho = |psi|^2 * measure once and
+takes from it the norm, the mass within ``EDGE_CELLS`` cells of the domain
+edge and the position/momentum means.  Edge mass above the limit aborts the
+run: the domain was chosen too small and any Ehrenfest check would be
+meaningless.  The Bopp-shifted means <lambda> and <V'(q - hbar kappa
+lambda/2)> of the interpolating generator come from the lambda-spectrum the
+step already holds (|exp(i phi) F|^2 = |F|^2); <theta> costs one more FFT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import BoundaryMassError
-from .grid import wavenumbers
+from .grid import edge_mass, wavenumbers
 from .operators import Generator
 from .states import KvNWavefunction, QWavefunction, Wavefunction
 
-#: Probability mass allowed within 4 cells of a domain edge during evolve().
+#: Probability mass allowed within EDGE_CELLS cells of a domain edge during evolve().
 BOUNDARY_MASS_LIMIT = 1e-8
-_EDGE_CELLS = 4
 
 
-def _split_factors(G: Generator, dt: float):
-    scale = G.phase_scale
-    half_pos = np.exp(-0.5j * G.position_part * dt / scale)
-    full_conj = np.exp(-1j * G.conjugate_part * dt / scale)
-    half_const = None
-    if G.constant_part is not None:
-        half_const = np.exp(-0.5j * G.constant_part * dt / scale)
-    return half_pos, full_conj, half_const
+def _abs2(field: np.ndarray) -> np.ndarray:
+    return field.real**2 + field.imag**2
 
 
-def _apply_strang(field: np.ndarray, G: Generator, half_pos, full_conj, half_const):
-    out = field
-    if half_const is not None:
-        out = half_const * out
-    if G.position_axis is None:
-        out = half_pos * out
-    else:
-        out = np.fft.ifft(half_pos * np.fft.fft(out, axis=G.position_axis),
-                          axis=G.position_axis)
-    out = np.fft.ifft(full_conj * np.fft.fft(out, axis=G.conjugate_axis),
-                      axis=G.conjugate_axis)
-    if G.position_axis is None:
-        out = half_pos * out
-    else:
-        out = np.fft.ifft(half_pos * np.fft.fft(out, axis=G.position_axis),
-                          axis=G.position_axis)
-    if half_const is not None:
-        out = half_const * out
-    return out
+class Propagator:
+    """Strang steps of one generator at one dt, every factor built once; with
+    ``position_scale`` the step from time t uses ``position_scale(t + dt/2) * B``."""
+
+    def __init__(self, G: Generator, dt: float, position_scale: Callable | None = None):
+        self.G, self.dt, self._position_scale = G, dt, position_scale
+        arg = -1j * dt / G.phase_scale
+        self._full_conj = np.exp(arg * G.conjugate_part)
+        self._half_const = None if G.constant_part is None else np.exp(0.5 * arg * G.constant_part)
+        self._half_pos_arg = 0.5 * arg * G.position_part
+        self._half_pos = None if position_scale else np.exp(self._half_pos_arg)
+        # a step's closing spectrum is the next step's opening one
+        self._carry = G.position_axis is not None and G.constant_part is None
+
+    def _advance(self, amp: np.ndarray, spec: np.ndarray | None, t: float):
+        """One step from ``amp`` at time t, given its position-axis spectrum
+        if known; returns the new amplitudes and theirs (or None)."""
+        pa, ca = self.G.position_axis, self.G.conjugate_axis
+        half_pos = self._half_pos
+        if half_pos is None:
+            half_pos = np.exp(self._position_scale(t + 0.5 * self.dt) * self._half_pos_arg)
+        if self._half_const is not None:
+            amp = self._half_const * amp
+        if pa is None:
+            amp = half_pos * amp
+        else:
+            if spec is None:
+                spec = np.fft.fft(amp, axis=pa)
+            amp = np.fft.ifft(half_pos * spec, axis=pa)
+        amp = np.fft.ifft(self._full_conj * np.fft.fft(amp, axis=ca), axis=ca)
+        if pa is None:
+            return half_pos * amp, None
+        spec = half_pos * np.fft.fft(amp, axis=pa)
+        amp = np.fft.ifft(spec, axis=pa)
+        if self._half_const is not None:
+            return self._half_const * amp, None
+        return amp, spec
+
+    def step(self, state: Wavefunction) -> Wavefunction:
+        """One step, without sampling."""
+        amp, _ = self._advance(state.amplitudes, None, state.time)
+        return type(state)(state.grid, amp, time=state.time + self.dt)
+
+    def run(self, state: Wavefunction, n_steps: int, record: Callable | None = None,
+            boundary_limit: float = BOUNDARY_MASS_LIMIT):
+        """Take ``n_steps`` steps, sampling before the first and after each.
+
+        ``record(i, amplitudes, rho, spectrum)`` sees every sample; rho is
+        |psi|^2 * measure and spectrum the FFT along G's position axis, or
+        None where the engine does not hold it.  Returns ``(final_state,
+        times, norms, boundary_mass)`` with one series entry per sample.
+        """
+        times, norms, edges = np.empty((3, n_steps + 1))
+        amp, t = state.amplitudes, state.time
+        spec = np.fft.fft(amp, axis=self.G.position_axis) if self._carry else None
+        for i in range(n_steps + 1):
+            if i:
+                amp, spec = self._advance(amp, spec, t)
+                t = t + self.dt
+            rho = _abs2(amp) * state.measure
+            times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)
+            if edges[i] > boundary_limit:
+                raise BoundaryMassError(
+                    f"boundary mass {edges[i]:.3e} exceeds {boundary_limit:.1e} at t={t:.4g}"
+                )
+            if record is not None:
+                record(i, amp, rho, spec)
+        return type(state)(state.grid, amp, time=t), times, norms, edges
 
 
 def schrodinger_step(psi: QWavefunction, G: Generator, dt: float) -> QWavefunction:
     """One Strang step of exp(-i H dt / hbar) on a configuration-space state."""
     if G.label != "quantum":
         raise ValueError(f"schrodinger_step needs a quantum generator, got {G.label}")
-    factors = _split_factors(G, dt)
-    out = _apply_strang(psi.amplitudes, G, *factors)
-    return QWavefunction(psi.grid, out, time=psi.time + dt)
+    return Propagator(G, dt).step(psi)
 
 
 def kvn_step(psi: KvNWavefunction, G: Generator, dt: float) -> KvNWavefunction:
@@ -80,90 +127,72 @@ def kvn_step(psi: KvNWavefunction, G: Generator, dt: float) -> KvNWavefunction:
     """
     if G.label not in ("liouville", "koopman", "unified"):
         raise ValueError(f"kvn_step needs a phase-space generator, got {G.label}")
-    factors = _split_factors(G, dt)
-    out = _apply_strang(psi.amplitudes, G, *factors)
-    return KvNWavefunction(psi.grid, out, time=psi.time + dt)
-
-
-def propagate(state: Wavefunction, G: Generator, dt: float) -> Wavefunction:
-    if isinstance(state, QWavefunction):
-        return schrodinger_step(state, G, dt)
-    return kvn_step(state, G, dt)
+    return Propagator(G, dt).step(psi)
 
 
 # ---------------------------------------------------------------------------
 # observable recording
 
 
-def _boundary_mass(state: Wavefunction) -> float:
-    rho = np.abs(state.amplitudes) ** 2 * state.measure
-    c = _EDGE_CELLS
-    if rho.ndim == 1:
-        return float(rho[:c].sum() + rho[-c:].sum())
-    edge = rho[:c, :].sum() + rho[-c:, :].sum() + rho[c:-c, :c].sum() + rho[c:-c, -c:].sum()
-    return float(edge)
-
-
-def _observables_quantum(state: QWavefunction, G: Generator):
-    g = state.grid
-    rho = np.abs(state.amplitudes) ** 2 * g.dx
-    q_mean = float(np.sum(g.points * rho))
-    coeff = np.fft.fft(state.amplitudes)
-    weights = np.abs(coeff) ** 2
-    weights = weights / weights.sum()
-    p_mean = float(np.sum(G.hbar * wavenumbers(g) * weights))
-    if G.potential_prime is not None:
-        vp = G.potential_prime(g.points)
-    else:
-        vp = np.gradient(G.position_part, g.dx)
-    vp_mean = float(np.sum(vp * rho))
-    return q_mean, p_mean, vp_mean
-
-
-def _observables_phase(state: KvNWavefunction, G: Generator):
-    """Means of the kappa-shifted position/momentum family on a phase grid.
-
-    For kappa = 0 these are the plain multiplicative q and p.  For the
-    interpolating generator the observables carry the Bopp shifts
-    q - hbar kappa lambda / 2 and p + hbar kappa theta / 2, which are the
-    operators whose means obey the expectation-value equations of motion for
-    every kappa.
-    """
-    pg = state.grid
-    amp = state.amplitudes
-    rho = np.abs(amp) ** 2 * pg.cell_area
-    q_mean = float(np.sum(pg.q.points[:, None] * rho))
-    p_mean = float(np.sum(pg.p.points[None, :] * rho))
-    kq = wavenumbers(pg.q)[:, None]
-    kp = wavenumbers(pg.p)[None, :]
-    kappa, hbar = G.kappa, G.hbar
-    if kappa == 0.0:
-        vp_mean = float(np.sum(_numeric_vprime(G, pg.q.points)[:, None] * rho))
-        return q_mean, p_mean, vp_mean
-    ft_p = np.fft.fft(amp, axis=1)
-    w_lam = np.abs(ft_p) ** 2
-    w_lam = w_lam / w_lam.sum()
-    ft_q = np.fft.fft(amp, axis=0)
-    w_th = np.abs(ft_q) ** 2
-    w_th = w_th / w_th.sum()
-    q_mean = q_mean - 0.5 * hbar * kappa * float(np.sum(kp * w_lam))
-    p_mean = p_mean + 0.5 * hbar * kappa * float(np.sum(kq * w_th))
-    # <V'(q - hbar kappa lambda / 2)> evaluated in the (q, lambda) representation
-    args = pg.q.points[:, None] - 0.5 * hbar * kappa * kp
-    vp_mean = float(np.sum(_numeric_vprime(G, args) * w_lam))
-    return q_mean, p_mean, vp_mean
-
-
 def _numeric_vprime(G: Generator, args: np.ndarray) -> np.ndarray:
     if G.potential_prime is not None:
-        return G.potential_prime(args)
+        return np.asarray(G.potential_prime(args), dtype=float)
     eps = 1e-6
     return (G.potential(args + eps) - G.potential(args - eps)) / (2 * eps)
 
 
+def _means(G: Generator, state: Wavefunction):
+    """``means(amplitudes, rho, spectrum) -> (<q>, <p>, <V'>)``, with every
+    array that does not change between steps built once.
+
+    On a phase grid kappa = 0 gives the plain multiplicative q and p; for
+    the interpolating generator the observables carry the Bopp shifts
+    q - hbar kappa lambda / 2 and p + hbar kappa theta / 2, whose means obey
+    the expectation-value equations of motion for every kappa.
+    """
+    if isinstance(state, QWavefunction):
+        g = state.grid
+        x, pk = g.points, G.hbar * wavenumbers(g)
+        if G.potential_prime is not None:
+            vx = np.asarray(G.potential_prime(x), dtype=float)
+        else:
+            vx = np.gradient(G.position_part, g.dx)
+
+        def quantum(amp, rho, spec):
+            w = _abs2(np.fft.fft(amp))
+            return x @ rho, pk @ w / w.sum(), vx @ rho
+
+        return quantum
+
+    q, p = state.grid.q.points, state.grid.p.points
+    if G.kappa == 0.0:
+        vq = _numeric_vprime(G, q)
+
+        def classical(amp, rho, spec):
+            rho_q = rho.sum(axis=1)
+            return q @ rho_q, rho.sum(axis=0) @ p, vq @ rho_q
+
+        return classical
+
+    kq, kp = wavenumbers(state.grid.q), wavenumbers(state.grid.p)
+    shift = 0.5 * G.hbar * G.kappa
+    v_shifted = _numeric_vprime(G, q[:, None] - shift * kp[None, :])  # on (q, lambda)
+
+    def bopp(amp, rho, spec):
+        w_lam = _abs2(spec)
+        w_th = _abs2(np.fft.fft(amp, axis=0)).sum(axis=1)
+        return (
+            q @ rho.sum(axis=1) - shift * (w_lam.sum(axis=0) @ kp) / w_lam.sum(),
+            rho.sum(axis=0) @ p + shift * (kq @ w_th) / w_th.sum(),
+            np.vdot(v_shifted, w_lam) / w_lam.sum(),
+        )
+
+    return bopp
+
+
 @dataclass
 class Trajectory:
-    """Expectation series sampled after every step, plus the final state."""
+    """Series sampled before the first and after every step, plus the final state."""
 
     times: np.ndarray
     q_mean: np.ndarray
@@ -171,6 +200,7 @@ class Trajectory:
     vprime_mean: np.ndarray
     final_state: Wavefunction
     norms: np.ndarray
+    boundary_mass: np.ndarray  # probability within EDGE_CELLS of a domain edge
 
 
 def evolve(
@@ -184,34 +214,16 @@ def evolve(
     """Propagate ``state`` to ``t_final`` in ``n_steps`` uniform Strang steps."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    dt = t_final / n_steps
-    times = np.empty(n_steps + 1)
-    qs = np.empty(n_steps + 1)
-    ps = np.empty(n_steps + 1)
-    vps = np.empty(n_steps + 1)
-    norms = np.empty(n_steps + 1)
+    series = np.empty((3, n_steps + 1))
+    means = _means(G, state)
 
-    record = (
-        _observables_quantum if isinstance(state, QWavefunction) else _observables_phase
+    def record(i, amp, rho, spec):
+        series[:, i] = means(amp, rho, spec)
+
+    final, times, norms, edges = Propagator(G, t_final / n_steps).run(
+        state, n_steps, record, boundary_limit if check_boundary else np.inf
     )
-    current = state
-    factors = _split_factors(G, dt) if n_steps else None
-    for i in range(n_steps + 1):
-        times[i] = current.time
-        qs[i], ps[i], vps[i] = record(current, G)
-        norms[i] = current.norm_squared()
-        if check_boundary:
-            bm = _boundary_mass(current)
-            if bm > boundary_limit:
-                raise BoundaryMassError(
-                    f"boundary mass {bm:.3e} exceeds {boundary_limit:.1e} at t={current.time:.4g}"
-                )
-        if i == n_steps:
-            break
-        out = _apply_strang(current.amplitudes, G, *factors)
-        cls = type(current)
-        current = cls(current.grid, out, time=current.time + dt)
-    return Trajectory(times, qs, ps, vps, current, norms)
+    return Trajectory(times, *series, final, norms, edges)
 
 
 @dataclass
@@ -223,14 +235,9 @@ class UnitarityReport:
 def check_unitarity(G: Generator, psi: Wavefunction, dt: float, n: int) -> UnitarityReport:
     """Run n steps forward then n steps with -dt; report drift and round trip."""
     start = psi.normalize()
-    current = start
-    max_drift = 0.0
-    for _ in range(n):
-        current = propagate(current, G, dt)
-        max_drift = max(max_drift, abs(current.norm_squared() - 1.0))
-    for _ in range(n):
-        current = propagate(current, G, -dt)
-        max_drift = max(max_drift, abs(current.norm_squared() - 1.0))
-    diff = current.amplitudes - start.amplitudes
+    mid, _, forward, _ = Propagator(G, dt).run(start, n, boundary_limit=np.inf)
+    end, _, backward, _ = Propagator(G, -dt).run(mid, n, boundary_limit=np.inf)
+    drift = float(np.max(np.abs(np.concatenate([forward, backward]) - 1.0)))
+    diff = end.amplitudes - start.amplitudes
     resid = float(np.sqrt(np.sum(np.abs(diff) ** 2) * start.measure))
-    return UnitarityReport(max_norm_drift=max_drift, reversibility_residual=resid)
+    return UnitarityReport(max_norm_drift=drift, reversibility_residual=resid)

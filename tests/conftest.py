@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,29 @@ def grid_small():
 @pytest.fixture
 def phase_small():
     return PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
+
+
+class CallCounter(Counter):
+    """Calls made to watched functions, keyed by attribute name."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        self._monkeypatch = monkeypatch
+
+    def watch(self, owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            self[name] += 1
+            return original(*args, **kwargs)
+
+        self._monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Counts calls to np.fft.fft, np.fft.ifft and np.exp; ``watch`` adds more."""
+    counter = CallCounter(monkeypatch)
+    for owner, name in ((np.fft, "fft"), (np.fft, "ifft"), (np, "exp")):
+        counter.watch(owner, name)
+    return counter

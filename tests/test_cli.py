@@ -62,6 +62,16 @@ def test_non_power_of_two_grid_exits_2(tmp_path):
     assert main(["verify", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "experiment, params",
+    [("ehrenfest", {"dt": 0}), ("oscillator", {"n_steps": 0})],
+)
+def test_degenerate_time_step_exits_2_with_one_line(tmp_path, capsys, experiment, params):
+    cfg = write_config(tmp_path, {"experiment": experiment, "params": params})
+    assert main(["run", str(cfg)]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
 def test_measure_run_and_determinism(tmp_path):
     cfg = write_config(
         tmp_path,

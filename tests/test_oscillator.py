@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_phase
-from kvnlab.errors import PhysicsError
+import kvnlab.oscillator
+from kvnlab.errors import BoundaryMassError, PhysicsError
 from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.oscillator import (
     ErmakovState,
@@ -154,3 +155,29 @@ def test_kvn_covariance_follows_monodromy(kvn_run):
     M = monodromy_matrix(wobble, 10.0, 10.0 / N_STEPS)
     expected = M @ kvn_run.covariance[0] @ M.T
     assert np.max(np.abs(kvn_run.covariance[-1] - expected)) < 1e-3
+
+
+def test_kvn_step_budget(call_counts):
+    # one complex exp per step for the midpoint force, no generator rebuild
+    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    psi = gaussian_phase(pg, q0=1.0, p0=0.0, sigma_q=0.6, sigma_p=0.6)
+    call_counts.watch(kvnlab.oscillator, "koopman_generator")
+
+    def counts(n_steps):
+        call_counts.clear()
+        kvn_tdho_evolve(psi, wobble, 0.004 * n_steps, n_steps)
+        return dict(call_counts)
+
+    short, long = counts(10), counts(20)
+    per_step = {name: (long.get(name, 0) - short.get(name, 0)) / 10 for name in long}
+    assert per_step["exp"] <= 1
+    assert per_step["koopman_generator"] == 0
+    assert per_step["fft"] + per_step["ifft"] <= 5
+
+
+def test_kvn_run_aborts_when_mass_reaches_edge():
+    # stiffness 4 swings p out to -4 at t = pi/4; the tail reaches the edge first
+    pg = PhaseGrid(Grid1D(64, -4.0, 4.0), Grid1D(64, -4.0, 4.0))
+    psi = gaussian_phase(pg, q0=2.0, p0=0.0, sigma_q=0.2, sigma_p=0.2)
+    with pytest.raises(BoundaryMassError, match=r"at t=0\.\d+$"):
+        kvn_tdho_evolve(psi, lambda t: 4.0, 1.0, 100)

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import gaussian_1d, gaussian_phase
 from kvnlab.errors import BoundaryMassError
-from kvnlab.grid import Grid1D, PhaseGrid
-from kvnlab.operators import hamiltonian, koopman_generator, liouvillian
+from kvnlab.grid import Grid1D, PhaseGrid, wavenumbers
+from kvnlab.operators import hamiltonian, koopman_generator, liouvillian, unified_generator
+from kvnlab.oscillator import kvn_tdho_evolve
 from kvnlab.propagation import (
     check_unitarity,
     evolve,
@@ -219,8 +220,6 @@ def test_liouville_pde_residual():
 
 def test_unified_kappa_changes_quartic_evolution():
     # kappa = 1 and kappa = 0 disagree measurably on an anharmonic potential
-    from kvnlab.operators import unified_generator
-
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     blob = gaussian_phase(pg, q0=0.8, sigma_q=0.35, sigma_p=0.7)
     V, Vp = (lambda q: 0.25 * q**4), (lambda q: q**3)
@@ -231,3 +230,153 @@ def test_unified_kappa_changes_quartic_evolution():
         * pg.cell_area
     )
     assert l2 > 1e-3
+
+
+# --- the engine against a plain Strang loop ----------------------------------
+
+
+def reference_step(amp, G, dt):
+    """One Strang step, every factor exponentiated and transformed afresh."""
+    scale = G.phase_scale
+    half_pos = np.exp(-0.5j * G.position_part * dt / scale)
+    full_conj = np.exp(-1j * G.conjugate_part * dt / scale)
+
+    def position_half(f):
+        if G.position_axis is None:
+            return half_pos * f
+        spec = np.fft.fft(f, axis=G.position_axis)
+        return np.fft.ifft(half_pos * spec, axis=G.position_axis)
+
+    if G.constant_part is not None:
+        amp = np.exp(-0.5j * G.constant_part * dt / scale) * amp
+    amp = position_half(amp)
+    amp = np.fft.ifft(full_conj * np.fft.fft(amp, axis=G.conjugate_axis), axis=G.conjugate_axis)
+    amp = position_half(amp)
+    if G.constant_part is not None:
+        amp = np.exp(-0.5j * G.constant_part * dt / scale) * amp
+    return amp
+
+
+def reference_means(amp, G, grid):
+    """<q>, <p>, <V'> computed from scratch (Bopp-shifted for kappa > 0)."""
+    if isinstance(grid, Grid1D):
+        rho = np.abs(amp) ** 2 * grid.dx
+        w = np.abs(np.fft.fft(amp)) ** 2
+        p_mean = np.sum(G.hbar * wavenumbers(grid) * w) / w.sum()
+        return np.sum(grid.points * rho), p_mean, np.sum(G.potential_prime(grid.points) * rho)
+    rho = np.abs(amp) ** 2 * grid.cell_area
+    q, p = grid.q.points[:, None], grid.p.points[None, :]
+    if G.kappa == 0.0:
+        return np.sum(q * rho), np.sum(p * rho), np.sum(G.potential_prime(q) * rho)
+    kq, kp = wavenumbers(grid.q)[:, None], wavenumbers(grid.p)[None, :]
+    w_lam = np.abs(np.fft.fft(amp, axis=1)) ** 2
+    w_th = np.abs(np.fft.fft(amp, axis=0)) ** 2
+    s = 0.5 * G.hbar * G.kappa
+    return (
+        np.sum(q * rho) - s * np.sum(kp * w_lam) / w_lam.sum(),
+        np.sum(p * rho) + s * np.sum(kq * w_th) / w_th.sum(),
+        np.sum(G.potential_prime(q - s * kp) * w_lam) / w_lam.sum(),
+    )
+
+
+POTENTIALS = {
+    "harmonic": (lambda q: 0.5 * q**2, lambda q: q),
+    "quartic": (lambda q: 0.25 * q**4, lambda q: q**3),
+}
+WOBBLE = lambda q, p: 0.3 * np.sin(2 * np.pi * q / 16) * np.cos(2 * np.pi * p / 16)
+
+
+def engine_cases():
+    g = Grid1D(256, -16.0, 16.0)
+    pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
+    for name, (V, Vp) in POTENTIALS.items():
+        yield f"quantum-{name}", g, hamiltonian(g, V, vprime=Vp)
+        yield f"koopman-{name}", pg, koopman_generator(pg, Vp)
+        yield f"koopman-constant-{name}", pg, koopman_generator(pg, Vp, constant=WOBBLE)
+        for kappa in (0.0, 0.5, 1.0):
+            yield f"unified-{kappa}-{name}", pg, unified_generator(pg, V, kappa, vprime=Vp)
+
+
+@pytest.mark.parametrize("case", list(engine_cases()), ids=lambda c: c[0])
+def test_evolve_matches_reference_strang_loop(case):
+    _, grid, G = case
+    if isinstance(grid, Grid1D):
+        psi = gaussian_1d(grid, center=0.8, sigma=np.sqrt(0.5))
+    else:
+        psi = gaussian_phase(grid, q0=0.8, sigma_q=0.35, sigma_p=0.7)
+    n_steps, dt = 200, 1e-3
+    traj = evolve(psi, G, n_steps * dt, n_steps)
+    amp = psi.amplitudes
+    for i in range(n_steps + 1):
+        if i:
+            amp = reference_step(amp, G, dt)
+        expected = reference_means(amp, G, grid)
+        got = (traj.q_mean[i], traj.p_mean[i], traj.vprime_mean[i])
+        assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12
+        assert abs(traj.norms[i] - np.sum(np.abs(amp) ** 2) * psi.measure) <= 1e-12
+    assert np.max(np.abs(traj.final_state.amplitudes - amp)) <= 1e-12
+    assert traj.final_state.time == pytest.approx(n_steps * dt, abs=1e-12)
+
+
+def test_tdho_evolve_matches_reference_strang_loop():
+    # the reference rebuilds the generator with the midpoint stiffness every step
+    pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
+    psi = gaussian_phase(pg, q0=1.0, sigma_q=0.3, sigma_p=0.3)
+    k = lambda t: 1.0 + 0.1 * np.sin(t)
+    n_steps, dt = 250, 4e-3
+    run = kvn_tdho_evolve(psi, k, n_steps * dt, n_steps)
+    Q, P = pg.meshes()
+    amp, t = psi.amplitudes, 0.0
+    for i in range(n_steps + 1):
+        if i:
+            k_mid = k(t + 0.5 * dt)
+            amp = reference_step(amp, koopman_generator(pg, lambda q: k_mid * q), dt)
+            t = t + dt
+        rho = np.abs(amp) ** 2 * pg.cell_area
+        assert abs(run.q_mean[i] - np.sum(Q * rho)) <= 1e-12
+        assert abs(run.p_mean[i] - np.sum(P * rho)) <= 1e-12
+        assert abs(run.norms[i] - np.sum(rho)) <= 1e-12
+    assert np.max(np.abs(run.final_state.amplitudes - amp)) <= 1e-12
+
+
+def test_strang_order_quartic_kappa_half():
+    pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
+    blob = gaussian_phase(pg, q0=0.8, sigma_q=0.35, sigma_p=0.7)
+    V, Vp = POTENTIALS["quartic"]
+    G = unified_generator(pg, V, 0.5, vprime=Vp)
+    t, n = 0.5, 25
+    reference = evolve(blob, G, t, 8 * n).final_state.amplitudes
+
+    def error(n_steps):
+        diff = evolve(blob, G, t, n_steps).final_state.amplitudes - reference
+        return np.sqrt(np.sum(np.abs(diff) ** 2) * pg.cell_area)
+
+    ratio = error(n) / error(2 * n)
+    assert 3.5 < ratio < 4.5
+
+
+@pytest.mark.parametrize("kappa, budget", [(0.0, 5), (0.5, 6)])
+def test_phase_step_fft_budget(call_counts, kappa, budget):
+    # per-step cost is the difference of two run lengths, so one-time
+    # transforms of the initial state do not count against it
+    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    blob = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
+    V, Vp = POTENTIALS["quartic"]
+    G = unified_generator(pg, V, kappa, vprime=Vp)
+
+    def transforms(n_steps):
+        call_counts.clear()
+        evolve(blob, G, 1e-3 * n_steps, n_steps)
+        return call_counts["fft"] + call_counts["ifft"]
+
+    assert (transforms(20) - transforms(10)) / 10 <= budget
+
+
+def test_evolve_records_boundary_mass():
+    g = Grid1D(128, -8.0, 8.0)
+    psi = gaussian_1d(g, center=3.0, sigma=0.5, k0=2 * np.pi / g.length * 10)
+    H = hamiltonian(g, lambda q: np.zeros_like(q))
+    traj = evolve(psi, H, 0.3, 30, check_boundary=False)
+    rho = np.abs(traj.final_state.amplitudes) ** 2 * g.dx
+    assert traj.boundary_mass[-1] == pytest.approx(rho[:4].sum() + rho[-4:].sum(), rel=1e-12)
+    assert traj.boundary_mass[-1] > traj.boundary_mass[0]
