@@ -15,8 +15,11 @@ Unknown keys are rejected.  Output paths resolve relative to the config
 file.  Exit codes: 0 success, 2 config parse/validation error, 3 physics
 precondition violation, 4 I/O error.  For a fixed config and seed the
 tables are byte-identical across runs on one platform; wall time is printed
-to stdout rather than written into the files.  ``KVNLAB_THREADS`` caps the
-worker threads used by parameter sweeps (default 1).
+to stdout rather than written into the files.  ``KVNLAB_THREADS`` (default
+1, at most 8) sets the worker threads that run independent jobs side by
+side: ehrenfest's evolutions, the measure sweep and the aharonov-bohm flux
+sweep.  Results are assembled in input order, so the tables do not depend
+on the thread count.
 """
 
 from __future__ import annotations
@@ -77,6 +80,19 @@ def _threads() -> int:
         return max(1, min(8, int(os.environ.get("KVNLAB_THREADS", "1"))))
     except ValueError:
         return 1
+
+
+def _pmap(fn, items) -> list:
+    """``[fn(x) for x in items]`` on ``_threads()`` workers, in input order.
+
+    The first failing job's exception is raised; jobs not yet started are
+    cancelled.
+    """
+    pool = ThreadPoolExecutor(max_workers=_threads())
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _grid(spec: dict) -> Grid1D:
@@ -282,8 +298,7 @@ def _run_measure(cfg: ExperimentConfig):
             )
         return closed_u, closed_n
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        values = list(pool.map(point, ts))
+    values = _pmap(point, ts)
     rows = np.column_stack([ts, [v[0] for v in values], [v[1] for v in values]])
     table = ResultTable(
         columns=["omega_tau", "p_a_unmeasured", "p_a_nonselective"],
@@ -348,32 +363,35 @@ def _run_uncertainty(cfg: ExperimentConfig):
 def _run_ehrenfest(cfg: ExperimentConfig):
     p = cfg.params
     hbar = cfg.hbar
-    t_final, dt = float(p["t_final"]), float(p["dt"])
-    n_steps = int(round(t_final / dt))
+    t_final = float(p["t_final"])
+    n_steps = time_step_check(p["dt"], t_final)
     g = _grid(p["grid"])
     pgrid = _grid(p["phase_grid"])
     pg = PhaseGrid(pgrid, Grid1D(pgrid.n, pgrid.x_min, pgrid.x_max))
-    rows = []
-    for pot_code, name in enumerate(p["potentials"]):
-        V, Vp = _POTENTIALS[name]
-        psi = _gaussian_1d(g, 0.8, np.sqrt(0.5))
-        traj = evolve(psi, hamiltonian(g, V, hbar=hbar, vprime=Vp), t_final, n_steps)
-        res = ehrenfest_residuals(traj)
-        rows.append([0, pot_code, 1.0, res.r1_max, res.r2_max, res.r1_relative, res.r2_relative])
-        # blob shape chosen so the quartic runs keep their tails off the
-        # energy contours that cross the p boundary, for every kappa
-        blob = _gaussian_phase(pg, 0.8, 0.0, 0.35, 0.7)
-        traj = evolve(blob, koopman_generator(pg, Vp), t_final, n_steps)
-        res = ehrenfest_residuals(traj)
-        rows.append([1, pot_code, 0.0, res.r1_max, res.r2_max, res.r1_relative, res.r2_relative])
-        for kappa in p["kappas"]:
-            G = unified_generator(pg, V, float(kappa), hbar=hbar, vprime=Vp)
+    psi = _gaussian_1d(g, 0.8, np.sqrt(0.5))
+    # blob shape chosen so the quartic runs keep their tails off the
+    # energy contours that cross the p boundary, for every kappa
+    blob = _gaussian_phase(pg, 0.8, 0.0, 0.35, 0.7)
+    jobs = []
+    for pot_code in range(len(p["potentials"])):
+        jobs += [(0, pot_code, 1.0), (1, pot_code, 0.0)]
+        jobs += [(2, pot_code, float(kappa)) for kappa in p["kappas"]]
+
+    def row(job):
+        # each job builds its own generator, so only the running ones hold arrays
+        flavor, pot_code, kappa = job
+        V, Vp = _POTENTIALS[p["potentials"][pot_code]]
+        if flavor == 0:
+            traj = evolve(psi, hamiltonian(g, V, hbar=hbar, vprime=Vp), t_final, n_steps)
+        elif flavor == 1:
+            traj = evolve(blob, koopman_generator(pg, Vp), t_final, n_steps)
+        else:
+            G = unified_generator(pg, V, kappa, hbar=hbar, vprime=Vp)
             traj = evolve(blob, G, t_final, n_steps)
-            res = ehrenfest_residuals(traj)
-            rows.append(
-                [2, pot_code, float(kappa), res.r1_max, res.r2_max,
-                 res.r1_relative, res.r2_relative]
-            )
+        res = ehrenfest_residuals(traj)
+        return [flavor, pot_code, kappa, res.r1_max, res.r2_max, res.r1_relative, res.r2_relative]
+
+    rows = _pmap(row, jobs)
     table = ResultTable(
         columns=["flavor", "potential", "kappa", "r1_max", "r2_max", "r1_rel", "r2_rel"],
         units=["0q_1kvn_2uni", "0harm_1quart", "1", "mixed", "mixed", "1", "1"],
@@ -491,8 +509,7 @@ def _run_aharonov_bohm(cfg: ExperimentConfig):
         )
         return energies, record
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        results = list(pool.map(point, alphas))
+    results = _pmap(point, alphas)
     records = [r for _, r in results]
     distinct = []
     ids = []
@@ -607,11 +624,18 @@ def unified_kappa_check(kappa) -> float:
     return k
 
 
-def time_step_check(dt, t_final) -> float:
+def time_step_check(dt, t_final) -> int:
+    """The step count of ``dt`` over ``t_final``: dt must divide t_final
+    (relative 1e-9) into at least 4 steps, the 5 samples the residuals need."""
     dt, t_final = float(dt), float(t_final)
     if not (np.isfinite(t_final) and 0.0 < dt <= t_final):
         raise ValueError(f"dt must lie in (0, t_final] with both finite, got {dt} and {t_final}")
-    return dt
+    n_steps = round(t_final / dt)
+    if abs(n_steps * dt - t_final) > 1e-9 * t_final:
+        raise ValueError(f"dt {dt} does not divide t_final {t_final} into whole steps")
+    if n_steps < 4:
+        raise ValueError(f"dt {dt} gives {n_steps} steps to t_final {t_final}; need at least 4")
+    return n_steps
 
 
 def step_count_check(n) -> int:

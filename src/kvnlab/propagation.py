@@ -8,9 +8,12 @@ Each factor is exact in the representation where its part is diagonal, so
 the step is unitary and second order in dt, and for classical generators
 every factor is an advection shear.  The factors are built once per (G, dt);
 a time-dependent force enters through ``position_scale``, which rescales B
-at each step's midpoint for one complex exponential per step.  On a phase
-grid a step ends in the (q, lambda) representation and the next step opens
-from that spectrum, so a step costs five FFTs.
+at each step's midpoint for one complex exponential per step.  Where B's
+argument is odd in lambda (as the Koopman -V'(q) lambda is), that
+exponential is taken over the lambda >= 0 half only and the other half is
+its complex conjugate.  On a phase grid a step ends in the (q, lambda)
+representation and the next step opens from that spectrum, so a step costs
+five FFTs.
 
 Recording rule: ``Propagator.run`` samples the state before the first step
 and after every step.  Each sample computes rho = |psi|^2 * measure once and
@@ -20,6 +23,10 @@ run: the domain was chosen too small and any Ehrenfest check would be
 meaningless.  The Bopp-shifted means <lambda> and <V'(q - hbar kappa
 lambda/2)> of the interpolating generator come from the lambda-spectrum the
 step already holds (|exp(i phi) F|^2 = |F|^2); <theta> costs one more FFT.
+The step and record loop makes no BLAS call on a full grid (full-grid
+reductions are ``sum``s; only length-n dot products remain, below the size
+at which OpenBLAS starts its own threads), so evolutions run side by side in
+threads do not contend for BLAS workers.
 """
 
 from __future__ import annotations
@@ -52,7 +59,16 @@ class Propagator:
         self._full_conj = np.exp(arg * G.conjugate_part)
         self._half_const = None if G.constant_part is None else np.exp(0.5 * arg * G.constant_part)
         self._half_pos_arg = 0.5 * arg * G.position_part
-        self._half_pos = None if position_scale else np.exp(self._half_pos_arg)
+        self._half_pos = self._mirror = None
+        if not position_scale:
+            self._half_pos, self._half_pos_arg = np.exp(self._half_pos_arg), None
+        elif G.position_axis == G.position_part.ndim - 1:  # the lambda axis of a phase grid
+            b_arg, n = self._half_pos_arg, G.position_part.shape[-1]
+            head, top = np.s_[..., : n // 2 + 1], np.s_[..., n // 2 + 1 :]
+            low = np.s_[..., (n - 1) // 2 : 0 : -1]  # the mirror images of top
+            if np.array_equal(b_arg[top], np.conj(b_arg[low])):
+                self._mirror = head, top, low, np.ascontiguousarray(b_arg[top])
+                self._half_pos_arg = np.ascontiguousarray(b_arg[head])
         # a step's closing spectrum is the next step's opening one
         self._carry = G.position_axis is not None and G.constant_part is None
 
@@ -62,7 +78,7 @@ class Propagator:
         pa, ca = self.G.position_axis, self.G.conjugate_axis
         half_pos = self._half_pos
         if half_pos is None:
-            half_pos = np.exp(self._position_scale(t + 0.5 * self.dt) * self._half_pos_arg)
+            half_pos = self._scaled_half_pos(self._position_scale(t + 0.5 * self.dt))
         if self._half_const is not None:
             amp = self._half_const * amp
         if pa is None:
@@ -79,6 +95,23 @@ class Propagator:
         if self._half_const is not None:
             return self._half_const * amp, None
         return amp, spec
+
+    def _scaled_half_pos(self, scale: float) -> np.ndarray:
+        """exp(scale * half-step B argument), bit for bit.  For an argument
+        odd in lambda (conjugate-symmetric, as B's purely imaginary one is)
+        lambda columns n/2+1..n-1 are the conjugates of columns n/2-1..1."""
+        if self._mirror is None:
+            return np.exp(scale * self._half_pos_arg)
+        head, top, low, top_arg = self._mirror
+        out = np.empty(self.G.position_part.shape, dtype=complex)
+        np.exp(scale * self._half_pos_arg, out=out[head])
+        upper = out[top]
+        np.conjugate(out[low], out=upper)
+        # a zero imaginary part does not mirror its sign: exp(x + 0i) carries
+        # the sign of the argument's zero, so copy that
+        zeros = np.flatnonzero(upper.imag == 0)
+        upper.imag.flat[zeros] = (scale * top_arg.flat[zeros]).imag
+        return out
 
     def step(self, state: Wavefunction) -> Wavefunction:
         """One step, without sampling."""
@@ -184,7 +217,7 @@ def _means(G: Generator, state: Wavefunction):
         return (
             q @ rho.sum(axis=1) - shift * (w_lam.sum(axis=0) @ kp) / w_lam.sum(),
             rho.sum(axis=0) @ p + shift * (kq @ w_th) / w_th.sum(),
-            np.vdot(v_shifted, w_lam) / w_lam.sum(),
+            (v_shifted * w_lam).sum() / w_lam.sum(),
         )
 
     return bopp

@@ -72,6 +72,15 @@ def test_degenerate_time_step_exits_2_with_one_line(tmp_path, capsys, experiment
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("dt", [0.15, 0.5])  # 0.15 does not divide 1; 0.5 gives 2 steps
+def test_ehrenfest_bad_dt_exits_2_naming_dt(tmp_path, capsys, command, dt):
+    cfg = write_config(tmp_path, {"experiment": "ehrenfest", "params": {"dt": dt}})
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "dt" in err[0]
+
+
 def test_measure_run_and_determinism(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -245,6 +254,35 @@ def test_threads_env_respected(tmp_path, monkeypatch):
     monkeypatch.setenv("KVNLAB_THREADS", "1")
     assert main(["run", str(cfg)]) == 0
     assert (tmp_path / "measure_sweep.csv").read_bytes() == first
+
+
+def test_ehrenfest_table_independent_of_threads(tmp_path, monkeypatch):
+    cfg = write_config(
+        tmp_path,
+        {"experiment": "ehrenfest", "params": {"t_final": 0.05},
+         "output": {"directory": ".", "svg": False}},
+    )
+    tables = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("KVNLAB_THREADS", threads)
+        assert main(["run", str(cfg)]) == 0
+        tables.append((tmp_path / "ehrenfest.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_boundary_abort_in_pool_job_exits_3(tmp_path, monkeypatch, capsys):
+    # the phase-space blob's p tails already sit on the edge of this box
+    monkeypatch.setenv("KVNLAB_THREADS", "2")
+    cfg = write_config(
+        tmp_path,
+        {"experiment": "ehrenfest",
+         "params": {"t_final": 0.05, "phase_grid": {"n": 32, "min": -2.0, "max": 2.0}},
+         "output": {"directory": ".", "svg": False}},
+    )
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "boundary mass" in err
+    assert "Traceback" not in err
 
 
 def test_result_table_validation(tmp_path):

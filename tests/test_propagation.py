@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import gaussian_1d, gaussian_phase
 from kvnlab.errors import BoundaryMassError
-from kvnlab.grid import Grid1D, PhaseGrid, wavenumbers
+from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from kvnlab.operators import hamiltonian, koopman_generator, liouvillian, unified_generator
 from kvnlab.oscillator import kvn_tdho_evolve
 from kvnlab.propagation import (
+    Propagator,
     check_unitarity,
     evolve,
     kvn_step,
@@ -93,10 +96,9 @@ def test_kvn_norm_drift_many_steps():
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     psi = gaussian_phase(pg, sigma_q=0.8, sigma_p=0.8)
     G = koopman_generator(pg, lambda q: np.zeros_like(q))
-    state = psi
-    for _ in range(10_000):
-        state = kvn_step(state, G, 1e-3)
-    assert abs(state.norm_squared() - 1.0) < 1e-10
+    _, _, norms, _ = Propagator(G, 1e-3).run(psi, 10_000, boundary_limit=np.inf)
+    assert len(norms) == 10_001
+    assert np.max(np.abs(norms - 1.0)) < 1e-10
 
 
 def test_evolve_zero_time_is_identity():
@@ -148,10 +150,12 @@ def test_check_unitarity_kvn_free():
 def test_boundary_mass_monitor_triggers():
     g = Grid1D(128, -8.0, 8.0)
     k0 = 2 * np.pi / g.length * 40  # fast packet, reaches the edge quickly
-    psi = gaussian_1d(g, center=5.0, sigma=0.5, k0=k0)
+    psi = gaussian_1d(g, center=4.0, sigma=0.5, k0=k0)
+    assert edge_mass(np.abs(psi.amplitudes) ** 2 * g.dx) < 1e-8  # clean start
     H = hamiltonian(g, lambda q: np.zeros_like(q))
-    with pytest.raises(BoundaryMassError):
+    with pytest.raises(BoundaryMassError, match=r"at t=") as caught:
         evolve(psi, H, 2.0, 200)
+    assert float(str(caught.value).rsplit("t=", 1)[1]) > 0
 
 
 def test_koopman_constant_does_not_alter_density():
@@ -380,3 +384,29 @@ def test_evolve_records_boundary_mass():
     rho = np.abs(traj.final_state.amplitudes) ** 2 * g.dx
     assert traj.boundary_mass[-1] == pytest.approx(rho[:4].sum() + rho[-4:].sum(), rel=1e-12)
     assert traj.boundary_mass[-1] > traj.boundary_mass[0]
+
+
+def _half_position_arg(G, dt):
+    return 0.5 * (-1j * dt / G.phase_scale) * G.position_part
+
+
+def test_mirrored_position_factor_is_exp_bit_for_bit():
+    # the driven oscillator's generator and step; the argument is odd in lambda
+    pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
+    G, dt = koopman_generator(pg, lambda q: q), 10.0 / 2500
+    prop = Propagator(G, dt, position_scale=lambda t: 1.0)
+    assert prop._mirror is not None
+    arg = _half_position_arg(G, dt)
+    midpoints = (np.arange(0, 2500, 25) + 0.5) * dt
+    for scale in [*(1.0 + 0.1 * np.sin(midpoints)), 0.0, -1.3, 40.0]:
+        assert prop._scaled_half_pos(scale).tobytes() == np.exp(scale * arg).tobytes()
+
+
+def test_non_odd_position_factor_takes_full_exp():
+    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    G = koopman_generator(pg, lambda q: q)
+    G = replace(G, position_part=G.position_part + 0.1)
+    prop = Propagator(G, 1e-2, position_scale=lambda t: 1.0)
+    assert prop._mirror is None
+    expected = np.exp(1.05 * _half_position_arg(G, 1e-2))
+    assert prop._scaled_half_pos(1.05).tobytes() == expected.tobytes()
