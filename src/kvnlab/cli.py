@@ -16,10 +16,11 @@ file.  Exit codes: 0 success, 2 config parse/validation error, 3 physics
 precondition violation, 4 I/O error.  For a fixed config and seed the
 tables are byte-identical across runs on one platform; wall time is printed
 to stdout rather than written into the files.  ``KVNLAB_THREADS`` (default
-1, at most 8) sets the worker threads that run independent jobs side by
-side: ehrenfest's evolutions, the measure sweep and the aharonov-bohm flux
-sweep.  Results are assembled in input order, so the tables do not depend
-on the thread count.
+1, at most 8; larger values run 8) sets the worker threads that run
+independent jobs side by side: ehrenfest's evolutions, the measure sweep and
+the aharonov-bohm flux sweep.  A value that is not an integer >= 1 is a
+config error (exit 2).  Results are assembled in input order, so the tables
+do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -76,10 +77,15 @@ from .states import KvNWavefunction, QWavefunction
 
 
 def _threads() -> int:
+    """Worker threads from ``KVNLAB_THREADS``: default 1, at most 8."""
+    raw = os.environ.get("KVNLAB_THREADS", "1")
     try:
-        return max(1, min(8, int(os.environ.get("KVNLAB_THREADS", "1"))))
+        n = int(raw)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise ValueError(f"KVNLAB_THREADS must be an integer >= 1, got {raw!r}")
+    return min(8, n)
 
 
 def _pmap(fn, items) -> list:
@@ -212,8 +218,10 @@ def load_config(path: Path) -> ExperimentConfig:
         raise ValueError(f"unknown output keys: {sorted(unknown)}")
     output.update(user_output)
     hbar = float(raw.get("hbar", 1.0))
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    if not (np.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    if not isinstance(output["svg"], bool):
+        raise ValueError(f"output svg must be true or false, got {output['svg']!r}")
     seed = int(raw.get("seed", 0))
     resolved = {
         "experiment": experiment,
@@ -594,8 +602,8 @@ _VALIDATORS = {
     "ehrenfest": lambda cfg: (
         _grid(cfg.params["grid"]),
         _grid(cfg.params["phase_grid"]),
-        [_POTENTIALS[name] for name in cfg.params["potentials"]],
-        [unified_kappa_check(k) for k in cfg.params["kappas"]],
+        [_POTENTIALS[name] for name in list_check(cfg.params, "potentials")],
+        [unified_kappa_check(k) for k in list_check(cfg.params, "kappas", nonempty=False)],
         time_step_check(cfg.params["dt"], cfg.params["t_final"]),
     ),
     "wigner": lambda cfg: (
@@ -606,15 +614,24 @@ _VALIDATORS = {
                                step_count_check(cfg.params["n_steps"])),
     "aharonov-bohm": lambda cfg: [
         SolenoidConfig(
-            alpha=float(a), n=int(cfg.params["n_values"][0]), pz0=float(cfg.params["pz0"]),
+            alpha=float(a), n=int(list_check(cfg.params, "n_values")[0]),
+            pz0=float(cfg.params["pz0"]),
             ptheta0=float(cfg.params["ptheta0"]), mass=float(cfg.params["mass"]),
             R_boundary=float(cfg.params["R_boundary"]), hbar=cfg.hbar,
         )
-        for a in cfg.params["alphas"]
+        for a in list_check(cfg.params, "alphas")
     ],
     "kernelcheck": lambda cfg: (_grid(cfg.params["grid"]), _grid(cfg.params["p_grid"])),
     "measure": lambda cfg: positive_count(cfg.params["n_points"]),
 }
+
+
+def list_check(params: dict, key: str, nonempty: bool = True) -> list:
+    value = params[key]
+    if not isinstance(value, list) or (nonempty and not value):
+        need = "a non-empty list" if nonempty else "a list"
+        raise ValueError(f"{key} must be {need}, got {value!r}")
+    return value
 
 
 def unified_kappa_check(kappa) -> float:
@@ -668,6 +685,7 @@ def verify(cfg: ExperimentConfig) -> None:
 def run(config_path: str | Path) -> int:
     cfg = load_config(Path(config_path))
     verify(cfg)
+    _threads()  # a malformed KVNLAB_THREADS stops every run, not only the pooled ones
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     files, summary = RUNNERS[cfg.experiment](cfg)

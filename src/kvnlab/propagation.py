@@ -8,12 +8,24 @@ Each factor is exact in the representation where its part is diagonal, so
 the step is unitary and second order in dt, and for classical generators
 every factor is an advection shear.  The factors are built once per (G, dt);
 a time-dependent force enters through ``position_scale``, which rescales B
-at each step's midpoint for one complex exponential per step.  Where B's
-argument is odd in lambda (as the Koopman -V'(q) lambda is), that
-exponential is taken over the lambda >= 0 half only and the other half is
-its complex conjugate.  On a phase grid a step ends in the (q, lambda)
-representation and the next step opens from that spectrum, so a step costs
-five FFTs.
+at each step's midpoint for one complex exponential per step.  On a phase
+grid a step ends in the (q, lambda) representation and the next step opens
+from that spectrum, so a step costs five FFTs.
+
+Real-field path: the phase-space generators are real operators, so a real
+amplitude stays real.  When a phase-grid state's imaginary part is exactly
+zero, G has no constant part and both exponents are conjugate-symmetric
+along their FFT axes (checked exactly at construction), the state is
+carried as float64 and every FFT is an rfft/irfft over bins 0..n/2: the
+conjugate factor keeps its first n/2+1 rows, the position factor its first
+n/2+1 columns, and a time-dependent position factor is exponentiated over
+those columns only.  This equals the complex step with the real part taken
+after each inverse transform.  The two differ by round-off, and by what the
+Nyquist bin leaks: the wavenumber there is +pi/dx with no -pi/dx partner,
+so its factor is not conjugate-symmetric and the complex path grows an
+imaginary part (about 2e-7 by t = 1 on the quartic at 128^2) that the real
+path drops.  Complex states, constant parts and 1-D quantum states take the
+complex path.
 
 Recording rule: ``Propagator.run`` samples the state before the first step
 and after every step.  Each sample computes rho = |psi|^2 * measure once and
@@ -23,6 +35,8 @@ run: the domain was chosen too small and any Ehrenfest check would be
 meaningless.  The Bopp-shifted means <lambda> and <V'(q - hbar kappa
 lambda/2)> of the interpolating generator come from the lambda-spectrum the
 step already holds (|exp(i phi) F|^2 = |F|^2); <theta> costs one more FFT.
+On the real-field path the full-spectrum sums are taken over the half
+spectrum with the weights at -k folded onto +k.
 The step and record loop makes no BLAS call on a full grid (full-grid
 reductions are ``sum``s; only length-n dot products remain, below the size
 at which OpenBLAS starts its own threads), so evolutions run side by side in
@@ -46,7 +60,29 @@ BOUNDARY_MASS_LIMIT = 1e-8
 
 
 def _abs2(field: np.ndarray) -> np.ndarray:
+    if np.isrealobj(field):
+        return field**2
     return field.real**2 + field.imag**2
+
+
+def _transforms(field: np.ndarray):
+    """The (forward, inverse) FFT pair for ``field``: rfft/irfft for a real one."""
+    if np.isrealobj(field):
+        return np.fft.rfft, np.fft.irfft
+    return np.fft.fft, np.fft.ifft
+
+
+def _conj_symmetric(arg: np.ndarray, axis: int) -> bool:
+    """Whether exp(arg) is conjugate-symmetric along ``axis`` (bin -k the
+    conjugate of bin k) at every bin but the Nyquist one, exactly."""
+    n = arg.shape[axis]
+    k = np.delete(np.arange(n), n // 2)
+    return np.array_equal(np.take(arg, k, axis), np.conj(np.take(arg, -k % n, axis)))
+
+
+def _head(field: np.ndarray, axis: int) -> np.ndarray:
+    """Bins 0..n/2 along ``axis``, the part of a spectrum that rfft keeps."""
+    return np.take(field, np.arange(field.shape[axis] // 2 + 1), axis)
 
 
 class Propagator:
@@ -56,66 +92,64 @@ class Propagator:
     def __init__(self, G: Generator, dt: float, position_scale: Callable | None = None):
         self.G, self.dt, self._position_scale = G, dt, position_scale
         arg = -1j * dt / G.phase_scale
-        self._full_conj = np.exp(arg * G.conjugate_part)
+        conj_arg, pos_arg = arg * G.conjugate_part, 0.5 * arg * G.position_part
         self._half_const = None if G.constant_part is None else np.exp(0.5 * arg * G.constant_part)
-        self._half_pos_arg = 0.5 * arg * G.position_part
-        self._half_pos = self._mirror = None
-        if not position_scale:
-            self._half_pos, self._half_pos_arg = np.exp(self._half_pos_arg), None
-        elif G.position_axis == G.position_part.ndim - 1:  # the lambda axis of a phase grid
-            b_arg, n = self._half_pos_arg, G.position_part.shape[-1]
-            head, top = np.s_[..., : n // 2 + 1], np.s_[..., n // 2 + 1 :]
-            low = np.s_[..., (n - 1) // 2 : 0 : -1]  # the mirror images of top
-            if np.array_equal(b_arg[top], np.conj(b_arg[low])):
-                self._mirror = head, top, low, np.ascontiguousarray(b_arg[top])
-                self._half_pos_arg = np.ascontiguousarray(b_arg[head])
+        # with position_scale, the position factor is exponentiated every step
+        pos = pos_arg if position_scale is not None else np.exp(pos_arg)
+        self._complex = np.exp(conj_arg), pos
+        pa, ca = G.position_axis, G.conjugate_axis
         # a step's closing spectrum is the next step's opening one
-        self._carry = G.position_axis is not None and G.constant_part is None
+        self._carry = pa is not None and G.constant_part is None
+        self._real = None
+        if self._carry and _conj_symmetric(conj_arg, ca) and _conj_symmetric(pos_arg, pa):
+            self._real = _head(self._complex[0], ca), _head(pos, pa)
+            self._nyquist = (slice(None),) * pa + (-1,)  # the last rfft bin along pa
+
+    def _start(self, amp: np.ndarray) -> np.ndarray:
+        """The amplitudes the steps work on: the real part, as float64, when
+        the state and the factors allow the real-field path."""
+        if self._real is not None and not amp.imag.any():
+            return amp.real
+        return amp
+
+    def _factors(self, real: bool, t: float):
+        """The (conjugate full-step, position half-step) factors of the step
+        from t; on the real-field path, their bins 0..n/2 along the FFT axes."""
+        full_conj, half_pos = self._real if real else self._complex
+        if self._position_scale is not None:
+            half_pos = np.exp(self._position_scale(t + 0.5 * self.dt) * half_pos)
+        return full_conj, half_pos
 
     def _advance(self, amp: np.ndarray, spec: np.ndarray | None, t: float):
         """One step from ``amp`` at time t, given its position-axis spectrum
         if known; returns the new amplitudes and theirs (or None)."""
         pa, ca = self.G.position_axis, self.G.conjugate_axis
-        half_pos = self._half_pos
-        if half_pos is None:
-            half_pos = self._scaled_half_pos(self._position_scale(t + 0.5 * self.dt))
+        real = np.isrealobj(amp)
+        full_conj, half_pos = self._factors(real, t)
+        fft, ifft = _transforms(amp)
         if self._half_const is not None:
             amp = self._half_const * amp
         if pa is None:
             amp = half_pos * amp
         else:
             if spec is None:
-                spec = np.fft.fft(amp, axis=pa)
-            amp = np.fft.ifft(half_pos * spec, axis=pa)
-        amp = np.fft.ifft(self._full_conj * np.fft.fft(amp, axis=ca), axis=ca)
+                spec = fft(amp, axis=pa)
+            amp = ifft(half_pos * spec, axis=pa)
+        amp = ifft(full_conj * fft(amp, axis=ca), axis=ca)
         if pa is None:
             return half_pos * amp, None
-        spec = half_pos * np.fft.fft(amp, axis=pa)
-        amp = np.fft.ifft(spec, axis=pa)
+        spec = half_pos * fft(amp, axis=pa)
+        amp = ifft(spec, axis=pa)
+        if real:
+            # irfft read only the real part of the Nyquist bin: carry what it read
+            spec[self._nyquist].imag = 0.0
         if self._half_const is not None:
             return self._half_const * amp, None
         return amp, spec
 
-    def _scaled_half_pos(self, scale: float) -> np.ndarray:
-        """exp(scale * half-step B argument), bit for bit.  For an argument
-        odd in lambda (conjugate-symmetric, as B's purely imaginary one is)
-        lambda columns n/2+1..n-1 are the conjugates of columns n/2-1..1."""
-        if self._mirror is None:
-            return np.exp(scale * self._half_pos_arg)
-        head, top, low, top_arg = self._mirror
-        out = np.empty(self.G.position_part.shape, dtype=complex)
-        np.exp(scale * self._half_pos_arg, out=out[head])
-        upper = out[top]
-        np.conjugate(out[low], out=upper)
-        # a zero imaginary part does not mirror its sign: exp(x + 0i) carries
-        # the sign of the argument's zero, so copy that
-        zeros = np.flatnonzero(upper.imag == 0)
-        upper.imag.flat[zeros] = (scale * top_arg.flat[zeros]).imag
-        return out
-
     def step(self, state: Wavefunction) -> Wavefunction:
         """One step, without sampling."""
-        amp, _ = self._advance(state.amplitudes, None, state.time)
+        amp, _ = self._advance(self._start(state.amplitudes), None, state.time)
         return type(state)(state.grid, amp, time=state.time + self.dt)
 
     def run(self, state: Wavefunction, n_steps: int, record: Callable | None = None,
@@ -124,12 +158,14 @@ class Propagator:
 
         ``record(i, amplitudes, rho, spectrum)`` sees every sample; rho is
         |psi|^2 * measure and spectrum the FFT along G's position axis, or
-        None where the engine does not hold it.  Returns ``(final_state,
-        times, norms, boundary_mass)`` with one series entry per sample.
+        None where the engine does not hold it.  On the real-field path the
+        amplitudes are float64 and the spectrum is the rfft (bins 0..n/2).
+        Returns ``(final_state, times, norms, boundary_mass)`` with one
+        series entry per sample; the final state is complex, as always.
         """
         times, norms, edges = np.empty((3, n_steps + 1))
-        amp, t = state.amplitudes, state.time
-        spec = np.fft.fft(amp, axis=self.G.position_axis) if self._carry else None
+        amp, t = self._start(state.amplitudes), state.time
+        spec = _transforms(amp)[0](amp, axis=self.G.position_axis) if self._carry else None
         for i in range(n_steps + 1):
             if i:
                 amp, spec = self._advance(amp, spec, t)
@@ -174,6 +210,16 @@ def _numeric_vprime(G: Generator, args: np.ndarray) -> np.ndarray:
     return (G.potential(args + eps) - G.potential(args - eps)) / (2 * eps)
 
 
+def _fold(weights: np.ndarray) -> np.ndarray:
+    """``weights`` on bins 0..n/2 of the last axis with bin -k added to bin k,
+    so that summing them against a real field's half spectrum gives the sum
+    over the full one (|F(-k)| = |F(k)|)."""
+    n = weights.shape[-1]
+    out = weights[..., : n // 2 + 1].copy()
+    out[..., 1 : n // 2] += weights[..., : n // 2 : -1]
+    return out
+
+
 def _means(G: Generator, state: Wavefunction):
     """``means(amplitudes, rho, spectrum) -> (<q>, <p>, <V'>)``, with every
     array that does not change between steps built once.
@@ -210,14 +256,19 @@ def _means(G: Generator, state: Wavefunction):
     kq, kp = wavenumbers(state.grid.q), wavenumbers(state.grid.p)
     shift = 0.5 * G.hbar * G.kappa
     v_shifted = _numeric_vprime(G, q[:, None] - shift * kp[None, :])  # on (q, lambda)
+    full = kq, kp, v_shifted, np.ones(len(kq)), np.ones(len(kp))  # the last two: multiplicities
+    half = tuple(_fold(w) for w in full)
 
     def bopp(amp, rho, spec):
+        kq_, kp_, v, mult_q, mult_p = half if np.isrealobj(amp) else full
         w_lam = _abs2(spec)
-        w_th = _abs2(np.fft.fft(amp, axis=0)).sum(axis=1)
+        w_p = w_lam.sum(axis=0)
+        w_th = _abs2(_transforms(amp)[0](amp, axis=0)).sum(axis=1)
+        norm_lam = w_p @ mult_p
         return (
-            q @ rho.sum(axis=1) - shift * (w_lam.sum(axis=0) @ kp) / w_lam.sum(),
-            rho.sum(axis=0) @ p + shift * (kq @ w_th) / w_th.sum(),
-            (v_shifted * w_lam).sum() / w_lam.sum(),
+            q @ rho.sum(axis=1) - shift * (w_p @ kp_) / norm_lam,
+            rho.sum(axis=0) @ p + shift * (kq_ @ w_th) / (mult_q @ w_th),
+            (v * w_lam).sum() / norm_lam,
         )
 
     return bopp

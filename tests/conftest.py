@@ -88,8 +88,9 @@ class CallCounter(Counter):
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """Counts calls to np.fft.fft, np.fft.ifft and np.exp; ``watch`` adds more."""
+    """Counts calls to np.fft.fft, ifft, rfft, irfft and np.exp; ``watch`` adds more."""
     counter = CallCounter(monkeypatch)
-    for owner, name in ((np.fft, "fft"), (np.fft, "ifft"), (np, "exp")):
-        counter.watch(owner, name)
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        counter.watch(np.fft, name)
+    counter.watch(np, "exp")
     return counter

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kvnlab.cli import DEFAULTS, load_config, main
+from kvnlab.cli import DEFAULTS, _threads, load_config, main
 from kvnlab.report import ResultTable, read_table, svg_heatmap, svg_line_plot
 
 
@@ -79,6 +79,41 @@ def test_ehrenfest_bad_dt_exits_2_naming_dt(tmp_path, capsys, command, dt):
     assert main([command, str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "dt" in err[0]
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ('{"experiment": "ehrenfest", "hbar": NaN}', "hbar"),
+        ('{"experiment": "ehrenfest", "hbar": Infinity}', "hbar"),
+        ('{"experiment": "measure", "output": {"svg": "no"}}', "svg"),
+        ('{"experiment": "aharonov-bohm", "params": {"n_values": []}}', "n_values"),
+        ('{"experiment": "ehrenfest", "params": {"kappas": "0.5"}}', "kappas"),
+        ('{"experiment": "ehrenfest", "params": {"potentials": "harmonic"}}', "potentials"),
+    ],
+    ids=["hbar-nan", "hbar-inf", "svg-string", "n_values-empty", "kappas-string",
+         "potentials-string"],
+)
+def test_malformed_value_exits_2_naming_key(tmp_path, capsys, body, key):
+    cfg = write_config(tmp_path, body)
+    assert main(["verify", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and key in err[0]
+
+
+@pytest.mark.parametrize("threads", ["two", "0", "-1", "2.5", ""])
+def test_malformed_threads_env_exits_2(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("KVNLAB_THREADS", threads)
+    cfg = write_config(tmp_path, {"experiment": "measure", "output": {"svg": False}})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "KVNLAB_THREADS" in err[0]
+    assert not (tmp_path / "measure_sweep.csv").exists()
+
+
+def test_threads_env_above_8_clamps(monkeypatch):
+    monkeypatch.setenv("KVNLAB_THREADS", "64")
+    assert _threads() == 8
 
 
 def test_measure_run_and_determinism(tmp_path):

@@ -239,22 +239,27 @@ def test_unified_kappa_changes_quartic_evolution():
 # --- the engine against a plain Strang loop ----------------------------------
 
 
-def reference_step(amp, G, dt):
-    """One Strang step, every factor exponentiated and transformed afresh."""
+def reference_step(amp, G, dt, real=False):
+    """One Strang step, every factor exponentiated and transformed afresh; with
+    ``real``, the real part is taken after each inverse transform."""
     scale = G.phase_scale
     half_pos = np.exp(-0.5j * G.position_part * dt / scale)
     full_conj = np.exp(-1j * G.conjugate_part * dt / scale)
+
+    def inverse(f, axis):
+        out = np.fft.ifft(f, axis=axis)
+        return np.real(out) if real else out
 
     def position_half(f):
         if G.position_axis is None:
             return half_pos * f
         spec = np.fft.fft(f, axis=G.position_axis)
-        return np.fft.ifft(half_pos * spec, axis=G.position_axis)
+        return inverse(half_pos * spec, G.position_axis)
 
     if G.constant_part is not None:
         amp = np.exp(-0.5j * G.constant_part * dt / scale) * amp
     amp = position_half(amp)
-    amp = np.fft.ifft(full_conj * np.fft.fft(amp, axis=G.conjugate_axis), axis=G.conjugate_axis)
+    amp = inverse(full_conj * np.fft.fft(amp, axis=G.conjugate_axis), G.conjugate_axis)
     amp = position_half(amp)
     if G.constant_part is not None:
         amp = np.exp(-0.5j * G.constant_part * dt / scale) * amp
@@ -291,29 +296,40 @@ WOBBLE = lambda q, p: 0.3 * np.sin(2 * np.pi * q / 16) * np.cos(2 * np.pi * p / 
 
 
 def engine_cases():
+    """(id, grid, generator, phase of the initial state); phase-space cases
+    run a real blob (phase None) and a complex one."""
     g = Grid1D(256, -16.0, 16.0)
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     for name, (V, Vp) in POTENTIALS.items():
-        yield f"quantum-{name}", g, hamiltonian(g, V, vprime=Vp)
-        yield f"koopman-{name}", pg, koopman_generator(pg, Vp)
-        yield f"koopman-constant-{name}", pg, koopman_generator(pg, Vp, constant=WOBBLE)
+        yield f"quantum-{name}", g, hamiltonian(g, V, vprime=Vp), None
+        phase_cases = [
+            (f"koopman-{name}", koopman_generator(pg, Vp)),
+            (f"koopman-constant-{name}", koopman_generator(pg, Vp, constant=WOBBLE)),
+        ]
         for kappa in (0.0, 0.5, 1.0):
-            yield f"unified-{kappa}-{name}", pg, unified_generator(pg, V, kappa, vprime=Vp)
+            phase_cases.append(
+                (f"unified-{kappa}-{name}", unified_generator(pg, V, kappa, vprime=Vp))
+            )
+        for case_id, G in phase_cases:
+            yield case_id, pg, G, None
+            yield f"{case_id}-complex", pg, G, WOBBLE
 
 
 @pytest.mark.parametrize("case", list(engine_cases()), ids=lambda c: c[0])
 def test_evolve_matches_reference_strang_loop(case):
-    _, grid, G = case
+    _, grid, G, phase = case
     if isinstance(grid, Grid1D):
         psi = gaussian_1d(grid, center=0.8, sigma=np.sqrt(0.5))
     else:
-        psi = gaussian_phase(grid, q0=0.8, sigma_q=0.35, sigma_p=0.7)
+        psi = gaussian_phase(grid, q0=0.8, sigma_q=0.35, sigma_p=0.7, phase=phase)
+    # a real blob takes the real-field path unless a constant part forbids it
+    real = isinstance(grid, PhaseGrid) and phase is None and G.constant_part is None
     n_steps, dt = 200, 1e-3
     traj = evolve(psi, G, n_steps * dt, n_steps)
     amp = psi.amplitudes
     for i in range(n_steps + 1):
         if i:
-            amp = reference_step(amp, G, dt)
+            amp = reference_step(amp, G, dt, real)
         expected = reference_means(amp, G, grid)
         got = (traj.q_mean[i], traj.p_mean[i], traj.vprime_mean[i])
         assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12
@@ -323,24 +339,27 @@ def test_evolve_matches_reference_strang_loop(case):
 
 
 def test_tdho_evolve_matches_reference_strang_loop():
-    # the reference rebuilds the generator with the midpoint stiffness every step
+    # the reference rebuilds the generator with the midpoint stiffness every
+    # step; the real blob takes the real-field path, the complex one the full exp
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
-    psi = gaussian_phase(pg, q0=1.0, sigma_q=0.3, sigma_p=0.3)
     k = lambda t: 1.0 + 0.1 * np.sin(t)
     n_steps, dt = 250, 4e-3
-    run = kvn_tdho_evolve(psi, k, n_steps * dt, n_steps)
     Q, P = pg.meshes()
-    amp, t = psi.amplitudes, 0.0
-    for i in range(n_steps + 1):
-        if i:
-            k_mid = k(t + 0.5 * dt)
-            amp = reference_step(amp, koopman_generator(pg, lambda q: k_mid * q), dt)
-            t = t + dt
-        rho = np.abs(amp) ** 2 * pg.cell_area
-        assert abs(run.q_mean[i] - np.sum(Q * rho)) <= 1e-12
-        assert abs(run.p_mean[i] - np.sum(P * rho)) <= 1e-12
-        assert abs(run.norms[i] - np.sum(rho)) <= 1e-12
-    assert np.max(np.abs(run.final_state.amplitudes - amp)) <= 1e-12
+    for phase in (None, WOBBLE):
+        psi = gaussian_phase(pg, q0=1.0, sigma_q=0.3, sigma_p=0.3, phase=phase)
+        run = kvn_tdho_evolve(psi, k, n_steps * dt, n_steps)
+        amp, t = psi.amplitudes, 0.0
+        for i in range(n_steps + 1):
+            if i:
+                k_mid = k(t + 0.5 * dt)
+                G = koopman_generator(pg, lambda q: k_mid * q)
+                amp = reference_step(amp, G, dt, real=phase is None)
+                t = t + dt
+            rho = np.abs(amp) ** 2 * pg.cell_area
+            assert abs(run.q_mean[i] - np.sum(Q * rho)) <= 1e-12
+            assert abs(run.p_mean[i] - np.sum(P * rho)) <= 1e-12
+            assert abs(run.norms[i] - np.sum(rho)) <= 1e-12
+        assert np.max(np.abs(run.final_state.amplitudes - amp)) <= 1e-12
 
 
 def test_strang_order_quartic_kappa_half():
@@ -371,9 +390,35 @@ def test_phase_step_fft_budget(call_counts, kappa, budget):
     def transforms(n_steps):
         call_counts.clear()
         evolve(blob, G, 1e-3 * n_steps, n_steps)
-        return call_counts["fft"] + call_counts["ifft"]
+        return sum(call_counts[name] for name in ("fft", "ifft", "rfft", "irfft"))
 
-    assert (transforms(20) - transforms(10)) / 10 <= budget
+    assert 0 < (transforms(20) - transforms(10)) / 10 <= budget
+    assert call_counts["fft"] + call_counts["ifft"] == 0  # the real blob runs on rfft/irfft
+
+
+@pytest.mark.parametrize(
+    "variant",
+    ["real", "complex-state", "constant-part", "asymmetric-conjugate-part",
+     "asymmetric-position-part"],
+)
+def test_real_field_path_selection(call_counts, variant):
+    # only a real state under conjugate-symmetric factors and no constant
+    # part runs on rfft/irfft; everything else keeps the complex transforms
+    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    G = koopman_generator(pg, lambda q: q, constant=WOBBLE if variant == "constant-part" else None)
+    if variant == "asymmetric-conjugate-part":
+        G = replace(G, conjugate_part=G.conjugate_part + 0.1)
+    if variant == "asymmetric-position-part":
+        G = replace(G, position_part=G.position_part + 0.1)
+    psi = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7,
+                         phase=WOBBLE if variant == "complex-state" else None)
+    prop = Propagator(G, 1e-2)
+    call_counts.clear()
+    finals = [prop.run(psi, 3)[0], prop.step(psi)]
+    real = call_counts["rfft"] + call_counts["irfft"]
+    full = call_counts["fft"] + call_counts["ifft"]
+    assert (real > 0, full > 0) == ((True, False) if variant == "real" else (False, True))
+    assert all(f.amplitudes.dtype == complex for f in finals)
 
 
 def test_evolve_records_boundary_mass():
@@ -390,23 +435,31 @@ def _half_position_arg(G, dt):
     return 0.5 * (-1j * dt / G.phase_scale) * G.position_part
 
 
-def test_mirrored_position_factor_is_exp_bit_for_bit():
-    # the driven oscillator's generator and step; the argument is odd in lambda
+def test_real_path_position_factor_is_head_of_exp():
+    # the driven oscillator's generator and step; the argument is odd in lambda,
+    # so the real-field path exponentiates only lambda columns 0..n/2
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     G, dt = koopman_generator(pg, lambda q: q), 10.0 / 2500
-    prop = Propagator(G, dt, position_scale=lambda t: 1.0)
-    assert prop._mirror is not None
     arg = _half_position_arg(G, dt)
     midpoints = (np.arange(0, 2500, 25) + 0.5) * dt
     for scale in [*(1.0 + 0.1 * np.sin(midpoints)), 0.0, -1.3, 40.0]:
-        assert prop._scaled_half_pos(scale).tobytes() == np.exp(scale * arg).tobytes()
+        prop = Propagator(G, dt, position_scale=lambda t, s=scale: s)
+        assert prop._real is not None
+        expected = np.exp(scale * arg)
+        assert prop._factors(True, 0.0)[1].tobytes() == expected[:, :65].tobytes()
+        assert prop._factors(False, 0.0)[1].tobytes() == expected.tobytes()
 
 
-def test_non_odd_position_factor_takes_full_exp():
+def test_non_odd_position_factor_takes_complex_path(call_counts):
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
     G = koopman_generator(pg, lambda q: q)
     G = replace(G, position_part=G.position_part + 0.1)
-    prop = Propagator(G, 1e-2, position_scale=lambda t: 1.0)
-    assert prop._mirror is None
+    prop = Propagator(G, 1e-2, position_scale=lambda t: 1.05)
+    assert prop._real is None
     expected = np.exp(1.05 * _half_position_arg(G, 1e-2))
-    assert prop._scaled_half_pos(1.05).tobytes() == expected.tobytes()
+    assert prop._factors(False, 0.0)[1].tobytes() == expected.tobytes()
+    blob = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
+    call_counts.clear()
+    prop.run(blob, 3)
+    assert call_counts["rfft"] + call_counts["irfft"] == 0
+    assert call_counts["exp"] == 3
