@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import ehrenfest_residuals, momentum_density, robertson_check, wigner_transform
-from .doubleslit import SlitConfig, fringe_stats, run_kvn, run_quantum
+from .doubleslit import SlitConfig, fringe_stats, kvn_screens, run_quantum
 from .errors import PhysicsError
 from .gauge import SolenoidConfig, disc_ground_energy, kvn_radial_coeffs
 from .grid import Grid1D, PhaseGrid
@@ -101,12 +101,19 @@ def _pmap(fn, items) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _grid(spec: dict) -> Grid1D:
-    allowed = {"n", "min", "max"}
-    unknown = set(spec) - allowed
+def _grid(params: dict, key: str) -> Grid1D:
+    """The grid ``params[key]``: an integer ``n`` and finite ``min``, ``max``."""
+    spec = params[key]
+    unknown = set(spec) - {"n", "min", "max"}
     if unknown:
-        raise ValueError(f"unknown grid keys: {sorted(unknown)}")
-    return Grid1D(int(spec["n"]), float(spec["min"]), float(spec["max"]))
+        raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
+    if type(spec["n"]) is not int:
+        raise ValueError(f"{key} n must be an integer, got {spec['n']!r}")
+    lo, hi = float(spec["min"]), float(spec["max"])
+    for name, value in (("min", lo), ("max", hi)):
+        if not np.isfinite(value):
+            raise ValueError(f"{key} {name} must be finite, got {value}")
+    return Grid1D(spec["n"], lo, hi)
 
 
 def _gaussian_1d(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) -> QWavefunction:
@@ -222,7 +229,9 @@ def load_config(path: Path) -> ExperimentConfig:
         raise ValueError(f"hbar must be positive and finite, got {hbar}")
     if not isinstance(output["svg"], bool):
         raise ValueError(f"output svg must be true or false, got {output['svg']!r}")
-    seed = int(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     resolved = {
         "experiment": experiment,
         "hbar": hbar,
@@ -254,16 +263,14 @@ def _prepare_doubleslit(cfg: ExperimentConfig) -> SlitConfig:
     return SlitConfig(
         x_A=p["x_A"], delta=p["delta"], sigma_x=p["sigma_x"], sigma_p=p["sigma_p"],
         mass=p["mass"], p0y=p["p0y"], y_M=p["y_M"], y_R=p["y_R"], hbar=cfg.hbar,
-        x_grid=_grid(p["x_grid"]), p_grid=_grid(p["p_grid"]),
+        x_grid=_grid(p, "x_grid"), p_grid=_grid(p, "p_grid"),
     )
 
 
 def _run_doubleslit(cfg: ExperimentConfig):
     slit = _prepare_doubleslit(cfg)
     q = run_quantum(slit)
-    k = run_kvn(slit)
-    k1 = run_kvn(slit, which=1)
-    k2 = run_kvn(slit, which=2)
+    k, k1, k2 = kvn_screens(slit, (None, 1, 2))
     w1, w2 = k1.transmitted_weight, k2.transmitted_weight
     additivity = float(
         np.max(np.abs(k.density - (w1 * k1.density + w2 * k2.density) / (w1 + w2)))
@@ -330,12 +337,12 @@ def _run_measure(cfg: ExperimentConfig):
 def _run_uncertainty(cfg: ExperimentConfig):
     p = cfg.params
     hbar = cfg.hbar
-    g = _grid(p["grid"])
+    g = _grid(p, "grid")
     psi = _gaussian_1d(g, 0.0, float(p["sigma"]))
     rows = []
     rep = robertson_check(position_op(g), momentum_op(g, "quantum", hbar=hbar), psi)
     rows.append([0, rep.lhs, rep.rhs, float(rep.satisfied)])
-    kg = _grid(p["kvn_grid"])
+    kg = _grid(p, "kvn_grid")
     pg = PhaseGrid(kg, Grid1D(kg.n, kg.x_min, kg.x_max))
     s = float(p["kvn_sigma"])
     phi = _gaussian_phase(pg, 0.0, 0.0, s, s)
@@ -373,8 +380,8 @@ def _run_ehrenfest(cfg: ExperimentConfig):
     hbar = cfg.hbar
     t_final = float(p["t_final"])
     n_steps = time_step_check(p["dt"], t_final)
-    g = _grid(p["grid"])
-    pgrid = _grid(p["phase_grid"])
+    g = _grid(p, "grid")
+    pgrid = _grid(p, "phase_grid")
     pg = PhaseGrid(pgrid, Grid1D(pgrid.n, pgrid.x_min, pgrid.x_max))
     psi = _gaussian_1d(g, 0.8, np.sqrt(0.5))
     # blob shape chosen so the quartic runs keep their tails off the
@@ -413,8 +420,8 @@ def _run_ehrenfest(cfg: ExperimentConfig):
 
 def _run_wigner(cfg: ExperimentConfig):
     p = cfg.params
-    g = _grid(p["grid"])
-    pg = PhaseGrid(g, _grid(p["p_grid"]))
+    g = _grid(p, "grid")
+    pg = PhaseGrid(g, _grid(p, "p_grid"))
     if p["state"] == "gaussian":
         psi = _gaussian_1d(g, float(p["center"]), float(p["sigma"]))
     elif p["state"] == "fock1":
@@ -431,14 +438,13 @@ def _run_wigner(cfg: ExperimentConfig):
         columns=[f"p{j}" for j in range(pg.p.n)],
         units=["1/area"] * pg.p.n, rows=W,
         experiment="wigner", provenance=_prov(cfg),
+        extra_meta=[
+            f"q_axis: {g.x_min},{g.x_max},{g.n}",
+            f"p_axis: {pg.p.x_min},{pg.p.x_max},{pg.p.n}",
+        ],
     )
     out = cfg.output_dir / "wigner.csv"
-    # axis metadata rides on extra comment lines appended before data
     table.write_csv(out)
-    text = out.read_text().splitlines()
-    text.insert(3, f"# q_axis: {g.x_min},{g.x_max},{g.n}")
-    text.insert(4, f"# p_axis: {pg.p.x_min},{pg.p.x_max},{pg.p.n}")
-    out.write_text("\n".join(text) + "\n")
     files = [out]
     if cfg.svg:
         plot = cfg.output_dir / "wigner.svg"
@@ -462,7 +468,7 @@ def _run_oscillator(cfg: ExperimentConfig):
     aux = integrate_ermakov(stiffness, ErmakovState(rho=1.0, rho_dot=0.0, C=1.0), t_final, dt)
     cl = solve_classical_tdho(stiffness, float(p["q0"]), float(p["p0"]), 1.0, t_final, dt)
     I = lewis_invariant_classical(cl.q, cl.p, aux.rho, aux.rho_dot)
-    pgrid = _grid(p["phase_grid"])
+    pgrid = _grid(p, "phase_grid")
     pg = PhaseGrid(pgrid, Grid1D(pgrid.n, pgrid.x_min, pgrid.x_max))
     blob = _gaussian_phase(pg, float(p["q0"]), float(p["p0"]), float(p["sigma"]), float(p["sigma"]))
     run = kvn_tdho_evolve(blob, stiffness, t_final, n_steps)
@@ -532,13 +538,11 @@ def _run_aharonov_bohm(cfg: ExperimentConfig):
         columns=["alpha"] + [f"E_n{n}" for n in n_values] + ["kvn_record_id"],
         units=["1"] + ["energy"] * len(n_values) + ["id"],
         rows=rows, experiment="aharonov-bohm", provenance=_prov(cfg),
+        # the classical records collapse to a single id when flux-independent
+        extra_meta=[f"kvn_distinct_records: {len(distinct)}"],
     )
     out = cfg.output_dir / "aharonov_bohm.csv"
     table.write_csv(out)
-    # the classical records collapse to a single id when flux-independent
-    text = out.read_text().splitlines()
-    text.insert(3, f"# kvn_distinct_records: {len(distinct)}")
-    out.write_text("\n".join(text) + "\n")
     files = [out]
     if cfg.svg:
         plot = cfg.output_dir / "aharonov_bohm.svg"
@@ -560,7 +564,7 @@ def _run_kernelcheck(cfg: ExperimentConfig):
         direct = free_quantum_kernel(float(x), float(x0), t1 + t2, hbar=hbar)
         conv = kernel_convolution(float(x), float(x0), t1, t2, hbar=hbar)
         rows.append([0, abs(conv - direct)])
-    g = _grid(p["grid"])
+    g = _grid(p, "grid")
     psi = _gaussian_1d(g, 0.0, float(p["sigma"]))
     t_free = float(p["t_free"])
     via_kernel = kernel_propagate(psi, t_free, hbar=hbar)
@@ -569,7 +573,7 @@ def _run_kernelcheck(cfg: ExperimentConfig):
         np.sqrt(np.sum(np.abs(via_kernel.amplitudes - via_fft.amplitudes) ** 2) * g.dx)
     )
     rows.append([1, l2])
-    pgrid = _grid(p["p_grid"])
+    pgrid = _grid(p, "p_grid")
     pg = PhaseGrid(g, pgrid)
     blob = _gaussian_phase(pg, 0.0, 0.5, float(p["sigma"]), 0.3)
     a = free_kvn_propagate(blob, t_free)
@@ -598,19 +602,19 @@ RUNNERS = {
 
 _VALIDATORS = {
     "doubleslit": _prepare_doubleslit,
-    "uncertainty": lambda cfg: (_grid(cfg.params["grid"]), _grid(cfg.params["kvn_grid"])),
+    "uncertainty": lambda cfg: (_grid(cfg.params, "grid"), _grid(cfg.params, "kvn_grid")),
     "ehrenfest": lambda cfg: (
-        _grid(cfg.params["grid"]),
-        _grid(cfg.params["phase_grid"]),
+        _grid(cfg.params, "grid"),
+        _grid(cfg.params, "phase_grid"),
         [_POTENTIALS[name] for name in list_check(cfg.params, "potentials")],
         [unified_kappa_check(k) for k in list_check(cfg.params, "kappas", nonempty=False)],
         time_step_check(cfg.params["dt"], cfg.params["t_final"]),
     ),
     "wigner": lambda cfg: (
-        _grid(cfg.params["grid"]), _grid(cfg.params["p_grid"]),
+        _grid(cfg.params, "grid"), _grid(cfg.params, "p_grid"),
         wigner_state_check(cfg.params["state"]),
     ),
-    "oscillator": lambda cfg: (_grid(cfg.params["phase_grid"]),
+    "oscillator": lambda cfg: (_grid(cfg.params, "phase_grid"),
                                step_count_check(cfg.params["n_steps"])),
     "aharonov-bohm": lambda cfg: [
         SolenoidConfig(
@@ -621,7 +625,7 @@ _VALIDATORS = {
         )
         for a in list_check(cfg.params, "alphas")
     ],
-    "kernelcheck": lambda cfg: (_grid(cfg.params["grid"]), _grid(cfg.params["p_grid"])),
+    "kernelcheck": lambda cfg: (_grid(cfg.params, "grid"), _grid(cfg.params, "p_grid")),
     "measure": lambda cfg: positive_count(cfg.params["n_points"]),
 }
 
@@ -668,9 +672,8 @@ def wigner_state_check(state: str) -> str:
 
 
 def positive_count(n) -> int:
-    n = int(n)
-    if n < 2:
-        raise ValueError("n_points must be at least 2")
+    if type(n) is not int or n < 2:
+        raise ValueError(f"n_points must be an integer >= 2, got {n!r}")
     return n
 
 

@@ -13,19 +13,25 @@ disjoint supports, the classical screen density is exactly the
 transmitted-weight-weighted sum of the single-slit densities, and the
 initial phase drops out of it entirely.  The quantum density keeps the
 cross term between the two slit wavefunctions.
+
+:func:`kvn_screens` runs several apertures from one source: the source
+state, its shear to the wall and the wall-to-screen shear factor are built
+once, and each aperture costs a mask, a renormalisation and one shear.  A
+real source (no ``phase``) is sheared as a real field on rfft/irfft, with
+the factors over rows 0..n/2 only (see :mod:`kvnlab.kernels`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import BoundaryMassError
 from .grid import Grid1D, PhaseGrid, edge_mass
-from .kernels import free_kvn_propagate, free_quantum_propagate
-from .states import KvNWavefunction, QWavefunction
+from .kernels import free_quantum_propagate, real_if_real, shear, shear_factor
+from .states import QWavefunction
 
 #: fraction of |psi|^2 allowed within 4 cells of a domain edge at readout.
 #: A hard-edged aperture scatters ~1e-4 of the beam into near-Nyquist modes
@@ -145,6 +151,37 @@ def run_quantum(
     return ScreenResult(g.points.copy(), rho, weight, edge)
 
 
+def kvn_screens(
+    cfg: SlitConfig,
+    whiches: Iterable[int | None],
+    phase: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    boundary_limit: float = APERTURE_BOUNDARY_LIMIT,
+) -> list[ScreenResult]:
+    """Classical screen densities at t_R, one per aperture in ``whiches``
+    (None for both slits, 1 or 2 for one), from one shared source run."""
+    pg = PhaseGrid(cfg.x_grid, cfg.p_grid)
+    Q, P = pg.meshes()
+    amp = np.exp(-(Q**2) / (2 * cfg.sigma_x**2) - P**2 / (2 * cfg.sigma_p**2))
+    if phase is not None:
+        amp = real_if_real(amp * np.exp(1j * phase(Q, P)))
+    real = np.isrealobj(amp)
+    amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * pg.cell_area)
+    at_wall = shear(amp, shear_factor(pg, cfg.t_M, cfg.mass, real))
+    to_screen = shear_factor(pg, cfg.t_R - cfg.t_M, cfg.mass, real)
+    results = []
+    for which in whiches:
+        masked = at_wall * refined_mask(cfg, which)[:, None]
+        weight = float(np.sum(np.abs(masked) ** 2) * pg.cell_area)
+        at_screen = shear(masked / np.sqrt(weight), to_screen)
+        rho2d = np.abs(at_screen) ** 2
+        edge = edge_mass(rho2d * pg.cell_area)
+        _check_edges(edge, boundary_limit)
+        density = rho2d.sum(axis=1) * pg.p.dx
+        density = density / (np.sum(density) * pg.q.dx)
+        results.append(ScreenResult(pg.q.points.copy(), density, weight, edge))
+    return results
+
+
 def run_kvn(
     cfg: SlitConfig,
     which: int | None = None,
@@ -152,25 +189,7 @@ def run_kvn(
     boundary_limit: float = APERTURE_BOUNDARY_LIMIT,
 ) -> ScreenResult:
     """Classical screen density at t_R from the phase-space pipeline."""
-    pg = PhaseGrid(cfg.x_grid, cfg.p_grid)
-    Q, P = pg.meshes()
-    amp = np.exp(
-        -(Q**2) / (2 * cfg.sigma_x**2) - P**2 / (2 * cfg.sigma_p**2)
-    ).astype(complex)
-    if phase is not None:
-        amp = amp * np.exp(1j * phase(Q, P))
-    psi = KvNWavefunction(pg, amp).normalize()
-    at_wall = free_kvn_propagate(psi, cfg.t_M, cfg.mass)
-    masked = at_wall.amplitudes * refined_mask(cfg, which)[:, None]
-    weight = float(np.sum(np.abs(masked) ** 2) * pg.cell_area)
-    behind = KvNWavefunction(pg, masked / np.sqrt(weight), time=at_wall.time)
-    at_screen = free_kvn_propagate(behind, cfg.t_R - cfg.t_M, cfg.mass)
-    rho2d = np.abs(at_screen.amplitudes) ** 2
-    edge = edge_mass(rho2d * pg.cell_area)
-    _check_edges(edge, boundary_limit)
-    density = rho2d.sum(axis=1) * pg.p.dx
-    density = density / (np.sum(density) * pg.q.dx)
-    return ScreenResult(pg.q.points.copy(), density, weight, edge)
+    return kvn_screens(cfg, (which,), phase, boundary_limit)[0]
 
 
 def run_single_slit(cfg: SlitConfig, which: int, flavor: str = "kvn", **kwargs) -> ScreenResult:

@@ -1,10 +1,11 @@
 """Tabular and SVG output for the experiment runner.
 
 CSV files carry '#'-prefixed metadata lines (tool version, experiment name,
-config hash, column names and units) followed by comma-separated rows with
-17-significant-digit floats, which round-trip exactly.  Identical configs
-therefore produce byte-identical files; volatile quantities such as wall
-time are reported on stdout, never written into the tables.
+config hash, any experiment-specific ``key: value`` lines, column names and
+units) followed by comma-separated rows with 17-significant-digit floats,
+which round-trip exactly.  Identical configs therefore produce
+byte-identical files; volatile quantities such as wall time are reported on
+stdout, never written into the tables.
 
 SVG plots are generated directly (no plotting toolkit): polyline charts for
 curves and rect rasters for matrices, both 960x540.
@@ -29,10 +30,6 @@ def config_hash(resolved: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 @dataclass
 class ResultTable:
     columns: list[str]
@@ -40,6 +37,7 @@ class ResultTable:
     rows: np.ndarray  # (n_rows, n_cols)
     experiment: str
     provenance: dict = field(default_factory=dict)  # config_hash, code_version, wall_time_s
+    extra_meta: list[str] = field(default_factory=list)  # "key: value" lines after config_hash
 
     def __post_init__(self) -> None:
         self.rows = np.atleast_2d(np.asarray(self.rows, dtype=float))
@@ -57,11 +55,11 @@ class ResultTable:
             f"# kvnlab {self.provenance.get('code_version', 'unknown')}",
             f"# experiment: {self.experiment}",
             f"# config_hash: {self.provenance['config_hash']}",
+            *(f"# {line}" for line in self.extra_meta),
             f"# columns: {','.join(self.columns)}",
             f"# units: {','.join(self.units)}",
         ]
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        lines += [",".join(map("{:.17g}".format, row)) for row in self.rows.tolist()]
         path.write_text("\n".join(lines) + "\n")
 
 

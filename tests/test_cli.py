@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -99,6 +100,35 @@ def test_malformed_value_exits_2_naming_key(tmp_path, capsys, body, key):
     assert main(["verify", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and key in err[0]
+
+
+_WIGNER_GRID = '{"experiment": "wigner", "params": {"grid": {"n": %s, "min": -12.0, "max": %s}}}'
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        (_WIGNER_GRID % ("256", "Infinity"), "max"),
+        (_WIGNER_GRID % ("256", "NaN"), "max"),
+        (_WIGNER_GRID.replace("-12.0", "-Infinity") % ("256", "12.0"), "min"),
+        (_WIGNER_GRID % ("256.9", "12.0"), "n"),
+        (_WIGNER_GRID % ("256.0", "12.0"), "n"),
+        ('{"experiment": "measure", "seed": 1.7}', "seed"),
+        ('{"experiment": "measure", "seed": "3"}', "seed"),
+        ('{"experiment": "measure", "params": {"n_points": 1e9}}', "n_points"),
+        ('{"experiment": "measure", "params": {"n_points": 65.0}}', "n_points"),
+        ('{"experiment": "measure", "params": {"n_points": true}}', "n_points"),
+    ],
+    ids=["grid-max-inf", "grid-max-nan", "grid-min-inf", "grid-n-fraction", "grid-n-float",
+         "seed-fraction", "seed-string", "n_points-1e9", "n_points-float", "n_points-bool"],
+)
+def test_non_integer_or_non_finite_exits_2_naming_key(tmp_path, capsys, command, body, key):
+    cfg = write_config(tmp_path, body)
+    assert main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and re.search(rf"\b{key}\b", err[0])
+    assert list(tmp_path.iterdir()) == [cfg]  # no table written
 
 
 @pytest.mark.parametrize("threads", ["two", "0", "-1", "2.5", ""])

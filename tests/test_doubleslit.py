@@ -6,6 +6,7 @@ from kvnlab.doubleslit import (
     SlitConfig,
     fringe_stats,
     heaviside,
+    kvn_screens,
     refined_mask,
     run_kvn,
     run_quantum,
@@ -138,6 +139,25 @@ def test_kvn_weights_decompose(kvn_runs):
 def test_kvn_phase_independence(kvn_runs, cfg):
     phased = run_kvn(cfg, phase=lambda Q, P: np.sin(Q) * np.cos(P))
     assert np.max(np.abs(phased.density - kvn_runs["both"].density)) < 1e-10
+
+
+def test_kvn_screens_share_one_source_run(cfg, kvn_runs, call_counts):
+    screens = kvn_screens(cfg, (None, 1, 2))
+    # the source Gaussian and the two shear factors; one rfft/irfft pair for
+    # the shear to the wall and one per aperture
+    assert call_counts["exp"] == 3
+    assert 0 < call_counts["rfft"] <= 4 and 0 < call_counts["irfft"] <= 4
+    assert call_counts["fft"] == call_counts["ifft"] == 0
+    for res, key in zip(screens, ("both", 1, 2)):
+        np.testing.assert_array_equal(res.density, kvn_runs[key].density)
+        assert res.transmitted_weight == kvn_runs[key].transmitted_weight
+        assert res.boundary_mass == kvn_runs[key].boundary_mass
+
+
+def test_kvn_phased_source_takes_complex_shears(cfg, call_counts):
+    kvn_screens(cfg, (1,), phase=lambda Q, P: np.sin(Q) * np.cos(P))
+    assert call_counts["fft"] == call_counts["ifft"] == 2
+    assert call_counts["rfft"] == call_counts["irfft"] == 0
 
 
 def test_kvn_single_slits_are_mirror_images(kvn_runs):

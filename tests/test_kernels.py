@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import gaussian_1d, gaussian_phase
 from kvnlab.errors import DegenerateInputError
-from kvnlab.grid import Grid1D, PhaseGrid
+from kvnlab.grid import Grid1D, PhaseGrid, wavenumbers
 from kvnlab.kernels import (
     delta_law_check,
     free_kvn_propagate,
@@ -81,6 +83,34 @@ def test_kernel_quadrature_matches_spectral_free_evolution():
     assert np.sqrt(np.sum(np.abs(diff) ** 2) * g.dx) < 1e-6
 
 
+def test_kernel_propagate_matches_dense_quadrature_off_dyadic_grid():
+    g = Grid1D(128, -3.3, 4.1)  # dx = 7.4/128: offsets x_i - x_j round differently
+    psi = gaussian_1d(g, center=0.4, sigma=0.6, k0=1.3)
+    t, m, hbar = 0.37, 1.3, 0.9
+    K = free_quantum_kernel(g.points[:, None], g.points[None, :], t, m, hbar)
+    dense = K @ psi.amplitudes * g.dx
+    got = kernel_propagate(psi, t, m, hbar)
+    assert got.time == psi.time + t
+    assert np.max(np.abs(got.amplitudes - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_kernel_propagate_forms_no_dense_kernel():
+    g = Grid1D(2048, -32.0, 32.0)
+    psi = gaussian_1d(g, sigma=1.0)
+    tracemalloc.start()
+    try:
+        kernel_propagate(psi, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * g.n  # a dense complex kernel takes 16 n^2 bytes
+
+
+def test_kernel_convolution_one_exp_per_level(call_counts):
+    kernel_convolution(0.7, -0.3, 0.4, 0.4, levels=5)
+    assert call_counts["exp"] == 5
+
+
 def test_kernel_group_law_numeric_convolution():
     m, hbar = 1.0, 1.0
     for (x, x0, t1, t2) in [(0.7, -0.3, 0.4, 0.4), (1.2, 0.5, 0.3, 0.6), (0.0, 0.0, 0.5, 0.5)]:
@@ -119,6 +149,28 @@ def test_free_kvn_propagate_agrees_with_kvn_step():
     a = free_kvn_propagate(psi, t)
     b = kvn_step(psi, G, t)
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-10
+
+
+def _complex_shear(psi, t, m):
+    kq = wavenumbers(psi.grid.q)[:, None]
+    factor = np.exp(-1j * kq * psi.grid.p.points[None, :] * t / m)
+    return np.fft.ifft(factor * np.fft.fft(psi.amplitudes, axis=0), axis=0)
+
+
+@pytest.mark.parametrize("phased", [False, True], ids=["real", "phased"])
+def test_free_kvn_propagate_transform_path(call_counts, phased):
+    pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(64, -4.0, 4.0))
+    phase = (lambda Q, P: np.sin(Q) * np.cos(P)) if phased else None
+    psi = gaussian_phase(pg, q0=-0.5, p0=0.7, sigma_q=0.5, sigma_p=0.3, phase=phase)
+    t, m = 0.9, 1.3
+    want = _complex_shear(psi, t, m)
+    call_counts.clear()
+    got = free_kvn_propagate(psi, t, m)
+    used = {name for name in ("fft", "ifft", "rfft", "irfft") if call_counts[name]}
+    assert used == ({"fft", "ifft"} if phased else {"rfft", "irfft"})
+    assert call_counts["exp"] == 1
+    assert got.amplitudes.dtype == complex
+    assert np.max(np.abs(got.amplitudes - want)) <= 1e-13
 
 
 def test_kvn_shear_group_law():
