@@ -25,7 +25,6 @@ from .operators import (
     hamiltonian,
     koopman_generator,
     lambda_op,
-    liouvillian,
     momentum_op,
     position_op,
     theta_op,
@@ -69,7 +68,6 @@ __all__ = [
     "lambda_op",
     "commutator_apply",
     "hamiltonian",
-    "liouvillian",
     "koopman_generator",
     "unified_generator",
     "schrodinger_step",

@@ -13,24 +13,25 @@ Configs are single JSON documents with one top-level experiment block::
 
 Unknown keys are rejected.  Output paths resolve relative to the config
 file.  Exit codes: 0 success, 2 config parse/validation error, 3 physics
-precondition violation, 4 I/O error.  For a fixed config and seed the
-tables are byte-identical across runs on one platform; wall time is printed
-to stdout rather than written into the files.  ``KVNLAB_THREADS`` (default
-1, at most 8; larger values run 8) sets the worker threads that run
-independent jobs side by side: ehrenfest's evolutions, the measure sweep and
-the aharonov-bohm flux sweep.  A value that is not an integer >= 1 is a
-config error (exit 2).  Results are assembled in input order, so the tables
-do not depend on the thread count.
+precondition violation, 4 I/O error or a worker process that died.  For a
+fixed config and seed the tables are byte-identical across runs on one
+platform; wall time is printed to stdout rather than written into the files.
+``KVNLAB_THREADS`` (default 1, at most 8; larger values run 8) sets the
+worker processes that run ehrenfest's independent evolutions side by side.
+A value that is not an integer >= 1 is a config error (exit 2).  Results are
+assembled in input order, so the tables do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,7 +78,7 @@ from .states import KvNWavefunction, QWavefunction
 
 
 def _threads() -> int:
-    """Worker threads from ``KVNLAB_THREADS``: default 1, at most 8."""
+    """Worker processes from ``KVNLAB_THREADS``: default 1, at most 8."""
     raw = os.environ.get("KVNLAB_THREADS", "1")
     try:
         n = int(raw)
@@ -88,17 +89,39 @@ def _threads() -> int:
     return min(8, n)
 
 
-def _pmap(fn, items) -> list:
-    """``[fn(x) for x in items]`` on ``_threads()`` workers, in input order.
+#: The ``(fn, items)`` of the running ``_pmap``; forked workers inherit it.
+_JOB: tuple | None = None
 
-    The first failing job's exception is raised; jobs not yet started are
-    cancelled.
+
+def _run_job(index: int):
+    fn, items = _JOB
+    return fn(items[index])
+
+
+def _pmap(fn, items) -> list:
+    """``[fn(x) for x in items]`` on ``_threads()`` forked worker processes,
+    in input order.
+
+    The workers inherit ``fn`` and ``items`` and are handed indices, so
+    neither needs pickling; only results and exceptions travel back.  The
+    first failing job's exception is raised, and jobs not yet started are
+    cancelled.  With one worker, where fork is unavailable, or while other
+    threads run (a child forked then could inherit a lock one of them holds),
+    the jobs run in this process.
     """
-    pool = ThreadPoolExecutor(max_workers=_threads())
+    global _JOB
+    items = list(items)
+    workers = min(_threads(), len(items))
+    forkable = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
+    if workers <= 1 or not forkable:
+        return [fn(x) for x in items]
+    _JOB = fn, items
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(fn, items))
+        return list(pool.map(_run_job, range(len(items))))
     finally:
         pool.shutdown(cancel_futures=True)
+        _JOB = None
 
 
 def _grid(params: dict, key: str) -> Grid1D:
@@ -313,7 +336,7 @@ def _run_measure(cfg: ExperimentConfig):
             )
         return closed_u, closed_n
 
-    values = _pmap(point, ts)
+    values = [point(t) for t in ts]
     rows = np.column_stack([ts, [v[0] for v in values], [v[1] for v in values]])
     table = ResultTable(
         columns=["omega_tau", "p_a_unmeasured", "p_a_nonselective"],
@@ -356,7 +379,7 @@ def _run_uncertainty(cfg: ExperimentConfig):
         rows.append([case, rep.lhs, rep.rhs, float(rep.satisfied)])
     rng = np.random.default_rng(cfg.seed)
     q_op, p_op = position_op(g), momentum_op(g, "quantum", hbar=hbar)
-    for i in range(int(p["n_random"])):
+    for i in range(p["n_random"]):
         coeff = np.zeros(g.n, dtype=complex)
         coeff[:8] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         coeff[-8:] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -523,7 +546,7 @@ def _run_aharonov_bohm(cfg: ExperimentConfig):
         )
         return energies, record
 
-    results = _pmap(point, alphas)
+    results = [point(alpha) for alpha in alphas]
     records = [r for _, r in results]
     distinct = []
     ids = []
@@ -602,7 +625,10 @@ RUNNERS = {
 
 _VALIDATORS = {
     "doubleslit": _prepare_doubleslit,
-    "uncertainty": lambda cfg: (_grid(cfg.params, "grid"), _grid(cfg.params, "kvn_grid")),
+    "uncertainty": lambda cfg: (
+        _grid(cfg.params, "grid"), _grid(cfg.params, "kvn_grid"),
+        count_check(cfg.params, "n_random", 0),
+    ),
     "ehrenfest": lambda cfg: (
         _grid(cfg.params, "grid"),
         _grid(cfg.params, "phase_grid"),
@@ -613,9 +639,10 @@ _VALIDATORS = {
     "wigner": lambda cfg: (
         _grid(cfg.params, "grid"), _grid(cfg.params, "p_grid"),
         wigner_state_check(cfg.params["state"]),
+        finite_check(cfg.params, "sigma", positive=True),
     ),
     "oscillator": lambda cfg: (_grid(cfg.params, "phase_grid"),
-                               step_count_check(cfg.params["n_steps"])),
+                               count_check(cfg.params, "n_steps", 1)),
     "aharonov-bohm": lambda cfg: [
         SolenoidConfig(
             alpha=float(a), n=int(list_check(cfg.params, "n_values")[0]),
@@ -626,7 +653,9 @@ _VALIDATORS = {
         for a in list_check(cfg.params, "alphas")
     ],
     "kernelcheck": lambda cfg: (_grid(cfg.params, "grid"), _grid(cfg.params, "p_grid")),
-    "measure": lambda cfg: positive_count(cfg.params["n_points"]),
+    "measure": lambda cfg: (
+        count_check(cfg.params, "n_points", 2), finite_check(cfg.params, "omega_tau_max"),
+    ),
 }
 
 
@@ -659,22 +688,25 @@ def time_step_check(dt, t_final) -> int:
     return n_steps
 
 
-def step_count_check(n) -> int:
-    if type(n) is not int or n < 1:
-        raise ValueError(f"n_steps must be an integer >= 1, got {n!r}")
-    return n
-
-
 def wigner_state_check(state: str) -> str:
     if state not in ("gaussian", "fock1"):
         raise ValueError(f"unknown wigner state {state!r}")
     return state
 
 
-def positive_count(n) -> int:
-    if type(n) is not int or n < 2:
-        raise ValueError(f"n_points must be an integer >= 2, got {n!r}")
+def count_check(params: dict, key: str, least: int) -> int:
+    n = params[key]
+    if type(n) is not int or n < least:
+        raise ValueError(f"{key} must be an integer >= {least}, got {n!r}")
     return n
+
+
+def finite_check(params: dict, key: str, positive: bool = False) -> float:
+    value = params[key]
+    if type(value) not in (int, float) or not np.isfinite(value) or (positive and value <= 0):
+        need = "a positive finite number" if positive else "a finite number"
+        raise ValueError(f"{key} must be {need}, got {value!r}")
+    return value
 
 
 def verify(cfg: ExperimentConfig) -> None:
@@ -745,6 +777,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 4
+    except BrokenExecutor as exc:
+        print(f"worker error: {exc}", file=sys.stderr)
         return 4
 
 

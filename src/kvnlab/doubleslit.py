@@ -192,17 +192,6 @@ def run_kvn(
     return kvn_screens(cfg, (which,), phase, boundary_limit)[0]
 
 
-def run_single_slit(cfg: SlitConfig, which: int, flavor: str = "kvn", **kwargs) -> ScreenResult:
-    """One-slit control run, either flavor."""
-    if which not in (1, 2):
-        raise ValueError(f"slit selector must be 1 or 2, got {which}")
-    if flavor == "kvn":
-        return run_kvn(cfg, which=which, **kwargs)
-    if flavor == "quantum":
-        return run_quantum(cfg, which=which, **kwargs)
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
 @dataclass(frozen=True)
 class FringeStats:
     n_maxima: int

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import DegenerateInputError
 
@@ -106,6 +105,14 @@ def kvn_radial_coeffs(cfg: SolenoidConfig, E_tilde: float) -> KvnRadialCoeffs:
         lambda_z_coeff=cfg.pz0 / m,
         energy=-E_tilde,
     )
+
+
+def jv(nu, x):
+    """scipy's J_nu, imported on first use: scipy.special is most of the
+    package's import time and only this module needs it."""
+    from scipy.special import jv
+
+    return jv(nu, x)
 
 
 def bessel_j(nu: float, x: float) -> float:

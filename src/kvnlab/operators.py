@@ -1,4 +1,4 @@
-"""Grid realizations of q, p, theta, lambda operators and the four generators.
+"""Grid realizations of q, p, theta, lambda operators and the three generators.
 
 Operators are represented by their action on fields, not by dense matrices.
 Two diagonal families cover everything needed here:
@@ -18,7 +18,7 @@ split-step propagators:
 
 * quantum:    H = p^2/2m + V(q), conjugate part hbar^2 k^2/2m, position
   part V(q), evolution exp(-i H t / hbar);
-* liouville / koopman: K = p theta / m - V'(q) lambda (+ optional constant
+* koopman: K = p theta / m - V'(q) lambda (+ optional constant
   C(q, p), unobservable in |psi|^2), evolution exp(-i K t); the two parts
   are advection shears, each exact in its own mixed representation;
 * unified: H_QC = (hbar/m) p theta + (1/kappa)[V(q - hbar kappa lambda/2)
@@ -28,7 +28,7 @@ split-step propagators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -181,7 +181,7 @@ class Generator:
     ``exp(-1j * part * dt / phase_scale)`` in the respective representation.
     """
 
-    label: str  # quantum | liouville | koopman | unified
+    label: str  # quantum | koopman | unified
     grid: Grid1D | PhaseGrid
     position_part: np.ndarray
     position_axis: int | None
@@ -255,11 +255,6 @@ def hamiltonian(
         potential=potential,
         potential_prime=vprime,
     )
-
-
-def liouvillian(pg: PhaseGrid, vprime: Potential, mass: float = 1.0) -> Generator:
-    """Classical Liouville generator -i(p/m) d/dq + i V'(q) d/dp."""
-    return replace(koopman_generator(pg, vprime, mass), label="liouville")
 
 
 def koopman_generator(

@@ -8,7 +8,12 @@ Each factor is exact in the representation where its part is diagonal, so
 the step is unitary and second order in dt, and for classical generators
 every factor is an advection shear.  The factors are built once per (G, dt);
 a time-dependent force enters through ``position_scale``, which rescales B
-at each step's midpoint for one complex exponential per step.  On a phase
+at each step's midpoint.  ``run`` computes those factors ahead: a helper
+thread exponentiates them ``FACTOR_CHUNK`` steps at a time in one stacked
+np.exp, one chunk ahead of the steps (two chunks alive at most), and since
+np.exp releases the GIL the exponentials overlap the main thread's
+transforms.  Each factor is bit-identical to exponentiating its step's
+exponent alone.  The helper is shut down however the run ends.  On a phase
 grid a step ends in the (q, lambda) representation and the next step opens
 from that spectrum, so a step costs five FFTs.
 
@@ -34,17 +39,24 @@ edge and the position/momentum means.  Edge mass above the limit aborts the
 run: the domain was chosen too small and any Ehrenfest check would be
 meaningless.  The Bopp-shifted means <lambda> and <V'(q - hbar kappa
 lambda/2)> of the interpolating generator come from the lambda-spectrum the
-step already holds (|exp(i phi) F|^2 = |F|^2); <theta> costs one more FFT.
-On the real-field path the full-spectrum sums are taken over the half
-spectrum with the weights at -k folded onto +k.
-The step and record loop makes no BLAS call on a full grid (full-grid
-reductions are ``sum``s; only length-n dot products remain, below the size
-at which OpenBLAS starts its own threads), so evolutions run side by side in
-threads do not contend for BLAS workers.
+step already holds (|exp(i phi) F|^2 = |F|^2).  On the real-field path the
+full-spectrum sums are taken over the half spectrum with the weights at -k
+folded onto +k, and <theta> needs only the Nyquist bin, an alternating sum
+over q, so a kappa != 0 step with its record costs five transforms; on the
+complex path <theta> costs one more FFT.
+
+Threads and BLAS: the step and record loop makes no BLAS call on a full grid
+(full-grid reductions are ``sum``s; only length-n dot products remain, below
+the size at which OpenBLAS starts its own threads), so neither the factor
+helper nor evolutions running side by side contend for BLAS workers.
+Independent evolutions are better run in separate processes than
+in threads: each step is many small numpy calls on 128 x 65 arrays, and
+threads hand the GIL back and forth at every one of them.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,6 +69,9 @@ from .states import KvNWavefunction, QWavefunction, Wavefunction
 
 #: Probability mass allowed within EDGE_CELLS cells of a domain edge during evolve().
 BOUNDARY_MASS_LIMIT = 1e-8
+
+#: Steps whose time-dependent position factors are exponentiated in one call.
+FACTOR_CHUNK = 8
 
 
 def _abs2(field: np.ndarray) -> np.ndarray:
@@ -112,20 +127,49 @@ class Propagator:
             return amp.real
         return amp
 
-    def _factors(self, real: bool, t: float):
-        """The (conjugate full-step, position half-step) factors of the step
-        from t; on the real-field path, their bins 0..n/2 along the FFT axes."""
-        full_conj, half_pos = self._real if real else self._complex
-        if self._position_scale is not None:
-            half_pos = np.exp(self._position_scale(t + 0.5 * self.dt) * half_pos)
-        return full_conj, half_pos
+    def _position_factors(self, real: bool, starts) -> np.ndarray:
+        """The position half-step factors of the steps from each time in
+        ``starts``, stacked: exp(position_scale(t + dt/2) * arg), arg the
+        constant exponent (its columns 0..n/2 on the real-field path).  Each
+        product is the one a single step would form, so every factor is
+        bit-identical to exponentiating it alone."""
+        arg = (self._real if real else self._complex)[1]
+        out = np.empty((len(starts),) + arg.shape, dtype=complex)
+        for k, t in enumerate(starts):
+            np.multiply(self._position_scale(t + 0.5 * self.dt), arg, out=out[k])
+        return np.exp(out, out=out)
 
-    def _advance(self, amp: np.ndarray, spec: np.ndarray | None, t: float):
-        """One step from ``amp`` at time t, given its position-axis spectrum
-        if known; returns the new amplitudes and theirs (or None)."""
+    def _factors_ahead(self, real: bool, t: float, n_steps: int):
+        """Yield the position half-step factor of each of ``n_steps`` steps
+        from t.  A helper thread exponentiates them ``FACTOR_CHUNK`` steps at
+        a time, one chunk ahead of the steps; np.exp releases the GIL, so the
+        exponentials overlap the caller's transforms.  Closing the generator
+        shuts the helper down."""
+        starts = []
+        for _ in range(n_steps):  # the step times exactly as ``run`` accumulates them
+            starts.append(t)
+            t = t + self.dt
+        chunks = [starts[c : c + FACTOR_CHUNK] for c in range(0, n_steps, FACTOR_CHUNK)]
+        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kvnlab-factors")
+        try:
+            ahead = helper.submit(self._position_factors, real, chunks[0])
+            for c in range(len(chunks)):
+                chunk = ahead.result()
+                if c + 1 < len(chunks):
+                    ahead = helper.submit(self._position_factors, real, chunks[c + 1])
+                yield from chunk
+        finally:
+            helper.shutdown(cancel_futures=True)
+
+    def _advance(self, amp: np.ndarray, spec: np.ndarray | None, half_pos: np.ndarray | None):
+        """One step from ``amp``, given its position-axis spectrum if known and
+        the step's position half-step factor if time-dependent; returns the new
+        amplitudes and their spectrum (or None)."""
         pa, ca = self.G.position_axis, self.G.conjugate_axis
         real = np.isrealobj(amp)
-        full_conj, half_pos = self._factors(real, t)
+        full_conj, const_pos = self._real if real else self._complex
+        if half_pos is None:
+            half_pos = const_pos
         fft, ifft = _transforms(amp)
         if self._half_const is not None:
             amp = self._half_const * amp
@@ -149,7 +193,11 @@ class Propagator:
 
     def step(self, state: Wavefunction) -> Wavefunction:
         """One step, without sampling."""
-        amp, _ = self._advance(self._start(state.amplitudes), None, state.time)
+        amp = self._start(state.amplitudes)
+        half_pos = None
+        if self._position_scale is not None:
+            half_pos = self._position_factors(np.isrealobj(amp), [state.time])[0]
+        amp, _ = self._advance(amp, None, half_pos)
         return type(state)(state.grid, amp, time=state.time + self.dt)
 
     def run(self, state: Wavefunction, n_steps: int, record: Callable | None = None,
@@ -166,18 +214,26 @@ class Propagator:
         times, norms, edges = np.empty((3, n_steps + 1))
         amp, t = self._start(state.amplitudes), state.time
         spec = _transforms(amp)[0](amp, axis=self.G.position_axis) if self._carry else None
-        for i in range(n_steps + 1):
-            if i:
-                amp, spec = self._advance(amp, spec, t)
-                t = t + self.dt
-            rho = _abs2(amp) * state.measure
-            times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)
-            if edges[i] > boundary_limit:
-                raise BoundaryMassError(
-                    f"boundary mass {edges[i]:.3e} exceeds {boundary_limit:.1e} at t={t:.4g}"
-                )
-            if record is not None:
-                record(i, amp, rho, spec)
+        factors = None
+        if self._position_scale is not None:
+            factors = self._factors_ahead(np.isrealobj(amp), t, n_steps)
+        try:
+            for i in range(n_steps + 1):
+                if i:
+                    half_pos = None if factors is None else next(factors)
+                    amp, spec = self._advance(amp, spec, half_pos)
+                    t = t + self.dt
+                rho = _abs2(amp) * state.measure
+                times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)
+                if edges[i] > boundary_limit:
+                    raise BoundaryMassError(
+                        f"boundary mass {edges[i]:.3e} exceeds {boundary_limit:.1e} at t={t:.4g}"
+                    )
+                if record is not None:
+                    record(i, amp, rho, spec)
+        finally:
+            if factors is not None:
+                factors.close()
         return type(state)(state.grid, amp, time=t), times, norms, edges
 
 
@@ -189,12 +245,12 @@ def schrodinger_step(psi: QWavefunction, G: Generator, dt: float) -> QWavefuncti
 
 
 def kvn_step(psi: KvNWavefunction, G: Generator, dt: float) -> KvNWavefunction:
-    """One Strang step of a phase-space generator (liouville, koopman, unified).
+    """One Strang step of a phase-space generator (koopman, unified).
 
     Both sub-steps are exact shears: the q-advection is diagonal in the
     (theta-mode, p) representation, the p-advection in (q, lambda-mode).
     """
-    if G.label not in ("liouville", "koopman", "unified"):
+    if G.label not in ("koopman", "unified"):
         raise ValueError(f"kvn_step needs a phase-space generator, got {G.label}")
     return Propagator(G, dt).step(psi)
 
@@ -218,6 +274,21 @@ def _fold(weights: np.ndarray) -> np.ndarray:
     out = weights[..., : n // 2 + 1].copy()
     out[..., 1 : n // 2] += weights[..., : n // 2 : -1]
     return out
+
+
+def _theta_mean(amp: np.ndarray, kq: np.ndarray) -> float:
+    """<theta> = sum_k kq[k] |F(k, p)|^2 / sum |F|^2, F the FFT along q.
+
+    For a real field F(-k) is the conjugate of F(k) and kq[-k] = -kq[k], so
+    every pair cancels but the unpaired Nyquist bin, whose transform is the
+    alternating sum over q; Parseval gives the denominator.  No FFT is taken.
+    """
+    if np.isrealobj(amp):
+        n = len(kq)
+        alternating = amp[0::2].sum(axis=0) - amp[1::2].sum(axis=0)
+        return kq[n // 2] * (alternating @ alternating) / (n * (amp * amp).sum())
+    w_th = _abs2(np.fft.fft(amp, axis=0)).sum(axis=1)
+    return (kq @ w_th) / w_th.sum()
 
 
 def _means(G: Generator, state: Wavefunction):
@@ -256,18 +327,17 @@ def _means(G: Generator, state: Wavefunction):
     kq, kp = wavenumbers(state.grid.q), wavenumbers(state.grid.p)
     shift = 0.5 * G.hbar * G.kappa
     v_shifted = _numeric_vprime(G, q[:, None] - shift * kp[None, :])  # on (q, lambda)
-    full = kq, kp, v_shifted, np.ones(len(kq)), np.ones(len(kp))  # the last two: multiplicities
+    full = kp, v_shifted, np.ones(len(kp))  # the last: multiplicities
     half = tuple(_fold(w) for w in full)
 
     def bopp(amp, rho, spec):
-        kq_, kp_, v, mult_q, mult_p = half if np.isrealobj(amp) else full
+        kp_, v, mult_p = half if np.isrealobj(amp) else full
         w_lam = _abs2(spec)
         w_p = w_lam.sum(axis=0)
-        w_th = _abs2(_transforms(amp)[0](amp, axis=0)).sum(axis=1)
         norm_lam = w_p @ mult_p
         return (
             q @ rho.sum(axis=1) - shift * (w_p @ kp_) / norm_lam,
-            rho.sum(axis=0) @ p + shift * (kq_ @ w_th) / (mult_q @ w_th),
+            rho.sum(axis=0) @ p + shift * _theta_mean(amp, kq),
             (v * w_lam).sum() / norm_lam,
         )
 
@@ -292,7 +362,6 @@ def evolve(
     G: Generator,
     t_final: float,
     n_steps: int,
-    check_boundary: bool = True,
     boundary_limit: float = BOUNDARY_MASS_LIMIT,
 ) -> Trajectory:
     """Propagate ``state`` to ``t_final`` in ``n_steps`` uniform Strang steps."""
@@ -305,7 +374,7 @@ def evolve(
         series[:, i] = means(amp, rho, spec)
 
     final, times, norms, edges = Propagator(G, t_final / n_steps).run(
-        state, n_steps, record, boundary_limit if check_boundary else np.inf
+        state, n_steps, record, boundary_limit
     )
     return Trajectory(times, *series, final, norms, edges)
 

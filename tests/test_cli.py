@@ -1,11 +1,26 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kvnlab.cli import DEFAULTS, _threads, load_config, main
+from kvnlab.cli import DEFAULTS, _pmap, _threads, load_config, main
 from kvnlab.report import ResultTable, read_table, svg_heatmap, svg_line_plot
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(code, *args, **env):
+    """Run ``python -c code args`` on this checkout's sources, with ``env`` added."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=120)
 
 
 def write_config(tmp_path, body, name="config.json"):
@@ -119,9 +134,15 @@ _WIGNER_GRID = '{"experiment": "wigner", "params": {"grid": {"n": %s, "min": -12
         ('{"experiment": "measure", "params": {"n_points": 1e9}}', "n_points"),
         ('{"experiment": "measure", "params": {"n_points": 65.0}}', "n_points"),
         ('{"experiment": "measure", "params": {"n_points": true}}', "n_points"),
+        ('{"experiment": "wigner", "params": {"sigma": 0}}', "sigma"),
+        ('{"experiment": "wigner", "params": {"sigma": "0.7"}}', "sigma"),
+        ('{"experiment": "measure", "params": {"omega_tau_max": NaN, "n_points": 5}}',
+         "omega_tau_max"),
+        ('{"experiment": "uncertainty", "params": {"n_random": 2.7}}', "n_random"),
     ],
     ids=["grid-max-inf", "grid-max-nan", "grid-min-inf", "grid-n-fraction", "grid-n-float",
-         "seed-fraction", "seed-string", "n_points-1e9", "n_points-float", "n_points-bool"],
+         "seed-fraction", "seed-string", "n_points-1e9", "n_points-float", "n_points-bool",
+         "wigner-sigma-zero", "wigner-sigma-string", "omega_tau_max-nan", "n_random-fraction"],
 )
 def test_non_integer_or_non_finite_exits_2_naming_key(tmp_path, capsys, command, body, key):
     cfg = write_config(tmp_path, body)
@@ -144,6 +165,45 @@ def test_malformed_threads_env_exits_2(tmp_path, monkeypatch, capsys, threads):
 def test_threads_env_above_8_clamps(monkeypatch):
     monkeypatch.setenv("KVNLAB_THREADS", "64")
     assert _threads() == 8
+
+
+def test_pmap_runs_in_forked_children_in_input_order(monkeypatch):
+    monkeypatch.setenv("KVNLAB_THREADS", "2")
+    out = _pmap(lambda x: (x, os.getpid()), range(4))
+    assert [x for x, _ in out] == [0, 1, 2, 3]
+    assert os.getpid() not in {pid for _, pid in out}
+    monkeypatch.setenv("KVNLAB_THREADS", "1")
+    assert _pmap(lambda _: os.getpid(), range(4)) == [os.getpid()] * 4
+
+
+def test_dead_worker_exits_4_without_hanging(tmp_path):
+    # every ehrenfest job ends its worker process at once
+    cfg = write_config(
+        tmp_path,
+        {"experiment": "ehrenfest", "params": {"t_final": 0.05},
+         "output": {"directory": ".", "svg": False}},
+    )
+    script = (
+        "import os, sys, kvnlab.cli as cli\n"
+        "parent = os.getpid()\n"
+        "def die(*args, **kwargs):\n"
+        "    assert os.getpid() != parent\n"
+        "    os._exit(9)\n"
+        "cli.evolve = die\n"
+        "sys.exit(cli.main(['run', sys.argv[1]]))\n"
+    )
+    proc = run_python(script, str(cfg), KVNLAB_THREADS="2")
+    assert proc.returncode == 4
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("worker error:")
+    assert not (tmp_path / "ehrenfest.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = run_python(
+        "import sys, kvnlab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
 def test_measure_run_and_determinism(tmp_path):

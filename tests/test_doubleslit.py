@@ -10,7 +10,6 @@ from kvnlab.doubleslit import (
     refined_mask,
     run_kvn,
     run_quantum,
-    run_single_slit,
     slit_mask,
 )
 from kvnlab.grid import Grid1D
@@ -96,7 +95,7 @@ def test_quantum_shows_fringes(cfg):
 
 
 def test_quantum_single_slit_has_no_fringes(cfg):
-    res = run_single_slit(cfg, 1, flavor="quantum")
+    res = run_quantum(cfg, which=1)
     stats = fringe_stats(res.x, res.density)
     # the envelope is a single hump: nothing above 10% of the peak
     # oscillates.  Hard-aperture Fresnel side lobes do exist below that

@@ -13,7 +13,6 @@ from kvnlab.operators import (
     hamiltonian,
     koopman_generator,
     lambda_op,
-    liouvillian,
     momentum_op,
     position_op,
     theta_op,
@@ -196,7 +195,7 @@ def test_generator_hermiticity_random_states():
 
 def test_liouvillian_annihilates_functions_of_h(pg):
     # stationarity: L f(H) = 0 since the Poisson bracket {H, f(H)} vanishes
-    L = liouvillian(pg, lambda q: q)  # V = q^2/2
+    L = koopman_generator(pg, lambda q: q)  # V = q^2/2
     Q, P = pg.meshes()
     H = P**2 / 2 + Q**2 / 2
     f = np.exp(-H).astype(complex)
@@ -204,7 +203,7 @@ def test_liouvillian_annihilates_functions_of_h(pg):
 
 
 def test_liouvillian_advection_on_plane_wave(pg):
-    L = liouvillian(pg, lambda q: np.zeros_like(q), mass=1.3)
+    L = koopman_generator(pg, lambda q: np.zeros_like(q), mass=1.3)
     k0 = 2 * np.pi / pg.q.length * 3
     Q, P = pg.meshes()
     f = np.exp(1j * k0 * Q) * np.exp(-(P**2) / 2)
@@ -213,7 +212,7 @@ def test_liouvillian_advection_on_plane_wave(pg):
 
 def test_liouvillian_hermitian_on_phase_states(pg):
     rng = np.random.default_rng(43)
-    L = liouvillian(pg, lambda q: q)
+    L = koopman_generator(pg, lambda q: q)
     f = random_bandlimited_phase(pg, rng)
     h = random_bandlimited_phase(pg, rng)
     lhs = np.sum(np.conj(f.amplitudes) * L.apply(h.amplitudes)) * pg.cell_area
@@ -222,11 +221,15 @@ def test_liouvillian_hermitian_on_phase_states(pg):
 
 
 def test_koopman_equals_liouvillian(pg):
+    # K against the Liouvillian p theta / m - V'(q) lambda spelled out from
+    # the elementary operators
     rng = np.random.default_rng(47)
-    K = koopman_generator(pg, lambda q: q**3)
-    L = liouvillian(pg, lambda q: q**3)
+    K = koopman_generator(pg, lambda q: q**3, mass=1.3)
     psi = random_bandlimited_phase(pg, rng)
-    diff = K.apply(psi.amplitudes) - L.apply(psi.amplitudes)
+    f = psi.amplitudes
+    Q, P = pg.meshes()
+    L_f = P * theta_op(pg).apply(f) / 1.3 - Q**3 * lambda_op(pg).apply(f)
+    diff = K.apply(f) - L_f
     assert l2(diff, pg.cell_area) < 1e-12
 
 

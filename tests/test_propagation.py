@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from conftest import gaussian_1d, gaussian_phase
 from kvnlab.errors import BoundaryMassError
 from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
-from kvnlab.operators import hamiltonian, koopman_generator, liouvillian, unified_generator
+from kvnlab.operators import hamiltonian, koopman_generator, unified_generator
 from kvnlab.oscillator import kvn_tdho_evolve
 from kvnlab.propagation import (
+    FACTOR_CHUNK,
     Propagator,
+    _theta_mean,
     check_unitarity,
     evolve,
     kvn_step,
@@ -378,7 +381,7 @@ def test_strang_order_quartic_kappa_half():
     assert 3.5 < ratio < 4.5
 
 
-@pytest.mark.parametrize("kappa, budget", [(0.0, 5), (0.5, 6)])
+@pytest.mark.parametrize("kappa, budget", [(0.0, 5), (0.5, 5)])
 def test_phase_step_fft_budget(call_counts, kappa, budget):
     # per-step cost is the difference of two run lengths, so one-time
     # transforms of the initial state do not count against it
@@ -425,7 +428,7 @@ def test_evolve_records_boundary_mass():
     g = Grid1D(128, -8.0, 8.0)
     psi = gaussian_1d(g, center=3.0, sigma=0.5, k0=2 * np.pi / g.length * 10)
     H = hamiltonian(g, lambda q: np.zeros_like(q))
-    traj = evolve(psi, H, 0.3, 30, check_boundary=False)
+    traj = evolve(psi, H, 0.3, 30, boundary_limit=np.inf)
     rho = np.abs(traj.final_state.amplitudes) ** 2 * g.dx
     assert traj.boundary_mass[-1] == pytest.approx(rho[:4].sum() + rho[-4:].sum(), rel=1e-12)
     assert traj.boundary_mass[-1] > traj.boundary_mass[0]
@@ -437,17 +440,34 @@ def _half_position_arg(G, dt):
 
 def test_real_path_position_factor_is_head_of_exp():
     # the driven oscillator's generator and step; the argument is odd in lambda,
-    # so the real-field path exponentiates only lambda columns 0..n/2
+    # so the real-field path exponentiates only lambda columns 0..n/2, in
+    # chunks of FACTOR_CHUNK steps that must equal exponentiating each alone
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     G, dt = koopman_generator(pg, lambda q: q), 10.0 / 2500
     arg = _half_position_arg(G, dt)
-    midpoints = (np.arange(0, 2500, 25) + 0.5) * dt
-    for scale in [*(1.0 + 0.1 * np.sin(midpoints)), 0.0, -1.3, 40.0]:
-        prop = Propagator(G, dt, position_scale=lambda t, s=scale: s)
+    k = lambda t: 1.0 + 0.1 * np.sin(t)
+    starts = list(np.arange(0, 2500, 25) * dt)
+    cases = [(k, starts[c : c + FACTOR_CHUNK]) for c in range(0, len(starts), FACTOR_CHUNK)]
+    cases += [(lambda t, s=s: s, [0.0, dt]) for s in (0.0, -1.3, 40.0)]
+    for scale, chunk in cases:
+        prop = Propagator(G, dt, position_scale=scale)
         assert prop._real is not None
-        expected = np.exp(scale * arg)
-        assert prop._factors(True, 0.0)[1].tobytes() == expected[:, :65].tobytes()
-        assert prop._factors(False, 0.0)[1].tobytes() == expected.tobytes()
+        real, full = prop._position_factors(True, chunk), prop._position_factors(False, chunk)
+        assert real.shape == (len(chunk), 128, 65)
+        for j, t in enumerate(chunk):
+            expected = np.exp(scale(t + 0.5 * dt) * arg)
+            assert real[j].tobytes() == expected[:, :65].tobytes()
+            assert full[j].tobytes() == expected.tobytes()
+    # what ``run`` consumes: 19 steps from t = 0.3, two full chunks and a
+    # part, at the step times ``run`` accumulates (a scale linear in t shows
+    # a time off by one ulp)
+    for scale in (k, lambda t: t):
+        prop, t = Propagator(G, dt, position_scale=scale), 0.3
+        ahead = list(prop._factors_ahead(True, t, 19))
+        assert len(ahead) == 19
+        for factor in ahead:
+            assert factor.tobytes() == np.exp(scale(t + 0.5 * dt) * arg)[:, :65].tobytes()
+            t = t + dt
 
 
 def test_non_odd_position_factor_takes_complex_path(call_counts):
@@ -457,9 +477,40 @@ def test_non_odd_position_factor_takes_complex_path(call_counts):
     prop = Propagator(G, 1e-2, position_scale=lambda t: 1.05)
     assert prop._real is None
     expected = np.exp(1.05 * _half_position_arg(G, 1e-2))
-    assert prop._factors(False, 0.0)[1].tobytes() == expected.tobytes()
+    assert prop._position_factors(False, [0.0])[0].tobytes() == expected.tobytes()
     blob = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
     call_counts.clear()
     prop.run(blob, 3)
     assert call_counts["rfft"] + call_counts["irfft"] == 0
-    assert call_counts["exp"] == 3
+    assert call_counts["exp"] == 1  # the three steps' factors form one chunk
+
+
+def _helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("kvnlab-factors")]
+
+
+def test_factor_helper_shut_down_on_boundary_abort():
+    pg = PhaseGrid(Grid1D(64, -4.0, 4.0), Grid1D(64, -4.0, 4.0))
+    psi = gaussian_phase(pg, q0=2.0, sigma_q=0.2, sigma_p=0.2)
+    prop = Propagator(koopman_generator(pg, lambda q: q), 1e-2, position_scale=lambda t: 4.0)
+    with pytest.raises(BoundaryMassError) as aborted:
+        prop.run(psi, 100)
+    # shut down by the run itself, not when the traceback holding it is freed
+    assert aborted.value.__traceback__ is not None and _helper_threads() == []
+    prop.run(psi, 20)  # and after a run that completes
+    assert _helper_threads() == []
+
+
+def test_theta_mean_without_fft_matches_fft_formula():
+    # on a real field only the Nyquist bin survives the folded kq weights;
+    # both fields carry enough of it for <theta> to sit far above round-off
+    rng = np.random.default_rng(5)
+    pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
+    kq = wavenumbers(pg.q)
+    blob = gaussian_phase(pg, q0=0.8).amplitudes.real
+    zigzag = (-1.0) ** np.arange(128)[:, None] * np.exp(-pg.meshes()[1] ** 2)
+    for amp in (rng.standard_normal((128, 64)), blob + 0.01 * zigzag):
+        w_th = (np.abs(np.fft.fft(amp, axis=0)) ** 2).sum(axis=1)
+        expected = (kq @ w_th) / w_th.sum()
+        assert _theta_mean(amp, kq) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert _theta_mean(amp.astype(complex), kq) == pytest.approx(expected, rel=1e-12, abs=0)
