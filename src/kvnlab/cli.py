@@ -11,10 +11,15 @@ Configs are single JSON documents with one top-level experiment block::
       "output": { "directory": "out", "svg": true }
     }
 
-Unknown keys are rejected.  Output paths resolve relative to the config
-file.  Exit codes: 0 success, 2 config parse/validation error, 3 physics
-precondition violation, 4 I/O error or a worker process that died.  For a
-fixed config and seed the tables are byte-identical across runs on one
+``SPECS`` declares each experiment's parameters once: a default and a field
+type per key (finite JSON number, JSON integer, choice, list, grid) whose
+``parse`` gives the runner its value or a ``ValueError`` naming the key.
+Numbers must be JSON numbers, not strings; ``MAX_GRID_N`` and ``MAX_COUNT``
+bound every array and loop before anything is allocated.  Unknown keys are
+rejected.  Output paths resolve relative to the config file.  Exit codes: 0
+success, 2 config error, 3 physics precondition violation (a non-finite table
+among them; nothing is written), 4 I/O error or a worker process that died.
+For a fixed config and seed the tables are byte-identical across runs on one
 platform; wall time is printed to stdout rather than written into the files.
 ``KVNLAB_THREADS`` (default 1, at most 8; larger values run 8) sets the
 worker processes that run ehrenfest's independent evolutions side by side.
@@ -32,7 +37,8 @@ import sys
 import threading
 import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -124,21 +130,6 @@ def _pmap(fn, items) -> list:
         _JOB = None
 
 
-def _grid(params: dict, key: str) -> Grid1D:
-    """The grid ``params[key]``: an integer ``n`` and finite ``min``, ``max``."""
-    spec = params[key]
-    unknown = set(spec) - {"n", "min", "max"}
-    if unknown:
-        raise ValueError(f"unknown {key} keys: {sorted(unknown)}")
-    if type(spec["n"]) is not int:
-        raise ValueError(f"{key} n must be an integer, got {spec['n']!r}")
-    lo, hi = float(spec["min"]), float(spec["max"])
-    for name, value in (("min", lo), ("max", hi)):
-        if not np.isfinite(value):
-            raise ValueError(f"{key} {name} must be finite, got {value}")
-    return Grid1D(spec["n"], lo, hi)
-
-
 def _gaussian_1d(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) -> QWavefunction:
     amp = np.exp(-((grid.points - center) ** 2) / (4 * sigma**2) + 1j * k0 * grid.points)
     return QWavefunction(grid, amp).normalize()
@@ -157,52 +148,162 @@ _POTENTIALS = {
 
 
 # ---------------------------------------------------------------------------
-# experiment registry
+# parameter specs: each key's default and its parse into the value a runner uses
+
+#: Largest grid ``n`` a config may ask for; a 4096 x 4096 complex
+#: phase-space field takes 256 MB.
+MAX_GRID_N = 4096
+#: Largest count or step count a config may ask for.
+MAX_COUNT = 10**6
 
 
-DEFAULTS: dict[str, dict] = {
+@dataclass(frozen=True)
+class Num:
+    """A finite JSON number in ``[lo, hi]``, and above 0 if ``positive``."""
+
+    default: float | None = None
+    lo: float = -np.inf
+    hi: float = np.inf
+    positive: bool = False
+
+    def parse(self, key: str, value) -> float:
+        # a bool is not a JSON number, nor is an int beyond float range finite
+        finite = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        if not (finite and self.lo <= value <= self.hi and (value > 0 or not self.positive)):
+            bound = " > 0" if self.positive else f" in [{self.lo}, {self.hi}]"
+            raise ValueError(f"{key} must be a finite number{bound}, got {value!r}")
+        return float(value)
+
+
+Positive = partial(Num, positive=True)
+
+
+@dataclass(frozen=True)
+class Int:
+    """A JSON integer in ``[lo, hi]``."""
+
+    default: int | None = None
+    lo: int = 0
+    hi: float = MAX_COUNT
+
+    def parse(self, key: str, value) -> int:
+        if type(value) is not int or not self.lo <= value <= self.hi:
+            raise ValueError(f"{key} must be an integer in [{self.lo}, {self.hi}], got {value!r}")
+        return value
+
+
+@dataclass(frozen=True)
+class Choice:
+    """One of the strings ``names``."""
+
+    default: str | None = None
+    names: tuple[str, ...] = ()
+
+    def parse(self, key: str, value) -> str:
+        if value not in self.names:
+            raise ValueError(f"{key} must be one of {list(self.names)}, got {value!r}")
+        return value
+
+
+@dataclass(frozen=True)
+class ListOf:
+    """A JSON list of ``least`` to ``most`` values of ``item``."""
+
+    default: list | None = None
+    item: Num | Int | Choice | ListOf | None = None
+    least: int = 0
+    most: int = MAX_COUNT
+
+    def parse(self, key: str, value) -> list:
+        if not isinstance(value, list) or not self.least <= len(value) <= self.most:
+            raise ValueError(f"{key} needs {self.least} to {self.most} list items, got {value!r}")
+        return [self.item.parse(f"{key}[{i}]", v) for i, v in enumerate(value)]
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Exactly ``n``, ``min``, ``max``: n a power of two in [8, MAX_GRID_N], min < max."""
+
+    default: dict | None = None
+
+    def parse(self, key: str, value) -> Grid1D:
+        if not isinstance(value, dict) or set(value) != {"n", "min", "max"}:
+            raise ValueError(f"{key} must have exactly the keys n, min, max, got {value!r}")
+        n = Int(lo=8, hi=MAX_GRID_N).parse(f"{key} n", value["n"])
+        lo, hi = (Num().parse(f"{key} {end}", value[end]) for end in ("min", "max"))
+        if n & (n - 1) or not 0 < hi - lo < np.inf:
+            raise ValueError(f"{key} needs n a power of two and min < max, got {value!r}")
+        return Grid1D(n, lo, hi)
+
+
+@dataclass(frozen=True)
+class Is:
+    """A JSON value of Python type ``kind``, described to the user as ``what``."""
+
+    default: object
+    kind: type
+    what: str
+
+    def parse(self, key: str, value):
+        if type(value) is not self.kind:
+            raise ValueError(f"{key} must be {self.what}, got {value!r}")
+        return value
+
+
+#: Each experiment's parameters: key -> field holding the default and the parse.
+SPECS: dict[str, dict] = {
     "doubleslit": {
-        "x_A": 3.0, "delta": 0.5, "sigma_x": 1.0, "sigma_p": 0.1,
-        "mass": 1.0, "p0y": 50.0, "y_M": 50.0, "y_R": 150.0,
-        "x_grid": {"n": 2048, "min": -64.0, "max": 64.0},
-        "p_grid": {"n": 256, "min": -4.0, "max": 4.0},
+        "x_A": Num(3.0), "delta": Positive(0.5), "sigma_x": Positive(1.0),
+        "sigma_p": Positive(0.1), "mass": Positive(1.0), "p0y": Positive(50.0),
+        "y_M": Positive(50.0), "y_R": Positive(150.0),
+        "x_grid": Grid({"n": 2048, "min": -64.0, "max": 64.0}),
+        "p_grid": Grid({"n": 256, "min": -4.0, "max": 4.0}),
     },
-    "measure": {"omega_tau_max": np.pi / 2, "n_points": 65},
+    "measure": {"omega_tau_max": Num(np.pi / 2), "n_points": Int(65, lo=2)},
     "uncertainty": {
-        "sigma": 0.5, "kvn_sigma": 0.1, "n_random": 20,
-        "grid": {"n": 512, "min": -16.0, "max": 16.0},
-        "kvn_grid": {"n": 256, "min": -2.0, "max": 2.0},
+        "sigma": Positive(0.5), "kvn_sigma": Positive(0.1), "n_random": Int(20),
+        "grid": Grid({"n": 512, "min": -16.0, "max": 16.0}),
+        "kvn_grid": Grid({"n": 256, "min": -2.0, "max": 2.0}),
     },
     "ehrenfest": {
-        "potentials": ["harmonic", "quartic"],
-        "kappas": [0.0, 0.5, 1.0],
-        "t_final": 1.0, "dt": 1e-3,
-        "grid": {"n": 256, "min": -16.0, "max": 16.0},
-        "phase_grid": {"n": 128, "min": -8.0, "max": 8.0},
+        "potentials": ListOf(["harmonic", "quartic"], Choice(names=tuple(_POTENTIALS)), least=1),
+        "kappas": ListOf([0.0, 0.5, 1.0], Num(lo=0.0, hi=1.0)),
+        "t_final": Positive(1.0), "dt": Positive(1e-3),
+        "grid": Grid({"n": 256, "min": -16.0, "max": 16.0}),
+        "phase_grid": Grid({"n": 128, "min": -8.0, "max": 8.0}),
     },
     "wigner": {
-        "state": "gaussian", "center": 0.0, "sigma": 0.7071067811865476,
-        "grid": {"n": 256, "min": -12.0, "max": 12.0},
-        "p_grid": {"n": 256, "min": -8.0, "max": 8.0},
+        "state": Choice("gaussian", ("gaussian", "fock1")), "center": Num(0.0),
+        "sigma": Positive(0.7071067811865476),
+        "grid": Grid({"n": 256, "min": -12.0, "max": 12.0}),
+        "p_grid": Grid({"n": 256, "min": -8.0, "max": 8.0}),
     },
     "oscillator": {
-        "k_base": 1.0, "k_mod": 0.1, "t_final": 10.0, "n_steps": 2500,
-        "q0": 1.0, "p0": 0.0,
-        "phase_grid": {"n": 128, "min": -8.0, "max": 8.0},
-        "sigma": 0.3,
+        "k_base": Num(1.0), "k_mod": Num(0.1), "t_final": Positive(10.0),
+        "n_steps": Int(2500, lo=1), "q0": Num(1.0), "p0": Num(0.0),
+        "phase_grid": Grid({"n": 128, "min": -8.0, "max": 8.0}),
+        "sigma": Positive(0.3),
     },
     "aharonov-bohm": {
-        "alphas": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
-        "n_values": [0, 1, 2],
-        "pz0": 0.0, "ptheta0": 0.5, "mass": 1.0, "R_boundary": 1.0,
+        "alphas": ListOf([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], Num(), least=1),
+        "n_values": ListOf([0, 1, 2], Int(lo=-MAX_COUNT), least=1),
+        "pz0": Num(0.0), "ptheta0": Num(0.5), "mass": Positive(1.0), "R_boundary": Positive(1.0),
     },
     "kernelcheck": {
-        "points": [[0.7, -0.3], [1.2, 0.5], [0.0, 0.0]],
-        "t1": 0.4, "t2": 0.4, "t_free": 1.0, "sigma": 1.0,
-        "grid": {"n": 2048, "min": -32.0, "max": 32.0},
-        "p_grid": {"n": 64, "min": -4.0, "max": 4.0},
+        "points": ListOf([[0.7, -0.3], [1.2, 0.5], [0.0, 0.0]],
+                         ListOf(item=Num(), least=2, most=2)),
+        "t1": Positive(0.4), "t2": Positive(0.4), "t_free": Positive(1.0), "sigma": Positive(1.0),
+        "grid": Grid({"n": 2048, "min": -32.0, "max": 32.0}),
+        "p_grid": Grid({"n": 64, "min": -4.0, "max": 4.0}),
     },
 }
+
+#: A config's top level; ``params`` and ``output`` are then read by their own specs.
+_TOP = {
+    "experiment": Choice(None, tuple(SPECS)), "hbar": Positive(1.0), "seed": Int(0, hi=np.inf),
+    "params": Is({}, dict, "an object"), "output": Is({}, dict, "an object"),
+}
+_OUTPUT = {"directory": Is(".", str, "a string"), "svg": Is(True, bool, "true or false")}
 
 
 @dataclass(frozen=True)
@@ -210,7 +311,7 @@ class ExperimentConfig:
     experiment: str
     hbar: float
     seed: int
-    params: dict
+    params: dict  # parsed values, keyed as in the experiment's spec
     output_dir: Path
     svg: bool
     resolved: dict  # canonical dict the config hash is computed from
@@ -220,78 +321,85 @@ class ExperimentConfig:
         return config_hash(self.resolved)
 
 
+def _merge(spec: dict, user, section: str) -> tuple[dict, dict]:
+    """``user`` over the defaults of ``spec``: the merged JSON and its parsed values."""
+    if not isinstance(user, dict):
+        raise ValueError(f"{section} must be an object")
+    unknown = set(user) - set(spec)
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    merged = {key: user.get(key, entry.default) for key, entry in spec.items()}
+    return merged, {key: entry.parse(key, merged[key]) for key, entry in spec.items()}
+
+
 def load_config(path: Path) -> ExperimentConfig:
-    raw = json.loads(path.read_text())
-    if not isinstance(raw, dict):
-        raise ValueError("config must be a JSON object")
-    allowed = {"experiment", "hbar", "seed", "params", "output"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown top-level keys: {sorted(unknown)}")
-    experiment = raw.get("experiment")
-    if experiment not in DEFAULTS:
-        raise ValueError(
-            f"unknown experiment {experiment!r}; choose from {sorted(DEFAULTS)}"
-        )
-    params = dict(DEFAULTS[experiment])
-    user_params = raw.get("params", {})
-    if not isinstance(user_params, dict):
-        raise ValueError("params must be an object")
-    unknown = set(user_params) - set(params)
-    if unknown:
-        raise ValueError(f"unknown params for {experiment}: {sorted(unknown)}")
-    params.update(user_params)
-    output = {"directory": ".", "svg": True}
-    user_output = raw.get("output", {})
-    unknown = set(user_output) - set(output)
-    if unknown:
-        raise ValueError(f"unknown output keys: {sorted(unknown)}")
-    output.update(user_output)
-    hbar = float(raw.get("hbar", 1.0))
-    if not (np.isfinite(hbar) and hbar > 0):
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
-    if not isinstance(output["svg"], bool):
-        raise ValueError(f"output svg must be true or false, got {output['svg']!r}")
-    seed = raw.get("seed", 0)
-    if type(seed) is not int:
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    resolved = {
-        "experiment": experiment,
-        "hbar": hbar,
-        "seed": seed,
-        "params": json.loads(json.dumps(params)),
-        "output": output,
-    }
+    _, top = _merge(_TOP, json.loads(path.read_text()), "config")
+    params, parsed = _merge(SPECS[top["experiment"]], top["params"], "params")
+    output, _ = _merge(_OUTPUT, top["output"], "output")
     return ExperimentConfig(
-        experiment=experiment,
-        hbar=hbar,
-        seed=seed,
-        params=params,
+        experiment=top["experiment"],
+        hbar=top["hbar"],
+        seed=top["seed"],
+        params=parsed,
         output_dir=(path.parent / output["directory"]).resolve(),
-        svg=bool(output["svg"]),
-        resolved=resolved,
+        svg=output["svg"],
+        resolved=dict(top, params=json.loads(json.dumps(params)), output=output),
     )
+
+
+def time_step_check(dt: float, t_final: float) -> int:
+    """The step count of ``dt`` over ``t_final``: dt must divide t_final (relative
+    1e-9) into 4 to MAX_COUNT steps; 4 give the 5 samples the residuals need."""
+    n_steps = round(min(t_final / dt, MAX_COUNT + 1))
+    if not 4 <= n_steps <= MAX_COUNT or abs(n_steps * dt - t_final) > 1e-9 * t_final:
+        raise ValueError(f"dt {dt} must divide t_final {t_final} into 4 to {MAX_COUNT} whole steps")
+    return n_steps
+
+
+def verify(cfg: ExperimentConfig) -> None:
+    """The checks that span several keys; ``load_config`` parsed each key alone."""
+    if cfg.experiment == "ehrenfest":
+        time_step_check(cfg.params["dt"], cfg.params["t_final"])
+    if cfg.experiment == "doubleslit":
+        SlitConfig(**cfg.params, hbar=cfg.hbar)
 
 
 # ---------------------------------------------------------------------------
-# drivers: each returns (list of written files, stdout summary lines)
+# drivers: each adds its tables and plots to an _Output, returns its summary lines
 
 
-def _prov(cfg: ExperimentConfig) -> dict:
-    return {"config_hash": cfg.hash, "code_version": __version__}
+@dataclass
+class _Output:
+    """One run's tables and plots, written together by ``write``.
+
+    Each table is checked as it is added, so a run that fails the check, or
+    fails later, leaves no file behind.
+    """
+
+    cfg: ExperimentConfig
+    writers: list = field(default_factory=list)  # (file name, writer taking its path)
+
+    def table(self, name: str, columns: list, units: list, rows, extra_meta=()) -> None:
+        provenance = {"config_hash": self.cfg.hash, "code_version": __version__}
+        table = ResultTable(columns, units, rows, self.cfg.experiment, provenance, list(extra_meta))
+        if not np.isfinite(table.rows).all():
+            raise PhysicsError(f"the {name} table holds non-finite values")
+        self.writers.append((f"{name}.csv", table.write_csv))
+
+    def plot(self, name: str, draw, *args, **kwargs) -> None:
+        if self.cfg.svg:
+            self.writers.append((f"{name}.svg", lambda path: draw(path, *args, **kwargs)))
+
+    def write(self) -> list[Path]:
+        self.cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        paths = [self.cfg.output_dir / name for name, _ in self.writers]
+        for path, (_, write) in zip(paths, self.writers):
+            write(path)
+        return paths
 
 
-def _prepare_doubleslit(cfg: ExperimentConfig) -> SlitConfig:
-    p = cfg.params
-    return SlitConfig(
-        x_A=p["x_A"], delta=p["delta"], sigma_x=p["sigma_x"], sigma_p=p["sigma_p"],
-        mass=p["mass"], p0y=p["p0y"], y_M=p["y_M"], y_R=p["y_R"], hbar=cfg.hbar,
-        x_grid=_grid(p, "x_grid"), p_grid=_grid(p, "p_grid"),
-    )
-
-
-def _run_doubleslit(cfg: ExperimentConfig):
-    slit = _prepare_doubleslit(cfg)
+def _run_doubleslit(cfg: ExperimentConfig, out: _Output):
+    slit = SlitConfig(**cfg.params, hbar=cfg.hbar)
     q = run_quantum(slit)
     k, k1, k2 = kvn_screens(slit, (None, 1, 2))
     w1, w2 = k1.transmitted_weight, k2.transmitted_weight
@@ -299,33 +407,21 @@ def _run_doubleslit(cfg: ExperimentConfig):
         np.max(np.abs(k.density - (w1 * k1.density + w2 * k2.density) / (w1 + w2)))
     )
     stats = fringe_stats(q.x, q.density)
-    files = []
     for name, res in (("quantum_screen", q), ("kvn_screen", k)):
-        table = ResultTable(
-            columns=["x", "density"], units=["length", "1/length"],
-            rows=np.column_stack([res.x, res.density]),
-            experiment="doubleslit", provenance=_prov(cfg),
-        )
-        out = cfg.output_dir / f"{name}.csv"
-        table.write_csv(out)
-        files.append(out)
-    if cfg.svg:
-        out = cfg.output_dir / "doubleslit_screens.svg"
-        svg_line_plot(
-            out, q.x, {"quantum": q.density, "classical": k.density},
-            x_label="x", y_label="density", title="screen densities",
-        )
-        files.append(out)
-    summary = [
+        rows = np.column_stack([res.x, res.density])
+        out.table(name, ["x", "density"], ["length", "1/length"], rows)
+    out.plot(
+        "doubleslit_screens", svg_line_plot, q.x, {"quantum": q.density, "classical": k.density},
+        x_label="x", y_label="density", title="screen densities",
+    )
+    return [
         f"quantum fringes: {stats.n_maxima} maxima, contrast {stats.max_contrast:.3f}",
         f"classical additivity sup-residual: {additivity:.3e}",
     ]
-    return files, summary
 
 
-def _run_measure(cfg: ExperimentConfig):
-    p = cfg.params
-    ts = np.linspace(0.0, float(p["omega_tau_max"]), int(p["n_points"]))
+def _run_measure(cfg: ExperimentConfig, out: _Output):
+    ts = np.linspace(0.0, cfg.params["omega_tau_max"], cfg.params["n_points"])
 
     def point(omega_tau: float):
         closed_u, closed_n = p_a_unmeasured(omega_tau), p_a_nonselective(omega_tau)
@@ -336,39 +432,27 @@ def _run_measure(cfg: ExperimentConfig):
             )
         return closed_u, closed_n
 
-    values = [point(t) for t in ts]
-    rows = np.column_stack([ts, [v[0] for v in values], [v[1] for v in values]])
-    table = ResultTable(
-        columns=["omega_tau", "p_a_unmeasured", "p_a_nonselective"],
-        units=["rad", "1", "1"], rows=rows,
-        experiment="measure", provenance=_prov(cfg),
+    rows = np.column_stack([ts, [point(t) for t in ts]])
+    out.table("measure_sweep", ["omega_tau", "p_a_unmeasured", "p_a_nonselective"],
+              ["rad", "1", "1"], rows)
+    out.plot(
+        "measure_sweep", svg_line_plot, ts,
+        {"undisturbed": rows[:, 1], "non-selective": rows[:, 2]},
+        x_label="omega*tau", y_label="P(a)", title="measurement disturbance",
     )
-    out = cfg.output_dir / "measure_sweep.csv"
-    table.write_csv(out)
-    files = [out]
-    if cfg.svg:
-        plot = cfg.output_dir / "measure_sweep.svg"
-        svg_line_plot(
-            plot, ts,
-            {"undisturbed": rows[:, 1], "non-selective": rows[:, 2]},
-            x_label="omega*tau", y_label="P(a)", title="measurement disturbance",
-        )
-        files.append(plot)
-    return files, [f"{len(ts)} sweep points, closed forms verified to 1e-12"]
+    return [f"{len(ts)} sweep points, closed forms verified to 1e-12"]
 
 
-def _run_uncertainty(cfg: ExperimentConfig):
+def _run_uncertainty(cfg: ExperimentConfig, out: _Output):
     p = cfg.params
-    hbar = cfg.hbar
-    g = _grid(p, "grid")
-    psi = _gaussian_1d(g, 0.0, float(p["sigma"]))
+    g = p["grid"]
+    psi = _gaussian_1d(g, 0.0, p["sigma"])
     rows = []
-    rep = robertson_check(position_op(g), momentum_op(g, "quantum", hbar=hbar), psi)
+    q_op, p_op = position_op(g), momentum_op(g, "quantum", hbar=cfg.hbar)
+    rep = robertson_check(q_op, p_op, psi)
     rows.append([0, rep.lhs, rep.rhs, float(rep.satisfied)])
-    kg = _grid(p, "kvn_grid")
-    pg = PhaseGrid(kg, Grid1D(kg.n, kg.x_min, kg.x_max))
-    s = float(p["kvn_sigma"])
-    phi = _gaussian_phase(pg, 0.0, 0.0, s, s)
+    pg = PhaseGrid(p["kvn_grid"], p["kvn_grid"])
+    phi = _gaussian_phase(pg, 0.0, 0.0, p["kvn_sigma"], p["kvn_sigma"])
     pairs = [
         (position_op(pg), momentum_op(pg, "kvn")),
         (position_op(pg), theta_op(pg)),
@@ -378,7 +462,6 @@ def _run_uncertainty(cfg: ExperimentConfig):
         rep = robertson_check(a, b, phi)
         rows.append([case, rep.lhs, rep.rhs, float(rep.satisfied)])
     rng = np.random.default_rng(cfg.seed)
-    q_op, p_op = position_op(g), momentum_op(g, "quantum", hbar=hbar)
     for i in range(p["n_random"]):
         coeff = np.zeros(g.n, dtype=complex)
         coeff[:8] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -387,25 +470,18 @@ def _run_uncertainty(cfg: ExperimentConfig):
         state = QWavefunction(g, f).normalize()
         rep = robertson_check(q_op, p_op, state)
         rows.append([10 + i, rep.lhs, rep.rhs, float(rep.satisfied)])
-    table = ResultTable(
-        columns=["case", "lhs", "rhs", "satisfied"],
-        units=["id", "hbar", "hbar", "bool"], rows=np.array(rows),
-        experiment="uncertainty", provenance=_prov(cfg),
-    )
-    out = cfg.output_dir / "uncertainty.csv"
-    table.write_csv(out)
+    out.table("uncertainty", ["case", "lhs", "rhs", "satisfied"],
+              ["id", "hbar", "hbar", "bool"], rows)
     n_ok = int(sum(r[3] for r in rows))
-    return [out], [f"{n_ok}/{len(rows)} uncertainty checks satisfied"]
+    return [f"{n_ok}/{len(rows)} uncertainty checks satisfied"]
 
 
-def _run_ehrenfest(cfg: ExperimentConfig):
+def _run_ehrenfest(cfg: ExperimentConfig, out: _Output):
     p = cfg.params
-    hbar = cfg.hbar
-    t_final = float(p["t_final"])
+    t_final = p["t_final"]
     n_steps = time_step_check(p["dt"], t_final)
-    g = _grid(p, "grid")
-    pgrid = _grid(p, "phase_grid")
-    pg = PhaseGrid(pgrid, Grid1D(pgrid.n, pgrid.x_min, pgrid.x_max))
+    g = p["grid"]
+    pg = PhaseGrid(p["phase_grid"], p["phase_grid"])
     psi = _gaussian_1d(g, 0.8, np.sqrt(0.5))
     # blob shape chosen so the quartic runs keep their tails off the
     # energy contours that cross the p boundary, for every kappa
@@ -413,203 +489,145 @@ def _run_ehrenfest(cfg: ExperimentConfig):
     jobs = []
     for pot_code in range(len(p["potentials"])):
         jobs += [(0, pot_code, 1.0), (1, pot_code, 0.0)]
-        jobs += [(2, pot_code, float(kappa)) for kappa in p["kappas"]]
+        jobs += [(2, pot_code, kappa) for kappa in p["kappas"]]
 
     def row(job):
         # each job builds its own generator, so only the running ones hold arrays
         flavor, pot_code, kappa = job
         V, Vp = _POTENTIALS[p["potentials"][pot_code]]
         if flavor == 0:
-            traj = evolve(psi, hamiltonian(g, V, hbar=hbar, vprime=Vp), t_final, n_steps)
+            traj = evolve(psi, hamiltonian(g, V, hbar=cfg.hbar, vprime=Vp), t_final, n_steps)
         elif flavor == 1:
             traj = evolve(blob, koopman_generator(pg, Vp), t_final, n_steps)
         else:
-            G = unified_generator(pg, V, kappa, hbar=hbar, vprime=Vp)
+            G = unified_generator(pg, V, kappa, hbar=cfg.hbar, vprime=Vp)
             traj = evolve(blob, G, t_final, n_steps)
         res = ehrenfest_residuals(traj)
         return [flavor, pot_code, kappa, res.r1_max, res.r2_max, res.r1_relative, res.r2_relative]
 
     rows = _pmap(row, jobs)
-    table = ResultTable(
-        columns=["flavor", "potential", "kappa", "r1_max", "r2_max", "r1_rel", "r2_rel"],
-        units=["0q_1kvn_2uni", "0harm_1quart", "1", "mixed", "mixed", "1", "1"],
-        rows=np.array(rows), experiment="ehrenfest", provenance=_prov(cfg),
+    out.table(
+        "ehrenfest", ["flavor", "potential", "kappa", "r1_max", "r2_max", "r1_rel", "r2_rel"],
+        ["0q_1kvn_2uni", "0harm_1quart", "1", "mixed", "mixed", "1", "1"], rows,
     )
-    out = cfg.output_dir / "ehrenfest.csv"
-    table.write_csv(out)
     worst = max(max(r[5], r[6]) for r in rows)
-    return [out], [f"worst relative residual {worst:.3e} across {len(rows)} runs"]
+    return [f"worst relative residual {worst:.3e} across {len(rows)} runs"]
 
 
-def _run_wigner(cfg: ExperimentConfig):
+def _run_wigner(cfg: ExperimentConfig, out: _Output):
     p = cfg.params
-    g = _grid(p, "grid")
-    pg = PhaseGrid(g, _grid(p, "p_grid"))
+    g = p["grid"]
+    pg = PhaseGrid(g, p["p_grid"])
     if p["state"] == "gaussian":
-        psi = _gaussian_1d(g, float(p["center"]), float(p["sigma"]))
-    elif p["state"] == "fock1":
+        psi = _gaussian_1d(g, p["center"], p["sigma"])
+    else:  # fock1
         amp = g.points * np.exp(-g.points**2 / 2)
         psi = QWavefunction(g, amp.astype(complex)).normalize()
-    else:
-        raise ValueError(f"unknown wigner state {p['state']!r}")
     W = wigner_transform(psi, pg, hbar=cfg.hbar)
     q_err = float(np.max(np.abs(W.sum(axis=1) * pg.p.dx - np.abs(psi.amplitudes) ** 2)))
     p_err = float(
         np.max(np.abs(W.sum(axis=0) * pg.q.dx - momentum_density(psi, pg.p.points, cfg.hbar)))
     )
-    table = ResultTable(
-        columns=[f"p{j}" for j in range(pg.p.n)],
-        units=["1/area"] * pg.p.n, rows=W,
-        experiment="wigner", provenance=_prov(cfg),
-        extra_meta=[
-            f"q_axis: {g.x_min},{g.x_max},{g.n}",
-            f"p_axis: {pg.p.x_min},{pg.p.x_max},{pg.p.n}",
-        ],
+    out.table(
+        "wigner", [f"p{j}" for j in range(pg.p.n)], ["1/area"] * pg.p.n, W,
+        [f"q_axis: {g.x_min},{g.x_max},{g.n}", f"p_axis: {pg.p.x_min},{pg.p.x_max},{pg.p.n}"],
     )
-    out = cfg.output_dir / "wigner.csv"
-    table.write_csv(out)
-    files = [out]
-    if cfg.svg:
-        plot = cfg.output_dir / "wigner.svg"
-        svg_heatmap(
-            plot, W, (g.x_min, g.x_max, pg.p.x_min, pg.p.x_max),
-            title=f"phase-space density ({p['state']})",
-        )
-        files.append(plot)
-    return files, [
+    out.plot(
+        "wigner", svg_heatmap, W, (g.x_min, g.x_max, pg.p.x_min, pg.p.x_max),
+        title=f"phase-space density ({p['state']})",
+    )
+    return [
         f"marginal errors: position {q_err:.3e}, momentum {p_err:.3e}",
         f"minimum value {W.min():.6f}",
     ]
 
 
-def _run_oscillator(cfg: ExperimentConfig):
+def _run_oscillator(cfg: ExperimentConfig, out: _Output):
     p = cfg.params
-    k_base, k_mod = float(p["k_base"]), float(p["k_mod"])
-    stiffness = lambda t: k_base + k_mod * np.sin(t)
-    t_final, n_steps = float(p["t_final"]), int(p["n_steps"])
+    stiffness = lambda t: p["k_base"] + p["k_mod"] * np.sin(t)
+    t_final, n_steps = p["t_final"], p["n_steps"]
     dt = t_final / n_steps
     aux = integrate_ermakov(stiffness, ErmakovState(rho=1.0, rho_dot=0.0, C=1.0), t_final, dt)
-    cl = solve_classical_tdho(stiffness, float(p["q0"]), float(p["p0"]), 1.0, t_final, dt)
+    cl = solve_classical_tdho(stiffness, p["q0"], p["p0"], 1.0, t_final, dt)
     I = lewis_invariant_classical(cl.q, cl.p, aux.rho, aux.rho_dot)
-    pgrid = _grid(p, "phase_grid")
-    pg = PhaseGrid(pgrid, Grid1D(pgrid.n, pgrid.x_min, pgrid.x_max))
-    blob = _gaussian_phase(pg, float(p["q0"]), float(p["p0"]), float(p["sigma"]), float(p["sigma"]))
+    pg = PhaseGrid(p["phase_grid"], p["phase_grid"])
+    blob = _gaussian_phase(pg, p["q0"], p["p0"], p["sigma"], p["sigma"])
     run = kvn_tdho_evolve(blob, stiffness, t_final, n_steps)
     centroid_err = float(
         max(np.max(np.abs(run.q_mean - cl.q)), np.max(np.abs(run.p_mean - cl.p)))
     )
-    table = ResultTable(
-        columns=["t", "q", "p", "rho", "invariant"],
-        units=["time", "length", "momentum", "length", "energy"],
-        rows=np.column_stack([cl.t, cl.q, cl.p, aux.rho, I]),
-        experiment="oscillator", provenance=_prov(cfg),
+    out.table(
+        "oscillator", ["t", "q", "p", "rho", "invariant"],
+        ["time", "length", "momentum", "length", "energy"],
+        np.column_stack([cl.t, cl.q, cl.p, aux.rho, I]),
     )
-    out = cfg.output_dir / "oscillator.csv"
-    table.write_csv(out)
-    files = [out]
-    if cfg.svg:
-        plot = cfg.output_dir / "oscillator.svg"
-        svg_line_plot(
-            plot, cl.t,
-            {"q": cl.q, "rho": aux.rho, "invariant": I},
-            x_label="t", y_label="value", title="driven oscillator",
-        )
-        files.append(plot)
+    out.plot(
+        "oscillator", svg_line_plot, cl.t, {"q": cl.q, "rho": aux.rho, "invariant": I},
+        x_label="t", y_label="value", title="driven oscillator",
+    )
     drift = float(np.max(np.abs(I - I[0])) / abs(I[0]))
-    return files, [
+    return [
         f"invariant relative drift {drift:.3e}",
         f"phase-space centroid error vs characteristics {centroid_err:.3e}",
     ]
 
 
-def _run_aharonov_bohm(cfg: ExperimentConfig):
+def _run_aharonov_bohm(cfg: ExperimentConfig, out: _Output):
     p = cfg.params
-    alphas = [float(a) for a in p["alphas"]]
-    n_values = [int(n) for n in p["n_values"]]
+    alphas, n_values = p["alphas"], p["n_values"]
 
     def point(alpha: float):
-        energies = [
-            disc_ground_energy(
-                SolenoidConfig(
-                    alpha=alpha, n=n, pz0=float(p["pz0"]), ptheta0=float(p["ptheta0"]),
-                    mass=float(p["mass"]), R_boundary=float(p["R_boundary"]), hbar=cfg.hbar,
-                )
-            )
-            for n in n_values
-        ]
-        record = kvn_radial_coeffs(
-            SolenoidConfig(
-                alpha=alpha, n=n_values[0], pz0=float(p["pz0"]), ptheta0=float(p["ptheta0"]),
-                mass=float(p["mass"]), R_boundary=float(p["R_boundary"]), hbar=cfg.hbar,
-            ),
-            1.0,
+        base = SolenoidConfig(
+            alpha=alpha, n=n_values[0], pz0=p["pz0"], ptheta0=p["ptheta0"],
+            mass=p["mass"], R_boundary=p["R_boundary"], hbar=cfg.hbar,
         )
-        return energies, record
+        energies = [disc_ground_energy(replace(base, n=n)) for n in n_values]
+        return energies, kvn_radial_coeffs(base, 1.0)
 
-    results = [point(alpha) for alpha in alphas]
-    records = [r for _, r in results]
-    distinct = []
-    ids = []
-    for rec in records:
-        if rec not in distinct:
-            distinct.append(rec)
-        ids.append(distinct.index(rec))
+    energies, records = zip(*(point(alpha) for alpha in alphas))
+    distinct = list(dict.fromkeys(records))
     rows = np.column_stack(
-        [alphas] + [[e[i] for e, _ in results] for i in range(len(n_values))] + [ids]
+        [alphas] + [[e[i] for e in energies] for i in range(len(n_values))]
+        + [[distinct.index(r) for r in records]]
     )
-    table = ResultTable(
-        columns=["alpha"] + [f"E_n{n}" for n in n_values] + ["kvn_record_id"],
-        units=["1"] + ["energy"] * len(n_values) + ["id"],
-        rows=rows, experiment="aharonov-bohm", provenance=_prov(cfg),
+    out.table(
+        "aharonov_bohm", ["alpha"] + [f"E_n{n}" for n in n_values] + ["kvn_record_id"],
+        ["1"] + ["energy"] * len(n_values) + ["id"], rows,
         # the classical records collapse to a single id when flux-independent
-        extra_meta=[f"kvn_distinct_records: {len(distinct)}"],
+        [f"kvn_distinct_records: {len(distinct)}"],
     )
-    out = cfg.output_dir / "aharonov_bohm.csv"
-    table.write_csv(out)
-    files = [out]
-    if cfg.svg:
-        plot = cfg.output_dir / "aharonov_bohm.svg"
-        svg_line_plot(
-            plot, np.array(alphas),
-            {f"n={n}": rows[:, 1 + i] for i, n in enumerate(n_values)},
-            x_label="alpha", y_label="disc ground energy", title="flux dependence",
-        )
-        files.append(plot)
-    return files, [f"{len(distinct)} distinct classical coefficient record(s)"]
+    out.plot(
+        "aharonov_bohm", svg_line_plot, np.array(alphas),
+        {f"n={n}": rows[:, 1 + i] for i, n in enumerate(n_values)},
+        x_label="alpha", y_label="disc ground energy", title="flux dependence",
+    )
+    return [f"{len(distinct)} distinct classical coefficient record(s)"]
 
 
-def _run_kernelcheck(cfg: ExperimentConfig):
+def _run_kernelcheck(cfg: ExperimentConfig, out: _Output):
     p = cfg.params
     hbar = cfg.hbar
-    t1, t2 = float(p["t1"]), float(p["t2"])
+    t1, t2, t_free = p["t1"], p["t2"], p["t_free"]
     rows = []
     for x, x0 in p["points"]:
-        direct = free_quantum_kernel(float(x), float(x0), t1 + t2, hbar=hbar)
-        conv = kernel_convolution(float(x), float(x0), t1, t2, hbar=hbar)
+        direct = free_quantum_kernel(x, x0, t1 + t2, hbar=hbar)
+        conv = kernel_convolution(x, x0, t1, t2, hbar=hbar)
         rows.append([0, abs(conv - direct)])
-    g = _grid(p, "grid")
-    psi = _gaussian_1d(g, 0.0, float(p["sigma"]))
-    t_free = float(p["t_free"])
+    g = p["grid"]
+    psi = _gaussian_1d(g, 0.0, p["sigma"])
     via_kernel = kernel_propagate(psi, t_free, hbar=hbar)
     via_fft = free_quantum_propagate(psi, t_free, hbar=hbar)
     l2 = float(
         np.sqrt(np.sum(np.abs(via_kernel.amplitudes - via_fft.amplitudes) ** 2) * g.dx)
     )
     rows.append([1, l2])
-    pgrid = _grid(p, "p_grid")
-    pg = PhaseGrid(g, pgrid)
-    blob = _gaussian_phase(pg, 0.0, 0.5, float(p["sigma"]), 0.3)
+    pg = PhaseGrid(g, p["p_grid"])
+    blob = _gaussian_phase(pg, 0.0, 0.5, p["sigma"], 0.3)
     a = free_kvn_propagate(blob, t_free)
     b = kvn_step(blob, koopman_generator(pg, lambda q: np.zeros_like(q)), t_free)
     rows.append([2, float(np.max(np.abs(a.amplitudes - b.amplitudes)))])
-    table = ResultTable(
-        columns=["check", "residual"],
-        units=["0group_1quad_2shear", "mixed"],
-        rows=np.array(rows), experiment="kernelcheck", provenance=_prov(cfg),
-    )
-    out = cfg.output_dir / "kernelcheck.csv"
-    table.write_csv(out)
-    return [out], [f"max residual {max(r[1] for r in rows):.3e}"]
+    out.table("kernelcheck", ["check", "residual"], ["0group_1quad_2shear", "mixed"], rows)
+    return [f"max residual {max(r[1] for r in rows):.3e}"]
 
 
 RUNNERS = {
@@ -623,95 +641,6 @@ RUNNERS = {
     "kernelcheck": _run_kernelcheck,
 }
 
-_VALIDATORS = {
-    "doubleslit": _prepare_doubleslit,
-    "uncertainty": lambda cfg: (
-        _grid(cfg.params, "grid"), _grid(cfg.params, "kvn_grid"),
-        count_check(cfg.params, "n_random", 0),
-    ),
-    "ehrenfest": lambda cfg: (
-        _grid(cfg.params, "grid"),
-        _grid(cfg.params, "phase_grid"),
-        [_POTENTIALS[name] for name in list_check(cfg.params, "potentials")],
-        [unified_kappa_check(k) for k in list_check(cfg.params, "kappas", nonempty=False)],
-        time_step_check(cfg.params["dt"], cfg.params["t_final"]),
-    ),
-    "wigner": lambda cfg: (
-        _grid(cfg.params, "grid"), _grid(cfg.params, "p_grid"),
-        wigner_state_check(cfg.params["state"]),
-        finite_check(cfg.params, "sigma", positive=True),
-    ),
-    "oscillator": lambda cfg: (_grid(cfg.params, "phase_grid"),
-                               count_check(cfg.params, "n_steps", 1)),
-    "aharonov-bohm": lambda cfg: [
-        SolenoidConfig(
-            alpha=float(a), n=int(list_check(cfg.params, "n_values")[0]),
-            pz0=float(cfg.params["pz0"]),
-            ptheta0=float(cfg.params["ptheta0"]), mass=float(cfg.params["mass"]),
-            R_boundary=float(cfg.params["R_boundary"]), hbar=cfg.hbar,
-        )
-        for a in list_check(cfg.params, "alphas")
-    ],
-    "kernelcheck": lambda cfg: (_grid(cfg.params, "grid"), _grid(cfg.params, "p_grid")),
-    "measure": lambda cfg: (
-        count_check(cfg.params, "n_points", 2), finite_check(cfg.params, "omega_tau_max"),
-    ),
-}
-
-
-def list_check(params: dict, key: str, nonempty: bool = True) -> list:
-    value = params[key]
-    if not isinstance(value, list) or (nonempty and not value):
-        need = "a non-empty list" if nonempty else "a list"
-        raise ValueError(f"{key} must be {need}, got {value!r}")
-    return value
-
-
-def unified_kappa_check(kappa) -> float:
-    k = float(kappa)
-    if not 0.0 <= k <= 1.0:
-        raise ValueError(f"kappa must lie in [0, 1], got {k}")
-    return k
-
-
-def time_step_check(dt, t_final) -> int:
-    """The step count of ``dt`` over ``t_final``: dt must divide t_final
-    (relative 1e-9) into at least 4 steps, the 5 samples the residuals need."""
-    dt, t_final = float(dt), float(t_final)
-    if not (np.isfinite(t_final) and 0.0 < dt <= t_final):
-        raise ValueError(f"dt must lie in (0, t_final] with both finite, got {dt} and {t_final}")
-    n_steps = round(t_final / dt)
-    if abs(n_steps * dt - t_final) > 1e-9 * t_final:
-        raise ValueError(f"dt {dt} does not divide t_final {t_final} into whole steps")
-    if n_steps < 4:
-        raise ValueError(f"dt {dt} gives {n_steps} steps to t_final {t_final}; need at least 4")
-    return n_steps
-
-
-def wigner_state_check(state: str) -> str:
-    if state not in ("gaussian", "fock1"):
-        raise ValueError(f"unknown wigner state {state!r}")
-    return state
-
-
-def count_check(params: dict, key: str, least: int) -> int:
-    n = params[key]
-    if type(n) is not int or n < least:
-        raise ValueError(f"{key} must be an integer >= {least}, got {n!r}")
-    return n
-
-
-def finite_check(params: dict, key: str, positive: bool = False) -> float:
-    value = params[key]
-    if type(value) not in (int, float) or not np.isfinite(value) or (positive and value <= 0):
-        need = "a positive finite number" if positive else "a finite number"
-        raise ValueError(f"{key} must be {need}, got {value!r}")
-    return value
-
-
-def verify(cfg: ExperimentConfig) -> None:
-    _VALIDATORS[cfg.experiment](cfg)
-
 
 # ---------------------------------------------------------------------------
 # entry points
@@ -721,9 +650,11 @@ def run(config_path: str | Path) -> int:
     cfg = load_config(Path(config_path))
     verify(cfg)
     _threads()  # a malformed KVNLAB_THREADS stops every run, not only the pooled ones
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    out = _Output(cfg)
     start = time.perf_counter()
-    files, summary = RUNNERS[cfg.experiment](cfg)
+    with np.errstate(all="ignore"):  # a non-finite result stops the run once, as exit 3
+        summary = RUNNERS[cfg.experiment](cfg, out)
+    files = out.write()
     wall = time.perf_counter() - start
     print(f"{cfg.experiment}: config {cfg.hash}, wall time {wall:.2f} s")
     for line in summary:
@@ -742,12 +673,9 @@ def verify_cmd(config_path: str | Path) -> int:
 
 
 def list_cmd() -> int:
-    for name in sorted(DEFAULTS):
+    for name, spec in sorted(SPECS.items()):
         print(name)
-        print(
-            "  defaults:",
-            json.dumps(DEFAULTS[name], sort_keys=True, default=float),
-        )
+        print("  defaults:", json.dumps({k: f.default for k, f in spec.items()}, sort_keys=True))
     return 0
 
 
@@ -769,10 +697,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return verify_cmd(args.config)
         return list_cmd()
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except PhysicsError as exc:
+    except (PhysicsError, ArithmeticError) as exc:  # ArithmeticError: a float left its range
         print(f"physics precondition violated: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

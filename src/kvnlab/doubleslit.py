@@ -123,7 +123,7 @@ class ScreenResult:
 
 
 def _check_edges(mass: float, limit: float) -> None:
-    if mass > limit:
+    if not mass <= limit:  # also stops a NaN density
         raise BoundaryMassError(
             f"screen density puts {mass:.3e} of its mass at the domain edge "
             f"(limit {limit:.1e}); widen the grids"

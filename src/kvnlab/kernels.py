@@ -29,6 +29,10 @@ from .errors import DegenerateInputError
 from .grid import PhaseGrid, wavenumbers
 from .states import KvNWavefunction, QWavefunction
 
+#: Most samples one damped quadrature of ``kernel_convolution`` may take; the
+#: count grows as 1/t for short times and as (x, x0) move off the origin.
+MAX_QUADRATURE_SAMPLES = 2**22
+
 
 def gaussian_integral(a: complex, b: complex = 0.0, c: complex = 0.0) -> complex:
     """integral exp(-a x^2 + b x + c) dx = sqrt(pi/a) exp(b^2/(4a) + c).
@@ -140,8 +144,13 @@ def kernel_convolution(
     for eps in eps_values:
         half_width = 6.0 / np.sqrt(eps) + abs(x) + abs(x0)
         dy = 2 * np.pi / (slope_scale * half_width) / points_per_cycle
-        n = int(np.ceil(2 * half_width / dy))
-        y = np.linspace(-half_width, half_width, n, endpoint=False)
+        n = np.ceil(2 * half_width / dy)
+        if not n <= MAX_QUADRATURE_SAMPLES:
+            raise DegenerateInputError(
+                f"kernel_convolution needs {n:.3g} samples per quadrature, more than "
+                f"{MAX_QUADRATURE_SAMPLES}: t1, t2 too short or x, x0 too far out"
+            )
+        y = np.linspace(-half_width, half_width, int(n), endpoint=False)
         exponent = 1j * (a2 * (x - y) ** 2 + a1 * (y - x0) ** 2) - eps * y**2
         estimates.append(pref * np.sum(np.exp(exponent)) * (y[1] - y[0]))
     return _neville_at_zero(eps_values, estimates)

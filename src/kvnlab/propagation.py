@@ -37,7 +37,7 @@ and after every step.  Each sample computes rho = |psi|^2 * measure once and
 takes from it the norm, the mass within ``EDGE_CELLS`` cells of the domain
 edge and the position/momentum means.  Edge mass above the limit aborts the
 run: the domain was chosen too small and any Ehrenfest check would be
-meaningless.  The Bopp-shifted means <lambda> and <V'(q - hbar kappa
+meaningless.  A NaN edge mass aborts it too.  The Bopp-shifted means <lambda> and <V'(q - hbar kappa
 lambda/2)> of the interpolating generator come from the lambda-spectrum the
 step already holds (|exp(i phi) F|^2 = |F|^2).  On the real-field path the
 full-spectrum sums are taken over the half spectrum with the weights at -k
@@ -225,9 +225,10 @@ class Propagator:
                     t = t + self.dt
                 rho = _abs2(amp) * state.measure
                 times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)
-                if edges[i] > boundary_limit:
+                if not edges[i] <= boundary_limit:  # also stops a NaN state
                     raise BoundaryMassError(
-                        f"boundary mass {edges[i]:.3e} exceeds {boundary_limit:.1e} at t={t:.4g}"
+                        f"boundary mass {edges[i]:.3e} is not within {boundary_limit:.1e} "
+                        f"at t={t:.4g}"
                     )
                 if record is not None:
                     record(i, amp, rho, spec)

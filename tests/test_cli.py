@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvnlab.cli import DEFAULTS, _pmap, _threads, load_config, main
+from kvnlab.cli import SPECS, _pmap, _threads, load_config, main
 from kvnlab.report import ResultTable, read_table, svg_heatmap, svg_line_plot
 
 
@@ -32,7 +32,7 @@ def write_config(tmp_path, body, name="config.json"):
 def test_list_command(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
-    for name in DEFAULTS:
+    for name in SPECS:
         assert name in out
 
 
@@ -89,7 +89,8 @@ def test_degenerate_time_step_exits_2_with_one_line(tmp_path, capsys, experiment
 
 
 @pytest.mark.parametrize("command", ["verify", "run"])
-@pytest.mark.parametrize("dt", [0.15, 0.5])  # 0.15 does not divide 1; 0.5 gives 2 steps
+# 0.15 does not divide 1; 0.5 gives 2 steps; 1e-7 gives 10^7, over MAX_COUNT
+@pytest.mark.parametrize("dt", [0.15, 0.5, 1e-7])
 def test_ehrenfest_bad_dt_exits_2_naming_dt(tmp_path, capsys, command, dt):
     cfg = write_config(tmp_path, {"experiment": "ehrenfest", "params": {"dt": dt}})
     assert main([command, str(cfg)]) == 2
@@ -139,10 +140,33 @@ _WIGNER_GRID = '{"experiment": "wigner", "params": {"grid": {"n": %s, "min": -12
         ('{"experiment": "measure", "params": {"omega_tau_max": NaN, "n_points": 5}}',
          "omega_tau_max"),
         ('{"experiment": "uncertainty", "params": {"n_random": 2.7}}', "n_random"),
+        ('{"experiment": "uncertainty", "params": {"sigma": 0}}', "sigma"),
+        ('{"experiment": "kernelcheck", "params": {"sigma": 0}}', "sigma"),
+        ('{"experiment": "oscillator", "params": {"sigma": 0}}', "sigma"),
+        ('{"experiment": "uncertainty", "params": {"kvn_sigma": 0}}', "kvn_sigma"),
+        ('{"experiment": "wigner", "params": {"center": NaN}}', "center"),
+        ('{"experiment": "kernelcheck", "params": {"t_free": NaN}}', "t_free"),
+        ('{"experiment": "oscillator", "params": {"k_base": "abc"}}', "k_base"),
+        ('{"experiment": "oscillator", "params": {"k_base": "1.0"}}', "k_base"),
+        ('{"experiment": "ehrenfest", "params": {"kappas": ["0.5"]}}', "kappas"),
+        ('{"experiment": "ehrenfest", "params": {"t_final": "1.0"}}', "t_final"),
+        ('{"experiment": "measure", "hbar": "2"}', "hbar"),
+        ('{"experiment": "aharonov-bohm", "params": {"n_values": [0.5, 1]}}', "n_values"),
+        ('{"experiment": "measure", "params": {"n_points": 1000000000}}', "n_points"),
+        (_WIGNER_GRID % ("1073741824", "12.0"), "n"),
+        (_WIGNER_GRID % ("8192", "12.0"), "n"),
+        ('{"experiment": "kernelcheck", "params": {"points": [[1]]}}', "points"),
+        ('{"experiment": "wigner", "params": {"grid": {"n": 256, "min": -12.0}}}', "grid"),
+        ('{"experiment": "measure", "output": {"directory": 3}}', "directory"),
     ],
     ids=["grid-max-inf", "grid-max-nan", "grid-min-inf", "grid-n-fraction", "grid-n-float",
          "seed-fraction", "seed-string", "n_points-1e9", "n_points-float", "n_points-bool",
-         "wigner-sigma-zero", "wigner-sigma-string", "omega_tau_max-nan", "n_random-fraction"],
+         "wigner-sigma-zero", "wigner-sigma-string", "omega_tau_max-nan", "n_random-fraction",
+         "uncertainty-sigma-zero", "kernelcheck-sigma-zero", "oscillator-sigma-zero",
+         "kvn_sigma-zero", "wigner-center-nan", "t_free-nan", "k_base-word",
+         "k_base-numeric-string", "kappas-string-item", "t_final-string", "hbar-string",
+         "n_values-fraction", "n_points-integer-1e9", "grid-n-2-30", "grid-n-8192",
+         "points-short-pair", "grid-no-max", "directory-number"],
 )
 def test_non_integer_or_non_finite_exits_2_naming_key(tmp_path, capsys, command, body, key):
     cfg = write_config(tmp_path, body)
@@ -150,6 +174,33 @@ def test_non_integer_or_non_finite_exits_2_naming_key(tmp_path, capsys, command,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and re.search(rf"\b{key}\b", err[0])
     assert list(tmp_path.iterdir()) == [cfg]  # no table written
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # the phase-space blob sits in one cell of a huge box; V and V' overflow on the grid
+        ({"experiment": "ehrenfest", "params": {"t_final": 0.05, "potentials": ["quartic"],
+          "phase_grid": {"n": 32, "min": -1e100, "max": 1e100}}}, "boundary mass nan"),
+        ({"experiment": "oscillator", "params": {"phase_grid": {"n": 32, "min": -1e200,
+                                                                 "max": 1e200}}},
+         "boundary mass nan"),
+        ({"experiment": "aharonov-bohm", "params": {"mass": 5e-324}}, "non-finite"),
+        ({"experiment": "wigner", "params": {"center": 1e300}}, "non-finite"),
+        ({"experiment": "aharonov-bohm", "params": {"R_boundary": 1e300}}, "out of range"),
+    ],
+    ids=["ehrenfest-nan-state", "oscillator-nan-state", "energies-overflow", "wigner-nan",
+         "python-float-overflow"],
+)
+def test_non_finite_result_exits_3_writing_nothing(tmp_path, body, message):
+    # a subprocess, so that numpy's floating-point warnings would reach stderr
+    cfg = write_config(tmp_path, body)
+    proc = run_python("import sys, kvnlab.cli as cli; sys.exit(cli.main(['run', sys.argv[1]]))",
+                      str(cfg))
+    assert proc.returncode == 3
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("threads", ["two", "0", "-1", "2.5", ""])

@@ -12,6 +12,7 @@ from kvnlab.doubleslit import (
     run_quantum,
     slit_mask,
 )
+from kvnlab.errors import BoundaryMassError
 from kvnlab.grid import Grid1D
 
 
@@ -79,6 +80,17 @@ def test_config_validation():
 
 
 # --- quantum run -------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_screen_density_trips_the_edge_check():
+    # SlitConfig's positivity checks let a NaN width through
+    nan_beam = SlitConfig(sigma_x=np.nan, x_grid=Grid1D(256, -64.0, 64.0),
+                          p_grid=Grid1D(32, -4.0, 4.0))
+    with pytest.raises(BoundaryMassError, match="nan"):
+        run_quantum(nan_beam)
+    with pytest.raises(BoundaryMassError, match="nan"):
+        kvn_screens(nan_beam, (None,))
 
 
 def test_quantum_density_is_normalized(cfg):

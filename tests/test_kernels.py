@@ -111,6 +111,15 @@ def test_kernel_convolution_one_exp_per_level(call_counts):
     assert call_counts["exp"] == 5
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("t1, x", [(1e-3, 0.7), (5e-324, 0.7), (0.4, 1e6)])
+def test_kernel_convolution_refuses_oversized_quadrature(call_counts, t1, x):
+    # unchecked, t1 = 1e-3 alone asks for ~7e7 samples (over 1 GB per array)
+    with pytest.raises(DegenerateInputError, match="samples per quadrature"):
+        kernel_convolution(x, -0.3, t1, 0.4)
+    assert call_counts["exp"] == 0
+
+
 def test_kernel_group_law_numeric_convolution():
     m, hbar = 1.0, 1.0
     for (x, x0, t1, t2) in [(0.7, -0.3, 0.4, 0.4), (1.2, 0.5, 0.3, 0.6), (0.0, 0.0, 0.5, 0.5)]:

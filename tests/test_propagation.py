@@ -161,6 +161,15 @@ def test_boundary_mass_monitor_triggers():
     assert float(str(caught.value).rsplit("t=", 1)[1]) > 0
 
 
+def test_nan_state_stops_the_run_at_t0_whatever_the_limit():
+    g = Grid1D(64, -8.0, 8.0)
+    psi = QWavefunction(g, np.full(g.n, np.nan, dtype=complex))
+    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    for limit in (1e-8, np.inf):
+        with pytest.raises(BoundaryMassError, match=r"at t=0$"):
+            Propagator(H, 1e-2).run(psi, 5, boundary_limit=limit)
+
+
 def test_koopman_constant_does_not_alter_density():
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     psi = gaussian_phase(pg, q0=0.5, sigma_q=0.7, sigma_p=0.7)
