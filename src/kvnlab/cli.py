@@ -21,10 +21,10 @@ success, 2 config error, 3 physics precondition violation (a non-finite table
 among them; nothing is written), 4 I/O error or a worker process that died.
 For a fixed config and seed the tables are byte-identical across runs on one
 platform; wall time is printed to stdout rather than written into the files.
-``KVNLAB_THREADS`` (default 1, at most 8; larger values run 8) sets the
-worker processes that run ehrenfest's independent evolutions side by side.
-A value that is not an integer >= 1 is a config error (exit 2).  Results are
-assembled in input order, so the tables do not depend on the worker count.
+Ehrenfest's independent evolutions run side by side in forked worker
+processes, one per CPU the process may use, at most ``MAX_WORKERS`` (limit
+them with ``taskset``).  Results are assembled in input order, so the tables
+do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -83,16 +83,16 @@ from .report import ResultTable, config_hash, svg_heatmap, svg_line_plot
 from .states import KvNWavefunction, QWavefunction
 
 
-def _threads() -> int:
-    """Worker processes from ``KVNLAB_THREADS``: default 1, at most 8."""
-    raw = os.environ.get("KVNLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"KVNLAB_THREADS must be an integer >= 1, got {raw!r}")
-    return min(8, n)
+#: Most worker processes ``_pmap`` starts.
+MAX_WORKERS = 8
+
+
+def _workers() -> int:
+    """Worker processes for ``_pmap``: the CPUs this process may use, at most
+    ``MAX_WORKERS``."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(MAX_WORKERS, len(os.sched_getaffinity(0)))
+    return min(MAX_WORKERS, os.cpu_count() or 1)
 
 
 #: The ``(fn, items)`` of the running ``_pmap``; forked workers inherit it.
@@ -105,7 +105,7 @@ def _run_job(index: int):
 
 
 def _pmap(fn, items) -> list:
-    """``[fn(x) for x in items]`` on ``_threads()`` forked worker processes,
+    """``[fn(x) for x in items]`` on ``_workers()`` forked worker processes,
     in input order.
 
     The workers inherit ``fn`` and ``items`` and are handed indices, so
@@ -117,7 +117,7 @@ def _pmap(fn, items) -> list:
     """
     global _JOB
     items = list(items)
-    workers = min(_threads(), len(items))
+    workers = min(_workers(), len(items))
     forkable = "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1
     if workers <= 1 or not forkable:
         return [fn(x) for x in items]
@@ -649,7 +649,6 @@ RUNNERS = {
 def run(config_path: str | Path) -> int:
     cfg = load_config(Path(config_path))
     verify(cfg)
-    _threads()  # a malformed KVNLAB_THREADS stops every run, not only the pooled ones
     out = _Output(cfg)
     start = time.perf_counter()
     with np.errstate(all="ignore"):  # a non-finite result stops the run once, as exit 3

@@ -59,15 +59,14 @@ class SlitConfig:
     p_grid: Grid1D = field(default_factory=lambda: Grid1D(256, -4.0, 4.0))
 
     def __post_init__(self) -> None:
-        if self.delta <= 0:
-            raise ValueError("slit half-width delta must be positive")
-        if self.x_A <= self.delta:
-            raise ValueError("slits must not overlap the axis: need x_A > delta")
+        # ``not ... >`` so that NaN fails every check
+        for name in ("delta", "sigma_x", "sigma_p", "mass", "p0y", "hbar"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.x_A > self.delta:
+            raise ValueError(f"slits must not overlap the axis: need x_A > delta, got {self.x_A}")
         if not self.y_R > self.y_M > 0:
-            raise ValueError("need y_R > y_M > 0")
-        for name in ("sigma_x", "sigma_p", "mass", "p0y", "hbar"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            raise ValueError(f"need y_R > y_M > 0, got y_M={self.y_M}, y_R={self.y_R}")
 
     @property
     def t_M(self) -> float:

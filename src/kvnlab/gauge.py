@@ -43,8 +43,9 @@ class SolenoidConfig:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.mass <= 0 or self.R_boundary <= 0 or self.hbar <= 0:
-            raise ValueError("mass, R_boundary and hbar must be positive")
+        for name in ("mass", "R_boundary", "hbar"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def order(self) -> float:

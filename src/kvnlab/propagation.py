@@ -8,14 +8,14 @@ Each factor is exact in the representation where its part is diagonal, so
 the step is unitary and second order in dt, and for classical generators
 every factor is an advection shear.  The factors are built once per (G, dt);
 a time-dependent force enters through ``position_scale``, which rescales B
-at each step's midpoint.  ``run`` computes those factors ahead: a helper
-thread exponentiates them ``FACTOR_CHUNK`` steps at a time in one stacked
-np.exp, one chunk ahead of the steps (two chunks alive at most), and since
-np.exp releases the GIL the exponentials overlap the main thread's
-transforms.  Each factor is bit-identical to exponentiating its step's
-exponent alone.  The helper is shut down however the run ends.  On a phase
-grid a step ends in the (q, lambda) representation and the next step opens
-from that spectrum, so a step costs five FFTs.
+at each step's midpoint.  The phase-space position part -V'(q) lambda is
+linear in the lambda wavenumber, so that step's factor exp(s B) is, column
+by column, a power of its first lambda column: each step takes one
+exponential over the q rows and a running product over lambda bins 0..n/2,
+and the negative bins are the conjugates of the positive ones (the exponent
+is imaginary).  On a phase grid a step ends in the (q, lambda)
+representation and the next step opens from that spectrum, so a step costs
+five FFTs.
 
 Real-field path: the phase-space generators are real operators, so a real
 amplitude stays real.  When a phase-grid state's imaginary part is exactly
@@ -23,8 +23,8 @@ zero, G has no constant part and both exponents are conjugate-symmetric
 along their FFT axes (checked exactly at construction), the state is
 carried as float64 and every FFT is an rfft/irfft over bins 0..n/2: the
 conjugate factor keeps its first n/2+1 rows, the position factor its first
-n/2+1 columns, and a time-dependent position factor is exponentiated over
-those columns only.  This equals the complex step with the real part taken
+n/2+1 columns, and a time-dependent position factor is built over those
+columns only.  This equals the complex step with the real part taken
 after each inverse transform.  The two differ by round-off, and by what the
 Nyquist bin leaks: the wavenumber there is +pi/dx with no -pi/dx partner,
 so its factor is not conjugate-symmetric and the complex path grows an
@@ -45,18 +45,16 @@ folded onto +k, and <theta> needs only the Nyquist bin, an alternating sum
 over q, so a kappa != 0 step with its record costs five transforms; on the
 complex path <theta> costs one more FFT.
 
-Threads and BLAS: the step and record loop makes no BLAS call on a full grid
-(full-grid reductions are ``sum``s; only length-n dot products remain, below
-the size at which OpenBLAS starts its own threads), so neither the factor
-helper nor evolutions running side by side contend for BLAS workers.
-Independent evolutions are better run in separate processes than
-in threads: each step is many small numpy calls on 128 x 65 arrays, and
-threads hand the GIL back and forth at every one of them.
+BLAS: the step and record loop makes no BLAS call on a full grid (full-grid
+reductions are ``sum``s; only length-n dot products remain, below the size
+at which OpenBLAS starts its own threads), so evolutions running side by
+side in separate processes do not contend for BLAS workers.  Processes
+rather than threads: each step is many small numpy calls on 128 x 65 arrays,
+and threads would hand the GIL back and forth at every one of them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,9 +67,6 @@ from .states import KvNWavefunction, QWavefunction, Wavefunction
 
 #: Probability mass allowed within EDGE_CELLS cells of a domain edge during evolve().
 BOUNDARY_MASS_LIMIT = 1e-8
-
-#: Steps whose time-dependent position factors are exponentiated in one call.
-FACTOR_CHUNK = 8
 
 
 def _abs2(field: np.ndarray) -> np.ndarray:
@@ -102,22 +97,35 @@ def _head(field: np.ndarray, axis: int) -> np.ndarray:
 
 class Propagator:
     """Strang steps of one generator at one dt, every factor built once; with
-    ``position_scale`` the step from time t uses ``position_scale(t + dt/2) * B``."""
+    ``position_scale`` the step from time t uses ``position_scale(t + dt/2) * B``,
+    which needs B to be a phase-space position part linear in lambda."""
 
     def __init__(self, G: Generator, dt: float, position_scale: Callable | None = None):
         self.G, self.dt, self._position_scale = G, dt, position_scale
         arg = -1j * dt / G.phase_scale
         conj_arg, pos_arg = arg * G.conjugate_part, 0.5 * arg * G.position_part
         self._half_const = None if G.constant_part is None else np.exp(0.5 * arg * G.constant_part)
-        # with position_scale, the position factor is exponentiated every step
-        pos = pos_arg if position_scale is not None else np.exp(pos_arg)
+        pos = None
+        if position_scale is None:
+            pos = np.exp(pos_arg)
+        else:
+            # each step's factor is built from lambda column 1, the unit wavenumber
+            n = pos_arg.shape[-1]
+            bins = np.concatenate([np.arange(n // 2 + 1), np.arange(1 - n // 2, 0)])
+            if G.position_axis != 1 or pos_arg.real.any() or not np.allclose(
+                pos_arg, bins * pos_arg[:, 1:2], rtol=1e-12, atol=0
+            ):
+                raise ValueError(
+                    "position_scale needs a phase-space position part linear in lambda"
+                )
+            self._unit = pos_arg[:, 1]
         self._complex = np.exp(conj_arg), pos
         pa, ca = G.position_axis, G.conjugate_axis
         # a step's closing spectrum is the next step's opening one
         self._carry = pa is not None and G.constant_part is None
         self._real = None
         if self._carry and _conj_symmetric(conj_arg, ca) and _conj_symmetric(pos_arg, pa):
-            self._real = _head(self._complex[0], ca), _head(pos, pa)
+            self._real = _head(self._complex[0], ca), None if pos is None else _head(pos, pa)
             self._nyquist = (slice(None),) * pa + (-1,)  # the last rfft bin along pa
 
     def _start(self, amp: np.ndarray) -> np.ndarray:
@@ -127,39 +135,22 @@ class Propagator:
             return amp.real
         return amp
 
-    def _position_factors(self, real: bool, starts) -> np.ndarray:
-        """The position half-step factors of the steps from each time in
-        ``starts``, stacked: exp(position_scale(t + dt/2) * arg), arg the
-        constant exponent (its columns 0..n/2 on the real-field path).  Each
-        product is the one a single step would form, so every factor is
-        bit-identical to exponentiating it alone."""
-        arg = (self._real if real else self._complex)[1]
-        out = np.empty((len(starts),) + arg.shape, dtype=complex)
-        for k, t in enumerate(starts):
-            np.multiply(self._position_scale(t + 0.5 * self.dt), arg, out=out[k])
-        return np.exp(out, out=out)
-
-    def _factors_ahead(self, real: bool, t: float, n_steps: int):
-        """Yield the position half-step factor of each of ``n_steps`` steps
-        from t.  A helper thread exponentiates them ``FACTOR_CHUNK`` steps at
-        a time, one chunk ahead of the steps; np.exp releases the GIL, so the
-        exponentials overlap the caller's transforms.  Closing the generator
-        shuts the helper down."""
-        starts = []
-        for _ in range(n_steps):  # the step times exactly as ``run`` accumulates them
-            starts.append(t)
-            t = t + self.dt
-        chunks = [starts[c : c + FACTOR_CHUNK] for c in range(0, n_steps, FACTOR_CHUNK)]
-        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kvnlab-factors")
-        try:
-            ahead = helper.submit(self._position_factors, real, chunks[0])
-            for c in range(len(chunks)):
-                chunk = ahead.result()
-                if c + 1 < len(chunks):
-                    ahead = helper.submit(self._position_factors, real, chunks[c + 1])
-                yield from chunk
-        finally:
-            helper.shutdown(cancel_futures=True)
+    def _scaled_position_factor(self, real: bool, t: float) -> np.ndarray | None:
+        """exp(position_scale(t + dt/2) * arg) for the step from t, arg the
+        position exponent, or None without ``position_scale``: lambda bins
+        0..n/2 as the powers 0..n/2 of its bin-1 column, one exp over the q
+        rows; the complex path adds the negative bins as the conjugates of
+        bins n/2-1..1."""
+        if self._position_scale is None:
+            return None
+        w = np.exp(self._position_scale(t + 0.5 * self.dt) * self._unit)
+        n = self.G.position_part.shape[1]
+        powers = np.empty((len(w), n // 2 + 1), dtype=complex)
+        powers[:, 0], powers[:, 1:] = 1.0, w[:, None]
+        powers = powers.cumprod(axis=1)
+        if real:
+            return powers
+        return np.concatenate([powers, powers[:, -2:0:-1].conj()], axis=1)
 
     def _advance(self, amp: np.ndarray, spec: np.ndarray | None, half_pos: np.ndarray | None):
         """One step from ``amp``, given its position-axis spectrum if known and
@@ -194,9 +185,7 @@ class Propagator:
     def step(self, state: Wavefunction) -> Wavefunction:
         """One step, without sampling."""
         amp = self._start(state.amplitudes)
-        half_pos = None
-        if self._position_scale is not None:
-            half_pos = self._position_factors(np.isrealobj(amp), [state.time])[0]
+        half_pos = self._scaled_position_factor(np.isrealobj(amp), state.time)
         amp, _ = self._advance(amp, None, half_pos)
         return type(state)(state.grid, amp, time=state.time + self.dt)
 
@@ -214,27 +203,20 @@ class Propagator:
         times, norms, edges = np.empty((3, n_steps + 1))
         amp, t = self._start(state.amplitudes), state.time
         spec = _transforms(amp)[0](amp, axis=self.G.position_axis) if self._carry else None
-        factors = None
-        if self._position_scale is not None:
-            factors = self._factors_ahead(np.isrealobj(amp), t, n_steps)
-        try:
-            for i in range(n_steps + 1):
-                if i:
-                    half_pos = None if factors is None else next(factors)
-                    amp, spec = self._advance(amp, spec, half_pos)
-                    t = t + self.dt
-                rho = _abs2(amp) * state.measure
-                times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)
-                if not edges[i] <= boundary_limit:  # also stops a NaN state
-                    raise BoundaryMassError(
-                        f"boundary mass {edges[i]:.3e} is not within {boundary_limit:.1e} "
-                        f"at t={t:.4g}"
-                    )
-                if record is not None:
-                    record(i, amp, rho, spec)
-        finally:
-            if factors is not None:
-                factors.close()
+        for i in range(n_steps + 1):
+            if i:
+                half_pos = self._scaled_position_factor(np.isrealobj(amp), t)
+                amp, spec = self._advance(amp, spec, half_pos)
+                t = t + self.dt
+            rho = _abs2(amp) * state.measure
+            times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)
+            if not edges[i] <= boundary_limit:  # also stops a NaN state
+                raise BoundaryMassError(
+                    f"boundary mass {edges[i]:.3e} is not within {boundary_limit:.1e} "
+                    f"at t={t:.4g}"
+                )
+            if record is not None:
+                record(i, amp, rho, spec)
         return type(state)(state.grid, amp, time=t), times, norms, edges
 
 

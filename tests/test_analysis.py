@@ -22,9 +22,10 @@ from kvnlab.operators import (
     momentum_op,
     position_op,
     theta_op,
+    unified_generator,
 )
-from kvnlab.propagation import evolve
-from kvnlab.states import QWavefunction
+from kvnlab.propagation import Propagator, evolve
+from kvnlab.states import KvNWavefunction, QWavefunction
 
 
 # --- standard deviations -----------------------------------------------------
@@ -221,3 +222,22 @@ def test_wigner_grid_mismatch(wigner_setup):
     psi = gaussian_1d(Grid1D(128, -12.0, 12.0))
     with pytest.raises(ValueError):
         wigner_transform(psi, pg)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.0])
+def test_moyal_evolution_of_wigner_matches_schrodinger(kappa):
+    # at kappa = 1 the unified generator is the Bopp-operator form of the
+    # Moyal equation, so evolving W0 as a phase-space field gives the Wigner
+    # transform of the Schrodinger-evolved state (Bondar et al., PRL 109,
+    # 190403, 2012).  The kappa = 1 mismatch is a grid floor of 1.0e-6 that
+    # does not shrink with dt; kappa = 0 misses by 9.5e-2.
+    g = Grid1D(128, -8.0, 8.0)
+    pg = PhaseGrid(g, g)
+    V, Vp = (lambda q: q**4 / 4), (lambda q: q**3)
+    psi0 = gaussian_1d(g, center=1.0, sigma=0.5)
+    W0 = KvNWavefunction(pg, wigner_transform(psi0, pg))
+    G = unified_generator(pg, V, kappa, vprime=Vp)
+    W = Propagator(G, 1.0 / 250).run(W0, 250)[0].amplitudes
+    target = wigner_transform(evolve(psi0, hamiltonian(g, V), 1.0, 250).final_state, pg)
+    mismatch = np.max(np.abs(W - target))
+    assert mismatch <= 1e-5 if kappa == 1.0 else mismatch >= 1e-2

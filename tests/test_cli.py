@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvnlab.cli import SPECS, _pmap, _threads, load_config, main
+import kvnlab.cli as cli
+from kvnlab.cli import SPECS, _pmap, _workers, load_config, main
 from kvnlab.report import ResultTable, read_table, svg_heatmap, svg_line_plot
 
 
@@ -89,8 +90,9 @@ def test_degenerate_time_step_exits_2_with_one_line(tmp_path, capsys, experiment
 
 
 @pytest.mark.parametrize("command", ["verify", "run"])
-# 0.15 does not divide 1; 0.5 gives 2 steps; 1e-7 gives 10^7, over MAX_COUNT
-@pytest.mark.parametrize("dt", [0.15, 0.5, 1e-7])
+# 0.15 does not divide 1; 0.5 gives 2 steps; 1e-7 gives 10^7, over MAX_COUNT;
+# 1/1000001 divides 1 into MAX_COUNT + 1 steps, refused by the count bound alone
+@pytest.mark.parametrize("dt", [0.15, 0.5, 1e-7, 1 / 1000001])
 def test_ehrenfest_bad_dt_exits_2_naming_dt(tmp_path, capsys, command, dt):
     cfg = write_config(tmp_path, {"experiment": "ehrenfest", "params": {"dt": dt}})
     assert main([command, str(cfg)]) == 2
@@ -203,27 +205,20 @@ def test_non_finite_result_exits_3_writing_nothing(tmp_path, body, message):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-@pytest.mark.parametrize("threads", ["two", "0", "-1", "2.5", ""])
-def test_malformed_threads_env_exits_2(tmp_path, monkeypatch, capsys, threads):
-    monkeypatch.setenv("KVNLAB_THREADS", threads)
-    cfg = write_config(tmp_path, {"experiment": "measure", "output": {"svg": False}})
-    assert main(["run", str(cfg)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "KVNLAB_THREADS" in err[0]
-    assert not (tmp_path / "measure_sweep.csv").exists()
-
-
-def test_threads_env_above_8_clamps(monkeypatch):
-    monkeypatch.setenv("KVNLAB_THREADS", "64")
-    assert _threads() == 8
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (16, 8)])
+def test_workers_follow_cpu_affinity(monkeypatch, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert _workers() == workers
+    if cpus == 1:  # one CPU: the jobs run in this process
+        assert _pmap(lambda _: os.getpid(), range(4)) == [os.getpid()] * 4
 
 
 def test_pmap_runs_in_forked_children_in_input_order(monkeypatch):
-    monkeypatch.setenv("KVNLAB_THREADS", "2")
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
     out = _pmap(lambda x: (x, os.getpid()), range(4))
     assert [x for x, _ in out] == [0, 1, 2, 3]
     assert os.getpid() not in {pid for _, pid in out}
-    monkeypatch.setenv("KVNLAB_THREADS", "1")
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
     assert _pmap(lambda _: os.getpid(), range(4)) == [os.getpid()] * 4
 
 
@@ -241,9 +236,10 @@ def test_dead_worker_exits_4_without_hanging(tmp_path):
         "    assert os.getpid() != parent\n"
         "    os._exit(9)\n"
         "cli.evolve = die\n"
+        "cli._workers = lambda: 2\n"
         "sys.exit(cli.main(['run', sys.argv[1]]))\n"
     )
-    proc = run_python(script, str(cfg), KVNLAB_THREADS="2")
+    proc = run_python(script, str(cfg))
     assert proc.returncode == 4
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("worker error:")
@@ -420,14 +416,14 @@ def test_output_paths_relative_to_config(tmp_path):
     assert (sub / "results" / "measure_sweep.csv").exists()
 
 
-def test_threads_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("KVNLAB_THREADS", "4")
+def test_measure_table_independent_of_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_workers", lambda: 4)
     cfg = write_config(
         tmp_path, {"experiment": "measure", "output": {"directory": ".", "svg": False}}
     )
     assert main(["run", str(cfg)]) == 0
     first = (tmp_path / "measure_sweep.csv").read_bytes()
-    monkeypatch.setenv("KVNLAB_THREADS", "1")
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
     assert main(["run", str(cfg)]) == 0
     assert (tmp_path / "measure_sweep.csv").read_bytes() == first
 
@@ -439,8 +435,8 @@ def test_ehrenfest_table_independent_of_threads(tmp_path, monkeypatch):
          "output": {"directory": ".", "svg": False}},
     )
     tables = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("KVNLAB_THREADS", threads)
+    for workers in (1, 2):
+        monkeypatch.setattr(cli, "_workers", lambda: workers)
         assert main(["run", str(cfg)]) == 0
         tables.append((tmp_path / "ehrenfest.csv").read_bytes())
     assert tables[0] == tables[1]
@@ -448,7 +444,7 @@ def test_ehrenfest_table_independent_of_threads(tmp_path, monkeypatch):
 
 def test_boundary_abort_in_pool_job_exits_3(tmp_path, monkeypatch, capsys):
     # the phase-space blob's p tails already sit on the edge of this box
-    monkeypatch.setenv("KVNLAB_THREADS", "2")
+    monkeypatch.setattr(cli, "_workers", lambda: 2)
     cfg = write_config(
         tmp_path,
         {"experiment": "ehrenfest",

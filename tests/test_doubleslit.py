@@ -13,6 +13,7 @@ from kvnlab.doubleslit import (
     slit_mask,
 )
 from kvnlab.errors import BoundaryMassError
+from kvnlab.gauge import SolenoidConfig
 from kvnlab.grid import Grid1D
 
 
@@ -79,14 +80,26 @@ def test_config_validation():
         SlitConfig(sigma_p=0.0)
 
 
+@pytest.mark.parametrize("make", [SlitConfig, SolenoidConfig], ids=["slit", "solenoid"])
+def test_nan_or_nonpositive_field_refused_naming_it(make):
+    positive = {
+        SlitConfig: ["x_A", "delta", "sigma_x", "sigma_p", "mass", "p0y", "y_M", "y_R", "hbar"],
+        SolenoidConfig: ["mass", "R_boundary", "hbar"],
+    }[make]
+    for name in positive:
+        for value in (np.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match=name):
+                make(**{name: value})
+
+
 # --- quantum run -------------------------------------------------------------
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nan_screen_density_trips_the_edge_check():
-    # SlitConfig's positivity checks let a NaN width through
-    nan_beam = SlitConfig(sigma_x=np.nan, x_grid=Grid1D(256, -64.0, 64.0),
-                          p_grid=Grid1D(32, -4.0, 4.0))
+    # a NaN width set past SlitConfig's checks, which refuse it
+    nan_beam = SlitConfig(x_grid=Grid1D(256, -64.0, 64.0), p_grid=Grid1D(32, -4.0, 4.0))
+    object.__setattr__(nan_beam, "sigma_x", np.nan)
     with pytest.raises(BoundaryMassError, match="nan"):
         run_quantum(nan_beam)
     with pytest.raises(BoundaryMassError, match="nan"):

@@ -10,7 +10,6 @@ from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from kvnlab.operators import hamiltonian, koopman_generator, unified_generator
 from kvnlab.oscillator import kvn_tdho_evolve
 from kvnlab.propagation import (
-    FACTOR_CHUNK,
     Propagator,
     _theta_mean,
     check_unitarity,
@@ -448,66 +447,66 @@ def _half_position_arg(G, dt):
 
 
 def test_real_path_position_factor_is_head_of_exp():
-    # the driven oscillator's generator and step; the argument is odd in lambda,
-    # so the real-field path exponentiates only lambda columns 0..n/2, in
-    # chunks of FACTOR_CHUNK steps that must equal exponentiating each alone
+    # the driven oscillator's generator and step: the factor built from one
+    # lambda column is exp(scale(t + dt/2) * arg) on the complex path and its
+    # lambda columns 0..n/2 on the real-field path, at the step times ``run``
+    # accumulates (a scale linear in t shows a time off by one ulp)
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     G, dt = koopman_generator(pg, lambda q: q), 10.0 / 2500
     arg = _half_position_arg(G, dt)
-    k = lambda t: 1.0 + 0.1 * np.sin(t)
-    starts = list(np.arange(0, 2500, 25) * dt)
-    cases = [(k, starts[c : c + FACTOR_CHUNK]) for c in range(0, len(starts), FACTOR_CHUNK)]
-    cases += [(lambda t, s=s: s, [0.0, dt]) for s in (0.0, -1.3, 40.0)]
-    for scale, chunk in cases:
-        prop = Propagator(G, dt, position_scale=scale)
+    scales = [lambda t: 1.0 + 0.1 * np.sin(t), lambda t: t]
+    scales += [lambda t, s=s: s for s in (0.0, -1.3, 40.0)]
+    for scale in scales:
+        prop, t = Propagator(G, dt, position_scale=scale), 0.0
         assert prop._real is not None
-        real, full = prop._position_factors(True, chunk), prop._position_factors(False, chunk)
-        assert real.shape == (len(chunk), 128, 65)
-        for j, t in enumerate(chunk):
-            expected = np.exp(scale(t + 0.5 * dt) * arg)
-            assert real[j].tobytes() == expected[:, :65].tobytes()
-            assert full[j].tobytes() == expected.tobytes()
-    # what ``run`` consumes: 19 steps from t = 0.3, two full chunks and a
-    # part, at the step times ``run`` accumulates (a scale linear in t shows
-    # a time off by one ulp)
-    for scale in (k, lambda t: t):
-        prop, t = Propagator(G, dt, position_scale=scale), 0.3
-        ahead = list(prop._factors_ahead(True, t, 19))
-        assert len(ahead) == 19
-        for factor in ahead:
-            assert factor.tobytes() == np.exp(scale(t + 0.5 * dt) * arg)[:, :65].tobytes()
+        for i in range(2500):
+            if i % 25 == 0:
+                expected = np.exp(scale(t + 0.5 * dt) * arg)
+                real, full = (prop._scaled_position_factor(r, t) for r in (True, False))
+                assert real.shape == (128, 65) and full.shape == (128, 128)
+                assert np.max(np.abs(real - expected[:, :65])) <= 1e-13
+                assert np.max(np.abs(full - expected)) <= 1e-13
             t = t + dt
 
 
-def test_non_odd_position_factor_takes_complex_path(call_counts):
+def test_position_part_not_linear_in_lambda_refuses_scale():
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    V, Vp = POTENTIALS["quartic"]
     G = koopman_generator(pg, lambda q: q)
-    G = replace(G, position_part=G.position_part + 0.1)
-    prop = Propagator(G, 1e-2, position_scale=lambda t: 1.05)
-    assert prop._real is None
-    expected = np.exp(1.05 * _half_position_arg(G, 1e-2))
-    assert prop._position_factors(False, [0.0])[0].tobytes() == expected.tobytes()
-    blob = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
+    offset = replace(G, position_part=G.position_part + 0.1)
+    cubic = replace(G, position_part=G.position_part * (1 + 1e-9 * G.position_part**2))
+    for G in (offset, cubic, unified_generator(pg, V, 0.5, vprime=Vp), hamiltonian(pg.q, V)):
+        with pytest.raises(ValueError, match="linear in lambda"):
+            Propagator(G, 1e-2, position_scale=lambda t: 1.05)
+    Propagator(unified_generator(pg, V, 0.0, vprime=Vp), 1e-2, position_scale=lambda t: 1.05)
+
+
+def test_phased_state_with_scale_takes_complex_path(call_counts, monkeypatch):
+    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    prop = Propagator(koopman_generator(pg, lambda q: q), 1e-2, position_scale=lambda t: 1.05)
+    phased = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7, phase=WOBBLE)
+    sizes, exp = [], np.exp
+    monkeypatch.setattr(np, "exp", lambda x, *a, **k: sizes.append(np.size(x)) or exp(x, *a, **k))
     call_counts.clear()
-    prop.run(blob, 3)
-    assert call_counts["rfft"] + call_counts["irfft"] == 0
-    assert call_counts["exp"] == 1  # the three steps' factors form one chunk
+    final = prop.run(phased, 3)[0]
+    assert call_counts["rfft"] + call_counts["irfft"] == 0 and call_counts["fft"] > 0
+    assert sizes == [32] * 3  # one exp over the q rows per step
+    reference = phased
+    for _ in range(3):  # the same steps with the exact factor of each
+        G = koopman_generator(pg, lambda q: 1.05 * q)
+        reference = Propagator(G, 1e-2).step(reference)
+    assert np.max(np.abs(final.amplitudes - reference.amplitudes)) < 1e-13
 
 
-def _helper_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("kvnlab-factors")]
-
-
-def test_factor_helper_shut_down_on_boundary_abort():
+def test_driven_oscillator_leaves_threads_unchanged():
     pg = PhaseGrid(Grid1D(64, -4.0, 4.0), Grid1D(64, -4.0, 4.0))
     psi = gaussian_phase(pg, q0=2.0, sigma_q=0.2, sigma_p=0.2)
-    prop = Propagator(koopman_generator(pg, lambda q: q), 1e-2, position_scale=lambda t: 4.0)
-    with pytest.raises(BoundaryMassError) as aborted:
-        prop.run(psi, 100)
-    # shut down by the run itself, not when the traceback holding it is freed
-    assert aborted.value.__traceback__ is not None and _helper_threads() == []
-    prop.run(psi, 20)  # and after a run that completes
-    assert _helper_threads() == []
+    before = threading.enumerate()
+    with pytest.raises(BoundaryMassError):
+        kvn_tdho_evolve(psi, lambda t: 4.0, 1.0, 100)
+    assert threading.enumerate() == before
+    kvn_tdho_evolve(psi, lambda t: 4.0, 0.2, 20)  # and a run that completes
+    assert threading.enumerate() == before
 
 
 def test_theta_mean_without_fft_matches_fft_formula():
