@@ -17,7 +17,7 @@ from .errors import (
     KvnLabError,
     PhysicsError,
 )
-from .grid import Grid1D, PhaseGrid, spectral_derivative, wavenumbers
+from .grid import Grid1D, PhaseGrid, wavenumbers
 from .operators import (
     Generator,
     GridOperator,
@@ -30,7 +30,7 @@ from .operators import (
     theta_op,
     unified_generator,
 )
-from .propagation import Trajectory, check_unitarity, evolve, kvn_step, schrodinger_step
+from .propagation import Trajectory, evolve, kvn_step
 from .states import (
     DensityMatrix,
     KvNWavefunction,
@@ -49,7 +49,6 @@ __all__ = [
     "Grid1D",
     "PhaseGrid",
     "wavenumbers",
-    "spectral_derivative",
     "QWavefunction",
     "KvNWavefunction",
     "DensityMatrix",
@@ -70,10 +69,8 @@ __all__ = [
     "hamiltonian",
     "koopman_generator",
     "unified_generator",
-    "schrodinger_step",
     "kvn_step",
     "evolve",
-    "check_unitarity",
     "Trajectory",
     "KvnLabError",
     "GridMismatchError",

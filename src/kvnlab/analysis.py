@@ -127,7 +127,8 @@ def wigner_transform(psi: QWavefunction, pg: PhaseGrid, hbar: float = 1.0) -> np
     W = (minus * plus) @ phases * (dlam / (2 * np.pi))
     imag_residue = float(np.max(np.abs(W.imag)))
     if imag_residue > 1e-10:
-        raise PhysicsError(f"Wigner transform imaginary residue {imag_residue:.3e}")
+        raise PhysicsError(f"Wigner transform imaginary residue {imag_residue:.3e} at hbar "
+                           f"{hbar:g} (separation step 2 dx/hbar = {dlam:.3g})")
     W = W.real
     total = float(np.sum(W) * pg.cell_area)
     return W / total

@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
-Configuration-level problems (bad parameters, mismatched grids, unsupported
-derivative orders) raise ``ValueError`` subclasses; violations detected while
-a computation is running (boundary mass, singular auxiliary solutions,
-inconsistent numerics) raise ``PhysicsError`` subclasses.  The CLI maps the
+Configuration-level problems (bad parameters, mismatched grids, Bessel
+orders outside the supported envelope) raise ``ValueError`` subclasses;
+violations detected while a computation is running (boundary mass, singular
+auxiliary solutions, inconsistent numerics) raise ``PhysicsError``
+subclasses.  The CLI maps the
 two families to different exit codes.
 """
 

@@ -21,11 +21,10 @@ comparable observable: E(n, alpha) = hbar^2 j_{|n-alpha|,1}^2 / (2 m R^2)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, PhysicsError
 
 #: validity envelope for the Bessel evaluations
 MAX_ORDER = 50.0
@@ -50,28 +49,6 @@ class SolenoidConfig:
     @property
     def order(self) -> float:
         return abs(self.n - self.alpha)
-
-
-@dataclass(frozen=True)
-class QuantumRadialCoeffs:
-    """R'' + (first/r) R' + (const + inv_r2 / r^2) R = 0."""
-
-    second_deriv: float
-    first_deriv: float
-    const: float
-    inv_r2: float
-    bessel_order: float
-
-
-def quantum_radial_coeffs(cfg: SolenoidConfig, E: float) -> QuantumRadialCoeffs:
-    hbar = cfg.hbar
-    return QuantumRadialCoeffs(
-        second_deriv=1.0,
-        first_deriv=1.0,
-        const=2.0 * cfg.mass * E / hbar**2 - cfg.pz0**2 / hbar**2,
-        inv_r2=-((cfg.n - cfg.alpha) ** 2),
-        bessel_order=cfg.order,
-    )
 
 
 @dataclass(frozen=True)
@@ -116,15 +93,6 @@ def jv(nu, x):
     return jv(nu, x)
 
 
-def bessel_j(nu: float, x: float) -> float:
-    """Bessel function of the first kind inside the supported envelope."""
-    if nu < 0 or nu > MAX_ORDER:
-        raise DegenerateInputError(f"order {nu} outside [0, {MAX_ORDER}]")
-    if np.any(np.asarray(x) < 0) or np.any(np.asarray(x) > MAX_ARGUMENT):
-        raise DegenerateInputError(f"argument outside [0, {MAX_ARGUMENT}]")
-    return jv(nu, x)
-
-
 def lowest_zero(nu: float, tol: float = 1e-10) -> float:
     """First positive zero of J_nu by bracketing and bisection.
 
@@ -150,9 +118,19 @@ def lowest_zero(nu: float, tol: float = 1e-10) -> float:
 
 
 def disc_ground_energy(cfg: SolenoidConfig) -> float:
-    """Lowest Dirichlet eigenvalue of the radial problem on a disc."""
+    """Lowest Dirichlet eigenvalue of the radial problem on a disc; its flux
+    part hbar^2 j^2 / (2 m R^2) must neither overflow nor underflow to zero
+    (which would give every flux the same energy)."""
     j1 = lowest_zero(cfg.order)
-    return (
-        cfg.hbar**2 * j1**2 / (2.0 * cfg.mass * cfg.R_boundary**2)
-        + cfg.pz0**2 / (2.0 * cfg.mass)
-    )
+    try:
+        confined = cfg.hbar**2 * j1**2 / (2.0 * cfg.mass * cfg.R_boundary**2)
+        energy = confined + cfg.pz0**2 / (2.0 * cfg.mass)
+    except (OverflowError, ZeroDivisionError):  # a float ** overflows, or R^2 underflows to 0
+        confined = energy = math.inf
+    if not (confined > 0.0 and energy < math.inf):
+        raise PhysicsError(
+            f"disc energy hbar^2 j^2/(2 mass R_boundary^2) + pz0^2/(2 mass) is out of range "
+            f"(zero or non-finite) at R_boundary {cfg.R_boundary:g}, mass {cfg.mass:g}, "
+            f"hbar {cfg.hbar:g}, pz0 {cfg.pz0:g}"
+        )
+    return energy

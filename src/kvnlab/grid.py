@@ -1,9 +1,8 @@
-"""Uniform periodic lattices and spectral differentiation.
+"""Uniform periodic lattices and their DFT wavenumbers.
 
 Every field-valued computation in the package lives on a ``Grid1D`` (one
 periodic axis) or a ``PhaseGrid`` (tensor product of a position axis and a
-momentum axis).  Derivatives are evaluated by DFT, multiplication by
-``(i k)**order`` and inverse DFT, which is exact for band-limited fields.
+momentum axis).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -22,11 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import DegenerateInputError
-
-#: Highest derivative order served by :func:`spectral_derivative` by default.
-DEFAULT_ORDER_CAP = 4
 
 #: Width, in cells, of the strip along each domain edge that ``edge_mass`` sums.
 EDGE_CELLS = 4
@@ -91,24 +85,6 @@ def wavenumbers(g: Grid1D) -> np.ndarray:
     half = g.n // 2
     idx = np.concatenate([np.arange(0, half + 1), np.arange(-half + 1, 0)])
     return idx * (2.0 * np.pi / (g.n * g.dx))
-
-
-def spectral_derivative(
-    f: np.ndarray, g: Grid1D, order: int = 1, order_cap: int = DEFAULT_ORDER_CAP
-) -> np.ndarray:
-    """Order-th derivative of a periodic field by Fourier multiplication.
-
-    ``f`` must be band-limited on ``g`` for the result to be meaningful;
-    that is the caller's responsibility.
-    """
-    if len(f) != g.n:
-        raise ValueError(f"field length {len(f)} does not match grid size {g.n}")
-    if order < 1 or order > order_cap:
-        raise DegenerateInputError(
-            f"derivative order {order} outside supported range 1..{order_cap}"
-        )
-    k = wavenumbers(g)
-    return np.fft.ifft(np.fft.fft(f) * (1j * k) ** order)
 
 
 def edge_mass(rho_times_measure: np.ndarray) -> float:

@@ -164,33 +164,3 @@ def _neville_at_zero(xs, ys) -> complex:
             x_i, x_j = xs[i], xs[i + level]
             vals[i] = (x_i * vals[i + 1] - x_j * vals[i]) / (x_i - x_j)
     return vals[0]
-
-
-def delta_law_check(
-    which: str,
-    t: np.ndarray,
-    q: np.ndarray,
-    p: np.ndarray,
-    mass: float = 1.0,
-    vprime=None,
-) -> float:
-    """Largest violation of a discretized classical law along a trajectory.
-
-    ``momentum-relation`` checks p_j = m (q_{j+1} - q_j) / dt, the forward
-    difference form of p = m v; ``newton-second-law`` checks
-    (p_{j+1} - p_j) / dt = -V'(q_j).  Both vanish with dt for trajectories
-    generated by a consistent integrator.
-    """
-    t, q, p = (np.asarray(v, dtype=float) for v in (t, q, p))
-    if not (t.shape == q.shape == p.shape) or t.ndim != 1 or len(t) < 2:
-        raise ValueError("trajectory arrays must be equal-length 1-D with >= 2 samples")
-    dt = np.diff(t)
-    if which == "momentum-relation":
-        resid = p[:-1] - mass * np.diff(q) / dt
-    elif which == "newton-second-law":
-        if vprime is None:
-            raise ValueError("newton-second-law residual needs the force law vprime")
-        resid = np.diff(p) / dt + vprime(q[:-1])
-    else:
-        raise ValueError(f"unknown delta law {which!r}")
-    return float(np.max(np.abs(resid)))

@@ -66,12 +66,6 @@ def p_a_nonselective(omega_tau: float) -> float:
     return 0.5 * (1.0 + SQ34 * np.cos(2.0 * omega_tau) ** 2)
 
 
-def weights_at_tau(omega_tau: float) -> tuple[float, float]:
-    """Populations of |a> and |b> right after the intermediate collapse."""
-    pa = 0.5 * (1.0 + SQ34 * np.cos(2.0 * omega_tau))
-    return pa, 1.0 - pa
-
-
 def simulate_p_a_unmeasured(omega_tau: float) -> float:
     """Explicit 2x2 simulation of the undisturbed readout."""
     sys = TwoLevelSystem(omega=1.0)
@@ -89,14 +83,6 @@ def simulate_p_a_nonselective(omega_tau: float) -> float:
     rho_tau = dephase(rho_tau, AB_BASIS)
     rho_2tau = DensityMatrix(U @ rho_tau.entries @ U.conj().T, time=2 * omega_tau)
     return measure_probability(rho_2tau, AB_BASIS[:, 0])
-
-
-def simulate_weights_at_tau(omega_tau: float) -> tuple[float, float]:
-    sys = TwoLevelSystem(omega=1.0)
-    psi = sys.evolve_pure(PSI0, omega_tau)
-    pa = float(np.abs(AB_BASIS[:, 0].conj() @ psi) ** 2)
-    pb = float(np.abs(AB_BASIS[:, 1].conj() @ psi) ** 2)
-    return pa, pb
 
 
 @dataclass(frozen=True)

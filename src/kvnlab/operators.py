@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GridMismatchError
-from .grid import Grid1D, PhaseGrid, spectral_derivative, wavenumbers
+from .grid import Grid1D, PhaseGrid, wavenumbers
 
 Potential = Callable[[np.ndarray], np.ndarray]
 
@@ -179,6 +179,7 @@ class Generator:
     (no FFT when the axis is None), ``conjugate_part`` after an FFT along
     ``conjugate_axis``.  One split step multiplies by
     ``exp(-1j * part * dt / phase_scale)`` in the respective representation.
+    ``potential_prime`` is the exact V' that the recorded force means use.
     """
 
     label: str  # quantum | koopman | unified
@@ -190,9 +191,8 @@ class Generator:
     phase_scale: float
     mass: float
     hbar: float
+    potential_prime: Potential
     kappa: float = 0.0
-    potential: Potential | None = None
-    potential_prime: Potential | None = None
     constant_part: np.ndarray | None = None
 
     def apply(self, field: np.ndarray) -> np.ndarray:
@@ -208,37 +208,19 @@ class Generator:
             out = out + self.constant_part * field
         return out
 
-    def as_operator(self) -> GridOperator:
-        conj = GridOperator(
-            self.grid, "diag-conjugate", self.conjugate_part,
-            fft_axis=self.conjugate_axis, hermitian=True,
-        )
-        pos = GridOperator(
-            self.grid,
-            "diag-position" if self.position_axis is None else "diag-conjugate",
-            self.position_part,
-            fft_axis=self.position_axis,
-            hermitian=True,
-        )
-        total = conj + pos
-        if self.constant_part is not None:
-            total = total + GridOperator(
-                self.grid, "diag-position", self.constant_part, hermitian=True
-            )
-        return total
-
 
 def hamiltonian(
     grid: Grid1D,
     potential: Potential,
     mass: float = 1.0,
     hbar: float = 1.0,
-    vprime: Potential | None = None,
+    *,
+    vprime: Potential,
 ) -> Generator:
     """Quantum generator H = p^2/2m + V(q) on a configuration grid.
 
-    ``vprime`` feeds the force expectation recorded along trajectories;
-    without it the recorder falls back to numerical differentiation of V.
+    ``vprime``, the exact V', feeds the force expectation recorded along
+    trajectories.
     """
     k = wavenumbers(grid)
     return Generator(
@@ -252,7 +234,6 @@ def hamiltonian(
         mass=mass,
         hbar=hbar,
         kappa=1.0,
-        potential=potential,
         potential_prime=vprime,
     )
 
@@ -299,14 +280,16 @@ def unified_generator(
     kappa: float,
     mass: float = 1.0,
     hbar: float = 1.0,
-    vprime: Potential | None = None,
+    *,
+    vprime: Potential,
 ) -> Generator:
     """Interpolating generator with commutator [q, p] = i hbar kappa.
 
     kappa = 1 gives phase-space quantum dynamics, kappa = 0 the classical
     generator (times hbar).  The potential enters through the difference of
     Bopp-shifted evaluations; at kappa = 0 the difference quotient is taken
-    analytically and reduces to -hbar V'(q) lambda.
+    analytically and reduces to -hbar V'(q) lambda with the exact ``vprime``,
+    which also feeds the recorded force expectation.
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
@@ -316,13 +299,7 @@ def unified_generator(
     p = pg.p.points[None, :]
     advection = hbar * p * kq / mass
     if kappa == 0.0:
-        if vprime is None:
-            vp = spectral_derivative(
-                np.asarray(potential(pg.q.points), dtype=complex), pg.q
-            ).real[:, None]
-        else:
-            vp = np.asarray(vprime(q), dtype=float)
-        force = -hbar * vp * kp
+        force = -hbar * np.asarray(vprime(q), dtype=float) * kp
     else:
         shift = hbar * kappa * kp / 2.0
         force = (potential(q - shift) - potential(q + shift)) / kappa
@@ -338,6 +315,5 @@ def unified_generator(
         mass=mass,
         hbar=hbar,
         kappa=kappa,
-        potential=potential,
         potential_prime=vprime,
     )

@@ -220,13 +220,6 @@ class Propagator:
         return type(state)(state.grid, amp, time=t), times, norms, edges
 
 
-def schrodinger_step(psi: QWavefunction, G: Generator, dt: float) -> QWavefunction:
-    """One Strang step of exp(-i H dt / hbar) on a configuration-space state."""
-    if G.label != "quantum":
-        raise ValueError(f"schrodinger_step needs a quantum generator, got {G.label}")
-    return Propagator(G, dt).step(psi)
-
-
 def kvn_step(psi: KvNWavefunction, G: Generator, dt: float) -> KvNWavefunction:
     """One Strang step of a phase-space generator (koopman, unified).
 
@@ -240,13 +233,6 @@ def kvn_step(psi: KvNWavefunction, G: Generator, dt: float) -> KvNWavefunction:
 
 # ---------------------------------------------------------------------------
 # observable recording
-
-
-def _numeric_vprime(G: Generator, args: np.ndarray) -> np.ndarray:
-    if G.potential_prime is not None:
-        return np.asarray(G.potential_prime(args), dtype=float)
-    eps = 1e-6
-    return (G.potential(args + eps) - G.potential(args - eps)) / (2 * eps)
 
 
 def _fold(weights: np.ndarray) -> np.ndarray:
@@ -286,10 +272,7 @@ def _means(G: Generator, state: Wavefunction):
     if isinstance(state, QWavefunction):
         g = state.grid
         x, pk = g.points, G.hbar * wavenumbers(g)
-        if G.potential_prime is not None:
-            vx = np.asarray(G.potential_prime(x), dtype=float)
-        else:
-            vx = np.gradient(G.position_part, g.dx)
+        vx = np.asarray(G.potential_prime(x), dtype=float)
 
         def quantum(amp, rho, spec):
             w = _abs2(np.fft.fft(amp))
@@ -299,7 +282,7 @@ def _means(G: Generator, state: Wavefunction):
 
     q, p = state.grid.q.points, state.grid.p.points
     if G.kappa == 0.0:
-        vq = _numeric_vprime(G, q)
+        vq = np.asarray(G.potential_prime(q), dtype=float)
 
         def classical(amp, rho, spec):
             rho_q = rho.sum(axis=1)
@@ -309,7 +292,7 @@ def _means(G: Generator, state: Wavefunction):
 
     kq, kp = wavenumbers(state.grid.q), wavenumbers(state.grid.p)
     shift = 0.5 * G.hbar * G.kappa
-    v_shifted = _numeric_vprime(G, q[:, None] - shift * kp[None, :])  # on (q, lambda)
+    v_shifted = np.asarray(G.potential_prime(q[:, None] - shift * kp), dtype=float)  # (q, lambda)
     full = kp, v_shifted, np.ones(len(kp))  # the last: multiplicities
     half = tuple(_fold(w) for w in full)
 
@@ -360,20 +343,3 @@ def evolve(
         state, n_steps, record, boundary_limit
     )
     return Trajectory(times, *series, final, norms, edges)
-
-
-@dataclass
-class UnitarityReport:
-    max_norm_drift: float
-    reversibility_residual: float
-
-
-def check_unitarity(G: Generator, psi: Wavefunction, dt: float, n: int) -> UnitarityReport:
-    """Run n steps forward then n steps with -dt; report drift and round trip."""
-    start = psi.normalize()
-    mid, _, forward, _ = Propagator(G, dt).run(start, n, boundary_limit=np.inf)
-    end, _, backward, _ = Propagator(G, -dt).run(mid, n, boundary_limit=np.inf)
-    drift = float(np.max(np.abs(np.concatenate([forward, backward]) - 1.0)))
-    diff = end.amplitudes - start.amplitudes
-    resid = float(np.sqrt(np.sum(np.abs(diff) ** 2) * start.measure))
-    return UnitarityReport(max_norm_drift=drift, reversibility_residual=resid)

@@ -139,10 +139,6 @@ class DensityMatrix:
             raise ValueError(f"purity {pur} outside [1/dim, 1]")
         object.__setattr__(self, "entries", rho)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def pure_density(psi: np.ndarray, time: float = 0.0) -> DensityMatrix:
     """|psi><psi| from a normalized finite-dimensional state vector."""

@@ -115,7 +115,7 @@ def test_ehrenfest_free_particle():
     g = Grid1D(512, -32.0, 32.0)
     k0 = 2 * np.pi / g.length * 32
     psi = gaussian_1d(g, k0=k0)
-    H = hamiltonian(g, lambda q: np.zeros_like(q))
+    H = hamiltonian(g, lambda q: np.zeros_like(q), vprime=np.zeros_like)
     res = ehrenfest_residuals(evolve(psi, H, 1.0, 100))
     assert res.r1_max < 1e-8
     assert res.r2_max < 1e-8
@@ -124,7 +124,7 @@ def test_ehrenfest_free_particle():
 def test_ehrenfest_quantum_harmonic():
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g, center=1.0, sigma=np.sqrt(0.5))
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     res = ehrenfest_residuals(evolve(psi, H, 1.0, 1000))
     assert res.r1_max < 1e-4
     assert res.r2_max < 1e-4
@@ -144,7 +144,7 @@ def test_ehrenfest_second_order_in_dt():
     # relation to roundoff, so the dt^2 convergence shows on r2
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g, center=1.0, sigma=np.sqrt(0.5))
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
 
     def resid(dt):
         return ehrenfest_residuals(evolve(psi, H, 1.0, int(round(1.0 / dt)))).r2_max
@@ -156,7 +156,7 @@ def test_ehrenfest_second_order_in_dt():
 def test_ehrenfest_rejects_short_series():
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g)
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     with pytest.raises(ValueError):
         ehrenfest_residuals(evolve(psi, H, 0.01, 2))
 
@@ -238,6 +238,6 @@ def test_moyal_evolution_of_wigner_matches_schrodinger(kappa):
     W0 = KvNWavefunction(pg, wigner_transform(psi0, pg))
     G = unified_generator(pg, V, kappa, vprime=Vp)
     W = Propagator(G, 1.0 / 250).run(W0, 250)[0].amplitudes
-    target = wigner_transform(evolve(psi0, hamiltonian(g, V), 1.0, 250).final_state, pg)
+    target = wigner_transform(evolve(psi0, hamiltonian(g, V, vprime=Vp), 1.0, 250).final_state, pg)
     mismatch = np.max(np.abs(W - target))
     assert mismatch <= 1e-5 if kappa == 1.0 else mismatch >= 1e-2

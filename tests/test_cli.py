@@ -205,6 +205,26 @@ def test_non_finite_result_exits_3_writing_nothing(tmp_path, body, message):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ({"experiment": "aharonov-bohm", "params": {"R_boundary": 1e300}}, "R_boundary"),
+        ({"experiment": "wigner", "hbar": 1e-300}, "hbar"),
+    ],
+    ids=["R_boundary-overflow", "hbar-underflow"],
+)
+def test_float_range_failure_exits_3_naming_key(tmp_path, body, key):
+    # values inside their specs whose arithmetic leaves the float range
+    cfg = write_config(tmp_path, body)
+    proc = run_python("import sys, kvnlab.cli as cli; sys.exit(cli.main(['run', sys.argv[1]]))",
+                      str(cfg))
+    assert proc.returncode == 3
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and key in err[0]
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("cpus, workers", [(1, 1), (16, 8)])
 def test_workers_follow_cpu_affinity(monkeypatch, cpus, workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -416,30 +436,26 @@ def test_output_paths_relative_to_config(tmp_path):
     assert (sub / "results" / "measure_sweep.csv").exists()
 
 
-def test_measure_table_independent_of_workers(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_workers", lambda: 4)
-    cfg = write_config(
-        tmp_path, {"experiment": "measure", "output": {"directory": ".", "svg": False}}
-    )
-    assert main(["run", str(cfg)]) == 0
-    first = (tmp_path / "measure_sweep.csv").read_bytes()
-    monkeypatch.setattr(cli, "_workers", lambda: 1)
-    assert main(["run", str(cfg)]) == 0
-    assert (tmp_path / "measure_sweep.csv").read_bytes() == first
+_SHORT_EHRENFEST = {"experiment": "ehrenfest", "params": {"t_final": 0.05},
+                    "output": {"directory": ".", "svg": False}}
 
 
-def test_ehrenfest_table_independent_of_threads(tmp_path, monkeypatch):
-    cfg = write_config(
-        tmp_path,
-        {"experiment": "ehrenfest", "params": {"t_final": 0.05},
-         "output": {"directory": ".", "svg": False}},
-    )
-    tables = []
-    for workers in (1, 2):
-        monkeypatch.setattr(cli, "_workers", lambda: workers)
-        assert main(["run", str(cfg)]) == 0
-        tables.append((tmp_path / "ehrenfest.csv").read_bytes())
-    assert tables[0] == tables[1]
+@pytest.fixture(scope="module")
+def serial_ehrenfest_table(tmp_path_factory):
+    """The short ehrenfest table with every job run in this process."""
+    tmp = tmp_path_factory.mktemp("serial")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_workers", lambda: 1)
+        assert main(["run", str(write_config(tmp, _SHORT_EHRENFEST))]) == 0
+    return (tmp / "ehrenfest.csv").read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_ehrenfest_table_independent_of_workers(tmp_path, monkeypatch, serial_ehrenfest_table,
+                                                 workers):
+    monkeypatch.setattr(cli, "_workers", lambda: workers)
+    assert main(["run", str(write_config(tmp_path, _SHORT_EHRENFEST))]) == 0
+    assert (tmp_path / "ehrenfest.csv").read_bytes() == serial_ehrenfest_table
 
 
 def test_boundary_abort_in_pool_job_exits_3(tmp_path, monkeypatch, capsys):

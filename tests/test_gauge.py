@@ -1,14 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from kvnlab.errors import DegenerateInputError
+from kvnlab.errors import DegenerateInputError, PhysicsError
 from kvnlab.gauge import (
+    MAX_ORDER,
     SolenoidConfig,
-    bessel_j,
     disc_ground_energy,
+    jv,
     kvn_radial_coeffs,
     lowest_zero,
-    quantum_radial_coeffs,
 )
 
 
@@ -26,28 +28,25 @@ def series_bessel_j(nu, x, terms=60):
 
 
 def test_quantum_order_without_flux():
-    cfg = SolenoidConfig(alpha=0.0, n=-3)
-    assert quantum_radial_coeffs(cfg, 1.0).bessel_order == 3.0
+    assert SolenoidConfig(alpha=0.0, n=-3).order == 3.0
 
 
 def test_quantum_order_half_flux():
-    cfg = SolenoidConfig(alpha=0.5, n=1)
-    assert quantum_radial_coeffs(cfg, 1.0).bessel_order == 0.5
+    assert SolenoidConfig(alpha=0.5, n=1).order == 0.5
 
 
 def test_quantum_gauge_periodicity_of_coefficients():
-    a = quantum_radial_coeffs(SolenoidConfig(alpha=0.3, n=0), 2.0)
-    b = quantum_radial_coeffs(SolenoidConfig(alpha=1.3, n=1), 2.0)
-    assert a.bessel_order == pytest.approx(b.bessel_order, abs=1e-10)
-    assert a.inv_r2 == pytest.approx(b.inv_r2, abs=1e-10)
-    assert (a.const, a.first_deriv, a.second_deriv) == (b.const, b.first_deriv, b.second_deriv)
+    # an integer flux shift is undone by n -> n + 1: same order, same energy
+    a, b = SolenoidConfig(alpha=0.3, n=0), SolenoidConfig(alpha=1.3, n=1)
+    assert a.order == pytest.approx(b.order, abs=1e-10)
+    assert disc_ground_energy(a) == pytest.approx(disc_ground_energy(b), abs=1e-10)
 
 
 def test_quantum_const_term():
+    # the radial equation's constant 2mE/hbar^2 - pz0^2/hbar^2 is (j/R)^2 on the disc
     cfg = SolenoidConfig(alpha=0.0, n=0, pz0=0.7, mass=2.0, hbar=0.5)
-    rec = quantum_radial_coeffs(cfg, 3.0)
-    assert rec.const == pytest.approx(2 * 2.0 * 3.0 / 0.25 - 0.49 / 0.25, rel=1e-14)
-    assert rec.second_deriv == 1.0 and rec.first_deriv == 1.0
+    const = 2 * 2.0 * disc_ground_energy(cfg) / 0.25 - 0.49 / 0.25
+    assert const == pytest.approx(lowest_zero(0.0) ** 2, rel=1e-14)
 
 
 # --- classical side ------------------------------------------------------------
@@ -99,27 +98,27 @@ def test_lowest_zero_of_j0_vs_series_oracle():
 
 
 def test_half_integer_order_closed_form():
-    x = 1.0
-    assert bessel_j(0.5, x) == pytest.approx(np.sqrt(2 / (np.pi * x)) * np.sin(x), abs=1e-10)
+    # J_{3/2}(x) ~ sin(x)/x^2 - cos(x)/x vanishes where tan(x) = x
+    x = lowest_zero(1.5)
+    assert 4.0 < x < 4.5
+    assert np.tan(x) == pytest.approx(x, abs=1e-8)
 
 
 def test_bessel_at_zero():
-    assert bessel_j(0.0, 0.0) == 1.0
-    assert bessel_j(1.5, 0.0) == 0.0
+    assert jv(0.0, 0.0) == 1.0
+    assert jv(1.5, 0.0) == 0.0
 
 
 def test_bessel_envelope():
     with pytest.raises(DegenerateInputError):
-        bessel_j(51.0, 1.0)
-    with pytest.raises(DegenerateInputError):
-        bessel_j(1.0, 201.0)
+        lowest_zero(MAX_ORDER + 1.0)
     with pytest.raises(DegenerateInputError):
         lowest_zero(-1.0)
 
 
 def test_lowest_zero_half_order_is_pi():
     # J_{1/2} ~ sin(x): first zero at pi
-    assert lowest_zero(0.5) == pytest.approx(np.pi, abs=1e-9)
+    assert lowest_zero(0.5) == pytest.approx(np.pi, abs=1e-10)
 
 
 # --- disc spectrum --------------------------------------------------------------
@@ -156,3 +155,13 @@ def test_disc_energy_varies_over_one_percent():
     energies = [disc_ground_energy(SolenoidConfig(alpha=a, n=0)) for a in np.arange(0, 0.51, 0.1)]
     spread = (max(energies) - min(energies)) / energies[0]
     assert spread > 0.01
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("R_boundary", 1e300), ("R_boundary", 1e-300), ("hbar", 1e-300), ("pz0", 1e300)],
+)
+def test_disc_energy_out_of_float_range_names_the_field(field, value):
+    # overflow, or a flux-dependent part that underflows to zero
+    with pytest.raises(PhysicsError, match=re.escape(f"{field} {value:g}")):
+        disc_ground_energy(SolenoidConfig(**{field: value}))

@@ -7,7 +7,6 @@ from conftest import gaussian_1d, gaussian_phase
 from kvnlab.errors import DegenerateInputError
 from kvnlab.grid import Grid1D, PhaseGrid, wavenumbers
 from kvnlab.kernels import (
-    delta_law_check,
     free_kvn_propagate,
     free_quantum_kernel,
     free_quantum_propagate,
@@ -16,6 +15,7 @@ from kvnlab.kernels import (
     kernel_propagate,
 )
 from kvnlab.operators import koopman_generator
+from kvnlab.oscillator import solve_classical_tdho
 from kvnlab.propagation import kvn_step
 
 
@@ -190,39 +190,27 @@ def test_kvn_shear_group_law():
     assert np.max(np.abs(once.amplitudes - direct.amplitudes)) < 1e-10
 
 
-# --- delta-law residuals -----------------------------------------------------
+# --- delta-law residuals along the oscillator's RK4 characteristics ----------
+
+
+def delta_law_residuals(traj, vprime):
+    """Largest violations of the discretized classical laws along ``traj``:
+    p_j = m (q_{j+1} - q_j) / dt, the forward difference form of p = m v, and
+    (p_{j+1} - p_j) / dt = -V'(q_j).  Both vanish with dt for a consistent
+    integrator."""
+    dt = np.diff(traj.t)
+    r1 = np.max(np.abs(traj.p[:-1] - traj.mass * np.diff(traj.q) / dt))
+    r2 = np.max(np.abs(np.diff(traj.p) / dt + vprime(traj.q[:-1])))
+    return r1, r2
 
 
 def test_delta_laws_exact_free_trajectory():
     dt = 1e-2
-    t = np.arange(200) * dt
-    q0, p0, m = 0.3, 1.1, 1.0
-    q = q0 + p0 * t / m
-    p = np.full_like(t, p0)
-    r1 = delta_law_check("momentum-relation", t, q, p, m)
-    r2 = delta_law_check("newton-second-law", t, q, p, m, vprime=lambda x: np.zeros_like(x))
+    traj = solve_classical_tdho(lambda t: 0.0, 0.3, 1.1, 1.0, 199 * dt, dt)
+    np.testing.assert_allclose(traj.q, 0.3 + 1.1 * traj.t, atol=1e-13)
+    r1, r2 = delta_law_residuals(traj, np.zeros_like)
     assert r1 < 1e-12
     assert r2 < 1e-12
-
-
-def rk4_harmonic(dt, n, q0=1.0, p0=0.0):
-    t = np.arange(n + 1) * dt
-    q = np.empty(n + 1)
-    p = np.empty(n + 1)
-    q[0], p[0] = q0, p0
-
-    def rhs(state):
-        return np.array([state[1], -state[0]])
-
-    s = np.array([q0, p0])
-    for i in range(n):
-        k1 = rhs(s)
-        k2 = rhs(s + 0.5 * dt * k1)
-        k3 = rhs(s + 0.5 * dt * k2)
-        k4 = rhs(s + dt * k3)
-        s = s + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        q[i + 1], p[i + 1] = s
-    return t, q, p
 
 
 def test_delta_laws_harmonic_rk4():
@@ -230,26 +218,16 @@ def test_delta_laws_harmonic_rk4():
     # dt/2 * max|second derivative| to leading order; RK4's own error is
     # negligible next to that
     dt = 1e-3
-    t, q, p = rk4_harmonic(dt, 1000)
-    r1 = delta_law_check("momentum-relation", t, q, p)
-    r2 = delta_law_check("newton-second-law", t, q, p, vprime=lambda x: x)
-    assert r1 == pytest.approx(dt / 2 * np.max(np.abs(q)), rel=0.05)
-    assert r2 == pytest.approx(dt / 2 * np.max(np.abs(p)), rel=0.05)
+    traj = solve_classical_tdho(lambda t: 1.0, 1.0, 0.0, 1.0, 1.0, dt)
+    r1, r2 = delta_law_residuals(traj, lambda x: x)
+    assert r1 == pytest.approx(dt / 2 * np.max(np.abs(traj.q)), rel=0.05)
+    assert r2 == pytest.approx(dt / 2 * np.max(np.abs(traj.p)), rel=0.05)
     assert r1 < 6e-4 and r2 < 6e-4
 
 
 def test_delta_law_residual_scales_linearly_with_dt():
     r = []
     for dt in (2e-3, 1e-3):
-        t, q, p = rk4_harmonic(dt, int(1.0 / dt))
-        r.append(delta_law_check("momentum-relation", t, q, p))
+        traj = solve_classical_tdho(lambda t: 1.0, 1.0, 0.0, 1.0, 1.0, dt)
+        r.append(delta_law_residuals(traj, lambda x: x)[0])
     assert 1.8 < r[0] / r[1] < 2.2
-
-
-def test_delta_law_check_input_validation():
-    with pytest.raises(ValueError):
-        delta_law_check("momentum-relation", [0.0], [0.0], [0.0])
-    with pytest.raises(ValueError):
-        delta_law_check("nonsense", [0, 1], [0, 1], [0, 1])
-    with pytest.raises(ValueError):
-        delta_law_check("newton-second-law", [0, 1], [0, 1], [0, 1])

@@ -14,11 +14,9 @@ from kvnlab.measurement import (
     phase_discard_disturbance,
     simulate_p_a_nonselective,
     simulate_p_a_unmeasured,
-    simulate_weights_at_tau,
-    weights_at_tau,
 )
 from kvnlab.operators import hamiltonian, koopman_generator
-from kvnlab.states import dephase, pure_density, purity
+from kvnlab.states import dephase, measure_probability, pure_density, purity
 
 
 def test_evolve_pure_identity_at_zero():
@@ -78,11 +76,11 @@ def test_measurable_disturbance_at_quarter_pi():
     assert abs(p_a_nonselective(np.pi / 4) - p_a_unmeasured(np.pi / 4)) > 0.43
 
 
-def test_weights_sum_to_one():
-    rng = np.random.default_rng(3)
-    for omega_tau in rng.uniform(0, 10, 100):
-        pa, pb = weights_at_tau(omega_tau)
-        assert pa + pb == 1.0
+def weights_at_tau(omega_tau):
+    """Populations of |a> and |b> after the unread collapse at tau: the
+    diagonal of the dephased two-level state."""
+    rho = dephase(pure_density(TwoLevelSystem().evolve_pure(PSI0, omega_tau)), AB_BASIS)
+    return measure_probability(rho, AB_BASIS[:, 0]), measure_probability(rho, AB_BASIS[:, 1])
 
 
 def test_weights_at_quarter_pi():
@@ -92,11 +90,12 @@ def test_weights_at_quarter_pi():
 
 
 def test_weights_match_born_rule_simulation():
+    # closed form (1 +/- sqrt(3/4) cos(2 omega tau)) / 2 against the dephased state
     for omega_tau in np.linspace(0, np.pi / 2, 33):
-        closed = weights_at_tau(omega_tau)
-        sim = simulate_weights_at_tau(omega_tau)
-        assert closed[0] == pytest.approx(sim[0], abs=1e-12)
-        assert closed[1] == pytest.approx(sim[1], abs=1e-12)
+        pa, pb = weights_at_tau(omega_tau)
+        closed = 0.5 * (1.0 + SQ34 * np.cos(2.0 * omega_tau))
+        assert pa == pytest.approx(closed, abs=1e-12)
+        assert pb == pytest.approx(1.0 - closed, abs=1e-12)
 
 
 def test_interval_bounds_and_coincidence_points():
@@ -113,7 +112,6 @@ def test_interval_bounds_and_coincidence_points():
 
 def test_nonselective_purity_degenerate_iff_cos_is_unit():
     for omega_tau in (0.0, np.pi / 2):
-        pa, _ = weights_at_tau(omega_tau)
         rho = dephase(
             pure_density(TwoLevelSystem().evolve_pure(PSI0, omega_tau)), AB_BASIS
         )
@@ -154,7 +152,7 @@ def test_kvn_nondisturbance_harmonic():
 def test_quantum_protocol_disturbs_quartic_system():
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g, center=1.0, sigma=0.7, k0=2 * np.pi / g.length * 8)
-    H = hamiltonian(g, lambda q: q**4 / 4)
+    H = hamiltonian(g, lambda q: q**4 / 4, vprime=lambda q: q**3)
     report = phase_discard_disturbance(psi, H, tau=0.5, t_final=1.0, n_steps=1000)
     assert report.max_density_change > 1e-2
 

@@ -7,7 +7,7 @@ from conftest import (
     random_bandlimited_phase,
 )
 from kvnlab.errors import GridMismatchError
-from kvnlab.grid import Grid1D, PhaseGrid, spectral_derivative
+from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.operators import (
     commutator_apply,
     hamiltonian,
@@ -167,14 +167,14 @@ def test_elementary_operators_hermitian(pg):
 def test_hamiltonian_on_plane_wave():
     g = Grid1D(64, 0.0, 2 * np.pi)
     k0 = 3.0
-    H = hamiltonian(g, lambda q: np.zeros_like(q), mass=2.0, hbar=1.0)
+    H = hamiltonian(g, lambda q: np.zeros_like(q), mass=2.0, hbar=1.0, vprime=np.zeros_like)
     f = np.exp(1j * k0 * g.points)
     np.testing.assert_allclose(H.apply(f), (k0**2 / 4.0) * f, atol=1e-10)
 
 
 def test_hamiltonian_on_harmonic_ground_state():
     g = Grid1D(256, -16.0, 16.0)
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     amp = np.exp(-g.points**2 / 2).astype(complex)
     psi = QWavefunction(g, amp).normalize()
     resid = H.apply(psi.amplitudes) - 0.5 * psi.amplitudes
@@ -184,7 +184,7 @@ def test_hamiltonian_on_harmonic_ground_state():
 def test_generator_hermiticity_random_states():
     g = Grid1D(256, -16.0, 16.0)
     rng = np.random.default_rng(41)
-    H = hamiltonian(g, lambda q: 0.1 * q**4)
+    H = hamiltonian(g, lambda q: 0.1 * q**4, vprime=lambda q: 0.4 * q**3)
     for _ in range(3):
         f = random_bandlimited_1d(g, rng)
         h = random_bandlimited_1d(g, rng)
@@ -240,9 +240,9 @@ def test_koopman_vprime_zero_reduces_to_advection(pg):
 
 def test_unified_kappa_range(pg):
     with pytest.raises(ValueError):
-        unified_generator(pg, lambda q: q**2 / 2, kappa=1.5)
+        unified_generator(pg, lambda q: q**2 / 2, kappa=1.5, vprime=lambda q: q)
     with pytest.raises(ValueError):
-        unified_generator(pg, lambda q: q**2 / 2, kappa=-0.1)
+        unified_generator(pg, lambda q: q**2 / 2, kappa=-0.1, vprime=lambda q: q)
 
 
 def test_unified_small_kappa_matches_scaled_koopman(pg):
@@ -271,15 +271,3 @@ def test_unified_kappa_independent_for_quadratic_potential(pg):
     ]
     np.testing.assert_allclose(parts[1], parts[0], atol=1e-9)
     np.testing.assert_allclose(parts[2], parts[0], atol=1e-9)
-
-
-def test_unified_kappa_zero_spectral_vprime_fallback(pg):
-    # V supplied without its derivative: numeric differentiation on the q axis
-    from kvnlab.grid import wavenumbers
-
-    V = lambda q: np.cos(2 * np.pi * q / pg.q.length * 4)
-    G = unified_generator(pg, V, kappa=0.0)
-    vp = spectral_derivative(V(pg.q.points).astype(complex), pg.q).real
-    np.testing.assert_allclose(
-        G.position_part, -vp[:, None] * wavenumbers(pg.p)[None, :], atol=1e-10
-    )

@@ -9,14 +9,7 @@ from kvnlab.errors import BoundaryMassError
 from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from kvnlab.operators import hamiltonian, koopman_generator, unified_generator
 from kvnlab.oscillator import kvn_tdho_evolve
-from kvnlab.propagation import (
-    Propagator,
-    _theta_mean,
-    check_unitarity,
-    evolve,
-    kvn_step,
-    schrodinger_step,
-)
+from kvnlab.propagation import Propagator, _theta_mean, evolve, kvn_step
 from kvnlab.states import KvNWavefunction, QWavefunction
 
 
@@ -28,7 +21,7 @@ def test_free_gaussian_variance_matches_closed_form():
     g = Grid1D(512, -32.0, 32.0)
     s = 1.0  # density std at t = 0
     psi = gaussian_1d(g, sigma=s)
-    H = hamiltonian(g, lambda q: np.zeros_like(q))
+    H = hamiltonian(g, lambda q: np.zeros_like(q), vprime=np.zeros_like)
     t = 1.0
     traj = evolve(psi, H, t, 10)
     rho = np.abs(traj.final_state.amplitudes) ** 2 * g.dx
@@ -40,16 +33,17 @@ def test_free_gaussian_variance_matches_closed_form():
 def test_schrodinger_step_preserves_norm():
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g)
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
+    step = Propagator(H, 1e-2)
     out = psi
     for _ in range(50):
-        out = schrodinger_step(out, H, 1e-2)
+        out = step.step(out)
     assert abs(out.norm_squared() - 1.0) < 1e-12
 
 
 def test_richardson_halving_second_order():
     g = Grid1D(256, -16.0, 16.0)
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     x0, t = 1.0, 1.0
     psi = gaussian_1d(g, center=x0, sigma=np.sqrt(0.5))
     exact = x0 * np.cos(t)
@@ -64,7 +58,7 @@ def test_richardson_halving_second_order():
 
 def test_coherent_state_revival():
     g = Grid1D(256, -16.0, 16.0)
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     psi = gaussian_1d(g, center=1.5, sigma=np.sqrt(0.5))
     period = 2 * np.pi
     traj = evolve(psi, H, period, 6300)
@@ -106,7 +100,7 @@ def test_kvn_norm_drift_many_steps():
 def test_evolve_zero_time_is_identity():
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g)
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     traj = evolve(psi, H, 0.0, 1)
     np.testing.assert_allclose(traj.final_state.amplitudes, psi.amplitudes, atol=1e-14)
 
@@ -114,7 +108,7 @@ def test_evolve_zero_time_is_identity():
 def test_evolve_group_product():
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g, center=0.5, sigma=np.sqrt(0.5))
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     first = evolve(psi, H, 0.3, 300)
     second = evolve(first.final_state, H, 0.5, 500)
     direct = evolve(psi, H, 0.8, 800)
@@ -126,7 +120,7 @@ def test_free_particle_momentum_conserved():
     g = Grid1D(512, -32.0, 32.0)
     k0 = 2 * np.pi / g.length * 32
     psi = gaussian_1d(g, k0=k0)
-    H = hamiltonian(g, lambda q: np.zeros_like(q))
+    H = hamiltonian(g, lambda q: np.zeros_like(q), vprime=np.zeros_like)
     traj = evolve(psi, H, 1.0, 100)
     assert np.max(np.abs(traj.p_mean - traj.p_mean[0])) < 1e-10
 
@@ -134,19 +128,22 @@ def test_free_particle_momentum_conserved():
 def test_check_unitarity_quantum_harmonic():
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g, center=1.0, sigma=np.sqrt(0.5))
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
-    report = check_unitarity(H, psi, 1e-3, 100)
-    assert report.reversibility_residual < 1e-8
-    assert report.max_norm_drift < 1e-12
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
+    mid, _, forward, _ = Propagator(H, 1e-3).run(psi, 100, boundary_limit=np.inf)
+    end, _, backward, _ = Propagator(H, -1e-3).run(mid, 100, boundary_limit=np.inf)
+    assert np.max(np.abs(np.concatenate([forward, backward]) - 1.0)) < 1e-12
+    assert np.sqrt(np.sum(np.abs(end.amplitudes - psi.amplitudes) ** 2) * g.dx) < 1e-8
 
 
 def test_check_unitarity_kvn_free():
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -4.0, 4.0))
     psi = gaussian_phase(pg, sigma_q=0.8, sigma_p=0.5)
     G = koopman_generator(pg, lambda q: np.zeros_like(q))
-    report = check_unitarity(G, psi, 0.05, 200)
-    assert report.reversibility_residual < 1e-10
-    assert report.max_norm_drift < 1e-12
+    mid, _, forward, _ = Propagator(G, 0.05).run(psi, 200, boundary_limit=np.inf)
+    end, _, backward, _ = Propagator(G, -0.05).run(mid, 200, boundary_limit=np.inf)
+    assert np.max(np.abs(np.concatenate([forward, backward]) - 1.0)) < 1e-12
+    diff = end.amplitudes - psi.amplitudes
+    assert np.sqrt(np.sum(np.abs(diff) ** 2) * pg.cell_area) < 1e-10
 
 
 def test_boundary_mass_monitor_triggers():
@@ -154,7 +151,7 @@ def test_boundary_mass_monitor_triggers():
     k0 = 2 * np.pi / g.length * 40  # fast packet, reaches the edge quickly
     psi = gaussian_1d(g, center=4.0, sigma=0.5, k0=k0)
     assert edge_mass(np.abs(psi.amplitudes) ** 2 * g.dx) < 1e-8  # clean start
-    H = hamiltonian(g, lambda q: np.zeros_like(q))
+    H = hamiltonian(g, lambda q: np.zeros_like(q), vprime=np.zeros_like)
     with pytest.raises(BoundaryMassError, match=r"at t=") as caught:
         evolve(psi, H, 2.0, 200)
     assert float(str(caught.value).rsplit("t=", 1)[1]) > 0
@@ -163,7 +160,7 @@ def test_boundary_mass_monitor_triggers():
 def test_nan_state_stops_the_run_at_t0_whatever_the_limit():
     g = Grid1D(64, -8.0, 8.0)
     psi = QWavefunction(g, np.full(g.n, np.nan, dtype=complex))
-    H = hamiltonian(g, lambda q: 0.5 * q**2)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     for limit in (1e-8, np.inf):
         with pytest.raises(BoundaryMassError, match=r"at t=0$"):
             Propagator(H, 1e-2).run(psi, 5, boundary_limit=limit)
@@ -202,7 +199,7 @@ def test_amplitude_phase_coupling_quantum():
     k0 = 2 * np.pi / g.length * 8
     psi = gaussian_1d(g, k0=k0)
     amp_only = gaussian_1d(g)
-    H = hamiltonian(g, lambda q: q**4 / 4)
+    H = hamiltonian(g, lambda q: q**4 / 4, vprime=lambda q: q**3)
     a = evolve(psi, H, 0.5, 500).final_state
     b = evolve(amp_only, H, 0.5, 500).final_state
     assert np.max(np.abs(np.abs(a.amplitudes) - np.abs(b.amplitudes))) > 1e-3
@@ -435,7 +432,7 @@ def test_real_field_path_selection(call_counts, variant):
 def test_evolve_records_boundary_mass():
     g = Grid1D(128, -8.0, 8.0)
     psi = gaussian_1d(g, center=3.0, sigma=0.5, k0=2 * np.pi / g.length * 10)
-    H = hamiltonian(g, lambda q: np.zeros_like(q))
+    H = hamiltonian(g, lambda q: np.zeros_like(q), vprime=np.zeros_like)
     traj = evolve(psi, H, 0.3, 30, boundary_limit=np.inf)
     rho = np.abs(traj.final_state.amplitudes) ** 2 * g.dx
     assert traj.boundary_mass[-1] == pytest.approx(rho[:4].sum() + rho[-4:].sum(), rel=1e-12)
@@ -475,7 +472,8 @@ def test_position_part_not_linear_in_lambda_refuses_scale():
     G = koopman_generator(pg, lambda q: q)
     offset = replace(G, position_part=G.position_part + 0.1)
     cubic = replace(G, position_part=G.position_part * (1 + 1e-9 * G.position_part**2))
-    for G in (offset, cubic, unified_generator(pg, V, 0.5, vprime=Vp), hamiltonian(pg.q, V)):
+    unified, quantum = unified_generator(pg, V, 0.5, vprime=Vp), hamiltonian(pg.q, V, vprime=Vp)
+    for G in (offset, cubic, unified, quantum):
         with pytest.raises(ValueError, match="linear in lambda"):
             Propagator(G, 1e-2, position_scale=lambda t: 1.05)
     Propagator(unified_generator(pg, V, 0.0, vprime=Vp), 1e-2, position_scale=lambda t: 1.05)

@@ -99,7 +99,7 @@ def test_expectation_momentum_kicked_gaussian():
 def test_expectation_harmonic_ground_energy(grid_small):
     # hbar = m = omega = 1: sigma^2 = 1/2, E0 = 0.5
     psi = gaussian_1d(grid_small, sigma=np.sqrt(0.5))
-    H = hamiltonian(grid_small, lambda q: 0.5 * q**2).as_operator()
+    H = hamiltonian(grid_small, lambda q: 0.5 * q**2, vprime=lambda q: q)
     assert expectation(H, psi).real == pytest.approx(0.5, abs=1e-8)
 
 
