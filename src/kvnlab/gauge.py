@@ -22,7 +22,7 @@ comparable observable: E(n, alpha) = hbar^2 j_{|n-alpha|,1}^2 / (2 m R^2)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import DegenerateInputError, PhysicsError
 
@@ -76,13 +76,22 @@ def kvn_radial_coeffs(cfg: SolenoidConfig, E_tilde: float) -> KvnRadialCoeffs:
     flux_shift = cfg.hbar * cfg.alpha
     ptheta_eff = cfg.ptheta0 + (flux_shift - flux_shift)
     m = cfg.mass
-    return KvnRadialCoeffs(
-        dr_coeff=-1.0 / m,
-        centrifugal=ptheta_eff * cfg.n / m,
-        dpr_coeff=-(ptheta_eff**2) / m,
-        lambda_z_coeff=cfg.pz0 / m,
-        energy=-E_tilde,
-    )
+    try:
+        coeffs = KvnRadialCoeffs(
+            dr_coeff=-1.0 / m,
+            centrifugal=ptheta_eff * cfg.n / m,
+            dpr_coeff=-(ptheta_eff**2) / m,
+            lambda_z_coeff=cfg.pz0 / m,
+            energy=-E_tilde,
+        )
+    except OverflowError:  # a Python float ** or / raises rather than giving inf
+        coeffs = None
+    if coeffs is None or not all(map(math.isfinite, astuple(coeffs))):
+        raise PhysicsError(
+            f"classical radial coefficients are out of range at ptheta0 {cfg.ptheta0:g}, "
+            f"n {cfg.n}, mass {cfg.mass:g}, pz0 {cfg.pz0:g}"
+        )
+    return coeffs
 
 
 def jv(nu, x):

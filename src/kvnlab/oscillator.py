@@ -13,7 +13,10 @@ quantity; the observable part of that invariant is
 
 constant along coupled (rho, q, p) trajectories when C = 1 (the form above
 carries no C, so the auxiliary solution must be run with C = 1; unit mass
-likewise).  Integrators are classic fixed-step 4th order.
+likewise).  The auxiliary equation and the characteristics are integrated
+by fixed-step RK4; the phase-space evolution takes fourth-order split steps
+(a Yoshida triple jump of Strang steps, see ``Propagator``), so one of its
+steps can span several RK4 steps at the same accuracy.
 """
 
 from __future__ import annotations
@@ -158,11 +161,12 @@ def _phase_moments(rho: np.ndarray, q: np.ndarray, p: np.ndarray):
 def kvn_tdho_evolve(
     psi0: KvNWavefunction, k: Stiffness, t_final: float, n_steps: int
 ) -> KvnOscillatorTrajectory:
-    """Phase-space evolution with the stiffness sampled at step midpoints.
+    """Phase-space evolution in ``n_steps`` fourth-order steps, sampled
+    before the first and after each.
 
-    Unit mass; the force part of the unit-stiffness generator is scaled by
-    k(t + dt/2) each step, keeping the splitting second order for
-    time-dependent stiffness.  Aborts like ``evolve`` when probability
+    Unit mass; each step is a ``Propagator`` triple jump of three Strang
+    substeps, whose force parts are the unit-stiffness generator's scaled by
+    k at each substep's midpoint.  Aborts like ``evolve`` when probability
     reaches the domain edge.
     """
     if n_steps < 1:

@@ -1,30 +1,35 @@
-"""Time evolution by exponentiated generators: one cached Strang engine.
+"""Time evolution by exponentiated generators: one cached split-step engine.
 
 A :class:`Propagator` advances states of one generator G at one step dt by
-exp(-i B dt/2) exp(-i A dt) exp(-i B dt/2), where A is G's conjugate-diagonal
-part and B its position-side part (an optional constant part C wraps the
-step as exp(-i C dt/2) on both sides).
+the Strang step exp(-i B dt/2) exp(-i A dt) exp(-i B dt/2), where A is G's
+conjugate-diagonal part and B its position-side part (an optional constant
+part C wraps the step as exp(-i C dt/2) on both sides).
 Each factor is exact in the representation where its part is diagonal, so
 the step is unitary and second order in dt, and for classical generators
-every factor is an advection shear.  The factors are built once per (G, dt);
-a time-dependent force enters through ``position_scale``, which rescales B
-at each step's midpoint.  The phase-space position part -V'(q) lambda is
-linear in the lambda wavenumber, so that step's factor exp(s B) is, column
-by column, a power of its first lambda column: each step takes one
-exponential over the q rows and a running product over lambda bins 0..n/2,
-and the negative bins are the conjugates of the positive ones (the exponent
-is imaginary).  On a phase grid a step ends in the (q, lambda)
-representation and the next step opens from that spectrum, so a step costs
-five FFTs.
+every factor is an advection shear.  The factors are built once per (G, dt).
+On a phase grid a step ends in the (q, lambda) representation and the next
+step opens from that spectrum, so a Strang step costs five FFTs.
+
+A time-dependent force enters through ``position_scale``, which rescales B
+at the midpoint of each substep of a fourth-order step: Yoshida's triple
+jump of Strang substeps of w1 dt, w0 dt and w1 dt, with w1 = 1/(2 - 2^(1/3))
+and w0 = 1 - 2 w1 < 0 (Phys. Lett. A 150, 262, 1990).  Adjacent position
+half-steps merge into one factor, so a step alternates four position factors
+with three conjugate ones, the two distinct conjugate factors built once,
+and costs 13 FFTs.  The phase-space position part -V'(q) lambda is linear in
+the lambda wavenumber, so each position factor exp(c B) is, column by
+column, a power of its first lambda column: one exponential over the q rows
+and a running product over lambda bins 0..n/2, the negative bins being the
+conjugates of the positive ones (the exponent is imaginary).
 
 Real-field path: the phase-space generators are real operators, so a real
 amplitude stays real.  When a phase-grid state's imaginary part is exactly
 zero, G has no constant part and both exponents are conjugate-symmetric
 along their FFT axes (checked exactly at construction), the state is
 carried as float64 and every FFT is an rfft/irfft over bins 0..n/2: the
-conjugate factor keeps its first n/2+1 rows, the position factor its first
-n/2+1 columns, and a time-dependent position factor is built over those
-columns only.  This equals the complex step with the real part taken
+conjugate factors keep their first n/2+1 rows, the position factor its
+first n/2+1 columns, and time-dependent position factors are built over
+those columns only.  This equals the complex step with the real part taken
 after each inverse transform.  The two differ by round-off, and by what the
 Nyquist bin leaks: the wavenumber there is +pi/dx with no -pi/dx partner,
 so its factor is not conjugate-symmetric and the complex path grows an
@@ -68,6 +73,11 @@ from .states import KvNWavefunction, QWavefunction, Wavefunction
 #: Probability mass allowed within EDGE_CELLS cells of a domain edge during evolve().
 BOUNDARY_MASS_LIMIT = 1e-8
 
+#: Yoshida's triple jump (Phys. Lett. A 150, 262, 1990): Strang substeps of
+#: _W1 dt, _W0 dt and _W1 dt make one step of fourth order.
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_W0 = 1.0 - 2.0 * _W1
+
 
 def _abs2(field: np.ndarray) -> np.ndarray:
     if np.isrealobj(field):
@@ -96,9 +106,14 @@ def _head(field: np.ndarray, axis: int) -> np.ndarray:
 
 
 class Propagator:
-    """Strang steps of one generator at one dt, every factor built once; with
-    ``position_scale`` the step from time t uses ``position_scale(t + dt/2) * B``,
-    which needs B to be a phase-space position part linear in lambda."""
+    """Steps of one generator at one dt, every constant factor built once.
+
+    Without ``position_scale`` a step is one Strang step.  With it, the step
+    from time t is a Yoshida triple jump of three Strang substeps of
+    ``_W1 * dt``, ``_W0 * dt`` and ``_W1 * dt``, each with B scaled by
+    ``position_scale`` at the substep's midpoint; B must then be a
+    phase-space position part linear in lambda.
+    """
 
     def __init__(self, G: Generator, dt: float, position_scale: Callable | None = None):
         self.G, self.dt, self._position_scale = G, dt, position_scale
@@ -107,9 +122,9 @@ class Propagator:
         self._half_const = None if G.constant_part is None else np.exp(0.5 * arg * G.constant_part)
         pos = None
         if position_scale is None:
-            pos = np.exp(pos_arg)
+            pos, conj = np.exp(pos_arg), (np.exp(conj_arg),)
         else:
-            # each step's factor is built from lambda column 1, the unit wavenumber
+            # each position factor is built from lambda column 1, the unit wavenumber
             n = pos_arg.shape[-1]
             bins = np.concatenate([np.arange(n // 2 + 1), np.arange(1 - n // 2, 0)])
             if G.position_axis != 1 or pos_arg.real.any() or not np.allclose(
@@ -119,13 +134,15 @@ class Propagator:
                     "position_scale needs a phase-space position part linear in lambda"
                 )
             self._unit = pos_arg[:, 1]
-        self._complex = np.exp(conj_arg), pos
+            outer = np.exp(_W1 * conj_arg)
+            conj = (outer, np.exp(_W0 * conj_arg), outer)
+        self._complex = conj, pos
         pa, ca = G.position_axis, G.conjugate_axis
         # a step's closing spectrum is the next step's opening one
         self._carry = pa is not None and G.constant_part is None
         self._real = None
         if self._carry and _conj_symmetric(conj_arg, ca) and _conj_symmetric(pos_arg, pa):
-            self._real = _head(self._complex[0], ca), None if pos is None else _head(pos, pa)
+            self._real = tuple(_head(c, ca) for c in conj), None if pos is None else _head(pos, pa)
             self._nyquist = (slice(None),) * pa + (-1,)  # the last rfft bin along pa
 
     def _start(self, amp: np.ndarray) -> np.ndarray:
@@ -135,15 +152,29 @@ class Propagator:
             return amp.real
         return amp
 
-    def _scaled_position_factor(self, real: bool, t: float) -> np.ndarray | None:
-        """exp(position_scale(t + dt/2) * arg) for the step from t, arg the
-        position exponent, or None without ``position_scale``: lambda bins
-        0..n/2 as the powers 0..n/2 of its bin-1 column, one exp over the q
-        rows; the complex path adds the negative bins as the conjugates of
-        bins n/2-1..1."""
+    def _position_factors(self, real: bool, t: float) -> tuple:
+        """The position factors of the step from t, one before each conjugate
+        factor and one after the last.  A Strang step's are its two half-step
+        factors.  A triple jump's substeps j = 1, 2, 3 have weights
+        w = _W1, _W0, _W1 and stiffnesses k_j = position_scale at their
+        midpoints; adjacent half-steps merge, so its four factors are
+        exp(c * arg) with c = k1 w1, k1 w1 + k2 w0, k2 w0 + k3 w1 and k3 w1,
+        arg the position exponent of a half-step of dt."""
         if self._position_scale is None:
-            return None
-        w = np.exp(self._position_scale(t + 0.5 * self.dt) * self._unit)
+            pos = (self._real if real else self._complex)[1]
+            return pos, pos
+        scale, dt = self._position_scale, self.dt
+        k1, k2, k3 = (scale(t + s * dt) for s in (0.5 * _W1, 0.5, 1.0 - 0.5 * _W1))
+        inner = _W0 * k2
+        coeffs = _W1 * k1, _W1 * k1 + inner, inner + _W1 * k3, _W1 * k3
+        return tuple(self._column_powers(real, c) for c in coeffs)
+
+    def _column_powers(self, real: bool, c: float) -> np.ndarray:
+        """exp(c * arg), arg the position exponent of a half-step of dt:
+        lambda bins 0..n/2 as the powers 0..n/2 of its bin-1 column, one exp
+        over the q rows; the complex path adds the negative bins as the
+        conjugates of bins n/2-1..1."""
+        w = np.exp(c * self._unit)
         n = self.G.position_part.shape[1]
         powers = np.empty((len(w), n // 2 + 1), dtype=complex)
         powers[:, 0], powers[:, 1:] = 1.0, w[:, None]
@@ -152,32 +183,33 @@ class Propagator:
             return powers
         return np.concatenate([powers, powers[:, -2:0:-1].conj()], axis=1)
 
-    def _advance(self, amp: np.ndarray, spec: np.ndarray | None, half_pos: np.ndarray | None):
-        """One step from ``amp``, given its position-axis spectrum if known and
-        the step's position half-step factor if time-dependent; returns the new
-        amplitudes and their spectrum (or None)."""
+    def _advance(self, amp: np.ndarray, spec: np.ndarray | None, position: tuple):
+        """One step from ``amp``, given its position-axis spectrum if known:
+        the ``position`` factors alternate with the conjugate factors, one
+        position factor first and last.  Returns the new amplitudes and their
+        spectrum (or None)."""
         pa, ca = self.G.position_axis, self.G.conjugate_axis
         real = np.isrealobj(amp)
-        full_conj, const_pos = self._real if real else self._complex
-        if half_pos is None:
-            half_pos = const_pos
+        conj = (self._real if real else self._complex)[0]
         fft, ifft = _transforms(amp)
         if self._half_const is not None:
             amp = self._half_const * amp
         if pa is None:
-            amp = half_pos * amp
+            for pos, conj_factor in zip(position, conj):
+                amp = ifft(conj_factor * fft(pos * amp, axis=ca), axis=ca)
+            amp, spec = position[-1] * amp, None
         else:
             if spec is None:
                 spec = fft(amp, axis=pa)
-            amp = ifft(half_pos * spec, axis=pa)
-        amp = ifft(full_conj * fft(amp, axis=ca), axis=ca)
-        if pa is None:
-            return half_pos * amp, None
-        spec = half_pos * fft(amp, axis=pa)
-        amp = ifft(spec, axis=pa)
-        if real:
-            # irfft read only the real part of the Nyquist bin: carry what it read
-            spec[self._nyquist].imag = 0.0
+            for pos, conj_factor in zip(position, conj):
+                amp = ifft(pos * spec, axis=pa)
+                amp = ifft(conj_factor * fft(amp, axis=ca), axis=ca)
+                spec = fft(amp, axis=pa)
+            spec = position[-1] * spec
+            amp = ifft(spec, axis=pa)
+            if real:
+                # irfft read only the real part of the Nyquist bin: carry what it read
+                spec[self._nyquist].imag = 0.0
         if self._half_const is not None:
             return self._half_const * amp, None
         return amp, spec
@@ -185,8 +217,8 @@ class Propagator:
     def step(self, state: Wavefunction) -> Wavefunction:
         """One step, without sampling."""
         amp = self._start(state.amplitudes)
-        half_pos = self._scaled_position_factor(np.isrealobj(amp), state.time)
-        amp, _ = self._advance(amp, None, half_pos)
+        position = self._position_factors(np.isrealobj(amp), state.time)
+        amp, _ = self._advance(amp, None, position)
         return type(state)(state.grid, amp, time=state.time + self.dt)
 
     def run(self, state: Wavefunction, n_steps: int, record: Callable | None = None,
@@ -205,8 +237,8 @@ class Propagator:
         spec = _transforms(amp)[0](amp, axis=self.G.position_axis) if self._carry else None
         for i in range(n_steps + 1):
             if i:
-                half_pos = self._scaled_position_factor(np.isrealobj(amp), t)
-                amp, spec = self._advance(amp, spec, half_pos)
+                position = self._position_factors(np.isrealobj(amp), t)
+                amp, spec = self._advance(amp, spec, position)
                 t = t + self.dt
             rho = _abs2(amp) * state.measure
             times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)

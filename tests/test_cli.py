@@ -209,9 +209,10 @@ def test_non_finite_result_exits_3_writing_nothing(tmp_path, body, message):
     "body, key",
     [
         ({"experiment": "aharonov-bohm", "params": {"R_boundary": 1e300}}, "R_boundary"),
-        ({"experiment": "wigner", "hbar": 1e-300}, "hbar"),
+        ({"experiment": "aharonov-bohm", "hbar": 1e-300}, "hbar"),
+        ({"experiment": "aharonov-bohm", "params": {"ptheta0": 1e300}}, "ptheta0"),
     ],
-    ids=["R_boundary-overflow", "hbar-underflow"],
+    ids=["R_boundary-overflow", "hbar-underflow", "ptheta0-overflow"],
 )
 def test_float_range_failure_exits_3_naming_key(tmp_path, body, key):
     # values inside their specs whose arithmetic leaves the float range
@@ -221,6 +222,25 @@ def test_float_range_failure_exits_3_naming_key(tmp_path, body, key):
     assert proc.returncode == 3
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and key in err[0]
+    assert "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "command, hbar, code",
+    [("verify", 0.1, 2), ("run", 0.1, 2), ("run", 1e-300, 2), ("run", 100.0, 3)],
+)
+def test_wigner_outside_its_momentum_window_names_hbar_and_p_grid(tmp_path, command, hbar, code):
+    # W(p) repeats with period pi hbar/dx: at hbar 0.1 that is 3.35, inside
+    # the default p_grid [-8, 8), which verify refuses.  At hbar 100 the
+    # period fits but the state's momenta (spread ~70) do not, and the run
+    # refuses the table whose momentum marginal misses by 5.7e-2.
+    cfg = write_config(tmp_path, {"experiment": "wigner", "hbar": hbar})
+    proc = run_python("import sys, kvnlab.cli as cli; sys.exit(cli.main(sys.argv[1:]))",
+                      command, str(cfg))
+    assert proc.returncode == code
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and "hbar" in err[0] and "p_grid" in err[0]
     assert "Traceback" not in proc.stderr
     assert list(tmp_path.iterdir()) == [cfg]
 
@@ -410,6 +430,48 @@ def test_oscillator_run_small(tmp_path):
     assert meta["columns"] == "t,q,p,rho,invariant"
     inv = rows[:, 4]
     assert np.max(np.abs(inv - inv[0])) / abs(inv[0]) < 1e-6
+
+
+@pytest.mark.parametrize("n_steps, stride", [(2500, 10), (2501, 1), (7, 7)])
+def test_oscillator_stride_is_largest_divisor_up_to_10(tmp_path, capsys, monkeypatch,
+                                                        n_steps, stride):
+    # one phase-space step per ``stride`` RK4 steps; 2501 = 41 * 61 has no
+    # divisor in 2..10, so it steps at every RK4 step
+    calls = []
+    evolve = cli.kvn_tdho_evolve
+    monkeypatch.setattr(cli, "kvn_tdho_evolve",
+                        lambda *args: calls.append(args[3]) or evolve(*args))
+    cfg = write_config(
+        tmp_path,
+        {
+            "experiment": "oscillator",
+            "params": {"t_final": 1.0, "n_steps": n_steps, "sigma": 0.5,
+                        "phase_grid": {"n": 32, "min": -6.0, "max": 6.0}},
+            "output": {"directory": ".", "svg": False},
+        },
+    )
+    assert main(["run", str(cfg)]) == 0
+    assert calls == [n_steps // stride]
+    out = capsys.readouterr().out
+    assert f"phase-space steps {n_steps // stride}, one per {stride} RK4 steps" in out
+    _, rows = read_table(tmp_path / "oscillator.csv")
+    assert rows.shape == (n_steps + 1, 5)  # the RK4 table keeps every step
+
+
+def test_oscillator_default_summary_bounds(tmp_path, capsys):
+    # the default run: the centroid within 2e-6 of the characteristics, the
+    # position variance within 1e-6 of sigma^2 rho^2 (Pinney; Strang at every
+    # RK4 step gave 3.7e-6) and the covariance determinant within 1e-12 of
+    # sigma^4 (Liouville)
+    cfg = write_config(tmp_path, {"experiment": "oscillator",
+                                  "output": {"directory": ".", "svg": False}})
+    assert main(["run", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    number = lambda pattern: float(re.search(pattern, out).group(1))
+    assert number(r"centroid error vs characteristics (\S+)") <= 2e-6
+    assert number(r"Ermakov width residual (\S+),") <= 1e-6
+    assert number(r"Liouville area residual (\S+)") <= 1e-12
+    assert "phase-space steps 250, one per 10 RK4 steps" in out
 
 
 def test_uncertainty_run(tmp_path):

@@ -346,28 +346,37 @@ def test_evolve_matches_reference_strang_loop(case):
     assert traj.final_state.time == pytest.approx(n_steps * dt, abs=1e-12)
 
 
+#: Yoshida's triple-jump weights, w1 outer and w0 inner.
+W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+W0 = 1.0 - 2.0 * W1
+
+
 def test_tdho_evolve_matches_reference_strang_loop():
-    # the reference rebuilds the generator with the midpoint stiffness every
-    # step; the real blob takes the real-field path, the complex one the full exp
+    # the reference takes each step as three Strang steps of W1 dt, W0 dt and
+    # W1 dt, each with the generator rebuilt at the stiffness of that
+    # substep's own midpoint; the real blob takes the real-field path, the
+    # phased one the complex path.  On the real path merged and separate
+    # half-steps differ by what irfft drops of the Nyquist bin in between,
+    # so the blob is wide enough that this bin holds only round-off.
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     k = lambda t: 1.0 + 0.1 * np.sin(t)
-    n_steps, dt = 250, 4e-3
+    n_steps, dt = 50, 4e-2
     Q, P = pg.meshes()
     for phase in (None, WOBBLE):
-        psi = gaussian_phase(pg, q0=1.0, sigma_q=0.3, sigma_p=0.3, phase=phase)
+        psi = gaussian_phase(pg, q0=1.0, sigma_q=0.5, sigma_p=0.5, phase=phase)
         run = kvn_tdho_evolve(psi, k, n_steps * dt, n_steps)
-        amp, t = psi.amplitudes, 0.0
+        ref = psi
         for i in range(n_steps + 1):
-            if i:
-                k_mid = k(t + 0.5 * dt)
+            for w in (W1, W0, W1) if i else ():
+                k_mid = k(ref.time + 0.5 * w * dt)
                 G = koopman_generator(pg, lambda q: k_mid * q)
-                amp = reference_step(amp, G, dt, real=phase is None)
-                t = t + dt
-            rho = np.abs(amp) ** 2 * pg.cell_area
+                ref = Propagator(G, w * dt).step(ref)
+            rho = np.abs(ref.amplitudes) ** 2 * pg.cell_area
+            assert abs(run.times[i] - ref.time) <= 1e-12
             assert abs(run.q_mean[i] - np.sum(Q * rho)) <= 1e-12
             assert abs(run.p_mean[i] - np.sum(P * rho)) <= 1e-12
             assert abs(run.norms[i] - np.sum(rho)) <= 1e-12
-        assert np.max(np.abs(run.final_state.amplitudes - amp)) <= 1e-12
+        assert np.max(np.abs(run.final_state.amplitudes - ref.amplitudes)) <= 1e-12
 
 
 def test_strang_order_quartic_kappa_half():
@@ -444,25 +453,31 @@ def _half_position_arg(G, dt):
 
 
 def test_real_path_position_factor_is_head_of_exp():
-    # the driven oscillator's generator and step: the factor built from one
-    # lambda column is exp(scale(t + dt/2) * arg) on the complex path and its
-    # lambda columns 0..n/2 on the real-field path, at the step times ``run``
-    # accumulates (a scale linear in t shows a time off by one ulp)
+    # the driven oscillator's generator and step: the four merged position
+    # factors built from one lambda column are exp(c * arg), with c = k1 W1,
+    # k1 W1 + k2 W0, k2 W0 + k3 W1, k3 W1 and k_j the scale at substep j's
+    # midpoint, on the complex path, and their lambda columns 0..n/2 on the
+    # real-field path, at the step times ``run`` accumulates (a scale linear
+    # in t shows a time off by one ulp)
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
-    G, dt = koopman_generator(pg, lambda q: q), 10.0 / 2500
+    G, dt = koopman_generator(pg, lambda q: q), 10.0 / 250
     arg = _half_position_arg(G, dt)
     scales = [lambda t: 1.0 + 0.1 * np.sin(t), lambda t: t]
     scales += [lambda t, s=s: s for s in (0.0, -1.3, 40.0)]
     for scale in scales:
         prop, t = Propagator(G, dt, position_scale=scale), 0.0
         assert prop._real is not None
-        for i in range(2500):
-            if i % 25 == 0:
-                expected = np.exp(scale(t + 0.5 * dt) * arg)
-                real, full = (prop._scaled_position_factor(r, t) for r in (True, False))
-                assert real.shape == (128, 65) and full.shape == (128, 128)
-                assert np.max(np.abs(real - expected[:, :65])) <= 1e-13
-                assert np.max(np.abs(full - expected)) <= 1e-13
+        for i in range(250):
+            if i % 5 == 0:
+                k1, k2, k3 = (scale(t + s * dt) for s in (0.5 * W1, 0.5, 1.0 - 0.5 * W1))
+                coeffs = W1 * k1, W1 * k1 + W0 * k2, W0 * k2 + W1 * k3, W1 * k3
+                reals, fulls = (prop._position_factors(r, t) for r in (True, False))
+                assert len(reals) == len(fulls) == 4
+                for c, real, full in zip(coeffs, reals, fulls):
+                    expected = np.exp(c * arg)
+                    assert real.shape == (128, 65) and full.shape == (128, 128)
+                    assert np.max(np.abs(real - expected[:, :65])) <= 1e-13
+                    assert np.max(np.abs(full - expected)) <= 1e-13
             t = t + dt
 
 
@@ -488,11 +503,12 @@ def test_phased_state_with_scale_takes_complex_path(call_counts, monkeypatch):
     call_counts.clear()
     final = prop.run(phased, 3)[0]
     assert call_counts["rfft"] + call_counts["irfft"] == 0 and call_counts["fft"] > 0
-    assert sizes == [32] * 3  # one exp over the q rows per step
+    assert sizes == [32] * 4 * 3  # one exp over the q rows per merged factor
     reference = phased
-    for _ in range(3):  # the same steps with the exact factor of each
-        G = koopman_generator(pg, lambda q: 1.05 * q)
-        reference = Propagator(G, 1e-2).step(reference)
+    G = koopman_generator(pg, lambda q: 1.05 * q)
+    for _ in range(3):  # the same steps as Strang substeps with the exact factors
+        for w in (W1, W0, W1):
+            reference = Propagator(G, w * 1e-2).step(reference)
     assert np.max(np.abs(final.amplitudes - reference.amplitudes)) < 1e-13
 
 
