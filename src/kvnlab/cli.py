@@ -21,10 +21,10 @@ success, 2 config error, 3 physics precondition violation (a non-finite table
 among them; nothing is written), 4 I/O error or a worker process that died.
 For a fixed config and seed the tables are byte-identical across runs on one
 platform; wall time is printed to stdout rather than written into the files.
-Ehrenfest's independent evolutions run side by side in forked worker
-processes, one per CPU the process may use, at most ``MAX_WORKERS`` (limit
-them with ``taskset``).  Results are assembled in input order, so the tables
-do not depend on the worker count.
+Ehrenfest's distinct evolutions, each run once however many rows read it,
+run side by side in forked worker processes, one per CPU the process may use,
+at most ``MAX_WORKERS`` (limit them with ``taskset``).  Results are assembled
+in input order, so the tables do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -494,26 +494,32 @@ def _run_ehrenfest(cfg: ExperimentConfig, out: _Output):
     # blob shape chosen so the quartic runs keep their tails off the
     # energy contours that cross the p boundary, for every kappa
     blob = _gaussian_phase(pg, 0.8, 0.0, 0.35, 0.7)
-    jobs = []
-    for pot_code in range(len(p["potentials"])):
-        jobs += [(0, pot_code, 1.0), (1, pot_code, 0.0)]
-        jobs += [(2, pot_code, kappa) for kappa in p["kappas"]]
+    # the job each row reads: unified at kappa = 0 is hbar K, so its evolution
+    # exp(-i hbar K t / hbar) is the Koopman one, and a repeated kappa runs once
+    plan = []  # (flavor, potential code, kappa, job) per row
+    for pot_code, potential in enumerate(p["potentials"]):
+        plan += [(0, pot_code, 1.0, ("quantum", potential)),
+                 (1, pot_code, 0.0, ("koopman", potential))]
+        plan += [(2, pot_code, kappa, ("unified", potential, kappa) if kappa else
+                  ("koopman", potential)) for kappa in p["kappas"]]
+    jobs = list(dict.fromkeys(job for *_, job in plan))
 
-    def row(job):
+    def residuals(job):
         # each job builds its own generator, so only the running ones hold arrays
-        flavor, pot_code, kappa = job
-        V, Vp = _POTENTIALS[p["potentials"][pot_code]]
-        if flavor == 0:
+        flavor, potential, *kappa = job
+        V, Vp = _POTENTIALS[potential]
+        if flavor == "quantum":
             traj = evolve(psi, hamiltonian(g, V, hbar=cfg.hbar, vprime=Vp), t_final, n_steps)
-        elif flavor == 1:
+        elif flavor == "koopman":
             traj = evolve(blob, koopman_generator(pg, Vp), t_final, n_steps)
         else:
-            G = unified_generator(pg, V, kappa, hbar=cfg.hbar, vprime=Vp)
+            G = unified_generator(pg, V, *kappa, hbar=cfg.hbar, vprime=Vp)
             traj = evolve(blob, G, t_final, n_steps)
         res = ehrenfest_residuals(traj)
-        return [flavor, pot_code, kappa, res.r1_max, res.r2_max, res.r1_relative, res.r2_relative]
+        return [res.r1_max, res.r2_max, res.r1_relative, res.r2_relative]
 
-    rows = _pmap(row, jobs)
+    done = dict(zip(jobs, _pmap(residuals, jobs)))
+    rows = [[flavor, pot_code, kappa, *done[job]] for flavor, pot_code, kappa, job in plan]
     out.table(
         "ehrenfest", ["flavor", "potential", "kappa", "r1_max", "r2_max", "r1_rel", "r2_rel"],
         ["0q_1kvn_2uni", "0harm_1quart", "1", "mixed", "mixed", "1", "1"], rows,
@@ -566,27 +572,36 @@ def _run_wigner(cfg: ExperimentConfig, out: _Output):
 KVN_MAX_STRIDE = 10
 
 
+def _characteristics(p: dict, stiffness, n_steps: int):
+    """The auxiliary solution (rho = 1, rho' = 0, C = 1) and the centroid's
+    characteristics, by RK4 in ``n_steps`` steps over t_final."""
+    t_final = p["t_final"]
+    dt = t_final / n_steps
+    aux = integrate_ermakov(stiffness, ErmakovState(rho=1.0, rho_dot=0.0, C=1.0), t_final, dt)
+    return aux, solve_classical_tdho(stiffness, p["q0"], p["p0"], 1.0, t_final, dt)
+
+
 def _run_oscillator(cfg: ExperimentConfig, out: _Output):
     p = cfg.params
     stiffness = lambda t: p["k_base"] + p["k_mod"] * np.sin(t)
-    t_final, n_steps = p["t_final"], p["n_steps"]
-    dt = t_final / n_steps
-    aux = integrate_ermakov(stiffness, ErmakovState(rho=1.0, rho_dot=0.0, C=1.0), t_final, dt)
-    cl = solve_classical_tdho(stiffness, p["q0"], p["p0"], 1.0, t_final, dt)
+    n_steps, m = p["n_steps"], KVN_MAX_STRIDE
+    aux, cl = _characteristics(p, stiffness, n_steps)
     I = lewis_invariant_classical(cl.q, cl.p, aux.rho, aux.rho_dot)
     pg = PhaseGrid(p["phase_grid"], p["phase_grid"])
     blob = _gaussian_phase(pg, p["q0"], p["p0"], p["sigma"], p["sigma"])
-    # the largest stride that divides n_steps, so the phase-space samples fall on RK4 ones
-    m = max(d for d in range(1, KVN_MAX_STRIDE + 1) if n_steps % d == 0)
-    run = kvn_tdho_evolve(blob, stiffness, t_final, n_steps // m)
+    # one phase-space step per m RK4 steps; when m does not divide n_steps the
+    # comparisons take their RK4 samples from a run of n_kvn * m steps
+    n_kvn = -(-n_steps // m)
+    run = kvn_tdho_evolve(blob, stiffness, p["t_final"], n_kvn)
+    ref_aux, ref = (aux, cl) if n_kvn * m == n_steps else _characteristics(p, stiffness, n_kvn * m)
     centroid_err = float(
-        max(np.max(np.abs(run.q_mean - cl.q[::m])), np.max(np.abs(run.p_mean - cl.p[::m])))
+        max(np.max(np.abs(run.q_mean - ref.q[::m])), np.max(np.abs(run.p_mean - ref.p[::m])))
     )
     # the blob starts at covariance sigma^2 I and the auxiliary solution at
     # rho = 1, rho' = 0, C = 1, so var q = sigma^2 rho^2 (Pinney) and the
     # covariance keeps its determinant sigma^4 (Liouville)
     s2, cov = p["sigma"] ** 2, run.covariance
-    var_q = s2 * aux.rho[::m] ** 2
+    var_q = s2 * ref_aux.rho[::m] ** 2
     width = float(np.max(np.abs(cov[:, 0, 0] - var_q)) / np.max(var_q))
     det = cov[:, 0, 0] * cov[:, 1, 1] - cov[:, 0, 1] * cov[:, 1, 0]
     area = float(np.max(np.abs(det / s2**2 - 1.0)))
@@ -603,7 +618,7 @@ def _run_oscillator(cfg: ExperimentConfig, out: _Output):
     return [
         f"invariant relative drift {drift:.3e}",
         f"phase-space centroid error vs characteristics {centroid_err:.3e}",
-        f"phase-space steps {n_steps // m}, one per {m} RK4 steps",
+        f"phase-space steps {n_kvn}, one per {m} RK4 steps",
         f"Ermakov width residual {width:.3e}, Liouville area residual {area:.3e}",
     ]
 

@@ -57,12 +57,18 @@ class ErmakovTrajectory:
     C: float
 
 
-def _rk4(rhs, state: np.ndarray, t: float, dt: float) -> np.ndarray:
-    k1 = rhs(t, state)
-    k2 = rhs(t + 0.5 * dt, state + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, state + 0.5 * dt * k2)
-    k4 = rhs(t + dt, state + dt * k3)
-    return state + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4(rhs, x: float, y: float, t: float, dt: float) -> tuple[float, float]:
+    """One classical RK4 step of the pair (x, y) under ``rhs(t, x, y) -> (x', y')``.
+
+    The pair and the rates are Python floats: numpy scalars would give the
+    same bits at several times the cost per operation."""
+    h = 0.5 * dt
+    a1, b1 = rhs(t, x, y)
+    a2, b2 = rhs(t + h, x + h * a1, y + h * b1)
+    a3, b3 = rhs(t + h, x + h * a2, y + h * b2)
+    a4, b4 = rhs(t + dt, x + dt * a3, y + dt * b3)
+    s = dt / 6.0
+    return x + s * (a1 + 2 * a2 + 2 * a3 + a4), y + s * (b1 + 2 * b2 + 2 * b3 + b4)
 
 
 def integrate_ermakov(
@@ -74,21 +80,19 @@ def integrate_ermakov(
     n = int(round((t_final - init.t) / dt))
     C = init.C
 
-    def rhs(t, s):
-        rho, rho_dot = s
-        return np.array([rho_dot, C / rho**3 - k(t) * rho])
+    def rhs(t, rho, rho_dot):
+        return rho_dot, C / rho**3 - float(k(t)) * rho
 
     ts = init.t + dt * np.arange(n + 1)
-    rho = np.empty(n + 1)
-    rho_dot = np.empty(n + 1)
-    state = np.array([init.rho, init.rho_dot])
-    rho[0], rho_dot[0] = state
+    times = ts.tolist()
+    rho, rho_dot = [float(init.rho)], [float(init.rho_dot)]
     for i in range(n):
-        state = _rk4(rhs, state, ts[i], dt)
-        if state[0] <= 10 * dt * abs(state[1]) or state[0] <= 1e-12:
-            raise PhysicsError(f"auxiliary amplitude approaching zero at t={ts[i + 1]:.6g}")
-        rho[i + 1], rho_dot[i + 1] = state
-    return ErmakovTrajectory(ts, rho, rho_dot, C)
+        x, y = _rk4(rhs, rho[i], rho_dot[i], times[i], dt)
+        if x <= 10 * dt * abs(y) or x <= 1e-12:
+            raise PhysicsError(f"auxiliary amplitude approaching zero at t={times[i + 1]:.6g}")
+        rho.append(x)
+        rho_dot.append(y)
+    return ErmakovTrajectory(ts, np.array(rho), np.array(rho_dot), C)
 
 
 def ermakov_residual(traj: ErmakovTrajectory, k: Stiffness) -> float:
@@ -118,17 +122,16 @@ def solve_classical_tdho(
     n = int(round(t_final / dt))
     ts = dt * np.arange(n + 1)
 
-    def rhs(t, s):
-        return np.array([s[1] / mass, -k(t) * s[0]])
+    def rhs(t, q, p):
+        return p / mass, -float(k(t)) * q
 
-    q = np.empty(n + 1)
-    p = np.empty(n + 1)
-    state = np.array([q0, p0], dtype=float)
-    q[0], p[0] = state
+    times = ts.tolist()
+    q, p = [float(q0)], [float(p0)]
     for i in range(n):
-        state = _rk4(rhs, state, ts[i], dt)
-        q[i + 1], p[i + 1] = state
-    return ClassicalTrajectory(ts, q, p, mass)
+        x, y = _rk4(rhs, q[i], p[i], times[i], dt)
+        q.append(x)
+        p.append(y)
+    return ClassicalTrajectory(ts, np.array(q), np.array(p), mass)
 
 
 def lewis_invariant_classical(q, p, rho, rho_dot) -> np.ndarray | float:
@@ -186,14 +189,8 @@ def kvn_tdho_evolve(
 
 
 def monodromy_matrix(k: Stiffness, t_final: float, dt: float, mass: float = 1.0) -> np.ndarray:
-    """Fundamental solution of the linear flow d(q,p)/dt = (p/m, -k(t) q)."""
-    n = int(round(t_final / dt))
-
-    def rhs(t, M):
-        A = np.array([[0.0, 1.0 / mass], [-k(t), 0.0]])
-        return A @ M
-
-    M = np.eye(2)
-    for i in range(n):
-        M = _rk4(rhs, M, i * dt, dt)
-    return M
+    """Fundamental solution of the linear flow d(q,p)/dt = (p/m, -k(t) q): its
+    columns are the characteristics from (1, 0) and from (0, 1) at t_final."""
+    starts = (1.0, 0.0), (0.0, 1.0)
+    ends = [solve_classical_tdho(k, q0, p0, mass, t_final, dt) for q0, p0 in starts]
+    return np.array([[end.q[-1] for end in ends], [end.p[-1] for end in ends]])

@@ -117,13 +117,11 @@ class Propagator:
 
     def __init__(self, G: Generator, dt: float, position_scale: Callable | None = None):
         self.G, self.dt, self._position_scale = G, dt, position_scale
-        arg = -1j * dt / G.phase_scale
-        conj_arg, pos_arg = arg * G.conjugate_part, 0.5 * arg * G.position_part
-        self._half_const = None if G.constant_part is None else np.exp(0.5 * arg * G.constant_part)
-        pos = None
-        if position_scale is None:
-            pos, conj = np.exp(pos_arg), (np.exp(conj_arg),)
-        else:
+        self._arg = -1j * dt / G.phase_scale
+        conj_arg, pos_arg = self._arguments()
+        const = G.constant_part
+        self._half_const = None if const is None else np.exp(0.5 * self._arg * const)
+        if position_scale is not None:
             # each position factor is built from lambda column 1, the unit wavenumber
             n = pos_arg.shape[-1]
             bins = np.concatenate([np.arange(n // 2 + 1), np.arange(1 - n // 2, 0)])
@@ -134,16 +132,37 @@ class Propagator:
                     "position_scale needs a phase-space position part linear in lambda"
                 )
             self._unit = pos_arg[:, 1]
-            outer = np.exp(_W1 * conj_arg)
-            conj = (outer, np.exp(_W0 * conj_arg), outer)
-        self._complex = conj, pos
+        self._complex = None  # the complex path's factors, built when a complex state arrives
         pa, ca = G.position_axis, G.conjugate_axis
         # a step's closing spectrum is the next step's opening one
         self._carry = pa is not None and G.constant_part is None
         self._real = None
         if self._carry and _conj_symmetric(conj_arg, ca) and _conj_symmetric(pos_arg, pa):
-            self._real = tuple(_head(c, ca) for c in conj), None if pos is None else _head(pos, pa)
+            pos = None if position_scale else np.exp(_head(pos_arg, pa))
+            self._real = self._conjugate_factors(_head(conj_arg, ca)), pos
             self._nyquist = (slice(None),) * pa + (-1,)  # the last rfft bin along pa
+
+    def _arguments(self) -> tuple:
+        """The exponents of G's conjugate part over dt and of its position part over dt/2."""
+        return self._arg * self.G.conjugate_part, 0.5 * self._arg * self.G.position_part
+
+    def _conjugate_factors(self, conj_arg: np.ndarray) -> tuple:
+        """exp of ``conj_arg`` for each conjugate shear of a step: a Strang
+        step's one, or the triple jump's three, its outer two one array."""
+        if self._position_scale is None:
+            return (np.exp(conj_arg),)
+        outer = np.exp(_W1 * conj_arg)
+        return outer, np.exp(_W0 * conj_arg), outer
+
+    def _factors(self, real: bool) -> tuple:
+        """(conjugate factors, constant position factor or None) of a path."""
+        if real:
+            return self._real
+        if self._complex is None:
+            conj_arg, pos_arg = self._arguments()
+            pos = None if self._position_scale else np.exp(pos_arg)
+            self._complex = self._conjugate_factors(conj_arg), pos
+        return self._complex
 
     def _start(self, amp: np.ndarray) -> np.ndarray:
         """The amplitudes the steps work on: the real part, as float64, when
@@ -152,22 +171,23 @@ class Propagator:
             return amp.real
         return amp
 
-    def _position_factors(self, real: bool, t: float) -> tuple:
+    def _position_factors(self, real: bool, t: float):
         """The position factors of the step from t, one before each conjugate
         factor and one after the last.  A Strang step's are its two half-step
         factors.  A triple jump's substeps j = 1, 2, 3 have weights
         w = _W1, _W0, _W1 and stiffnesses k_j = position_scale at their
         midpoints; adjacent half-steps merge, so its four factors are
         exp(c * arg) with c = k1 w1, k1 w1 + k2 w0, k2 w0 + k3 w1 and k3 w1,
-        arg the position exponent of a half-step of dt."""
+        arg the position exponent of a half-step of dt, each built only as
+        it is taken."""
         if self._position_scale is None:
-            pos = (self._real if real else self._complex)[1]
+            pos = self._factors(real)[1]
             return pos, pos
         scale, dt = self._position_scale, self.dt
         k1, k2, k3 = (scale(t + s * dt) for s in (0.5 * _W1, 0.5, 1.0 - 0.5 * _W1))
         inner = _W0 * k2
         coeffs = _W1 * k1, _W1 * k1 + inner, inner + _W1 * k3, _W1 * k3
-        return tuple(self._column_powers(real, c) for c in coeffs)
+        return (self._column_powers(real, c) for c in coeffs)
 
     def _column_powers(self, real: bool, c: float) -> np.ndarray:
         """exp(c * arg), arg the position exponent of a half-step of dt:
@@ -183,29 +203,30 @@ class Propagator:
             return powers
         return np.concatenate([powers, powers[:, -2:0:-1].conj()], axis=1)
 
-    def _advance(self, amp: np.ndarray, spec: np.ndarray | None, position: tuple):
+    def _advance(self, amp: np.ndarray, spec: np.ndarray | None, position):
         """One step from ``amp``, given its position-axis spectrum if known:
         the ``position`` factors alternate with the conjugate factors, one
         position factor first and last.  Returns the new amplitudes and their
         spectrum (or None)."""
         pa, ca = self.G.position_axis, self.G.conjugate_axis
         real = np.isrealobj(amp)
-        conj = (self._real if real else self._complex)[0]
+        conj = self._factors(real)[0]
         fft, ifft = _transforms(amp)
+        position = iter(position)
         if self._half_const is not None:
             amp = self._half_const * amp
         if pa is None:
-            for pos, conj_factor in zip(position, conj):
-                amp = ifft(conj_factor * fft(pos * amp, axis=ca), axis=ca)
-            amp, spec = position[-1] * amp, None
+            for conj_factor in conj:
+                amp = ifft(conj_factor * fft(next(position) * amp, axis=ca), axis=ca)
+            amp, spec = next(position) * amp, None
         else:
             if spec is None:
                 spec = fft(amp, axis=pa)
-            for pos, conj_factor in zip(position, conj):
-                amp = ifft(pos * spec, axis=pa)
+            for conj_factor in conj:
+                amp = ifft(next(position) * spec, axis=pa)
                 amp = ifft(conj_factor * fft(amp, axis=ca), axis=ca)
                 spec = fft(amp, axis=pa)
-            spec = position[-1] * spec
+            spec = next(position) * spec
             amp = ifft(spec, axis=pa)
             if real:
                 # irfft read only the real part of the Nyquist bin: carry what it read

@@ -59,7 +59,8 @@ class ResultTable:
             f"# columns: {','.join(self.columns)}",
             f"# units: {','.join(self.units)}",
         ]
-        lines += [",".join(map("{:.17g}".format, row)) for row in self.rows.tolist()]
+        row = ",".join(["%.17g"] * self.rows.shape[1])
+        lines += [row % values for values in map(tuple, self.rows.tolist())]
         path.write_text("\n".join(lines) + "\n")
 
 
@@ -83,9 +84,16 @@ def read_table(path: Path) -> tuple[dict, np.ndarray]:
 
 
 def _map(v, lo, hi, out_lo, out_hi):
+    """``v`` (a number or an array) mapped from [lo, hi] onto [out_lo, out_hi]."""
     if hi == lo:
-        return 0.5 * (out_lo + out_hi)
+        return np.full(np.shape(v), 0.5 * (out_lo + out_hi))[()]
     return out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
+
+
+def _format(template: str, sep: str, *columns: np.ndarray) -> str:
+    """``template`` filled from each row of ``columns``, the rows joined by ``sep``."""
+    values = np.column_stack(columns).ravel().tolist()
+    return sep.join([template] * len(columns[0])) % tuple(values)
 
 
 def _axes(x_label: str, y_label: str, xlim, ylim) -> list[str]:
@@ -137,12 +145,10 @@ def svg_line_plot(
         f'<text x="{w // 2}" y="28" text-anchor="middle" font-size="16">{title}</text>',
     ]
     parts += _axes(x_label, y_label, xlim, ylim)
+    px = _map(np.asarray(x, dtype=float), *xlim, m, w - m)
     for i, (label, y) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(
-            f"{_map(xv, *xlim, m, w - m):.2f},{_map(yv, *ylim, h - m, m):.2f}"
-            for xv, yv in zip(x, y)
-        )
+        pts = _format("%.2f,%.2f", " ", px, _map(np.asarray(y, dtype=float), *ylim, h - m, m))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -180,19 +186,17 @@ def svg_heatmap(
         f'<rect width="{w}" height="{h}" fill="white"/>',
         f'<text x="{w // 2}" y="28" text-anchor="middle" font-size="16">{title}</text>',
     ]
-    for i in range(nx):
-        for j in range(ny):
-            v = mat[i, j] / vmax
-            if v >= 0:
-                r, g, b = 255, int(255 * (1 - v)), int(255 * (1 - v))
-            else:
-                r, g, b = int(255 * (1 + v)), int(255 * (1 + v)), 255
-            px = m + i * cw
-            py = h - m - (j + 1) * ch
-            parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.5:.2f}" '
-                f'height="{ch + 0.5:.2f}" fill="rgb({r},{g},{b})"/>'
-            )
+    # cell (i, j) at x = m + i cw, y = h - m - (j + 1) ch; red above 0, blue
+    # below, faded to white as 255 (1 - |v|) truncated, v the cell over vmax
+    v = (mat / vmax).ravel()
+    fade = np.trunc(255 * (1 - np.abs(v)))
+    red = v >= 0
+    parts.append(_format(
+        f'<rect x="%.2f" y="%.2f" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
+        f'fill="rgb(%d,%d,%d)"/>', "\n",
+        np.repeat(m + np.arange(nx) * cw, ny), np.tile(h - m - np.arange(1, ny + 1) * ch, nx),
+        np.where(red, 255, fade), fade, np.where(red, fade, 255),
+    ))
     parts += _axes(x_label, y_label, extent[:2], extent[2:])
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")

@@ -432,11 +432,11 @@ def test_oscillator_run_small(tmp_path):
     assert np.max(np.abs(inv - inv[0])) / abs(inv[0]) < 1e-6
 
 
-@pytest.mark.parametrize("n_steps, stride", [(2500, 10), (2501, 1), (7, 7)])
-def test_oscillator_stride_is_largest_divisor_up_to_10(tmp_path, capsys, monkeypatch,
-                                                        n_steps, stride):
-    # one phase-space step per ``stride`` RK4 steps; 2501 = 41 * 61 has no
-    # divisor in 2..10, so it steps at every RK4 step
+@pytest.mark.parametrize("n_steps, kvn_steps", [(2500, 250), (2501, 251), (7, 1)])
+def test_oscillator_phase_steps_are_ceil_of_n_steps_over_10(tmp_path, capsys, monkeypatch,
+                                                            n_steps, kvn_steps):
+    # one phase-space step per at most 10 RK4 steps, whatever divides n_steps:
+    # 2501 = 41 * 61 has no divisor in 2..10, yet takes 251 steps
     calls = []
     evolve = cli.kvn_tdho_evolve
     monkeypatch.setattr(cli, "kvn_tdho_evolve",
@@ -451,11 +451,26 @@ def test_oscillator_stride_is_largest_divisor_up_to_10(tmp_path, capsys, monkeyp
         },
     )
     assert main(["run", str(cfg)]) == 0
-    assert calls == [n_steps // stride]
+    assert calls == [kvn_steps]
     out = capsys.readouterr().out
-    assert f"phase-space steps {n_steps // stride}, one per {stride} RK4 steps" in out
+    assert f"phase-space steps {kvn_steps}, one per 10 RK4 steps" in out
     _, rows = read_table(tmp_path / "oscillator.csv")
     assert rows.shape == (n_steps + 1, 5)  # the RK4 table keeps every step
+
+
+def test_oscillator_prime_n_steps_keeps_default_accuracy(tmp_path, capsys):
+    # 2503 is prime: its 251 phase-space steps are compared with RK4 over
+    # 2510 steps, and stay as close to the characteristics as the default's
+    cfg = write_config(tmp_path, {"experiment": "oscillator", "params": {"n_steps": 2503},
+                                  "output": {"directory": ".", "svg": False}})
+    assert main(["run", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    number = lambda pattern: float(re.search(pattern, out).group(1))
+    assert "phase-space steps 251, one per 10 RK4 steps" in out
+    assert number(r"centroid error vs characteristics (\S+)") <= 2e-6
+    assert number(r"Ermakov width residual (\S+),") <= 1e-6
+    _, rows = read_table(tmp_path / "oscillator.csv")
+    assert rows.shape == (2504, 5)
 
 
 def test_oscillator_default_summary_bounds(tmp_path, capsys):
@@ -518,6 +533,26 @@ def test_ehrenfest_table_independent_of_workers(tmp_path, monkeypatch, serial_eh
     monkeypatch.setattr(cli, "_workers", lambda: workers)
     assert main(["run", str(write_config(tmp_path, _SHORT_EHRENFEST))]) == 0
     assert (tmp_path / "ehrenfest.csv").read_bytes() == serial_ehrenfest_table
+
+
+def test_ehrenfest_runs_each_distinct_evolution_once(tmp_path, monkeypatch):
+    # rows: quantum, Koopman, then unified at kappa 0, 0.5, 0.5, 0; the
+    # Koopman evolution serves every kappa = 0 row and kappa 0.5 runs once
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    calls = []
+    evolve = cli.evolve
+    monkeypatch.setattr(cli, "evolve", lambda *args: calls.append(args[1].label) or evolve(*args))
+    cfg = write_config(tmp_path, {"experiment": "ehrenfest",
+                                  "params": {"potentials": ["harmonic"], "t_final": 0.05,
+                                             "kappas": [0.0, 0.5, 0.5, 0.0]},
+                                  "output": {"directory": ".", "svg": False}})
+    assert main(["run", str(cfg)]) == 0
+    assert calls == ["quantum", "koopman", "unified"]
+    _, rows = read_table(tmp_path / "ehrenfest.csv")
+    np.testing.assert_array_equal(rows[:, :3], [[0, 0, 1], [1, 0, 0], [2, 0, 0], [2, 0, 0.5],
+                                                [2, 0, 0.5], [2, 0, 0]])
+    for same in ([1, 2, 5], [3, 4]):
+        assert (rows[same, 3:] == rows[same[0], 3:]).all()
 
 
 def test_boundary_abort_in_pool_job_exits_3(tmp_path, monkeypatch, capsys):

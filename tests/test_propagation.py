@@ -244,6 +244,25 @@ def test_unified_kappa_changes_quartic_evolution():
     assert l2 > 1e-3
 
 
+@pytest.mark.parametrize("hbar", [1.0, 0.5, 2.0, 0.3])
+def test_unified_kappa_0_is_koopman(hbar):
+    # at kappa = 0 the interpolating generator is hbar K and a step divides it
+    # by hbar, so it takes the Koopman steps: bit for bit where the scaling is
+    # exact (hbar a power of two), within rounding otherwise.  Ehrenfest runs
+    # this evolution once for its Koopman and its unified kappa = 0 rows.
+    pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
+    V, Vp = POTENTIALS["quartic"]
+    blob = gaussian_phase(pg, q0=0.8, sigma_q=0.35, sigma_p=0.7)
+    koopman = evolve(blob, koopman_generator(pg, Vp), 1.0, 1000)
+    unified = evolve(blob, unified_generator(pg, V, 0.0, hbar=hbar, vprime=Vp), 1.0, 1000)
+    means = lambda traj: np.array([traj.q_mean, traj.p_mean, traj.vprime_mean])
+    if hbar == 0.3:
+        assert np.max(np.abs(means(unified) - means(koopman))) <= 1e-13
+    else:
+        assert means(unified).tobytes() == means(koopman).tobytes()
+        assert unified.final_state.amplitudes.tobytes() == koopman.final_state.amplitudes.tobytes()
+
+
 # --- the engine against a plain Strang loop ----------------------------------
 
 
@@ -471,7 +490,7 @@ def test_real_path_position_factor_is_head_of_exp():
             if i % 5 == 0:
                 k1, k2, k3 = (scale(t + s * dt) for s in (0.5 * W1, 0.5, 1.0 - 0.5 * W1))
                 coeffs = W1 * k1, W1 * k1 + W0 * k2, W0 * k2 + W1 * k3, W1 * k3
-                reals, fulls = (prop._position_factors(r, t) for r in (True, False))
+                reals, fulls = (tuple(prop._position_factors(r, t)) for r in (True, False))
                 assert len(reals) == len(fulls) == 4
                 for c, real, full in zip(coeffs, reals, fulls):
                     expected = np.exp(c * arg)
@@ -500,10 +519,15 @@ def test_phased_state_with_scale_takes_complex_path(call_counts, monkeypatch):
     phased = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7, phase=WOBBLE)
     sizes, exp = [], np.exp
     monkeypatch.setattr(np, "exp", lambda x, *a, **k: sizes.append(np.size(x)) or exp(x, *a, **k))
+    prop.run(gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7), 3)
+    assert prop._complex is None  # a real state never builds the full complex factors
+    sizes.clear()
     call_counts.clear()
     final = prop.run(phased, 3)[0]
     assert call_counts["rfft"] + call_counts["irfft"] == 0 and call_counts["fft"] > 0
-    assert sizes == [32] * 4 * 3  # one exp over the q rows per merged factor
+    # the two distinct conjugate factors once, as the first complex state
+    # arrives, then one exp over the q rows per merged factor
+    assert sizes == [32 * 32] * 2 + [32] * 4 * 3
     reference = phased
     G = koopman_generator(pg, lambda q: 1.05 * q)
     for _ in range(3):  # the same steps as Strang substeps with the exact factors
