@@ -15,8 +15,8 @@ constant along coupled (rho, q, p) trajectories when C = 1 (the form above
 carries no C, so the auxiliary solution must be run with C = 1; unit mass
 likewise).  The auxiliary equation and the characteristics are integrated
 by fixed-step RK4; the phase-space evolution takes fourth-order split steps
-(a Yoshida triple jump of Strang steps, see ``Propagator``), so one of its
-steps can span several RK4 steps at the same accuracy.
+(Blanes and Moan's RKN splitting SRKN6b, see ``Propagator``), so one of its
+steps can span many RK4 steps at the same accuracy.
 """
 
 from __future__ import annotations
@@ -167,10 +167,10 @@ def kvn_tdho_evolve(
     """Phase-space evolution in ``n_steps`` fourth-order steps, sampled
     before the first and after each.
 
-    Unit mass; each step is a ``Propagator`` triple jump of three Strang
-    substeps, whose force parts are the unit-stiffness generator's scaled by
-    k at each substep's midpoint.  Aborts like ``evolve`` when probability
-    reaches the domain edge.
+    Unit mass; each step is a ``Propagator`` SRKN6b step: seven force kicks,
+    each the unit-stiffness generator's force part scaled by k at the time
+    the conjugate drifts before it have reached, between six drifts.  Aborts
+    like ``evolve`` when probability reaches the domain edge.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")

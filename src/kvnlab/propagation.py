@@ -11,16 +11,21 @@ On a phase grid a step ends in the (q, lambda) representation and the next
 step opens from that spectrum, so a Strang step costs five FFTs.
 
 A time-dependent force enters through ``position_scale``, which rescales B
-at the midpoint of each substep of a fourth-order step: Yoshida's triple
-jump of Strang substeps of w1 dt, w0 dt and w1 dt, with w1 = 1/(2 - 2^(1/3))
-and w0 = 1 - 2 w1 < 0 (Phys. Lett. A 150, 262, 1990).  Adjacent position
-half-steps merge into one factor, so a step alternates four position factors
-with three conjugate ones, the two distinct conjugate factors built once,
-and costs 13 FFTs.  The phase-space position part -V'(q) lambda is linear in
-the lambda wavenumber, so each position factor exp(c B) is, column by
-column, a power of its first lambda column: one exponential over the q rows
-and a running product over lambda bins 0..n/2, the negative bins being the
-conjugates of the positive ones (the exponent is imaginary).
+at each force kick of a fourth-order step: Blanes and Moan's RKN splitting
+SRKN6b (J. Comput. Appl. Math. 142, 313, 2002), seven kicks of weights
+b1 b2 b3 b4 b3 b2 b1 alternating with six conjugate drifts of weights
+a1 a2 a3 a3 a2 a1, a kick first and last, each kick's B scaled at the time
+the drifts before it have reached.  A Runge-Kutta-Nystrom
+splitting needs [B, [B, [B, A]]] = 0, which holds for the Koopman
+Liouvillian ({V, {V, {V, p^2/2}}} = 0) and, with time as a coordinate that
+the drifts advance, for a stiffness depending on t.  The three distinct
+conjugate factors are built once; a step costs 25 FFTs and six force
+factors, its closing kick being the next step's opening one.  The
+phase-space position part -V'(q) lambda is linear in the lambda
+wavenumber, so each position factor exp(c B) is, column by column, a power
+of its first lambda column: one exponential over the q rows and a running
+product over lambda bins 0..n/2, the negative bins being the conjugates of
+the positive ones (the exponent is imaginary).
 
 Real-field path: the phase-space generators are real operators, so a real
 amplitude stays real.  When a phase-grid state's imaginary part is exactly
@@ -61,6 +66,7 @@ and threads would hand the GIL back and forth at every one of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -73,10 +79,17 @@ from .states import KvNWavefunction, QWavefunction, Wavefunction
 #: Probability mass allowed within EDGE_CELLS cells of a domain edge during evolve().
 BOUNDARY_MASS_LIMIT = 1e-8
 
-#: Yoshida's triple jump (Phys. Lett. A 150, 262, 1990): Strang substeps of
-#: _W1 dt, _W0 dt and _W1 dt make one step of fourth order.
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_W0 = 1.0 - 2.0 * _W1
+#: SRKN6b (Blanes & Moan, J. Comput. Appl. Math. 142, 313, 2002): the
+#: conjugate drifts' weights a1 a2 a3 a3 a2 a1 and the force kicks' weights
+#: b1 b2 b3 b4 b3 b2 b1 of one fourth-order step, and the times, in steps,
+#: at which the kicks are taken: the sums of the drifts before them.
+_A = (0.245298957184271, 0.604872665711080)
+_A += (0.5 - sum(_A),)
+_B = (0.0829844064174052, 0.396309801498368, -0.0390563049223486)
+_B += (1.0 - 2.0 * sum(_B),)
+_DRIFTS = _A + _A[::-1]
+_KICKS = _B + _B[-2::-1]
+_KICK_TIMES = (*accumulate(_DRIFTS[:-1], initial=0.0), 1.0)
 
 
 def _abs2(field: np.ndarray) -> np.ndarray:
@@ -109,10 +122,10 @@ class Propagator:
     """Steps of one generator at one dt, every constant factor built once.
 
     Without ``position_scale`` a step is one Strang step.  With it, the step
-    from time t is a Yoshida triple jump of three Strang substeps of
-    ``_W1 * dt``, ``_W0 * dt`` and ``_W1 * dt``, each with B scaled by
-    ``position_scale`` at the substep's midpoint; B must then be a
-    phase-space position part linear in lambda.
+    from time t is an SRKN6b step: force kicks of ``_KICKS[j] * dt``, each
+    with B scaled by ``position_scale(t + _KICK_TIMES[j] * dt)``, between
+    conjugate drifts of ``_DRIFTS[j] * dt``; B must then be a phase-space
+    position part linear in lambda.
     """
 
     def __init__(self, G: Generator, dt: float, position_scale: Callable | None = None):
@@ -132,6 +145,7 @@ class Propagator:
                     "position_scale needs a phase-space position part linear in lambda"
                 )
             self._unit = pos_arg[:, 1]
+            self._last_kick = None, None, None  # (real, c, factor) of the last kick built
         self._complex = None  # the complex path's factors, built when a complex state arrives
         pa, ca = G.position_axis, G.conjugate_axis
         # a step's closing spectrum is the next step's opening one
@@ -148,11 +162,11 @@ class Propagator:
 
     def _conjugate_factors(self, conj_arg: np.ndarray) -> tuple:
         """exp of ``conj_arg`` for each conjugate shear of a step: a Strang
-        step's one, or the triple jump's three, its outer two one array."""
+        step's one, or SRKN6b's six drifts, three distinct arrays."""
         if self._position_scale is None:
             return (np.exp(conj_arg),)
-        outer = np.exp(_W1 * conj_arg)
-        return outer, np.exp(_W0 * conj_arg), outer
+        drifts = [np.exp(a * conj_arg) for a in _A]
+        return (*drifts, *drifts[::-1])
 
     def _factors(self, real: bool) -> tuple:
         """(conjugate factors, constant position factor or None) of a path."""
@@ -174,34 +188,34 @@ class Propagator:
     def _position_factors(self, real: bool, t: float):
         """The position factors of the step from t, one before each conjugate
         factor and one after the last.  A Strang step's are its two half-step
-        factors.  A triple jump's substeps j = 1, 2, 3 have weights
-        w = _W1, _W0, _W1 and stiffnesses k_j = position_scale at their
-        midpoints; adjacent half-steps merge, so its four factors are
-        exp(c * arg) with c = k1 w1, k1 w1 + k2 w0, k2 w0 + k3 w1 and k3 w1,
-        arg the position exponent of a half-step of dt, each built only as
-        it is taken."""
+        factors.  SRKN6b's seven kicks are exp(c * arg) with c = 2 b_j k_j,
+        arg the position exponent of a half-step of dt and k_j the scale at
+        t + _KICK_TIMES[j] dt, each built only as it is taken."""
         if self._position_scale is None:
             pos = self._factors(real)[1]
             return pos, pos
         scale, dt = self._position_scale, self.dt
-        k1, k2, k3 = (scale(t + s * dt) for s in (0.5 * _W1, 0.5, 1.0 - 0.5 * _W1))
-        inner = _W0 * k2
-        coeffs = _W1 * k1, _W1 * k1 + inner, inner + _W1 * k3, _W1 * k3
-        return (self._column_powers(real, c) for c in coeffs)
+        return (self._column_powers(real, 2.0 * b * scale(t + s * dt))
+                for b, s in zip(_KICKS, _KICK_TIMES))
 
     def _column_powers(self, real: bool, c: float) -> np.ndarray:
         """exp(c * arg), arg the position exponent of a half-step of dt:
         lambda bins 0..n/2 as the powers 0..n/2 of its bin-1 column, one exp
         over the q rows; the complex path adds the negative bins as the
-        conjugates of bins n/2-1..1."""
+        conjugates of bins n/2-1..1.  The last factor is kept, so a step's
+        closing kick serves as the next step's opening one (both b1 at the
+        same time)."""
+        if self._last_kick[:2] == (real, c):
+            return self._last_kick[2]
         w = np.exp(c * self._unit)
         n = self.G.position_part.shape[1]
         powers = np.empty((len(w), n // 2 + 1), dtype=complex)
         powers[:, 0], powers[:, 1:] = 1.0, w[:, None]
         powers = powers.cumprod(axis=1)
-        if real:
-            return powers
-        return np.concatenate([powers, powers[:, -2:0:-1].conj()], axis=1)
+        if not real:
+            powers = np.concatenate([powers, powers[:, -2:0:-1].conj()], axis=1)
+        self._last_kick = real, c, powers
+        return powers
 
     def _advance(self, amp: np.ndarray, spec: np.ndarray | None, position):
         """One step from ``amp``, given its position-axis spectrum if known:

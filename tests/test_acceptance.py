@@ -21,6 +21,7 @@ from kvnlab.analysis import (
     robertson_check,
     wigner_transform,
 )
+from kvnlab.cli import KVN_MAX_STRIDE
 from kvnlab.doubleslit import SlitConfig, fringe_stats, run_kvn, run_quantum
 from kvnlab.gauge import SolenoidConfig, disc_ground_energy, kvn_radial_coeffs
 from kvnlab.grid import Grid1D, PhaseGrid
@@ -277,8 +278,9 @@ def test_criterion_8_oscillator():
 
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     blob = gaussian_phase(pg, q0=1.0, p0=0.0, sigma_q=0.3, sigma_p=0.3)
-    # as the CLI runs it: 2500 RK4 steps, one fourth-order phase-space step per 10
-    n_steps, stride = 2500, 10
+    # as the CLI runs it: 2500 RK4 steps, one fourth-order phase-space step
+    # per KVN_MAX_STRIDE of them
+    n_steps, stride = 2500, KVN_MAX_STRIDE
     run = kvn_tdho_evolve(blob, k, 10.0, n_steps // stride)
     cl10 = solve_classical_tdho(k, 1.0, 0.0, 1.0, 10.0, 10.0 / n_steps)
     centroid = float(

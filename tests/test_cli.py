@@ -432,11 +432,11 @@ def test_oscillator_run_small(tmp_path):
     assert np.max(np.abs(inv - inv[0])) / abs(inv[0]) < 1e-6
 
 
-@pytest.mark.parametrize("n_steps, kvn_steps", [(2500, 250), (2501, 251), (7, 1)])
-def test_oscillator_phase_steps_are_ceil_of_n_steps_over_10(tmp_path, capsys, monkeypatch,
-                                                            n_steps, kvn_steps):
-    # one phase-space step per at most 10 RK4 steps, whatever divides n_steps:
-    # 2501 = 41 * 61 has no divisor in 2..10, yet takes 251 steps
+@pytest.mark.parametrize("n_steps, kvn_steps", [(2500, 50), (2501, 51), (7, 1)])
+def test_oscillator_phase_steps_are_ceil_of_n_steps_over_max_stride(tmp_path, capsys, monkeypatch,
+                                                                    n_steps, kvn_steps):
+    # one phase-space step per at most 50 RK4 steps, whatever divides
+    # n_steps: 2501 = 41 * 61 has no divisor in 2..50, yet takes 51 steps
     calls = []
     evolve = cli.kvn_tdho_evolve
     monkeypatch.setattr(cli, "kvn_tdho_evolve",
@@ -453,40 +453,56 @@ def test_oscillator_phase_steps_are_ceil_of_n_steps_over_10(tmp_path, capsys, mo
     assert main(["run", str(cfg)]) == 0
     assert calls == [kvn_steps]
     out = capsys.readouterr().out
-    assert f"phase-space steps {kvn_steps}, one per 10 RK4 steps" in out
+    assert f"phase-space steps {kvn_steps}, one per 50 RK4 steps" in out
     _, rows = read_table(tmp_path / "oscillator.csv")
     assert rows.shape == (n_steps + 1, 5)  # the RK4 table keeps every step
+    meta, rows = read_table(tmp_path / "oscillator_kvn.csv")
+    assert meta["columns"] == "t,kvn_q,kvn_p,kvn_var_q"
+    assert rows.shape == (kvn_steps + 1, 4)  # the phase-space table keeps every step
+    np.testing.assert_allclose(rows[:, 0], np.arange(kvn_steps + 1) / kvn_steps, atol=1e-12)
 
 
 def test_oscillator_prime_n_steps_keeps_default_accuracy(tmp_path, capsys):
-    # 2503 is prime: its 251 phase-space steps are compared with RK4 over
-    # 2510 steps, and stay as close to the characteristics as the default's
+    # 2503 is prime: its 51 phase-space steps are compared with RK4 over
+    # 2550 steps, and stay as close to the characteristics as the default's
     cfg = write_config(tmp_path, {"experiment": "oscillator", "params": {"n_steps": 2503},
                                   "output": {"directory": ".", "svg": False}})
     assert main(["run", str(cfg)]) == 0
     out = capsys.readouterr().out
     number = lambda pattern: float(re.search(pattern, out).group(1))
-    assert "phase-space steps 251, one per 10 RK4 steps" in out
-    assert number(r"centroid error vs characteristics (\S+)") <= 2e-6
-    assert number(r"Ermakov width residual (\S+),") <= 1e-6
+    assert "phase-space steps 51, one per 50 RK4 steps" in out
+    assert number(r"centroid error vs characteristics (\S+)") <= 5e-7
+    assert number(r"Ermakov width residual (\S+),") <= 5e-8
     _, rows = read_table(tmp_path / "oscillator.csv")
     assert rows.shape == (2504, 5)
 
 
 def test_oscillator_default_summary_bounds(tmp_path, capsys):
-    # the default run: the centroid within 2e-6 of the characteristics, the
-    # position variance within 1e-6 of sigma^2 rho^2 (Pinney; Strang at every
-    # RK4 step gave 3.7e-6) and the covariance determinant within 1e-12 of
-    # sigma^4 (Liouville)
+    # the default run: the centroid within 5e-7 of the characteristics
+    # (2.4e-7), the position variance within 5e-8 of sigma^2 rho^2 (Pinney;
+    # 1.1e-8, where Strang at every RK4 step gave 3.7e-6) and the covariance
+    # determinant within 1e-12 of sigma^4 (Liouville)
     cfg = write_config(tmp_path, {"experiment": "oscillator",
                                   "output": {"directory": ".", "svg": False}})
     assert main(["run", str(cfg)]) == 0
     out = capsys.readouterr().out
     number = lambda pattern: float(re.search(pattern, out).group(1))
-    assert number(r"centroid error vs characteristics (\S+)") <= 2e-6
-    assert number(r"Ermakov width residual (\S+),") <= 1e-6
+    assert number(r"centroid error vs characteristics (\S+)") <= 5e-7
+    assert number(r"Ermakov width residual (\S+),") <= 5e-8
     assert number(r"Liouville area residual (\S+)") <= 1e-12
-    assert "phase-space steps 250, one per 10 RK4 steps" in out
+    assert "phase-space steps 50, one per 50 RK4 steps" in out
+    _, rows = read_table(tmp_path / "oscillator_kvn.csv")
+    assert rows.shape == (51, 4)
+
+
+def test_ehrenfest_default_summary_counts_rows_and_evolutions(tmp_path, capsys):
+    # ten rows, but the Koopman run serves both kappa = 0 rows of each
+    # potential, so eight evolutions
+    cfg = write_config(tmp_path, {"experiment": "ehrenfest",
+                                  "output": {"directory": ".", "svg": False}})
+    assert main(["run", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"worst relative residual \S+ across 10 rows from 8 evolutions\n", out)
 
 
 def test_uncertainty_run(tmp_path):
@@ -537,7 +553,8 @@ def test_ehrenfest_table_independent_of_workers(tmp_path, monkeypatch, serial_eh
 
 def test_ehrenfest_runs_each_distinct_evolution_once(tmp_path, monkeypatch):
     # rows: quantum, Koopman, then unified at kappa 0, 0.5, 0.5, 0; the
-    # Koopman evolution serves every kappa = 0 row and kappa 0.5 runs once
+    # Koopman evolution serves every kappa = 0 row and kappa 0.5 runs once,
+    # the phase-space jobs dispatched before the quantum one
     monkeypatch.setattr(cli, "_workers", lambda: 1)
     calls = []
     evolve = cli.evolve
@@ -547,7 +564,7 @@ def test_ehrenfest_runs_each_distinct_evolution_once(tmp_path, monkeypatch):
                                              "kappas": [0.0, 0.5, 0.5, 0.0]},
                                   "output": {"directory": ".", "svg": False}})
     assert main(["run", str(cfg)]) == 0
-    assert calls == ["quantum", "koopman", "unified"]
+    assert calls == ["koopman", "unified", "quantum"]
     _, rows = read_table(tmp_path / "ehrenfest.csv")
     np.testing.assert_array_equal(rows[:, :3], [[0, 0, 1], [1, 0, 0], [2, 0, 0], [2, 0, 0.5],
                                                 [2, 0, 0.5], [2, 0, 0]])

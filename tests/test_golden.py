@@ -3,8 +3,10 @@
 ``tests/golden`` holds the CSV tables that ``kvnlab run`` writes for each of
 the eight experiments at its default config; ``wigner.csv`` keeps every 8th
 row and column of the 256 x 256 table.  A change that moves a table on
-purpose regenerates them in the same diff with ``python tests/test_golden.py``
-and states the largest change.
+purpose regenerates it in the same diff with
+``python tests/test_golden.py NAME...`` (NAME a table such as
+``oscillator_kvn.csv``; no name regenerates every table) and states the
+largest change.
 
 Each column is compared against its golden copy within a bound relative to
 the column's largest magnitude, so entries at the rounding floor (a density
@@ -13,6 +15,7 @@ of 1e-34 at the screen edge) do not dominate the comparison.
 
 import json
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -52,6 +55,7 @@ TOLERANCES = {
     "oscillator.csv": {
         "t": EXACT, "q": EVOLVED, "p": EVOLVED, "rho": EVOLVED, "invariant": EVOLVED,
     },
+    "oscillator_kvn.csv": {"t": EXACT, "kvn_q": EVOLVED, "kvn_p": EVOLVED, "kvn_var_q": EVOLVED},
     "aharonov_bohm.csv": {
         "alpha": EXACT, "E_n0": CLOSED_FORM, "E_n1": CLOSED_FORM, "E_n2": CLOSED_FORM,
         "kvn_record_id": EXACT,
@@ -96,12 +100,18 @@ def test_default_table_matches_golden(fresh, table):
         assert error <= bound * scale, f"{table} {column}: {error:.3e} > {bound:.0e} x {scale:.3e}"
 
 
-def regenerate() -> None:
+def regenerate(tables) -> None:
+    """Rewrite the golden copies of ``tables`` from a fresh default run."""
+    unknown = set(tables) - set(TOLERANCES)
+    if unknown:
+        raise SystemExit(f"no golden table named {', '.join(sorted(unknown))}")
     with tempfile.TemporaryDirectory() as scratch:
         run_defaults(Path(scratch))
         GOLDEN.mkdir(exist_ok=True)
-        for table in TOLERANCES:
+        for table in tables:
             shutil.copyfile(Path(scratch) / table, GOLDEN / table)
+    if "wigner.csv" not in tables:
+        return
     text = (GOLDEN / "wigner.csv").read_text().splitlines()
     head = [line for line in text if line.startswith("#")]
     meta, rows = thin(*read_table(GOLDEN / "wigner.csv"))
@@ -113,4 +123,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:] or list(TOLERANCES))

@@ -365,37 +365,59 @@ def test_evolve_matches_reference_strang_loop(case):
     assert traj.final_state.time == pytest.approx(n_steps * dt, abs=1e-12)
 
 
-#: Yoshida's triple-jump weights, w1 outer and w0 inner.
-W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-W0 = 1.0 - 2.0 * W1
+#: SRKN6b (Blanes & Moan 2002): drift weights a1 a2 a3 a3 a2 a1 and kick
+#: weights b1 b2 b3 b4 b3 b2 b1.
+A = [0.245298957184271, 0.604872665711080]
+A = A + [0.5 - sum(A)]
+B = [0.0829844064174052, 0.396309801498368, -0.0390563049223486]
+B = B + [1.0 - 2.0 * sum(B)]
+DRIFTS, KICKS = A + A[::-1], B + B[-2::-1]
 
 
-def test_tdho_evolve_matches_reference_strang_loop():
-    # the reference takes each step as three Strang steps of W1 dt, W0 dt and
-    # W1 dt, each with the generator rebuilt at the stiffness of that
-    # substep's own midpoint; the real blob takes the real-field path, the
-    # phased one the complex path.  On the real path merged and separate
-    # half-steps differ by what irfft drops of the Nyquist bin in between,
-    # so the blob is wide enough that this bin holds only round-off.
+def kick_times(t, dt):
+    """Where SRKN6b's kicks of the step from t are taken: after the drifts
+    before them, the last at t + dt."""
+    return [t + sum(DRIFTS[:j]) * dt for j in range(6)] + [t + dt]
+
+
+def srkn_reference_step(amp, pg, k, t, dt):
+    """One SRKN6b step by FFTs of the full field, with the Koopman generator
+    rebuilt at each kick's stiffness."""
+    drift_part = koopman_generator(pg, lambda q: q).conjugate_part
+    for j, t_kick in enumerate(kick_times(t, dt)):
+        G = koopman_generator(pg, lambda q: k(t_kick) * q)
+        kick = np.exp(-1j * KICKS[j] * dt * G.position_part)
+        amp = np.fft.ifft(kick * np.fft.fft(amp, axis=1), axis=1)
+        if j < 6:
+            drift = np.exp(-1j * DRIFTS[j] * dt * drift_part)
+            amp = np.fft.ifft(drift * np.fft.fft(amp, axis=0), axis=0)
+    return amp
+
+
+def test_tdho_evolve_matches_reference_kick_drift_loop():
+    # the reference takes each step's seven kicks and six drifts as separate
+    # full-field shears, the generator rebuilt at each kick's stiffness; the
+    # real blob takes the real-field path, the phased one the complex path.
+    # The real path differs from the reference by what irfft drops of the
+    # Nyquist bin, so the blob is wide enough that this bin holds only
+    # round-off.
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     k = lambda t: 1.0 + 0.1 * np.sin(t)
-    n_steps, dt = 50, 4e-2
+    n_steps, dt = 20, 0.2
     Q, P = pg.meshes()
     for phase in (None, WOBBLE):
         psi = gaussian_phase(pg, q0=1.0, sigma_q=0.5, sigma_p=0.5, phase=phase)
         run = kvn_tdho_evolve(psi, k, n_steps * dt, n_steps)
-        ref = psi
+        amp, t = psi.amplitudes, 0.0
         for i in range(n_steps + 1):
-            for w in (W1, W0, W1) if i else ():
-                k_mid = k(ref.time + 0.5 * w * dt)
-                G = koopman_generator(pg, lambda q: k_mid * q)
-                ref = Propagator(G, w * dt).step(ref)
-            rho = np.abs(ref.amplitudes) ** 2 * pg.cell_area
-            assert abs(run.times[i] - ref.time) <= 1e-12
+            if i:
+                amp, t = srkn_reference_step(amp, pg, k, t, dt), t + dt
+            rho = np.abs(amp) ** 2 * pg.cell_area
+            assert abs(run.times[i] - t) <= 1e-12
             assert abs(run.q_mean[i] - np.sum(Q * rho)) <= 1e-12
             assert abs(run.p_mean[i] - np.sum(P * rho)) <= 1e-12
             assert abs(run.norms[i] - np.sum(rho)) <= 1e-12
-        assert np.max(np.abs(run.final_state.amplitudes - ref.amplitudes)) <= 1e-12
+        assert np.max(np.abs(run.final_state.amplitudes - amp)) <= 1e-12
 
 
 def test_strang_order_quartic_kappa_half():
@@ -472,12 +494,11 @@ def _half_position_arg(G, dt):
 
 
 def test_real_path_position_factor_is_head_of_exp():
-    # the driven oscillator's generator and step: the four merged position
-    # factors built from one lambda column are exp(c * arg), with c = k1 W1,
-    # k1 W1 + k2 W0, k2 W0 + k3 W1, k3 W1 and k_j the scale at substep j's
-    # midpoint, on the complex path, and their lambda columns 0..n/2 on the
-    # real-field path, at the step times ``run`` accumulates (a scale linear
-    # in t shows a time off by one ulp)
+    # the driven oscillator's generator: the seven kicks built from one
+    # lambda column are exp(c * arg), with c = 2 b_j k_j and k_j the
+    # scale at kick j's time, on the complex path, and their lambda columns
+    # 0..n/2 on the real-field path, at the step times ``run`` accumulates (a
+    # scale linear in t shows a time off by one ulp)
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     G, dt = koopman_generator(pg, lambda q: q), 10.0 / 250
     arg = _half_position_arg(G, dt)
@@ -488,10 +509,9 @@ def test_real_path_position_factor_is_head_of_exp():
         assert prop._real is not None
         for i in range(250):
             if i % 5 == 0:
-                k1, k2, k3 = (scale(t + s * dt) for s in (0.5 * W1, 0.5, 1.0 - 0.5 * W1))
-                coeffs = W1 * k1, W1 * k1 + W0 * k2, W0 * k2 + W1 * k3, W1 * k3
+                coeffs = [2 * b * scale(s) for b, s in zip(KICKS, kick_times(t, dt))]
                 reals, fulls = (tuple(prop._position_factors(r, t)) for r in (True, False))
-                assert len(reals) == len(fulls) == 4
+                assert len(reals) == len(fulls) == 7
                 for c, real, full in zip(coeffs, reals, fulls):
                     expected = np.exp(c * arg)
                     assert real.shape == (128, 65) and full.shape == (128, 128)
@@ -525,15 +545,14 @@ def test_phased_state_with_scale_takes_complex_path(call_counts, monkeypatch):
     call_counts.clear()
     final = prop.run(phased, 3)[0]
     assert call_counts["rfft"] + call_counts["irfft"] == 0 and call_counts["fft"] > 0
-    # the two distinct conjugate factors once, as the first complex state
-    # arrives, then one exp over the q rows per merged factor
-    assert sizes == [32 * 32] * 2 + [32] * 4 * 3
-    reference = phased
-    G = koopman_generator(pg, lambda q: 1.05 * q)
-    for _ in range(3):  # the same steps as Strang substeps with the exact factors
-        for w in (W1, W0, W1):
-            reference = Propagator(G, w * 1e-2).step(reference)
-    assert np.max(np.abs(final.amplitudes - reference.amplitudes)) < 1e-13
+    # the three distinct conjugate factors once, as the first complex state
+    # arrives, then one exp over the q rows per kick, the first step's seven
+    # and six in each later one, whose opening kick is the last one's closing
+    assert sizes == [32 * 32] * 3 + [32] * (7 + 6 + 6)
+    reference, k = phased.amplitudes, lambda t: 1.05
+    for i in range(3):  # the same steps with every factor exponentiated in full
+        reference = srkn_reference_step(reference, pg, k, i * 1e-2, 1e-2)
+    assert np.max(np.abs(final.amplitudes - reference)) < 1e-13
 
 
 def test_driven_oscillator_leaves_threads_unchanged():
