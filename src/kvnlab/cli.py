@@ -78,7 +78,7 @@ from .oscillator import (
     lewis_invariant_classical,
     solve_classical_tdho,
 )
-from .propagation import evolve, kvn_step
+from .propagation import evolve_many, kvn_step
 from .report import ResultTable, config_hash, svg_heatmap, svg_line_plot
 from .states import KvNWavefunction, QWavefunction
 
@@ -141,9 +141,12 @@ def _gaussian_phase(pg: PhaseGrid, q0: float, p0: float, sq: float, sp: float) -
     return KvNWavefunction(pg, amp.astype(complex)).normalize()
 
 
+#: name -> (V, V', quadratic); quadratic means V''' = 0, where the Moyal
+#: bracket is the Poisson one and the interpolating generator at every kappa
+#: is hbar times the Koopman one
 _POTENTIALS = {
-    "harmonic": (lambda q: 0.5 * q**2, lambda q: q),
-    "quartic": (lambda q: 0.25 * q**4, lambda q: q**3),
+    "harmonic": (lambda q: 0.5 * q**2, lambda q: q, True),
+    "quartic": (lambda q: 0.25 * q**4, lambda q: q**3, False),
 }
 
 
@@ -494,33 +497,43 @@ def _run_ehrenfest(cfg: ExperimentConfig, out: _Output):
     # blob shape chosen so the quartic runs keep their tails off the
     # energy contours that cross the p boundary, for every kappa
     blob = _gaussian_phase(pg, 0.8, 0.0, 0.35, 0.7)
-    # the job each row reads: unified at kappa = 0 is hbar K, so its evolution
-    # exp(-i hbar K t / hbar) is the Koopman one, and a repeated kappa runs once
-    plan = []  # (flavor, potential code, kappa, job) per row
+    # the flow each row reads: unified at kappa = 0, or at any kappa on a
+    # quadratic potential, is hbar K, whose evolution exp(-i hbar K t / hbar)
+    # is the Koopman one; such rows record their Bopp-shifted means along it
+    plan = []  # (flavor, potential code, kappa, flow) per row
     for pot_code, potential in enumerate(p["potentials"]):
-        plan += [(0, pot_code, 1.0, ("quantum", potential)),
-                 (1, pot_code, 0.0, ("koopman", potential))]
-        plan += [(2, pot_code, kappa, ("unified", potential, kappa) if kappa else
-                  ("koopman", potential)) for kappa in p["kappas"]]
-    # the phase-space jobs, the costliest, are dispatched first
-    jobs = sorted(dict.fromkeys(job for *_, job in plan), key=lambda job: job[0] == "quantum")
+        *_, quadratic = _POTENTIALS[potential]
+        koopman = ("koopman", potential)
+        plan += [(0, pot_code, 1.0, ("quantum", potential)), (1, pot_code, 0.0, koopman)]
+        plan += [(2, pot_code, kappa, koopman if quadratic or not kappa
+                  else ("unified", potential, kappa)) for kappa in p["kappas"]]
+    observed = {}  # flow -> the kappas its rows read, each once
+    for *_, kappa, flow in plan:
+        observed.setdefault(flow, {})[kappa] = None
+    # one job per flow, the phase-space ones, the costliest, dispatched first
+    jobs = sorted(((flow, tuple(kappas)) for flow, kappas in observed.items()),
+                  key=lambda job: job[0][0] == "quantum")
 
     def residuals(job):
-        # each job builds its own generator, so only the running ones hold arrays
-        flavor, potential, *kappa = job
-        V, Vp = _POTENTIALS[potential]
+        # each job builds its own generators, so only the running ones hold arrays
+        (flavor, potential, *kappa), kappas = job
+        V, Vp, _ = _POTENTIALS[potential]
         if flavor == "quantum":
-            traj = evolve(psi, hamiltonian(g, V, hbar=cfg.hbar, vprime=Vp), t_final, n_steps)
+            state, G = psi, hamiltonian(g, V, hbar=cfg.hbar, vprime=Vp)
         elif flavor == "koopman":
-            traj = evolve(blob, koopman_generator(pg, Vp), t_final, n_steps)
+            state, G = blob, koopman_generator(pg, Vp)
         else:
-            G = unified_generator(pg, V, *kappa, hbar=cfg.hbar, vprime=Vp)
-            traj = evolve(blob, G, t_final, n_steps)
-        res = ehrenfest_residuals(traj)
-        return [res.r1_max, res.r2_max, res.r1_relative, res.r2_relative]
+            state, G = blob, unified_generator(pg, V, *kappa, hbar=cfg.hbar, vprime=Vp)
+        observers = [G if k == G.kappa else unified_generator(pg, V, k, hbar=cfg.hbar, vprime=Vp)
+                     for k in kappas]
+        trajectories = evolve_many(state, G, observers, t_final, n_steps)
+        return [[res.r1_max, res.r2_max, res.r1_relative, res.r2_relative]
+                for res in map(ehrenfest_residuals, trajectories)]
 
-    done = dict(zip(jobs, _pmap(residuals, jobs)))
-    rows = [[flavor, pot_code, kappa, *done[job]] for flavor, pot_code, kappa, job in plan]
+    done = {}
+    for (flow, kappas), results in zip(jobs, _pmap(residuals, jobs)):
+        done.update(((flow, k), r) for k, r in zip(kappas, results))
+    rows = [[flavor, pot_code, kappa, *done[flow, kappa]] for flavor, pot_code, kappa, flow in plan]
     out.table(
         "ehrenfest", ["flavor", "potential", "kappa", "r1_max", "r2_max", "r1_rel", "r2_rel"],
         ["0q_1kvn_2uni", "0harm_1quart", "1", "mixed", "mixed", "1", "1"], rows,

@@ -95,16 +95,6 @@ def integrate_ermakov(
     return ErmakovTrajectory(ts, np.array(rho), np.array(rho_dot), C)
 
 
-def ermakov_residual(traj: ErmakovTrajectory, k: Stiffness) -> float:
-    """Max interior defect of rho'' + k rho - C/rho^3 by centered differences."""
-    dt = traj.t[1] - traj.t[0]
-    rho = traj.rho
-    dd = (rho[2:] - 2 * rho[1:-1] + rho[:-2]) / dt**2
-    kt = np.array([k(t) for t in traj.t[1:-1]])
-    resid = dd + kt * rho[1:-1] - traj.C / rho[1:-1] ** 3
-    return float(np.max(np.abs(resid)))
-
-
 @dataclass
 class ClassicalTrajectory:
     t: np.ndarray
@@ -187,10 +177,3 @@ def kvn_tdho_evolve(
     )
     return KvnOscillatorTrajectory(times, qs, ps, covs, final, norms)
 
-
-def monodromy_matrix(k: Stiffness, t_final: float, dt: float, mass: float = 1.0) -> np.ndarray:
-    """Fundamental solution of the linear flow d(q,p)/dt = (p/m, -k(t) q): its
-    columns are the characteristics from (1, 0) and from (0, 1) at t_final."""
-    starts = (1.0, 0.0), (0.0, 1.0)
-    ends = [solve_classical_tdho(k, q0, p0, mass, t_final, dt) for q0, p0 in starts]
-    return np.array([[end.q[-1] for end in ends], [end.p[-1] for end in ends]])

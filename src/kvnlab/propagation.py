@@ -44,16 +44,20 @@ complex path.
 
 Recording rule: ``Propagator.run`` samples the state before the first step
 and after every step.  Each sample computes rho = |psi|^2 * measure once and
-takes from it the norm, the mass within ``EDGE_CELLS`` cells of the domain
-edge and the position/momentum means.  Edge mass above the limit aborts the
-run: the domain was chosen too small and any Ehrenfest check would be
-meaningless.  A NaN edge mass aborts it too.  The Bopp-shifted means <lambda> and <V'(q - hbar kappa
-lambda/2)> of the interpolating generator come from the lambda-spectrum the
-step already holds (|exp(i phi) F|^2 = |F|^2).  On the real-field path the
-full-spectrum sums are taken over the half spectrum with the weights at -k
-folded onto +k, and <theta> needs only the Nyquist bin, an alternating sum
-over q, so a kappa != 0 step with its record costs five transforms; on the
-complex path <theta> costs one more FFT.
+takes from it the norm and the mass within ``EDGE_CELLS`` cells of the
+domain edge.  Edge mass above the limit aborts the run: the domain was
+chosen too small and any Ehrenfest check would be meaningless.  A NaN edge
+mass aborts it too.  ``evolve_many`` records the means <q>, <p>, <V'> of
+several observers (generators) from one evolution's samples; ``evolve`` is
+its one-observer case.  A sample takes rho's marginals and, for kappa != 0,
+|F|^2 of the lambda-spectrum the step already holds (|exp(i phi) F|^2 =
+|F|^2), its lambda marginal and <theta> once; each observer adds only its
+Bopp shifts and its own <V'(q - hbar kappa lambda/2)> sum, in a lone
+observer's arithmetic.  On the real-field path the full-spectrum sums are
+taken over the half spectrum with the weights at -k folded onto +k, and
+<theta> needs only the Nyquist bin, an alternating sum over q, so a
+kappa != 0 step with its record costs five transforms however many
+observers read it; on the complex path <theta> costs one more FFT.
 
 BLAS: the step and record loop makes no BLAS call on a full grid (full-grid
 reductions are ``sum``s; only length-n dot products remain, below the size
@@ -327,54 +331,63 @@ def _theta_mean(amp: np.ndarray, kq: np.ndarray) -> float:
     return (kq @ w_th) / w_th.sum()
 
 
-def _means(G: Generator, state: Wavefunction):
-    """``means(amplitudes, rho, spectrum) -> (<q>, <p>, <V'>)``, with every
-    array that does not change between steps built once.
+def _means(state: Wavefunction, observers) -> Callable:
+    """``means(amplitudes, rho, spectrum) -> [(<q>, <p>, <V'>) per observer]``,
+    with every array that does not change between steps built once.
 
-    On a phase grid kappa = 0 gives the plain multiplicative q and p; for
-    the interpolating generator the observables carry the Bopp shifts
+    On a phase grid an observer at kappa = 0 reads the plain multiplicative
+    q and p; the interpolating generator's observables carry the Bopp shifts
     q - hbar kappa lambda / 2 and p + hbar kappa theta / 2, whose means obey
-    the expectation-value equations of motion for every kappa.
+    the expectation-value equations of motion for every kappa.  The
+    reductions no kappa enters are taken once per sample.
     """
     if isinstance(state, QWavefunction):
         g = state.grid
-        x, pk = g.points, G.hbar * wavenumbers(g)
-        vx = np.asarray(G.potential_prime(x), dtype=float)
+        x, k = g.points, wavenumbers(g)
+        read = [(G.hbar * k, np.asarray(G.potential_prime(x), dtype=float)) for G in observers]
 
         def quantum(amp, rho, spec):
             w = _abs2(np.fft.fft(amp))
-            return x @ rho, pk @ w / w.sum(), vx @ rho
+            return [(x @ rho, pk @ w / w.sum(), vx @ rho) for pk, vx in read]
 
         return quantum
 
     q, p = state.grid.q.points, state.grid.p.points
-    if G.kappa == 0.0:
-        vq = np.asarray(G.potential_prime(q), dtype=float)
-
-        def classical(amp, rho, spec):
-            rho_q = rho.sum(axis=1)
-            return q @ rho_q, rho.sum(axis=0) @ p, vq @ rho_q
-
-        return classical
-
     kq, kp = wavenumbers(state.grid.q), wavenumbers(state.grid.p)
-    shift = 0.5 * G.hbar * G.kappa
-    v_shifted = np.asarray(G.potential_prime(q[:, None] - shift * kp), dtype=float)  # (q, lambda)
-    full = kp, v_shifted, np.ones(len(kp))  # the last: multiplicities
+    read = []  # (shift, V' on the full lambda spectrum, V' on the half one) per observer
+    for G in observers:
+        if G.kappa == 0.0:
+            read.append((0.0, np.asarray(G.potential_prime(q), dtype=float), None))
+        else:
+            shift = 0.5 * G.hbar * G.kappa
+            v = np.asarray(G.potential_prime(q[:, None] - shift * kp), dtype=float)  # (q, lambda)
+            read.append((shift, v, _fold(v)))
+    bopp = any(shift for shift, *_ in read)
+    full = kp, np.ones(len(kp))  # the last: multiplicities
     half = tuple(_fold(w) for w in full)
 
-    def bopp(amp, rho, spec):
-        kp_, v, mult_p = half if np.isrealobj(amp) else full
-        w_lam = _abs2(spec)
-        w_p = w_lam.sum(axis=0)
-        norm_lam = w_p @ mult_p
-        return (
-            q @ rho.sum(axis=1) - shift * (w_p @ kp_) / norm_lam,
-            rho.sum(axis=0) @ p + shift * _theta_mean(amp, kq),
-            (v * w_lam).sum() / norm_lam,
-        )
+    def phase(amp, rho, spec):
+        rho_q = rho.sum(axis=1)
+        q_mean, p_mean = q @ rho_q, rho.sum(axis=0) @ p
+        real = np.isrealobj(amp)
+        if bopp:
+            if spec is None:  # a generator with a constant part carries no spectrum
+                spec = _transforms(amp)[0](amp, axis=1)
+            kp_, mult_p = half if real else full
+            w_lam = _abs2(spec)
+            w_p = w_lam.sum(axis=0)
+            lam_sum, norm_lam = w_p @ kp_, w_p @ mult_p
+            theta = _theta_mean(amp, kq)
+        out = []
+        for shift, v, v_half in read:
+            if not shift:
+                out.append((q_mean, p_mean, v @ rho_q))
+            else:
+                out.append((q_mean - shift * lam_sum / norm_lam, p_mean + shift * theta,
+                            ((v_half if real else v) * w_lam).sum() / norm_lam))
+        return out
 
-    return bopp
+    return phase
 
 
 @dataclass
@@ -398,15 +411,34 @@ def evolve(
     boundary_limit: float = BOUNDARY_MASS_LIMIT,
 ) -> Trajectory:
     """Propagate ``state`` to ``t_final`` in ``n_steps`` uniform Strang steps."""
+    return evolve_many(state, G, (G,), t_final, n_steps, boundary_limit)[0]
+
+
+def evolve_many(
+    state: Wavefunction,
+    G: Generator,
+    observers,
+    t_final: float,
+    n_steps: int,
+    boundary_limit: float = BOUNDARY_MASS_LIMIT,
+) -> list[Trajectory]:
+    """Propagate ``state`` under G as ``evolve`` does and record the means of
+    each observer's observables from the same samples: one trajectory per
+    observer, all sharing the times, norms, edge masses and final state.
+
+    An observer's trajectory is the one its own evolution gives only where
+    its flow is G's, e.g. the interpolating generator at any kappa with a
+    potential whose V''' vanishes, which is hbar times the Koopman one.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    series = np.empty((3, n_steps + 1))
-    means = _means(G, state)
+    series = np.empty((len(observers), 3, n_steps + 1))
+    means = _means(state, observers)
 
     def record(i, amp, rho, spec):
-        series[:, i] = means(amp, rho, spec)
+        series[:, :, i] = means(amp, rho, spec)
 
     final, times, norms, edges = Propagator(G, t_final / n_steps).run(
         state, n_steps, record, boundary_limit
     )
-    return Trajectory(times, *series, final, norms, edges)
+    return [Trajectory(times, *s, final, norms, edges) for s in series]

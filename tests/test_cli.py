@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -8,8 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import gaussian_phase
 import kvnlab.cli as cli
+from kvnlab.analysis import ehrenfest_residuals
 from kvnlab.cli import SPECS, _pmap, _workers, load_config, main
+from kvnlab.grid import Grid1D, PhaseGrid
+from kvnlab.operators import koopman_generator, unified_generator
+from kvnlab.propagation import evolve, evolve_many
 from kvnlab.report import ResultTable, read_table, svg_heatmap, svg_line_plot
 
 
@@ -275,7 +281,7 @@ def test_dead_worker_exits_4_without_hanging(tmp_path):
         "def die(*args, **kwargs):\n"
         "    assert os.getpid() != parent\n"
         "    os._exit(9)\n"
-        "cli.evolve = die\n"
+        "cli.evolve_many = die\n"
         "cli._workers = lambda: 2\n"
         "sys.exit(cli.main(['run', sys.argv[1]]))\n"
     )
@@ -497,12 +503,12 @@ def test_oscillator_default_summary_bounds(tmp_path, capsys):
 
 def test_ehrenfest_default_summary_counts_rows_and_evolutions(tmp_path, capsys):
     # ten rows, but the Koopman run serves both kappa = 0 rows of each
-    # potential, so eight evolutions
+    # potential and every harmonic row but the quantum one, so six evolutions
     cfg = write_config(tmp_path, {"experiment": "ehrenfest",
                                   "output": {"directory": ".", "svg": False}})
     assert main(["run", str(cfg)]) == 0
     out = capsys.readouterr().out
-    assert re.search(r"worst relative residual \S+ across 10 rows from 8 evolutions\n", out)
+    assert re.search(r"worst relative residual \S+ across 10 rows from 6 evolutions\n", out)
 
 
 def test_uncertainty_run(tmp_path):
@@ -553,23 +559,75 @@ def test_ehrenfest_table_independent_of_workers(tmp_path, monkeypatch, serial_eh
 
 def test_ehrenfest_runs_each_distinct_evolution_once(tmp_path, monkeypatch):
     # rows: quantum, Koopman, then unified at kappa 0, 0.5, 0.5, 0; the
-    # Koopman evolution serves every kappa = 0 row and kappa 0.5 runs once,
-    # the phase-space jobs dispatched before the quantum one
+    # Koopman evolution serves every kappa = 0 row, and for the harmonic
+    # potential (V''' = 0) every unified row too; a repeated kappa is
+    # observed once, and the phase-space jobs are dispatched before the
+    # quantum one
     monkeypatch.setattr(cli, "_workers", lambda: 1)
-    calls = []
-    evolve = cli.evolve
-    monkeypatch.setattr(cli, "evolve", lambda *args: calls.append(args[1].label) or evolve(*args))
-    cfg = write_config(tmp_path, {"experiment": "ehrenfest",
-                                  "params": {"potentials": ["harmonic"], "t_final": 0.05,
-                                             "kappas": [0.0, 0.5, 0.5, 0.0]},
-                                  "output": {"directory": ".", "svg": False}})
-    assert main(["run", str(cfg)]) == 0
-    assert calls == ["koopman", "unified", "quantum"]
-    _, rows = read_table(tmp_path / "ehrenfest.csv")
-    np.testing.assert_array_equal(rows[:, :3], [[0, 0, 1], [1, 0, 0], [2, 0, 0], [2, 0, 0.5],
-                                                [2, 0, 0.5], [2, 0, 0]])
-    for same in ([1, 2, 5], [3, 4]):
-        assert (rows[same, 3:] == rows[same[0], 3:]).all()
+    seen = []
+    evolve_many = cli.evolve_many
+
+    def spy(state, G, observers, *args):
+        seen.append((G.label, [O.kappa for O in observers]))
+        return evolve_many(state, G, observers, *args)
+
+    monkeypatch.setattr(cli, "evolve_many", spy)
+    expected = {
+        "harmonic": [("koopman", [0.0, 0.5]), ("quantum", [1.0])],
+        "quartic": [("koopman", [0.0]), ("unified", [0.5]), ("quantum", [1.0])],
+    }
+    for potential, calls in expected.items():
+        seen.clear()
+        cfg = write_config(tmp_path, {"experiment": "ehrenfest",
+                                      "params": {"potentials": [potential], "t_final": 0.05,
+                                                 "kappas": [0.0, 0.5, 0.5, 0.0]},
+                                      "output": {"directory": ".", "svg": False}})
+        assert main(["run", str(cfg)]) == 0
+        assert seen == calls, potential
+        _, rows = read_table(tmp_path / "ehrenfest.csv")
+        np.testing.assert_array_equal(rows[:, :3], [[0, 0, 1], [1, 0, 0], [2, 0, 0],
+                                                    [2, 0, 0.5], [2, 0, 0.5], [2, 0, 0]])
+        for same in ([1, 2, 5], [3, 4]):
+            assert (rows[same, 3:] == rows[same[0], 3:]).all()
+
+
+_PHASE_GRID = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
+
+
+@pytest.mark.parametrize("name", sorted(cli._POTENTIALS))
+def test_quadratic_mark_holds_for_the_generators(name):
+    # a potential marked quadratic has a unified generator that is hbar
+    # times the Koopman one at every kappa and hbar; the others do not
+    V, Vp, quadratic = cli._POTENTIALS[name]
+    K = koopman_generator(_PHASE_GRID, Vp)
+    for kappa, hbar in itertools.product((0.5, 1.0), (1.0, 2.0)):
+        U = unified_generator(_PHASE_GRID, V, kappa, hbar=hbar, vprime=Vp)
+        miss = {part: np.max(np.abs(getattr(U, part) / U.phase_scale - getattr(K, part)))
+                / np.max(np.abs(getattr(K, part))) for part in ("position_part", "conjugate_part")}
+        assert miss["conjugate_part"] <= 1e-14
+        if quadratic:
+            assert miss["position_part"] <= 1e-14, (kappa, hbar)
+        else:
+            assert miss["position_part"] > 0.1, (kappa, hbar)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 2.0])
+def test_shared_harmonic_run_matches_separate_unified_runs(hbar):
+    # the harmonic unified rows read the Koopman run; their own unified
+    # evolutions give the same residuals and the same state
+    V, Vp, quadratic = cli._POTENTIALS["harmonic"]
+    assert quadratic
+    blob = gaussian_phase(_PHASE_GRID, q0=0.8, sigma_q=0.35, sigma_p=0.7)
+    observers = [unified_generator(_PHASE_GRID, V, kappa, hbar=hbar, vprime=Vp)
+                 for kappa in (0.5, 1.0)]
+    shared = evolve_many(blob, koopman_generator(_PHASE_GRID, Vp), observers, 0.1, 100)
+    for U, traj in zip(observers, shared):
+        alone = evolve(blob, U, 0.1, 100)
+        mine, theirs = ehrenfest_residuals(traj), ehrenfest_residuals(alone)
+        assert abs(mine.r2_relative - theirs.r2_relative) <= 1e-8 * theirs.r2_relative
+        assert max(mine.r1_relative, theirs.r1_relative) <= 1e-10
+        amp = alone.final_state.amplitudes
+        assert np.max(np.abs(traj.final_state.amplitudes - amp)) <= 1e-12
 
 
 def test_boundary_abort_in_pool_job_exits_3(tmp_path, monkeypatch, capsys):

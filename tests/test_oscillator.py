@@ -7,17 +7,33 @@ from kvnlab.errors import BoundaryMassError, PhysicsError
 from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.oscillator import (
     ErmakovState,
-    ermakov_residual,
     integrate_ermakov,
     kvn_tdho_evolve,
     lewis_invariant_classical,
-    monodromy_matrix,
     solve_classical_tdho,
 )
 
 
 def wobble(t):
     return 1.0 + 0.1 * np.sin(t)
+
+
+def ermakov_residual(traj, k):
+    """Max interior defect of rho'' + k rho - C/rho^3 by centered differences."""
+    dt = traj.t[1] - traj.t[0]
+    rho = traj.rho
+    dd = (rho[2:] - 2 * rho[1:-1] + rho[:-2]) / dt**2
+    kt = np.array([k(t) for t in traj.t[1:-1]])
+    resid = dd + kt * rho[1:-1] - traj.C / rho[1:-1] ** 3
+    return float(np.max(np.abs(resid)))
+
+
+def monodromy_matrix(k, t_final, dt):
+    """Fundamental solution of the unit-mass flow d(q,p)/dt = (p, -k(t) q): its
+    columns are the characteristics from (1, 0) and from (0, 1) at t_final."""
+    starts = (1.0, 0.0), (0.0, 1.0)
+    ends = [solve_classical_tdho(k, q0, p0, 1.0, t_final, dt) for q0, p0 in starts]
+    return np.array([[end.q[-1] for end in ends], [end.p[-1] for end in ends]])
 
 
 # --- auxiliary equation ------------------------------------------------------

@@ -9,7 +9,7 @@ from kvnlab.errors import BoundaryMassError
 from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from kvnlab.operators import hamiltonian, koopman_generator, unified_generator
 from kvnlab.oscillator import kvn_tdho_evolve
-from kvnlab.propagation import Propagator, _theta_mean, evolve, kvn_step
+from kvnlab.propagation import Propagator, _theta_mean, evolve, evolve_many, kvn_step
 from kvnlab.states import KvNWavefunction, QWavefunction
 
 
@@ -363,6 +363,52 @@ def test_evolve_matches_reference_strang_loop(case):
         assert abs(traj.norms[i] - np.sum(np.abs(amp) ** 2) * psi.measure) <= 1e-12
     assert np.max(np.abs(traj.final_state.amplitudes - amp)) <= 1e-12
     assert traj.final_state.time == pytest.approx(n_steps * dt, abs=1e-12)
+
+
+@pytest.mark.parametrize("phase", [None, WOBBLE], ids=["real", "complex"])
+def test_observers_of_one_run_record_as_if_alone(phase):
+    # the reductions a sample shares between observers give each observer
+    # the bits its own single-observer record gives
+    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    V, Vp = POTENTIALS["quartic"]
+    blob = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7, phase=phase)
+    G = unified_generator(pg, V, 0.5, vprime=Vp)
+    observers = [koopman_generator(pg, Vp), G, unified_generator(pg, V, 1.0, hbar=2.0, vprime=Vp)]
+    shared = evolve_many(blob, G, observers, 0.02, 20)
+    for O, traj in zip(observers, shared):
+        alone = evolve_many(blob, G, [O], 0.02, 20)[0]
+        for name in ("times", "q_mean", "p_mean", "vprime_mean", "norms", "boundary_mass"):
+            assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes(), name
+        assert traj.final_state.amplitudes.tobytes() == alone.final_state.amplitudes.tobytes()
+
+
+def test_shared_record_adds_no_transform(call_counts):
+    # two Bopp observers read the spectrum the Koopman step already holds
+    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    blob = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
+    V, Vp = POTENTIALS["harmonic"]
+    K = koopman_generator(pg, Vp)
+    observers = [K] + [unified_generator(pg, V, kappa, vprime=Vp) for kappa in (0.5, 1.0)]
+
+    def transforms(n_steps):
+        call_counts.clear()
+        evolve_many(blob, K, observers, 1e-3 * n_steps, n_steps)
+        return sum(call_counts[name] for name in ("fft", "ifft", "rfft", "irfft"))
+
+    assert 0 < (transforms(20) - transforms(10)) / 10 <= 5
+
+
+def test_bopp_observer_of_a_run_that_carries_no_spectrum():
+    # a constant part leaves the step without a lambda spectrum, so the
+    # record takes its own
+    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    V, Vp = POTENTIALS["harmonic"]
+    blob = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
+    U = unified_generator(pg, V, 0.5, vprime=Vp)
+    traj = evolve_many(blob, koopman_generator(pg, Vp, constant=WOBBLE), [U], 0.02, 20)[0]
+    expected = reference_means(traj.final_state.amplitudes, U, pg)
+    got = traj.q_mean[-1], traj.p_mean[-1], traj.vprime_mean[-1]
+    assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12
 
 
 #: SRKN6b (Blanes & Moan 2002): drift weights a1 a2 a3 a3 a2 a1 and kick
