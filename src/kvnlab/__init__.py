@@ -36,7 +36,6 @@ from .states import (
     KvNWavefunction,
     QWavefunction,
     born_density,
-    collapse,
     dephase,
     expectation,
     inner_product,
@@ -57,7 +56,6 @@ __all__ = [
     "born_density",
     "purity",
     "measure_probability",
-    "collapse",
     "dephase",
     "GridOperator",
     "Generator",

@@ -8,19 +8,18 @@ Two diagonal families cover everything needed here:
   (the representation in which the operator is diagonal), then the inverse
   FFT.
 
-Sums and products of operators are lazy composites.  The product of two
-operators that are diagonal in the same representation is folded into a
-single diagonal, which makes commutators of such pairs vanish identically
-(multiplication of floats commutes), exactly as the operator algebra says.
+An operator is one diagonal, so the square of one and the commutator of two
+diagonal in the same representation are payload products: the commutator
+of such a pair is an exact zero field (multiplication of floats commutes),
+exactly as the operator algebra says.
 
 Generators bundle the two exactly-exponentiable parts used by the
 split-step propagators:
 
 * quantum:    H = p^2/2m + V(q), conjugate part hbar^2 k^2/2m, position
   part V(q), evolution exp(-i H t / hbar);
-* koopman: K = p theta / m - V'(q) lambda (+ optional constant
-  C(q, p), unobservable in |psi|^2), evolution exp(-i K t); the two parts
-  are advection shears, each exact in its own mixed representation;
+* koopman: K = p theta / m - V'(q) lambda, evolution exp(-i K t); the two
+  parts are advection shears, each exact in its own mixed representation;
 * unified: H_QC = (hbar/m) p theta + (1/kappa)[V(q - hbar kappa lambda/2)
   - V(q + hbar kappa lambda/2)], evolution exp(-i H_QC t / hbar); the
   kappa -> 0 limit is taken analytically and reproduces hbar K.
@@ -28,7 +27,7 @@ split-step propagators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -48,8 +47,8 @@ class GridOperator:
     """An operator on grid fields, identified by how it acts."""
 
     grid: Grid1D | PhaseGrid
-    kind: str  # diag-position | diag-conjugate | sum | product
-    payload: object
+    kind: str  # diag-position | diag-conjugate
+    payload: np.ndarray
     fft_axis: int | None = None
     hermitian: bool = False
 
@@ -59,57 +58,15 @@ class GridOperator:
         if self.kind == "diag-conjugate":
             f = np.fft.fft(field, axis=self.fft_axis or 0)
             return np.fft.ifft(self.payload * f, axis=self.fft_axis or 0)
-        if self.kind == "sum":
-            a, b = self.payload
-            return a.apply(field) + b.apply(field)
-        if self.kind == "product":
-            a, b = self.payload
-            return a.apply(b.apply(field))
         raise ValueError(f"unknown operator kind {self.kind!r}")
-
-    def __add__(self, other: "GridOperator") -> "GridOperator":
-        _require_same_grid(self, other)
-        return GridOperator(
-            self.grid, "sum", (self, other),
-            hermitian=self.hermitian and other.hermitian,
-        )
-
-    def __matmul__(self, other: "GridOperator") -> "GridOperator":
-        _require_same_grid(self, other)
-        folded = _fold_diagonal_product(self, other)
-        if folded is not None:
-            return folded
-        return GridOperator(self.grid, "product", (self, other), hermitian=False)
-
-
-def _require_same_grid(a: GridOperator, b: GridOperator) -> None:
-    if a.grid != b.grid:
-        raise GridMismatchError("operators live on different grids")
-
-
-def _same_diagonal_rep(a: GridOperator, b: GridOperator) -> bool:
-    return (
-        a.kind == b.kind
-        and a.kind in ("diag-position", "diag-conjugate")
-        and a.fft_axis == b.fft_axis
-    )
-
-
-def _fold_diagonal_product(a: GridOperator, b: GridOperator) -> GridOperator | None:
-    if not _same_diagonal_rep(a, b):
-        return None
-    payload = a.payload * b.payload
-    herm = (
-        a.hermitian
-        and b.hermitian
-        and np.isrealobj(a.payload)
-        and np.isrealobj(b.payload)
-    )
-    return GridOperator(a.grid, a.kind, payload, fft_axis=a.fft_axis, hermitian=herm)
 
 
 def operator_square(op: GridOperator) -> GridOperator:
-    return op @ op
+    """A^2: the same diagonal with its payload squared."""
+    return replace(
+        op, payload=op.payload * op.payload,
+        hermitian=op.hermitian and np.isrealobj(op.payload),
+    )
 
 
 def commutator_apply(a: GridOperator, b: GridOperator, field: np.ndarray) -> np.ndarray:
@@ -118,8 +75,9 @@ def commutator_apply(a: GridOperator, b: GridOperator, field: np.ndarray) -> np.
     Pairs diagonal in the same representation commute identically and return
     an exact zero field.
     """
-    _require_same_grid(a, b)
-    if _same_diagonal_rep(a, b):
+    if a.grid != b.grid:
+        raise GridMismatchError("operators live on different grids")
+    if a.kind == b.kind and a.fft_axis == b.fft_axis:
         return (a.payload * b.payload - b.payload * a.payload) * field
     return a.apply(b.apply(field)) - b.apply(a.apply(field))
 
@@ -193,7 +151,6 @@ class Generator:
     hbar: float
     potential_prime: Potential
     kappa: float = 0.0
-    constant_part: np.ndarray | None = None
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         """Generator action on a field (used by Hermiticity and algebra checks)."""
@@ -204,8 +161,6 @@ class Generator:
         else:
             f = np.fft.fft(field, axis=self.position_axis)
             out = out + np.fft.ifft(self.position_part * f, axis=self.position_axis)
-        if self.constant_part is not None:
-            out = out + self.constant_part * field
         return out
 
 
@@ -242,20 +197,15 @@ def koopman_generator(
     pg: PhaseGrid,
     vprime: Potential,
     mass: float = 1.0,
-    constant: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> Generator:
-    """Koopman generator K = p theta / m - V'(q) lambda + C(q, p).
+    """Koopman generator K = p theta / m - V'(q) lambda.
 
-    The integration constant C is fixed to zero; ``constant`` is a testing
-    hook that adds a (q, p)-diagonal real term so its irrelevance for the
-    |psi|^2 evolution can be demonstrated.
+    The integration constant C(q, p) of K is fixed to zero: a real C would
+    only add a phase along each characteristic, which |psi|^2 does not see.
     """
     Q, P = pg.meshes()
     kq = wavenumbers(pg.q)[:, None]
     kp = wavenumbers(pg.p)[None, :]
-    c_part = None
-    if constant is not None:
-        c_part = np.asarray(constant(Q, P), dtype=float) * np.ones(pg.shape)
     return Generator(
         label="koopman",
         grid=pg,
@@ -270,7 +220,6 @@ def koopman_generator(
         hbar=1.0,
         kappa=0.0,
         potential_prime=vprime,
-        constant_part=c_part,
     )
 
 

@@ -2,13 +2,14 @@
 
 A :class:`Propagator` advances states of one generator G at one step dt by
 the Strang step exp(-i B dt/2) exp(-i A dt) exp(-i B dt/2), where A is G's
-conjugate-diagonal part and B its position-side part (an optional constant
-part C wraps the step as exp(-i C dt/2) on both sides).
-Each factor is exact in the representation where its part is diagonal, so
-the step is unitary and second order in dt, and for classical generators
-every factor is an advection shear.  The factors are built once per (G, dt).
-On a phase grid a step ends in the (q, lambda) representation and the next
-step opens from that spectrum, so a Strang step costs five FFTs.
+conjugate-diagonal part and B its position-side part.  Each factor is exact
+in the representation where its part is diagonal, so the step is unitary
+and second order in dt, and for classical generators every factor is an
+advection shear.  The factors are built once per (G, dt), and
+``Propagator.run`` is the one stepping loop.  On a phase grid a step ends
+in the (q, lambda) representation and the next step opens from that
+spectrum, which the run carries from the first step to the last, so a
+Strang step costs five FFTs.
 
 A time-dependent force enters through ``position_scale``, which rescales B
 at each force kick of a fourth-order step: Blanes and Moan's RKN splitting
@@ -29,18 +30,17 @@ the positive ones (the exponent is imaginary).
 
 Real-field path: the phase-space generators are real operators, so a real
 amplitude stays real.  When a phase-grid state's imaginary part is exactly
-zero, G has no constant part and both exponents are conjugate-symmetric
-along their FFT axes (checked exactly at construction), the state is
-carried as float64 and every FFT is an rfft/irfft over bins 0..n/2: the
-conjugate factors keep their first n/2+1 rows, the position factor its
-first n/2+1 columns, and time-dependent position factors are built over
-those columns only.  This equals the complex step with the real part taken
-after each inverse transform.  The two differ by round-off, and by what the
-Nyquist bin leaks: the wavenumber there is +pi/dx with no -pi/dx partner,
-so its factor is not conjugate-symmetric and the complex path grows an
-imaginary part (about 2e-7 by t = 1 on the quartic at 128^2) that the real
-path drops.  Complex states, constant parts and 1-D quantum states take the
-complex path.
+zero and both exponents are conjugate-symmetric along their FFT axes
+(checked exactly at construction), the state is carried as float64 and
+every FFT is an rfft/irfft over bins 0..n/2: the conjugate factors keep
+their first n/2+1 rows, the position factor its first n/2+1 columns, and
+time-dependent position factors are built over those columns only.  This
+equals the complex step with the real part taken after each inverse
+transform.  The two differ by round-off, and by what the Nyquist bin leaks:
+the wavenumber there is +pi/dx with no -pi/dx partner, so its factor is not
+conjugate-symmetric and the complex path grows an imaginary part (about
+2e-7 by t = 1 on the quartic at 128^2) that the real path drops.  Complex
+states and 1-D quantum states take the complex path.
 
 Recording rule: ``Propagator.run`` samples the state before the first step
 and after every step.  Each sample computes rho = |psi|^2 * measure once and
@@ -136,8 +136,6 @@ class Propagator:
         self.G, self.dt, self._position_scale = G, dt, position_scale
         self._arg = -1j * dt / G.phase_scale
         conj_arg, pos_arg = self._arguments()
-        const = G.constant_part
-        self._half_const = None if const is None else np.exp(0.5 * self._arg * const)
         if position_scale is not None:
             # each position factor is built from lambda column 1, the unit wavenumber
             n = pos_arg.shape[-1]
@@ -152,10 +150,8 @@ class Propagator:
             self._last_kick = None, None, None  # (real, c, factor) of the last kick built
         self._complex = None  # the complex path's factors, built when a complex state arrives
         pa, ca = G.position_axis, G.conjugate_axis
-        # a step's closing spectrum is the next step's opening one
-        self._carry = pa is not None and G.constant_part is None
         self._real = None
-        if self._carry and _conj_symmetric(conj_arg, ca) and _conj_symmetric(pos_arg, pa):
+        if pa is not None and _conj_symmetric(conj_arg, ca) and _conj_symmetric(pos_arg, pa):
             pos = None if position_scale else np.exp(_head(pos_arg, pa))
             self._real = self._conjugate_factors(_head(conj_arg, ca)), pos
             self._nyquist = (slice(None),) * pa + (-1,)  # the last rfft bin along pa
@@ -222,24 +218,20 @@ class Propagator:
         return powers
 
     def _advance(self, amp: np.ndarray, spec: np.ndarray | None, position):
-        """One step from ``amp``, given its position-axis spectrum if known:
-        the ``position`` factors alternate with the conjugate factors, one
-        position factor first and last.  Returns the new amplitudes and their
-        spectrum (or None)."""
+        """One step from ``amp`` and its position-axis spectrum ``spec`` (None
+        on a 1-D grid): the ``position`` factors alternate with the conjugate
+        factors, one position factor first and last.  Returns the new
+        amplitudes and their spectrum."""
         pa, ca = self.G.position_axis, self.G.conjugate_axis
         real = np.isrealobj(amp)
         conj = self._factors(real)[0]
         fft, ifft = _transforms(amp)
         position = iter(position)
-        if self._half_const is not None:
-            amp = self._half_const * amp
         if pa is None:
             for conj_factor in conj:
                 amp = ifft(conj_factor * fft(next(position) * amp, axis=ca), axis=ca)
             amp, spec = next(position) * amp, None
         else:
-            if spec is None:
-                spec = fft(amp, axis=pa)
             for conj_factor in conj:
                 amp = ifft(next(position) * spec, axis=pa)
                 amp = ifft(conj_factor * fft(amp, axis=ca), axis=ca)
@@ -249,16 +241,7 @@ class Propagator:
             if real:
                 # irfft read only the real part of the Nyquist bin: carry what it read
                 spec[self._nyquist].imag = 0.0
-        if self._half_const is not None:
-            return self._half_const * amp, None
         return amp, spec
-
-    def step(self, state: Wavefunction) -> Wavefunction:
-        """One step, without sampling."""
-        amp = self._start(state.amplitudes)
-        position = self._position_factors(np.isrealobj(amp), state.time)
-        amp, _ = self._advance(amp, None, position)
-        return type(state)(state.grid, amp, time=state.time + self.dt)
 
     def run(self, state: Wavefunction, n_steps: int, record: Callable | None = None,
             boundary_limit: float = BOUNDARY_MASS_LIMIT):
@@ -266,14 +249,16 @@ class Propagator:
 
         ``record(i, amplitudes, rho, spectrum)`` sees every sample; rho is
         |psi|^2 * measure and spectrum the FFT along G's position axis, or
-        None where the engine does not hold it.  On the real-field path the
-        amplitudes are float64 and the spectrum is the rfft (bins 0..n/2).
+        None on a 1-D grid.  On the real-field path the amplitudes are
+        float64 and the spectrum is the rfft (bins 0..n/2).
         Returns ``(final_state, times, norms, boundary_mass)`` with one
         series entry per sample; the final state is complex, as always.
         """
         times, norms, edges = np.empty((3, n_steps + 1))
         amp, t = self._start(state.amplitudes), state.time
-        spec = _transforms(amp)[0](amp, axis=self.G.position_axis) if self._carry else None
+        # on a phase grid a step's closing spectrum is the next step's opening one
+        pa = self.G.position_axis
+        spec = None if pa is None else _transforms(amp)[0](amp, axis=pa)
         for i in range(n_steps + 1):
             if i:
                 position = self._position_factors(np.isrealobj(amp), t)
@@ -292,14 +277,17 @@ class Propagator:
 
 
 def kvn_step(psi: KvNWavefunction, G: Generator, dt: float) -> KvNWavefunction:
-    """One Strang step of a phase-space generator (koopman, unified).
+    """One Strang step of a phase-space generator (koopman, unified): a
+    one-step ``Propagator.run``, the state sampled before and after it.
 
     Both sub-steps are exact shears: the q-advection is diagonal in the
     (theta-mode, p) representation, the p-advection in (q, lambda-mode).
+    The edge mass is not bounded, but a NaN state stops the step with
+    :class:`BoundaryMassError`.
     """
     if G.label not in ("koopman", "unified"):
         raise ValueError(f"kvn_step needs a phase-space generator, got {G.label}")
-    return Propagator(G, dt).step(psi)
+    return Propagator(G, dt).run(psi, 1, boundary_limit=np.inf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +359,6 @@ def _means(state: Wavefunction, observers) -> Callable:
         q_mean, p_mean = q @ rho_q, rho.sum(axis=0) @ p
         real = np.isrealobj(amp)
         if bopp:
-            if spec is None:  # a generator with a constant part carries no spectrum
-                spec = _transforms(amp)[0](amp, axis=1)
             kp_, mult_p = half if real else full
             w_lam = _abs2(spec)
             w_p = w_lam.sum(axis=0)

@@ -171,12 +171,6 @@ def _check_orthonormal(basis: np.ndarray) -> np.ndarray:
     return b
 
 
-def collapse(psi: np.ndarray, basis: np.ndarray, index: int) -> np.ndarray:
-    """Projective collapse onto basis column ``index`` (the outcome state)."""
-    b = _check_orthonormal(basis)
-    return b[:, index].copy()
-
-
 def dephase(rho: DensityMatrix, basis: np.ndarray) -> DensityMatrix:
     """Zero the off-diagonal entries of ``rho`` in the given orthonormal basis.
 

@@ -14,6 +14,7 @@ from kvnlab.operators import (
     koopman_generator,
     lambda_op,
     momentum_op,
+    operator_square,
     position_op,
     theta_op,
     unified_generator,
@@ -159,6 +160,21 @@ def test_elementary_operators_hermitian(pg):
         lhs = np.sum(np.conj(f.amplitudes) * op.apply(h.amplitudes)) * pg.cell_area
         rhs = np.sum(np.conj(op.apply(f.amplitudes)) * h.amplitudes) * pg.cell_area
         assert abs(lhs - rhs) / max(abs(lhs), 1e-30) < 1e-9
+
+
+def test_operator_square_applies_twice(pg):
+    rng = np.random.default_rng(41)
+    g = Grid1D(256, -16.0, 16.0)
+    cases = [(momentum_op(g, "quantum", hbar=0.7), random_bandlimited_1d(g, rng))]
+    phase_ops = [position_op(pg), momentum_op(pg, "kvn"), theta_op(pg), lambda_op(pg)]
+    cases += [(op, random_bandlimited_phase(pg, rng)) for op in phase_ops]
+    for op, psi in cases:
+        square = operator_square(op)
+        assert (square.kind, square.fft_axis, square.hermitian) == (
+            op.kind, op.fft_axis, op.hermitian
+        )
+        f = psi.amplitudes
+        assert np.max(np.abs(square.apply(f) - op.apply(op.apply(f)))) <= 1e-12
 
 
 # --- generators ----------------------------------------------------------------

@@ -34,11 +34,8 @@ def test_schrodinger_step_preserves_norm():
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g)
     H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
-    step = Propagator(H, 1e-2)
-    out = psi
-    for _ in range(50):
-        out = step.step(out)
-    assert abs(out.norm_squared() - 1.0) < 1e-12
+    _, _, norms, _ = Propagator(H, 1e-2).run(psi, 50)
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 def test_richardson_halving_second_order():
@@ -164,21 +161,11 @@ def test_nan_state_stops_the_run_at_t0_whatever_the_limit():
     for limit in (1e-8, np.inf):
         with pytest.raises(BoundaryMassError, match=r"at t=0$"):
             Propagator(H, 1e-2).run(psi, 5, boundary_limit=limit)
-
-
-def test_koopman_constant_does_not_alter_density():
-    pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
-    psi = gaussian_phase(pg, q0=0.5, sigma_q=0.7, sigma_p=0.7)
-    base = koopman_generator(pg, lambda q: q)
-    hooked = koopman_generator(
-        pg, lambda q: q,
-        constant=lambda Q, P: 0.3 * np.sin(2 * np.pi * Q / 16) * np.cos(2 * np.pi * P / 16),
-    )
-    t1 = evolve(psi, base, 1.0, 500)
-    t2 = evolve(psi, hooked, 1.0, 500)
-    d1 = np.abs(t1.final_state.amplitudes) ** 2
-    d2 = np.abs(t2.final_state.amplitudes) ** 2
-    assert np.max(np.abs(d1 - d2)) < 1e-12
+    # kvn_step bounds no edge mass but stops a NaN state all the same
+    pg = PhaseGrid(g, g)
+    blob = KvNWavefunction(pg, np.full(pg.shape, np.nan, dtype=complex))
+    with pytest.raises(BoundaryMassError, match=r"at t=0$"):
+        kvn_step(blob, koopman_generator(pg, lambda q: q), 1e-2)
 
 
 def test_amplitude_phase_decoupling_kvn():
@@ -283,14 +270,9 @@ def reference_step(amp, G, dt, real=False):
         spec = np.fft.fft(f, axis=G.position_axis)
         return inverse(half_pos * spec, G.position_axis)
 
-    if G.constant_part is not None:
-        amp = np.exp(-0.5j * G.constant_part * dt / scale) * amp
     amp = position_half(amp)
     amp = inverse(full_conj * np.fft.fft(amp, axis=G.conjugate_axis), G.conjugate_axis)
-    amp = position_half(amp)
-    if G.constant_part is not None:
-        amp = np.exp(-0.5j * G.constant_part * dt / scale) * amp
-    return amp
+    return position_half(amp)
 
 
 def reference_means(amp, G, grid):
@@ -329,10 +311,7 @@ def engine_cases():
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     for name, (V, Vp) in POTENTIALS.items():
         yield f"quantum-{name}", g, hamiltonian(g, V, vprime=Vp), None
-        phase_cases = [
-            (f"koopman-{name}", koopman_generator(pg, Vp)),
-            (f"koopman-constant-{name}", koopman_generator(pg, Vp, constant=WOBBLE)),
-        ]
+        phase_cases = [(f"koopman-{name}", koopman_generator(pg, Vp))]
         for kappa in (0.0, 0.5, 1.0):
             phase_cases.append(
                 (f"unified-{kappa}-{name}", unified_generator(pg, V, kappa, vprime=Vp))
@@ -349,8 +328,8 @@ def test_evolve_matches_reference_strang_loop(case):
         psi = gaussian_1d(grid, center=0.8, sigma=np.sqrt(0.5))
     else:
         psi = gaussian_phase(grid, q0=0.8, sigma_q=0.35, sigma_p=0.7, phase=phase)
-    # a real blob takes the real-field path unless a constant part forbids it
-    real = isinstance(grid, PhaseGrid) and phase is None and G.constant_part is None
+    # a real blob takes the real-field path
+    real = isinstance(grid, PhaseGrid) and phase is None
     n_steps, dt = 200, 1e-3
     traj = evolve(psi, G, n_steps * dt, n_steps)
     amp = psi.amplitudes
@@ -396,19 +375,6 @@ def test_shared_record_adds_no_transform(call_counts):
         return sum(call_counts[name] for name in ("fft", "ifft", "rfft", "irfft"))
 
     assert 0 < (transforms(20) - transforms(10)) / 10 <= 5
-
-
-def test_bopp_observer_of_a_run_that_carries_no_spectrum():
-    # a constant part leaves the step without a lambda spectrum, so the
-    # record takes its own
-    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
-    V, Vp = POTENTIALS["harmonic"]
-    blob = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
-    U = unified_generator(pg, V, 0.5, vprime=Vp)
-    traj = evolve_many(blob, koopman_generator(pg, Vp, constant=WOBBLE), [U], 0.02, 20)[0]
-    expected = reference_means(traj.final_state.amplitudes, U, pg)
-    got = traj.q_mean[-1], traj.p_mean[-1], traj.vprime_mean[-1]
-    assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12
 
 
 #: SRKN6b (Blanes & Moan 2002): drift weights a1 a2 a3 a3 a2 a1 and kick
@@ -502,27 +468,25 @@ def test_phase_step_fft_budget(call_counts, kappa, budget):
 
 @pytest.mark.parametrize(
     "variant",
-    ["real", "complex-state", "constant-part", "asymmetric-conjugate-part",
-     "asymmetric-position-part"],
+    ["real", "complex-state", "asymmetric-conjugate-part", "asymmetric-position-part"],
 )
 def test_real_field_path_selection(call_counts, variant):
-    # only a real state under conjugate-symmetric factors and no constant
-    # part runs on rfft/irfft; everything else keeps the complex transforms
+    # only a real state under conjugate-symmetric factors runs on
+    # rfft/irfft; everything else keeps the complex transforms
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
-    G = koopman_generator(pg, lambda q: q, constant=WOBBLE if variant == "constant-part" else None)
+    G = koopman_generator(pg, lambda q: q)
     if variant == "asymmetric-conjugate-part":
         G = replace(G, conjugate_part=G.conjugate_part + 0.1)
     if variant == "asymmetric-position-part":
         G = replace(G, position_part=G.position_part + 0.1)
     psi = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7,
                          phase=WOBBLE if variant == "complex-state" else None)
-    prop = Propagator(G, 1e-2)
     call_counts.clear()
-    finals = [prop.run(psi, 3)[0], prop.step(psi)]
+    final = Propagator(G, 1e-2).run(psi, 1)[0]
     real = call_counts["rfft"] + call_counts["irfft"]
     full = call_counts["fft"] + call_counts["ifft"]
     assert (real > 0, full > 0) == ((True, False) if variant == "real" else (False, True))
-    assert all(f.amplitudes.dtype == complex for f in finals)
+    assert final.amplitudes.dtype == complex
 
 
 def test_evolve_records_boundary_mass():

@@ -10,7 +10,6 @@ from kvnlab.states import (
     KvNWavefunction,
     QWavefunction,
     born_density,
-    collapse,
     dephase,
     expectation,
     inner_product,
@@ -190,16 +189,10 @@ def test_measure_probability_rejects_unnormalized():
         measure_probability(rho, np.array([2.0, 0.0], dtype=complex))
 
 
-def test_collapse_returns_basis_state():
-    basis = np.array([[HALF, HALF], [HALF, -HALF]], dtype=complex)
-    out = collapse(np.array([1.0, 0.0]), basis, 1)
-    np.testing.assert_allclose(out, basis[:, 1])
-
-
-def test_collapse_rejects_non_orthonormal():
+def test_dephase_rejects_non_orthonormal():
     basis = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        collapse(np.array([1.0, 0.0]), basis, 0)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        dephase(pure_density(np.array([1.0, 0.0])), basis)
 
 
 def test_dephase_diagonal_unchanged():
