@@ -14,11 +14,23 @@ transmitted-weight-weighted sum of the single-slit densities, and the
 initial phase drops out of it entirely.  The quantum density keeps the
 cross term between the two slit wavefunctions.
 
-:func:`kvn_screens` runs several apertures from one source: the source
-state, its shear to the wall and the wall-to-screen shear factor are built
-once, and each aperture costs a mask, a renormalisation and one shear.  A
-real source (no ``phase``) is sheared as a real field on rfft/irfft, with
-the factors over rows 0..n/2 only (see :mod:`kvnlab.kernels`).
+:func:`kvn_screens` runs several apertures from one source, walking the
+momentum axis in slabs of ``SLAB_COLUMNS`` p-columns.  The free shear moves
+each momentum class rigidly and couples none of them, so a slab is a closed
+problem: its source columns, their two shear factors, the shear to the wall
+and, per aperture, a mask and one shear to the screen.  No field over the
+whole phase grid is ever formed.  The shear is linear and unitary, so every
+normalisation waits for the last slab: the transmitted weight is
+sum|masked|^2 / sum|source|^2, the density is the accumulated q-marginal
+over its integral, and the boundary mass is the marginal's edge rows plus
+the edge p-columns' interior sums over sum|masked|^2.  A slab whose source
+is real (always, without ``phase``) is sheared as a real field on
+rfft/irfft, with the factors over rows 0..n/2 only (see
+:mod:`kvnlab.kernels`).
+
+Both runs refuse an aperture that passes less than
+``MIN_TRANSMITTED_WEIGHT`` of the beam: the screen density behind it would
+be round-off renormalised into fringes.
 """
 
 from __future__ import annotations
@@ -28,8 +40,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import BoundaryMassError
-from .grid import Grid1D, PhaseGrid, edge_mass
+from .errors import BoundaryMassError, PhysicsError
+from .grid import EDGE_CELLS, Grid1D, edge_mass
 from .kernels import free_quantum_propagate, real_if_real, shear, shear_factor
 from .states import QWavefunction
 
@@ -39,6 +51,11 @@ from .states import QWavefunction
 #: masked pipelines cannot meet the much tighter evolve() limit; this one
 #: still catches a main beam reaching the wall.
 APERTURE_BOUNDARY_LIMIT = 1e-3
+#: least fraction of the beam an aperture must pass; behind less, the screen
+#: density is renormalised round-off.
+MIN_TRANSMITTED_WEIGHT = 1e-12
+#: p-columns per slab of :func:`kvn_screens`.
+SLAB_COLUMNS = 32
 _MASK_REFINEMENT = 4
 
 
@@ -121,6 +138,14 @@ class ScreenResult:
     boundary_mass: float
 
 
+def _check_weight(weight: float, cfg: SlitConfig) -> None:
+    if weight < MIN_TRANSMITTED_WEIGHT:  # a NaN weight is left to the edge check
+        raise PhysicsError(
+            f"the slits at x_A={cfg.x_A:g}, delta={cfg.delta:g} pass {weight:.3e} of the "
+            f"beam (floor {MIN_TRANSMITTED_WEIGHT:.0e}); move them into the beam"
+        )
+
+
 def _check_edges(mass: float, limit: float) -> None:
     if not mass <= limit:  # also stops a NaN density
         raise BoundaryMassError(
@@ -141,6 +166,7 @@ def run_quantum(
     at_wall = free_quantum_propagate(psi, cfg.t_M, cfg.mass, cfg.hbar)
     masked = at_wall.amplitudes * refined_mask(cfg, which)
     weight = float(np.sum(np.abs(masked) ** 2) * g.dx)
+    _check_weight(weight, cfg)
     behind = QWavefunction(g, masked / np.sqrt(weight), time=at_wall.time)
     at_screen = free_quantum_propagate(behind, cfg.t_R - cfg.t_M, cfg.mass, cfg.hbar)
     rho = np.abs(at_screen.amplitudes) ** 2
@@ -158,26 +184,38 @@ def kvn_screens(
 ) -> list[ScreenResult]:
     """Classical screen densities at t_R, one per aperture in ``whiches``
     (None for both slits, 1 or 2 for one), from one shared source run."""
-    pg = PhaseGrid(cfg.x_grid, cfg.p_grid)
-    Q, P = pg.meshes()
-    amp = np.exp(-(Q**2) / (2 * cfg.sigma_x**2) - P**2 / (2 * cfg.sigma_p**2))
-    if phase is not None:
-        amp = real_if_real(amp * np.exp(1j * phase(Q, P)))
-    real = np.isrealobj(amp)
-    amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * pg.cell_area)
-    at_wall = shear(amp, shear_factor(pg, cfg.t_M, cfg.mass, real))
-    to_screen = shear_factor(pg, cfg.t_R - cfg.t_M, cfg.mass, real)
+    q, p = cfg.x_grid, cfg.p_grid
+    masks = [refined_mask(cfg, which)[:, None] for which in whiches]
+    source_mass = 0.0
+    masked_mass = np.zeros(len(masks))
+    marginal = np.zeros((len(masks), q.n))
+    interior = np.zeros((len(masks), p.n))  # column sums off the q-edge strips
+    c = EDGE_CELLS
+    Q = q.points[:, None]
+    for j in range(0, p.n, SLAB_COLUMNS):
+        cols = slice(j, j + SLAB_COLUMNS)
+        P = p.points[None, cols]
+        amp = np.exp(-(Q**2) / (2 * cfg.sigma_x**2) - P**2 / (2 * cfg.sigma_p**2))
+        if phase is not None:
+            amp = real_if_real(amp * np.exp(1j * phase(Q, P)))
+        real = np.isrealobj(amp)
+        source_mass += np.sum(np.abs(amp) ** 2)
+        at_wall = shear(amp, shear_factor(q, P[0], cfg.t_M, cfg.mass, real))
+        to_screen = shear_factor(q, P[0], cfg.t_R - cfg.t_M, cfg.mass, real)
+        for i, mask in enumerate(masks):
+            masked = at_wall * mask
+            masked_mass[i] += np.sum(np.abs(masked) ** 2)
+            rho = np.abs(shear(masked, to_screen)) ** 2
+            marginal[i] += rho.sum(axis=1)
+            interior[i, cols] = rho[c:-c].sum(axis=0)
     results = []
-    for which in whiches:
-        masked = at_wall * refined_mask(cfg, which)[:, None]
-        weight = float(np.sum(np.abs(masked) ** 2) * pg.cell_area)
-        at_screen = shear(masked / np.sqrt(weight), to_screen)
-        rho2d = np.abs(at_screen) ** 2
-        edge = edge_mass(rho2d * pg.cell_area)
+    for mass, rho_q, col in zip(masked_mass, marginal, interior):
+        weight = float(mass / source_mass)
+        _check_weight(weight, cfg)
+        edge = float((rho_q[:c].sum() + rho_q[-c:].sum() + col[:c].sum() + col[-c:].sum()) / mass)
         _check_edges(edge, boundary_limit)
-        density = rho2d.sum(axis=1) * pg.p.dx
-        density = density / (np.sum(density) * pg.q.dx)
-        results.append(ScreenResult(pg.q.points.copy(), density, weight, edge))
+        density = rho_q / (np.sum(rho_q) * q.dx)
+        results.append(ScreenResult(q.points.copy(), density, weight, edge))
     return results
 
 

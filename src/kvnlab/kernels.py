@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError
-from .grid import PhaseGrid, wavenumbers
+from .grid import Grid1D, wavenumbers
 from .states import KvNWavefunction, QWavefunction
 
 #: Most samples one damped quadrature of ``kernel_convolution`` may take; the
@@ -95,7 +95,8 @@ def free_kvn_propagate(psi: KvNWavefunction, t: float, mass: float = 1.0) -> KvN
     if t < 0:
         raise ValueError(f"shear propagation needs t >= 0, got {t}")
     amp = real_if_real(psi.amplitudes)
-    out = shear(amp, shear_factor(psi.grid, t, mass, real=np.isrealobj(amp)))
+    pg = psi.grid
+    out = shear(amp, shear_factor(pg.q, pg.p.points, t, mass, real=np.isrealobj(amp)))
     return KvNWavefunction(psi.grid, out, time=psi.time + t)
 
 
@@ -106,13 +107,17 @@ def real_if_real(amp: np.ndarray) -> np.ndarray:
     return amp
 
 
-def shear_factor(pg: PhaseGrid, t: float, mass: float = 1.0, real: bool = False) -> np.ndarray:
-    """The spectral shear factor exp(-i k_q p t / m), axis 0 in k_q order;
-    with ``real``, only rows 0..n/2, the bins that rfft keeps."""
-    kq = wavenumbers(pg.q)
+def shear_factor(
+    q: Grid1D, p: np.ndarray, t: float, mass: float = 1.0, real: bool = False
+) -> np.ndarray:
+    """The spectral shear factor exp(-i k_q p t / m) of the q grid ``q`` for
+    the momenta ``p``: axis 0 in k_q order, one column per momentum (a whole
+    p axis or any slab of it); with ``real``, only rows 0..n/2, the bins that
+    rfft keeps."""
+    kq = wavenumbers(q)
     if real:
-        kq = kq[: pg.q.n // 2 + 1]
-    return np.exp(-1j * kq[:, None] * pg.p.points[None, :] * t / mass)
+        kq = kq[: q.n // 2 + 1]
+    return np.exp(-1j * kq[:, None] * p[None, :] * t / mass)
 
 
 def shear(amp: np.ndarray, factor: np.ndarray) -> np.ndarray:

@@ -406,6 +406,24 @@ def test_doubleslit_run_writes_expected_files(tmp_path):
     assert (tmp_path / "doubleslit_screens.svg").exists()
 
 
+@pytest.mark.parametrize("x_A", [12.0, 40.0])
+def test_doubleslit_beam_missing_the_slits_exits_3_writing_nothing(tmp_path, capsys, x_A):
+    cfg = write_config(tmp_path, {"experiment": "doubleslit", "params": {"x_A": x_A},
+                                  "output": {"directory": ".", "svg": True}})
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"x_A={x_A:g}" in err[0] and "delta=0.5" in err[0]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_doubleslit_default_config_exits_0(tmp_path):
+    cfg = write_config(tmp_path, {"experiment": "doubleslit",
+                                  "output": {"directory": ".", "svg": False}})
+    assert main(["run", str(cfg)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "kvn_screen.csv", "quantum_screen.csv"]
+
+
 def test_ehrenfest_run_small(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kvnlab.doubleslit import (
+    SLAB_COLUMNS,
     FringeStats,
     SlitConfig,
     fringe_stats,
@@ -12,9 +15,10 @@ from kvnlab.doubleslit import (
     run_quantum,
     slit_mask,
 )
-from kvnlab.errors import BoundaryMassError
+from kvnlab.errors import BoundaryMassError, PhysicsError
 from kvnlab.gauge import SolenoidConfig
-from kvnlab.grid import Grid1D
+from kvnlab.grid import Grid1D, PhaseGrid, edge_mass
+from kvnlab.kernels import real_if_real, shear, shear_factor
 
 
 @pytest.fixture(scope="module")
@@ -165,12 +169,18 @@ def test_kvn_phase_independence(kvn_runs, cfg):
     assert np.max(np.abs(phased.density - kvn_runs["both"].density)) < 1e-10
 
 
+def _slabs(cfg):
+    return -(-cfg.p_grid.n // SLAB_COLUMNS)
+
+
 def test_kvn_screens_share_one_source_run(cfg, kvn_runs, call_counts):
     screens = kvn_screens(cfg, (None, 1, 2))
-    # the source Gaussian and the two shear factors; one rfft/irfft pair for
-    # the shear to the wall and one per aperture
-    assert call_counts["exp"] == 3
-    assert 0 < call_counts["rfft"] <= 4 and 0 < call_counts["irfft"] <= 4
+    # per slab: the source Gaussian and the two shear factors; one rfft/irfft
+    # pair for the shear to the wall and one per aperture
+    slabs = _slabs(cfg)
+    assert slabs > 1
+    assert call_counts["exp"] == 3 * slabs
+    assert call_counts["rfft"] == call_counts["irfft"] == 4 * slabs
     assert call_counts["fft"] == call_counts["ifft"] == 0
     for res, key in zip(screens, ("both", 1, 2)):
         np.testing.assert_array_equal(res.density, kvn_runs[key].density)
@@ -180,8 +190,79 @@ def test_kvn_screens_share_one_source_run(cfg, kvn_runs, call_counts):
 
 def test_kvn_phased_source_takes_complex_shears(cfg, call_counts):
     kvn_screens(cfg, (1,), phase=lambda Q, P: np.sin(Q) * np.cos(P))
-    assert call_counts["fft"] == call_counts["ifft"] == 2
+    assert call_counts["fft"] == call_counts["ifft"] == 2 * _slabs(cfg)
     assert call_counts["rfft"] == call_counts["irfft"] == 0
+
+
+def _one_shot_screen(cfg, which, phase):
+    """The classical pipeline on the whole phase-space field at once."""
+    pg = PhaseGrid(cfg.x_grid, cfg.p_grid)
+    Q, P = pg.meshes()
+    amp = np.exp(-(Q**2) / (2 * cfg.sigma_x**2) - P**2 / (2 * cfg.sigma_p**2))
+    if phase is not None:
+        amp = real_if_real(amp * np.exp(1j * phase(Q, P)))
+    real = np.isrealobj(amp)
+    amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * pg.cell_area)
+    masked = shear(amp, shear_factor(pg.q, pg.p.points, cfg.t_M, cfg.mass, real))
+    masked = masked * refined_mask(cfg, which)[:, None]
+    weight = np.sum(np.abs(masked) ** 2) * pg.cell_area
+    rho2d = np.abs(shear(masked / np.sqrt(weight),
+                         shear_factor(pg.q, pg.p.points, cfg.t_R - cfg.t_M, cfg.mass, real))) ** 2
+    density = rho2d.sum(axis=1) / (np.sum(rho2d) * pg.q.dx)
+    return density, weight, edge_mass(rho2d * pg.cell_area)
+
+
+@pytest.mark.parametrize("p_n", [16, 128], ids=["one-partial-slab", "several-slabs"])
+@pytest.mark.parametrize("phase", [None, lambda Q, P: np.sin(Q) * np.cos(P)],
+                         ids=["real", "phased"])
+def test_kvn_slabs_match_the_one_shot_field(p_n, phase):
+    # sigma_p 1 on p in [-4, 4) and a 32-wide q box put mass well above
+    # round-off in the edge strips, so the boundary masses compare
+    cfg = SlitConfig(sigma_p=1.0, x_grid=Grid1D(256, -16.0, 16.0), p_grid=Grid1D(p_n, -4.0, 4.0))
+    screens = kvn_screens(cfg, (None, 1, 2), phase, boundary_limit=np.inf)
+    for res, which in zip(screens, (None, 1, 2)):
+        density, weight, edge = _one_shot_screen(cfg, which, phase)
+        assert np.max(np.abs(res.density - density)) <= 1e-13 * np.max(density)
+        assert res.transmitted_weight == pytest.approx(weight, rel=1e-13, abs=0)
+        assert edge > 1e-6
+        assert res.boundary_mass == pytest.approx(edge, rel=1e-13, abs=0)
+
+
+def test_kvn_screens_working_set_stays_below_two_fields(cfg):
+    tracemalloc.start()
+    try:
+        kvn_screens(cfg, (None, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cfg.x_grid.n * cfg.p_grid.n * 8  # two float64 phase-space fields
+
+
+@pytest.mark.parametrize(
+    "beam",
+    [
+        dict(sigma_p=3.0, p_grid=Grid1D(256, -4.0, 4.0)),
+        dict(sigma_p=3.0, p_grid=Grid1D(256, -4.0, 12.0)),
+        dict(sigma_p=3.0, p_grid=Grid1D(256, -12.0, 4.0)),
+        dict(sigma_p=0.5, x_grid=Grid1D(512, -5.0, 5.0)),
+    ],
+    ids=["both-p-edges", "first-slab-only", "last-slab-only", "q-edges"],
+)
+def test_kvn_edge_check_sees_every_edge_strip(beam):
+    # sigma_p 3 puts ~1.5e-2 of the mass in the four p-columns at +-4 (the far
+    # edge of a one-sided p grid holds ~1e-7); on q in [-5, 5) the beam
+    # reaches the q-edge rows with ~2e-2
+    with pytest.raises(BoundaryMassError):
+        kvn_screens(SlitConfig(**beam), (None,))
+
+
+@pytest.mark.parametrize("x_A", [8.0, 12.0])
+def test_beam_that_misses_the_slits_is_refused(x_A):
+    cfg = SlitConfig(x_A=x_A, x_grid=Grid1D(512, -64.0, 64.0), p_grid=Grid1D(64, -4.0, 4.0))
+    with pytest.raises(PhysicsError, match=f"x_A={x_A:g}, delta=0.5"):
+        run_quantum(cfg)
+    with pytest.raises(PhysicsError, match=f"x_A={x_A:g}, delta=0.5"):
+        kvn_screens(cfg, (None, 1, 2))
 
 
 def test_kvn_single_slits_are_mirror_images(kvn_runs):
