@@ -26,7 +26,7 @@ import numpy as np
 from .errors import PhysicsError
 from .grid import PhaseGrid
 from .operators import GridOperator, commutator_apply, operator_square
-from .states import QWavefunction, Wavefunction, expectation, inner_product
+from .states import QWavefunction, Wavefunction, expectation
 
 
 def std_dev(op: GridOperator, psi: Wavefunction) -> float:

@@ -1,4 +1,4 @@
-"""Closed-form free-particle propagators and the Gaussian integral primitive.
+"""Closed-form free-particle propagators.
 
 The quantum free kernel K(x, x0, t) = sqrt(m/(2 pi i hbar t))
 exp[i m (x-x0)^2 / (2 hbar t)] propagates configuration-space states by
@@ -32,20 +32,6 @@ from .states import KvNWavefunction, QWavefunction
 #: Most samples one damped quadrature of ``kernel_convolution`` may take; the
 #: count grows as 1/t for short times and as (x, x0) move off the origin.
 MAX_QUADRATURE_SAMPLES = 2**22
-
-
-def gaussian_integral(a: complex, b: complex = 0.0, c: complex = 0.0) -> complex:
-    """integral exp(-a x^2 + b x + c) dx = sqrt(pi/a) exp(b^2/(4a) + c).
-
-    Requires Re(a) > 0, or Re(a) = 0 with Im(a) != 0 (Fresnel case, defined
-    by principal-branch continuation).
-    """
-    a, b, c = complex(a), complex(b), complex(c)
-    if a == 0:
-        raise DegenerateInputError("gaussian_integral diverges for a = 0")
-    if a.real < 0 or (a.real == 0 and a.imag == 0):
-        raise DegenerateInputError(f"gaussian_integral needs Re(a) >= 0, got {a}")
-    return np.sqrt(np.pi / a) * np.exp(b * b / (4 * a) + c)
 
 
 def _kernel_prefactor(t: float, mass: float, hbar: float) -> complex:

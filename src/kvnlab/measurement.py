@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import Generator
-from .propagation import evolve
-from .states import DensityMatrix, KvNWavefunction, dephase, measure_probability, pure_density
+from .propagation import propagate
+from .states import DensityMatrix, dephase, measure_probability, pure_density
 
 SQ34 = np.sqrt(3.0 / 4.0)
 HALF = 1.0 / np.sqrt(2.0)
@@ -38,10 +38,9 @@ AB_BASIS = np.array([[HALF, HALF], [HALF, -HALF]], dtype=complex)
 
 @dataclass(frozen=True)
 class TwoLevelSystem:
-    """Energy eigenvalues +/- hbar*omega in the (|+>, |->) basis."""
+    """Energy eigenvalues +/- hbar*omega (hbar = 1) in the (|+>, |->) basis."""
 
     omega: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self) -> None:
         if self.omega <= 0:
@@ -111,24 +110,15 @@ def phase_discard_disturbance(
     dt = t_final / n_steps
     if abs(n_first * dt - tau) > 1e-12:
         raise ValueError("tau must fall on a step boundary")
-    direct = evolve(psi0, G, t_final, n_steps).final_state
-
-    first_leg = evolve(psi0, G, tau, n_first).final_state
-    cls = type(first_leg)
-    measured = cls(first_leg.grid, np.abs(first_leg.amplitudes).astype(complex),
-                   time=first_leg.time)
-    second_leg = evolve(measured, G, t_final - tau, n_steps - n_first).final_state
+    direct = propagate(psi0, G, dt, n_steps)[0]
+    first_leg = propagate(psi0, G, tau / n_first, n_first)[0]
+    measured = type(first_leg)(first_leg.grid, np.abs(first_leg.amplitudes).astype(complex),
+                               time=first_leg.time)
+    second_leg = propagate(measured, G, (t_final - tau) / (n_steps - n_first),
+                           n_steps - n_first)[0]
 
     diff = np.abs(np.abs(direct.amplitudes) ** 2 - np.abs(second_leg.amplitudes) ** 2)
     return DisturbanceReport(
         max_density_change=float(np.max(diff)), t_measure=tau, t_final=t_final
     )
 
-
-def kvn_nondisturbance(
-    psi0: KvNWavefunction, G: Generator, tau: float, t_final: float, n_steps: int
-) -> DisturbanceReport:
-    """Classical protocol; the report's density change must vanish."""
-    if not isinstance(psi0, KvNWavefunction):
-        raise TypeError("kvn_nondisturbance expects a phase-space state")
-    return phase_discard_disturbance(psi0, G, tau, t_final, n_steps)

@@ -15,7 +15,7 @@ constant along coupled (rho, q, p) trajectories when C = 1 (the form above
 carries no C, so the auxiliary solution must be run with C = 1; unit mass
 likewise).  The auxiliary equation and the characteristics are integrated
 by fixed-step RK4; the phase-space evolution takes fourth-order split steps
-(Blanes and Moan's RKN splitting SRKN6b, see ``Propagator``), so one of its
+(Blanes and Moan's RKN splitting SRKN6b, see ``propagate``), so one of its
 steps can span many RK4 steps at the same accuracy.
 """
 
@@ -27,9 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import PhysicsError
-from .grid import PhaseGrid
 from .operators import koopman_generator
-from .propagation import Propagator
+from .propagation import propagate
 from .states import KvNWavefunction
 
 Stiffness = Callable[[float], float]
@@ -157,7 +156,7 @@ def kvn_tdho_evolve(
     """Phase-space evolution in ``n_steps`` fourth-order steps, sampled
     before the first and after each.
 
-    Unit mass; each step is a ``Propagator`` SRKN6b step: seven force kicks,
+    Unit mass; each step is a ``propagate`` SRKN6b step: seven force kicks,
     each the unit-stiffness generator's force part scaled by k at the time
     the conjugate drifts before it have reached, between six drifts.  Aborts
     like ``evolve`` when probability reaches the domain edge.
@@ -172,8 +171,7 @@ def kvn_tdho_evolve(
         qs[i], ps[i], covs[i] = _phase_moments(rho, q, p)
 
     G = koopman_generator(psi0.grid, lambda x: x)
-    final, times, norms, _ = Propagator(G, t_final / n_steps, position_scale=k).run(
-        psi0, n_steps, record
-    )
+    final, times, norms, _ = propagate(psi0, G, t_final / n_steps, n_steps, record,
+                                       position_scale=k)
     return KvnOscillatorTrajectory(times, qs, ps, covs, final, norms)
 

@@ -1,15 +1,15 @@
-"""Time evolution by exponentiated generators: one cached split-step engine.
+"""Time evolution by exponentiated generators: one split-step engine.
 
-A :class:`Propagator` advances states of one generator G at one step dt by
-the Strang step exp(-i B dt/2) exp(-i A dt) exp(-i B dt/2), where A is G's
+``propagate`` advances a state of one generator G at one step dt by the
+Strang step exp(-i B dt/2) exp(-i A dt) exp(-i B dt/2), where A is G's
 conjugate-diagonal part and B its position-side part.  Each factor is exact
 in the representation where its part is diagonal, so the step is unitary
 and second order in dt, and for classical generators every factor is an
-advection shear.  The factors are built once per (G, dt), and
-``Propagator.run`` is the one stepping loop.  On a phase grid a step ends
-in the (q, lambda) representation and the next step opens from that
-spectrum, which the run carries from the first step to the last, so a
-Strang step costs five FFTs.
+advection shear.  The factors are built once per call, for the one path
+(real-field or complex) the call takes, and ``propagate`` is the one
+stepping loop.  On a phase grid a step ends in the (q, lambda)
+representation and the next step opens from that spectrum, which the run
+carries from the first step to the last, so a Strang step costs five FFTs.
 
 A time-dependent force enters through ``position_scale``, which rescales B
 at each force kick of a fourth-order step: Blanes and Moan's RKN splitting
@@ -31,7 +31,7 @@ the positive ones (the exponent is imaginary).
 Real-field path: the phase-space generators are real operators, so a real
 amplitude stays real.  When a phase-grid state's imaginary part is exactly
 zero and both exponents are conjugate-symmetric along their FFT axes
-(checked exactly at construction), the state is carried as float64 and
+(checked exactly before the first step), the state is carried as float64 and
 every FFT is an rfft/irfft over bins 0..n/2: the conjugate factors keep
 their first n/2+1 rows, the position factor its first n/2+1 columns, and
 time-dependent position factors are built over those columns only.  This
@@ -42,7 +42,7 @@ conjugate-symmetric and the complex path grows an imaginary part (about
 2e-7 by t = 1 on the quartic at 128^2) that the real path drops.  Complex
 states and 1-D quantum states take the complex path.
 
-Recording rule: ``Propagator.run`` samples the state before the first step
+Recording rule: ``propagate`` samples the state before the first step
 and after every step.  Each sample computes rho = |psi|^2 * measure once and
 takes from it the norm and the mass within ``EDGE_CELLS`` cells of the
 domain edge.  Edge mass above the limit aborts the run: the domain was
@@ -102,13 +102,6 @@ def _abs2(field: np.ndarray) -> np.ndarray:
     return field.real**2 + field.imag**2
 
 
-def _transforms(field: np.ndarray):
-    """The (forward, inverse) FFT pair for ``field``: rfft/irfft for a real one."""
-    if np.isrealobj(field):
-        return np.fft.rfft, np.fft.irfft
-    return np.fft.fft, np.fft.ifft
-
-
 def _conj_symmetric(arg: np.ndarray, axis: int) -> bool:
     """Whether exp(arg) is conjugate-symmetric along ``axis`` (bin -k the
     conjugate of bin k) at every bin but the Nyquist one, exactly."""
@@ -122,163 +115,116 @@ def _head(field: np.ndarray, axis: int) -> np.ndarray:
     return np.take(field, np.arange(field.shape[axis] // 2 + 1), axis)
 
 
-class Propagator:
-    """Steps of one generator at one dt, every constant factor built once.
+def _kicks(pos_arg: np.ndarray, axis: int | None, dt: float, scale: Callable,
+           real: bool) -> Callable:
+    """SRKN6b's position factors: ``kicks(t)`` yields the seven kicks of the
+    step from t, exp(c * pos_arg) with c = 2 b_j k_j, pos_arg the position
+    exponent of a half-step of dt and k_j = scale(t + _KICK_TIMES[j] dt),
+    each built only as it is taken.  Lambda bins 0..n/2 are the powers
+    0..n/2 of the bin-1 column, one exp over the q rows; off the real-field
+    path the negative bins are added as the conjugates of bins n/2-1..1.
+    The last kick is kept, so a step's closing kick serves as the next
+    step's opening one (both b1 at the same time).  Raises ValueError unless
+    pos_arg is a phase-space position part linear in lambda."""
+    n = pos_arg.shape[-1]
+    bins = np.concatenate([np.arange(n // 2 + 1), np.arange(1 - n // 2, 0)])
+    if axis != 1 or pos_arg.real.any() or not np.allclose(
+        pos_arg, bins * pos_arg[:, 1:2], rtol=1e-12, atol=0
+    ):
+        raise ValueError("position_scale needs a phase-space position part linear in lambda")
+    unit, last = pos_arg[:, 1].copy(), [None, None]  # (c, factor) of the last kick built
+
+    def kick(c: float) -> np.ndarray:
+        if c != last[0]:
+            powers = np.empty((len(unit), n // 2 + 1), dtype=complex)
+            powers[:, 0], powers[:, 1:] = 1.0, np.exp(c * unit)[:, None]
+            powers = powers.cumprod(axis=1)
+            if not real:
+                powers = np.concatenate([powers, powers[:, -2:0:-1].conj()], axis=1)
+            last[:] = c, powers
+        return last[1]
+
+    return lambda t: (kick(2.0 * b * scale(t + s * dt)) for b, s in zip(_KICKS, _KICK_TIMES))
+
+
+def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
+              record: Callable | None = None, boundary_limit: float = BOUNDARY_MASS_LIMIT,
+              position_scale: Callable | None = None):
+    """Take ``n_steps`` steps of G at ``dt`` from ``state``, sampling before
+    the first and after each.
 
     Without ``position_scale`` a step is one Strang step.  With it, the step
     from time t is an SRKN6b step: force kicks of ``_KICKS[j] * dt``, each
     with B scaled by ``position_scale(t + _KICK_TIMES[j] * dt)``, between
     conjugate drifts of ``_DRIFTS[j] * dt``; B must then be a phase-space
-    position part linear in lambda.
+    position part linear in lambda, or ValueError is raised before any step.
+
+    ``record(i, amplitudes, rho, spectrum)`` sees every sample; rho is
+    |psi|^2 * measure and spectrum the FFT along G's position axis, or
+    None on a 1-D grid.  On the real-field path the amplitudes are
+    float64 and the spectrum is the rfft (bins 0..n/2).
+    Returns ``(final_state, times, norms, boundary_mass)`` with one
+    series entry per sample; the final state is complex, as always.
     """
-
-    def __init__(self, G: Generator, dt: float, position_scale: Callable | None = None):
-        self.G, self.dt, self._position_scale = G, dt, position_scale
-        self._arg = -1j * dt / G.phase_scale
-        conj_arg, pos_arg = self._arguments()
-        if position_scale is not None:
-            # each position factor is built from lambda column 1, the unit wavenumber
-            n = pos_arg.shape[-1]
-            bins = np.concatenate([np.arange(n // 2 + 1), np.arange(1 - n // 2, 0)])
-            if G.position_axis != 1 or pos_arg.real.any() or not np.allclose(
-                pos_arg, bins * pos_arg[:, 1:2], rtol=1e-12, atol=0
-            ):
-                raise ValueError(
-                    "position_scale needs a phase-space position part linear in lambda"
-                )
-            self._unit = pos_arg[:, 1]
-            self._last_kick = None, None, None  # (real, c, factor) of the last kick built
-        self._complex = None  # the complex path's factors, built when a complex state arrives
-        pa, ca = G.position_axis, G.conjugate_axis
-        self._real = None
-        if pa is not None and _conj_symmetric(conj_arg, ca) and _conj_symmetric(pos_arg, pa):
-            pos = None if position_scale else np.exp(_head(pos_arg, pa))
-            self._real = self._conjugate_factors(_head(conj_arg, ca)), pos
-            self._nyquist = (slice(None),) * pa + (-1,)  # the last rfft bin along pa
-
-    def _arguments(self) -> tuple:
-        """The exponents of G's conjugate part over dt and of its position part over dt/2."""
-        return self._arg * self.G.conjugate_part, 0.5 * self._arg * self.G.position_part
-
-    def _conjugate_factors(self, conj_arg: np.ndarray) -> tuple:
-        """exp of ``conj_arg`` for each conjugate shear of a step: a Strang
-        step's one, or SRKN6b's six drifts, three distinct arrays."""
-        if self._position_scale is None:
-            return (np.exp(conj_arg),)
+    arg = -1j * dt / G.phase_scale
+    conj_arg, pos_arg = arg * G.conjugate_part, 0.5 * arg * G.position_part
+    pa, ca = G.position_axis, G.conjugate_axis
+    amp = state.amplitudes
+    real = (pa is not None and not amp.imag.any()
+            and _conj_symmetric(conj_arg, ca) and _conj_symmetric(pos_arg, pa))
+    if real:
+        amp, conj_arg = amp.real, _head(conj_arg, ca)
+        fft, ifft = np.fft.rfft, np.fft.irfft
+        nyquist = (slice(None),) * pa + (-1,)  # the last rfft bin along pa
+    else:
+        fft, ifft = np.fft.fft, np.fft.ifft
+    if position_scale is None:
+        pos = np.exp(_head(pos_arg, pa) if real else pos_arg)
+        position, conj = lambda t: (pos, pos), (np.exp(conj_arg),)
+    else:
+        position = _kicks(pos_arg, pa, dt, position_scale, real)
         drifts = [np.exp(a * conj_arg) for a in _A]
-        return (*drifts, *drifts[::-1])
+        conj = (*drifts, *drifts[::-1])
+    del conj_arg, pos_arg  # free the exponents: the steps read only the factors
 
-    def _factors(self, real: bool) -> tuple:
-        """(conjugate factors, constant position factor or None) of a path."""
-        if real:
-            return self._real
-        if self._complex is None:
-            conj_arg, pos_arg = self._arguments()
-            pos = None if self._position_scale else np.exp(pos_arg)
-            self._complex = self._conjugate_factors(conj_arg), pos
-        return self._complex
-
-    def _start(self, amp: np.ndarray) -> np.ndarray:
-        """The amplitudes the steps work on: the real part, as float64, when
-        the state and the factors allow the real-field path."""
-        if self._real is not None and not amp.imag.any():
-            return amp.real
-        return amp
-
-    def _position_factors(self, real: bool, t: float):
-        """The position factors of the step from t, one before each conjugate
-        factor and one after the last.  A Strang step's are its two half-step
-        factors.  SRKN6b's seven kicks are exp(c * arg) with c = 2 b_j k_j,
-        arg the position exponent of a half-step of dt and k_j the scale at
-        t + _KICK_TIMES[j] dt, each built only as it is taken."""
-        if self._position_scale is None:
-            pos = self._factors(real)[1]
-            return pos, pos
-        scale, dt = self._position_scale, self.dt
-        return (self._column_powers(real, 2.0 * b * scale(t + s * dt))
-                for b, s in zip(_KICKS, _KICK_TIMES))
-
-    def _column_powers(self, real: bool, c: float) -> np.ndarray:
-        """exp(c * arg), arg the position exponent of a half-step of dt:
-        lambda bins 0..n/2 as the powers 0..n/2 of its bin-1 column, one exp
-        over the q rows; the complex path adds the negative bins as the
-        conjugates of bins n/2-1..1.  The last factor is kept, so a step's
-        closing kick serves as the next step's opening one (both b1 at the
-        same time)."""
-        if self._last_kick[:2] == (real, c):
-            return self._last_kick[2]
-        w = np.exp(c * self._unit)
-        n = self.G.position_part.shape[1]
-        powers = np.empty((len(w), n // 2 + 1), dtype=complex)
-        powers[:, 0], powers[:, 1:] = 1.0, w[:, None]
-        powers = powers.cumprod(axis=1)
-        if not real:
-            powers = np.concatenate([powers, powers[:, -2:0:-1].conj()], axis=1)
-        self._last_kick = real, c, powers
-        return powers
-
-    def _advance(self, amp: np.ndarray, spec: np.ndarray | None, position):
-        """One step from ``amp`` and its position-axis spectrum ``spec`` (None
-        on a 1-D grid): the ``position`` factors alternate with the conjugate
-        factors, one position factor first and last.  Returns the new
-        amplitudes and their spectrum."""
-        pa, ca = self.G.position_axis, self.G.conjugate_axis
-        real = np.isrealobj(amp)
-        conj = self._factors(real)[0]
-        fft, ifft = _transforms(amp)
-        position = iter(position)
-        if pa is None:
-            for conj_factor in conj:
-                amp = ifft(conj_factor * fft(next(position) * amp, axis=ca), axis=ca)
-            amp, spec = next(position) * amp, None
-        else:
-            for conj_factor in conj:
-                amp = ifft(next(position) * spec, axis=pa)
-                amp = ifft(conj_factor * fft(amp, axis=ca), axis=ca)
-                spec = fft(amp, axis=pa)
-            spec = next(position) * spec
-            amp = ifft(spec, axis=pa)
-            if real:
-                # irfft read only the real part of the Nyquist bin: carry what it read
-                spec[self._nyquist].imag = 0.0
-        return amp, spec
-
-    def run(self, state: Wavefunction, n_steps: int, record: Callable | None = None,
-            boundary_limit: float = BOUNDARY_MASS_LIMIT):
-        """Take ``n_steps`` steps, sampling before the first and after each.
-
-        ``record(i, amplitudes, rho, spectrum)`` sees every sample; rho is
-        |psi|^2 * measure and spectrum the FFT along G's position axis, or
-        None on a 1-D grid.  On the real-field path the amplitudes are
-        float64 and the spectrum is the rfft (bins 0..n/2).
-        Returns ``(final_state, times, norms, boundary_mass)`` with one
-        series entry per sample; the final state is complex, as always.
-        """
-        times, norms, edges = np.empty((3, n_steps + 1))
-        amp, t = self._start(state.amplitudes), state.time
-        # on a phase grid a step's closing spectrum is the next step's opening one
-        pa = self.G.position_axis
-        spec = None if pa is None else _transforms(amp)[0](amp, axis=pa)
-        for i in range(n_steps + 1):
-            if i:
-                position = self._position_factors(np.isrealobj(amp), t)
-                amp, spec = self._advance(amp, spec, position)
-                t = t + self.dt
-            rho = _abs2(amp) * state.measure
-            times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)
-            if not edges[i] <= boundary_limit:  # also stops a NaN state
-                raise BoundaryMassError(
-                    f"boundary mass {edges[i]:.3e} is not within {boundary_limit:.1e} "
-                    f"at t={t:.4g}"
-                )
-            if record is not None:
-                record(i, amp, rho, spec)
-        return type(state)(state.grid, amp, time=t), times, norms, edges
+    times, norms, edges = np.empty((3, n_steps + 1))
+    t = state.time
+    # on a phase grid a step's closing spectrum is the next step's opening one
+    spec = None if pa is None else fft(amp, axis=pa)
+    for i in range(n_steps + 1):
+        if i:
+            # the position factors alternate with the conjugate ones, first and last
+            factors = iter(position(t))
+            if pa is None:
+                for conj_factor in conj:
+                    amp = ifft(conj_factor * fft(next(factors) * amp, axis=ca), axis=ca)
+                amp = next(factors) * amp
+            else:
+                for conj_factor in conj:
+                    amp = ifft(next(factors) * spec, axis=pa)
+                    amp = ifft(conj_factor * fft(amp, axis=ca), axis=ca)
+                    spec = fft(amp, axis=pa)
+                spec = next(factors) * spec
+                amp = ifft(spec, axis=pa)
+                if real:
+                    # irfft read only the real part of the Nyquist bin: carry what it read
+                    spec[nyquist].imag = 0.0
+            t = t + dt
+        rho = _abs2(amp) * state.measure
+        times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)
+        if not edges[i] <= boundary_limit:  # also stops a NaN state
+            raise BoundaryMassError(
+                f"boundary mass {edges[i]:.3e} is not within {boundary_limit:.1e} "
+                f"at t={t:.4g}"
+            )
+        if record is not None:
+            record(i, amp, rho, spec)
+    return type(state)(state.grid, amp, time=t), times, norms, edges
 
 
 def kvn_step(psi: KvNWavefunction, G: Generator, dt: float) -> KvNWavefunction:
     """One Strang step of a phase-space generator (koopman, unified): a
-    one-step ``Propagator.run``, the state sampled before and after it.
+    one-step ``propagate``, the state sampled before and after it.
 
     Both sub-steps are exact shears: the q-advection is diagonal in the
     (theta-mode, p) representation, the p-advection in (q, lambda-mode).
@@ -287,7 +233,7 @@ def kvn_step(psi: KvNWavefunction, G: Generator, dt: float) -> KvNWavefunction:
     """
     if G.label not in ("koopman", "unified"):
         raise ValueError(f"kvn_step needs a phase-space generator, got {G.label}")
-    return Propagator(G, dt).run(psi, 1, boundary_limit=np.inf)[0]
+    return propagate(psi, G, dt, 1, boundary_limit=np.inf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +370,6 @@ def evolve_many(
     def record(i, amp, rho, spec):
         series[:, :, i] = means(amp, rho, spec)
 
-    final, times, norms, edges = Propagator(G, t_final / n_steps).run(
-        state, n_steps, record, boundary_limit
-    )
+    final, times, norms, edges = propagate(state, G, t_final / n_steps, n_steps, record,
+                                           boundary_limit)
     return [Trajectory(times, *s, final, norms, edges) for s in series]

@@ -7,7 +7,6 @@ calibrated at runtime.
 import time
 
 import numpy as np
-import pytest
 
 from conftest import (
     gaussian_1d,
@@ -33,7 +32,6 @@ from kvnlab.kernels import (
     kernel_propagate,
 )
 from kvnlab.measurement import (
-    kvn_nondisturbance,
     p_a_nonselective,
     p_a_unmeasured,
     phase_discard_disturbance,
@@ -326,7 +324,7 @@ def test_criterion_10_nondisturbance_contrast():
     phase = lambda Q, P: 0.4 * np.sin(2 * np.pi * Q / 16) * np.cos(2 * np.pi * P / 16)
     blob = gaussian_phase(pg, q0=0.8, sigma_q=0.5, sigma_p=0.5, phase=phase)
     G = koopman_generator(pg, lambda q: q)
-    rep_kvn = kvn_nondisturbance(blob, G, tau=1.0, t_final=2.0, n_steps=2000)
+    rep_kvn = phase_discard_disturbance(blob, G, tau=1.0, t_final=2.0, n_steps=2000)
     assert rep_kvn.max_density_change < 1e-8
 
     g = Grid1D(256, -16.0, 16.0)

@@ -24,7 +24,7 @@ from kvnlab.operators import (
     theta_op,
     unified_generator,
 )
-from kvnlab.propagation import Propagator, evolve
+from kvnlab.propagation import evolve, propagate
 from kvnlab.states import KvNWavefunction, QWavefunction
 
 
@@ -237,7 +237,7 @@ def test_moyal_evolution_of_wigner_matches_schrodinger(kappa):
     psi0 = gaussian_1d(g, center=1.0, sigma=0.5)
     W0 = KvNWavefunction(pg, wigner_transform(psi0, pg))
     G = unified_generator(pg, V, kappa, vprime=Vp)
-    W = Propagator(G, 1.0 / 250).run(W0, 250)[0].amplitudes
+    W = propagate(W0, G, 1.0 / 250, 250)[0].amplitudes
     target = wigner_transform(evolve(psi0, hamiltonian(g, V, vprime=Vp), 1.0, 250).final_state, pg)
     mismatch = np.max(np.abs(W - target))
     assert mismatch <= 1e-5 if kappa == 1.0 else mismatch >= 1e-2

@@ -10,55 +10,12 @@ from kvnlab.kernels import (
     free_kvn_propagate,
     free_quantum_kernel,
     free_quantum_propagate,
-    gaussian_integral,
     kernel_convolution,
     kernel_propagate,
 )
 from kvnlab.operators import koopman_generator
 from kvnlab.oscillator import solve_classical_tdho
 from kvnlab.propagation import kvn_step
-
-
-# --- gaussian integral -------------------------------------------------------
-
-
-def test_gaussian_integral_real_case():
-    assert gaussian_integral(1.0) == pytest.approx(np.sqrt(np.pi), abs=1e-14)
-
-
-def test_gaussian_integral_linear_term():
-    assert gaussian_integral(1.0, 2.0) == pytest.approx(np.sqrt(np.pi) * np.e, abs=1e-12)
-
-
-def test_gaussian_integral_fresnel_branch():
-    got = gaussian_integral(1j)
-    assert got == pytest.approx(np.sqrt(np.pi) * np.exp(-1j * np.pi / 4), abs=1e-12)
-
-
-def test_gaussian_integral_fresnel_vs_damped_quadrature_oracle():
-    # oracle: quadrature of exp(-(eps + i) x^2); the eps offset biases the
-    # value by ~eps/2, so eps = 1e-4 sits safely inside the 1e-4 budget
-    eps = 1e-4
-    x = np.linspace(-700, 700, 4_000_001)
-    y = np.trapezoid(np.exp(-(eps + 1j) * x**2), x)
-    assert abs(y - gaussian_integral(1j)) < 1e-4
-
-
-def test_gaussian_integral_continuity_toward_imaginary_axis():
-    target = gaussian_integral(1j)
-    d_coarse = abs(gaussian_integral(1e-2 + 1j) - target)
-    d_fine = abs(gaussian_integral(1e-4 + 1j) - target)
-    assert d_fine < d_coarse
-
-
-def test_gaussian_integral_rejects_divergent_inputs():
-    with pytest.raises(DegenerateInputError):
-        gaussian_integral(0.0)
-    with pytest.raises(DegenerateInputError):
-        gaussian_integral(-1.0)
-
-
-# --- quantum kernel ----------------------------------------------------------
 
 
 def test_kernel_modulus_is_position_independent():

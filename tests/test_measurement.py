@@ -8,7 +8,6 @@ from kvnlab.measurement import (
     PSI0,
     SQ34,
     TwoLevelSystem,
-    kvn_nondisturbance,
     p_a_nonselective,
     p_a_unmeasured,
     phase_discard_disturbance,
@@ -136,17 +135,8 @@ def test_kvn_nondisturbance_free_particle():
     phase = lambda Q, P: 0.4 * np.sin(2 * np.pi * Q / 16) * np.cos(2 * np.pi * P / 8)
     psi = gaussian_phase(pg, sigma_q=0.5, sigma_p=0.3, phase=phase)
     G = koopman_generator(pg, lambda q: np.zeros_like(q))
-    report = kvn_nondisturbance(psi, G, tau=0.5, t_final=1.0, n_steps=100)
+    report = phase_discard_disturbance(psi, G, tau=0.5, t_final=1.0, n_steps=100)
     assert report.max_density_change < 1e-10
-
-
-def test_kvn_nondisturbance_harmonic():
-    pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
-    phase = lambda Q, P: 0.4 * np.sin(2 * np.pi * Q / 16) * np.cos(2 * np.pi * P / 16)
-    psi = gaussian_phase(pg, q0=0.8, sigma_q=0.5, sigma_p=0.5, phase=phase)
-    G = koopman_generator(pg, lambda q: q)
-    report = kvn_nondisturbance(psi, G, tau=1.0, t_final=2.0, n_steps=2000)
-    assert report.max_density_change < 1e-8
 
 
 def test_quantum_protocol_disturbs_quartic_system():

@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import (
-    gaussian_phase,
-    random_bandlimited_1d,
-    random_bandlimited_phase,
-)
+from conftest import random_bandlimited_1d, random_bandlimited_phase
 from kvnlab.errors import GridMismatchError
 from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.operators import (
@@ -19,7 +15,7 @@ from kvnlab.operators import (
     theta_op,
     unified_generator,
 )
-from kvnlab.states import KvNWavefunction, QWavefunction, inner_product
+from kvnlab.states import QWavefunction
 
 
 @pytest.fixture

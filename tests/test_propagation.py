@@ -9,7 +9,7 @@ from kvnlab.errors import BoundaryMassError
 from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from kvnlab.operators import hamiltonian, koopman_generator, unified_generator
 from kvnlab.oscillator import kvn_tdho_evolve
-from kvnlab.propagation import Propagator, _theta_mean, evolve, evolve_many, kvn_step
+from kvnlab.propagation import _kicks, _theta_mean, evolve, evolve_many, kvn_step, propagate
 from kvnlab.states import KvNWavefunction, QWavefunction
 
 
@@ -34,7 +34,7 @@ def test_schrodinger_step_preserves_norm():
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g)
     H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
-    _, _, norms, _ = Propagator(H, 1e-2).run(psi, 50)
+    _, _, norms, _ = propagate(psi, H, 1e-2, 50)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
@@ -89,7 +89,7 @@ def test_kvn_norm_drift_many_steps():
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     psi = gaussian_phase(pg, sigma_q=0.8, sigma_p=0.8)
     G = koopman_generator(pg, lambda q: np.zeros_like(q))
-    _, _, norms, _ = Propagator(G, 1e-3).run(psi, 10_000, boundary_limit=np.inf)
+    _, _, norms, _ = propagate(psi, G, 1e-3, 10_000, boundary_limit=np.inf)
     assert len(norms) == 10_001
     assert np.max(np.abs(norms - 1.0)) < 1e-10
 
@@ -126,8 +126,8 @@ def test_check_unitarity_quantum_harmonic():
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g, center=1.0, sigma=np.sqrt(0.5))
     H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
-    mid, _, forward, _ = Propagator(H, 1e-3).run(psi, 100, boundary_limit=np.inf)
-    end, _, backward, _ = Propagator(H, -1e-3).run(mid, 100, boundary_limit=np.inf)
+    mid, _, forward, _ = propagate(psi, H, 1e-3, 100, boundary_limit=np.inf)
+    end, _, backward, _ = propagate(mid, H, -1e-3, 100, boundary_limit=np.inf)
     assert np.max(np.abs(np.concatenate([forward, backward]) - 1.0)) < 1e-12
     assert np.sqrt(np.sum(np.abs(end.amplitudes - psi.amplitudes) ** 2) * g.dx) < 1e-8
 
@@ -136,8 +136,8 @@ def test_check_unitarity_kvn_free():
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -4.0, 4.0))
     psi = gaussian_phase(pg, sigma_q=0.8, sigma_p=0.5)
     G = koopman_generator(pg, lambda q: np.zeros_like(q))
-    mid, _, forward, _ = Propagator(G, 0.05).run(psi, 200, boundary_limit=np.inf)
-    end, _, backward, _ = Propagator(G, -0.05).run(mid, 200, boundary_limit=np.inf)
+    mid, _, forward, _ = propagate(psi, G, 0.05, 200, boundary_limit=np.inf)
+    end, _, backward, _ = propagate(mid, G, -0.05, 200, boundary_limit=np.inf)
     assert np.max(np.abs(np.concatenate([forward, backward]) - 1.0)) < 1e-12
     diff = end.amplitudes - psi.amplitudes
     assert np.sqrt(np.sum(np.abs(diff) ** 2) * pg.cell_area) < 1e-10
@@ -160,7 +160,7 @@ def test_nan_state_stops_the_run_at_t0_whatever_the_limit():
     H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     for limit in (1e-8, np.inf):
         with pytest.raises(BoundaryMassError, match=r"at t=0$"):
-            Propagator(H, 1e-2).run(psi, 5, boundary_limit=limit)
+            propagate(psi, H, 1e-2, 5, boundary_limit=limit)
     # kvn_step bounds no edge mass but stops a NaN state all the same
     pg = PhaseGrid(g, g)
     blob = KvNWavefunction(pg, np.full(pg.shape, np.nan, dtype=complex))
@@ -482,7 +482,7 @@ def test_real_field_path_selection(call_counts, variant):
     psi = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7,
                          phase=WOBBLE if variant == "complex-state" else None)
     call_counts.clear()
-    final = Propagator(G, 1e-2).run(psi, 1)[0]
+    final = propagate(psi, G, 1e-2, 1)[0]
     real = call_counts["rfft"] + call_counts["irfft"]
     full = call_counts["fft"] + call_counts["ifft"]
     assert (real > 0, full > 0) == ((True, False) if variant == "real" else (False, True))
@@ -507,20 +507,19 @@ def test_real_path_position_factor_is_head_of_exp():
     # the driven oscillator's generator: the seven kicks built from one
     # lambda column are exp(c * arg), with c = 2 b_j k_j and k_j the
     # scale at kick j's time, on the complex path, and their lambda columns
-    # 0..n/2 on the real-field path, at the step times ``run`` accumulates (a
-    # scale linear in t shows a time off by one ulp)
+    # 0..n/2 on the real-field path, at the step times ``propagate``
+    # accumulates (a scale linear in t shows a time off by one ulp)
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     G, dt = koopman_generator(pg, lambda q: q), 10.0 / 250
     arg = _half_position_arg(G, dt)
     scales = [lambda t: 1.0 + 0.1 * np.sin(t), lambda t: t]
     scales += [lambda t, s=s: s for s in (0.0, -1.3, 40.0)]
     for scale in scales:
-        prop, t = Propagator(G, dt, position_scale=scale), 0.0
-        assert prop._real is not None
+        kicks, t = [_kicks(arg, G.position_axis, dt, scale, r) for r in (True, False)], 0.0
         for i in range(250):
             if i % 5 == 0:
                 coeffs = [2 * b * scale(s) for b, s in zip(KICKS, kick_times(t, dt))]
-                reals, fulls = (tuple(prop._position_factors(r, t)) for r in (True, False))
+                reals, fulls = (tuple(path(t)) for path in kicks)
                 assert len(reals) == len(fulls) == 7
                 for c, real, full in zip(coeffs, reals, fulls):
                     expected = np.exp(c * arg)
@@ -530,36 +529,43 @@ def test_real_path_position_factor_is_head_of_exp():
             t = t + dt
 
 
-def test_position_part_not_linear_in_lambda_refuses_scale():
+def test_position_part_not_linear_in_lambda_refuses_scale(call_counts):
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
     V, Vp = POTENTIALS["quartic"]
     G = koopman_generator(pg, lambda q: q)
+    psi = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
     offset = replace(G, position_part=G.position_part + 0.1)
     cubic = replace(G, position_part=G.position_part * (1 + 1e-9 * G.position_part**2))
     unified, quantum = unified_generator(pg, V, 0.5, vprime=Vp), hamiltonian(pg.q, V, vprime=Vp)
     for G in (offset, cubic, unified, quantum):
+        state = gaussian_1d(pg.q) if G is quantum else psi
+        call_counts.clear()
         with pytest.raises(ValueError, match="linear in lambda"):
-            Propagator(G, 1e-2, position_scale=lambda t: 1.05)
-    Propagator(unified_generator(pg, V, 0.0, vprime=Vp), 1e-2, position_scale=lambda t: 1.05)
+            propagate(state, G, 1e-2, 1, position_scale=lambda t: 1.05)
+        assert not call_counts  # refused before any transform
+    propagate(psi, unified_generator(pg, V, 0.0, vprime=Vp), 1e-2, 1,
+              position_scale=lambda t: 1.05)
 
 
 def test_phased_state_with_scale_takes_complex_path(call_counts, monkeypatch):
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
-    prop = Propagator(koopman_generator(pg, lambda q: q), 1e-2, position_scale=lambda t: 1.05)
+    G, k = koopman_generator(pg, lambda q: q), lambda t: 1.05
+    real = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
     phased = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7, phase=WOBBLE)
     sizes, exp = [], np.exp
-    monkeypatch.setattr(np, "exp", lambda x, *a, **k: sizes.append(np.size(x)) or exp(x, *a, **k))
-    prop.run(gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7), 3)
-    assert prop._complex is None  # a real state never builds the full complex factors
+    monkeypatch.setattr(np, "exp", lambda x, *a, **kw: sizes.append(np.size(x)) or exp(x, *a, **kw))
+    propagate(real, G, 1e-2, 3, position_scale=k)
+    # a real state builds only the half-spectrum drifts, rows 0..n/2
+    assert sizes == [17 * 32] * 3 + [32] * (7 + 6 + 6)
     sizes.clear()
     call_counts.clear()
-    final = prop.run(phased, 3)[0]
+    final = propagate(phased, G, 1e-2, 3, position_scale=k)[0]
     assert call_counts["rfft"] + call_counts["irfft"] == 0 and call_counts["fft"] > 0
-    # the three distinct conjugate factors once, as the first complex state
-    # arrives, then one exp over the q rows per kick, the first step's seven
-    # and six in each later one, whose opening kick is the last one's closing
+    # the three distinct conjugate factors in full, then one exp over the q
+    # rows per kick, the first step's seven and six in each later one, whose
+    # opening kick is the last one's closing
     assert sizes == [32 * 32] * 3 + [32] * (7 + 6 + 6)
-    reference, k = phased.amplitudes, lambda t: 1.05
+    reference = phased.amplitudes
     for i in range(3):  # the same steps with every factor exponentiated in full
         reference = srkn_reference_step(reference, pg, k, i * 1e-2, 1e-2)
     assert np.max(np.abs(final.amplitudes - reference)) < 1e-13

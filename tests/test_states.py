@@ -3,11 +3,10 @@ import pytest
 
 from conftest import gaussian_1d, gaussian_phase
 from kvnlab.errors import GridMismatchError
-from kvnlab.grid import Grid1D, PhaseGrid
+from kvnlab.grid import Grid1D
 from kvnlab.operators import hamiltonian, momentum_op, position_op
 from kvnlab.states import (
     DensityMatrix,
-    KvNWavefunction,
     QWavefunction,
     born_density,
     dephase,
