@@ -33,8 +33,7 @@ from .operators import (
 from .propagation import Trajectory, evolve, kvn_step
 from .states import (
     DensityMatrix,
-    KvNWavefunction,
-    QWavefunction,
+    Wavefunction,
     born_density,
     dephase,
     expectation,
@@ -48,8 +47,7 @@ __all__ = [
     "Grid1D",
     "PhaseGrid",
     "wavenumbers",
-    "QWavefunction",
-    "KvNWavefunction",
+    "Wavefunction",
     "DensityMatrix",
     "inner_product",
     "expectation",

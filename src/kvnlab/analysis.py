@@ -26,7 +26,7 @@ import numpy as np
 from .errors import PhysicsError
 from .grid import PhaseGrid
 from .operators import GridOperator, commutator_apply, operator_square
-from .states import QWavefunction, Wavefunction, expectation
+from .states import Wavefunction, expectation
 
 
 def std_dev(op: GridOperator, psi: Wavefunction) -> float:
@@ -101,7 +101,7 @@ def ehrenfest_residuals(trajectory, mass: float = 1.0) -> EhrenfestResiduals:
     )
 
 
-def wigner_transform(psi: QWavefunction, pg: PhaseGrid, hbar: float = 1.0) -> np.ndarray:
+def wigner_transform(psi: Wavefunction, pg: PhaseGrid, hbar: float = 1.0) -> np.ndarray:
     """Real phase-space field W(q, p) of a configuration-space state.
 
     ``pg.q`` must equal the state's grid; the momentum axis is free.  The
@@ -134,7 +134,7 @@ def wigner_transform(psi: QWavefunction, pg: PhaseGrid, hbar: float = 1.0) -> np
     return W / total
 
 
-def momentum_density(psi: QWavefunction, p: np.ndarray, hbar: float = 1.0) -> np.ndarray:
+def momentum_density(psi: Wavefunction, p: np.ndarray, hbar: float = 1.0) -> np.ndarray:
     """|psi~(p)|^2 with psi~(p) = (2 pi hbar)^{-1/2} integral psi(q) e^{-ipq/hbar} dq."""
     g = psi.grid
     phases = np.exp(-1j * np.asarray(p)[:, None] * g.points[None, :] / hbar)

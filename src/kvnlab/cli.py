@@ -80,7 +80,7 @@ from .oscillator import (
 )
 from .propagation import evolve_many, kvn_step
 from .report import ResultTable, config_hash, svg_heatmap, svg_line_plot
-from .states import KvNWavefunction, QWavefunction
+from .states import Wavefunction
 
 
 #: Most worker processes ``_pmap`` starts.
@@ -130,15 +130,15 @@ def _pmap(fn, items) -> list:
         _JOB = None
 
 
-def _gaussian_1d(grid: Grid1D, center: float, sigma: float, k0: float = 0.0) -> QWavefunction:
-    amp = np.exp(-((grid.points - center) ** 2) / (4 * sigma**2) + 1j * k0 * grid.points)
-    return QWavefunction(grid, amp).normalize()
+def _gaussian_1d(grid: Grid1D, center: float, sigma: float) -> Wavefunction:
+    amp = np.exp(-((grid.points - center) ** 2) / (4 * sigma**2) + 0j)  # the goldens' complex exp
+    return Wavefunction(grid, amp).normalize()
 
 
-def _gaussian_phase(pg: PhaseGrid, q0: float, p0: float, sq: float, sp: float) -> KvNWavefunction:
+def _gaussian_phase(pg: PhaseGrid, q0: float, p0: float, sq: float, sp: float) -> Wavefunction:
     Q, P = pg.meshes()
     amp = np.exp(-((Q - q0) ** 2) / (4 * sq**2) - ((P - p0) ** 2) / (4 * sp**2))
-    return KvNWavefunction(pg, amp.astype(complex)).normalize()
+    return Wavefunction(pg, amp.astype(complex)).normalize()
 
 
 #: name -> (V, V', quadratic); quadratic means V''' = 0, where the Moyal
@@ -459,15 +459,15 @@ def _run_uncertainty(cfg: ExperimentConfig, out: _Output):
     g = p["grid"]
     psi = _gaussian_1d(g, 0.0, p["sigma"])
     rows = []
-    q_op, p_op = position_op(g), momentum_op(g, "quantum", hbar=cfg.hbar)
+    q_op, p_op = position_op(g), momentum_op(g, hbar=cfg.hbar)
     rep = robertson_check(q_op, p_op, psi)
     rows.append([0, rep.lhs, rep.rhs, float(rep.satisfied)])
     pg = PhaseGrid(p["kvn_grid"], p["kvn_grid"])
     phi = _gaussian_phase(pg, 0.0, 0.0, p["kvn_sigma"], p["kvn_sigma"])
     pairs = [
-        (position_op(pg), momentum_op(pg, "kvn")),
+        (position_op(pg), momentum_op(pg)),
         (position_op(pg), theta_op(pg)),
-        (momentum_op(pg, "kvn"), lambda_op(pg)),
+        (momentum_op(pg), lambda_op(pg)),
     ]
     for case, (a, b) in enumerate(pairs, start=1):
         rep = robertson_check(a, b, phi)
@@ -478,7 +478,7 @@ def _run_uncertainty(cfg: ExperimentConfig, out: _Output):
         coeff[:8] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         coeff[-8:] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         f = np.fft.ifft(coeff) * np.exp(-(g.points**2) / (2 * (g.length / 16) ** 2))
-        state = QWavefunction(g, f).normalize()
+        state = Wavefunction(g, f).normalize()
         rep = robertson_check(q_op, p_op, state)
         rows.append([10 + i, rep.lhs, rep.rhs, float(rep.satisfied)])
     out.table("uncertainty", ["case", "lhs", "rhs", "satisfied"],
@@ -555,7 +555,7 @@ def _run_wigner(cfg: ExperimentConfig, out: _Output):
         psi = _gaussian_1d(g, p["center"], p["sigma"])
     else:  # fock1
         amp = g.points * np.exp(-g.points**2 / 2)
-        psi = QWavefunction(g, amp.astype(complex)).normalize()
+        psi = Wavefunction(g, amp.astype(complex)).normalize()
     W = wigner_transform(psi, pg, hbar=cfg.hbar)
     q_err = float(np.max(np.abs(W.sum(axis=1) * pg.p.dx - np.abs(psi.amplitudes) ** 2)))
     p_err = float(

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import BoundaryMassError, PhysicsError
 from .grid import EDGE_CELLS, Grid1D, edge_mass
 from .kernels import free_quantum_propagate, real_if_real, shear, shear_factor
-from .states import QWavefunction
+from .states import Wavefunction
 
 #: fraction of |psi|^2 allowed within 4 cells of a domain edge at readout.
 #: A hard-edged aperture scatters ~1e-4 of the beam into near-Nyquist modes
@@ -56,6 +56,10 @@ APERTURE_BOUNDARY_LIMIT = 1e-3
 MIN_TRANSMITTED_WEIGHT = 1e-12
 #: p-columns per slab of :func:`kvn_screens`.
 SLAB_COLUMNS = 32
+#: the screen window ``fringe_stats`` reads, and the share of its peak that a
+#: maximum must pass to count as a fringe.
+FRINGE_WINDOW = (-20.0, 20.0)
+FRINGE_FLOOR = 0.1
 _MASK_REFINEMENT = 4
 
 
@@ -162,12 +166,12 @@ def run_quantum(
     """Quantum screen density at t_R (optionally with one slit covered)."""
     g = cfg.x_grid
     amp = np.exp(-g.points**2 / (2 * cfg.sigma_x**2)).astype(complex)
-    psi = QWavefunction(g, amp).normalize()
+    psi = Wavefunction(g, amp).normalize()
     at_wall = free_quantum_propagate(psi, cfg.t_M, cfg.mass, cfg.hbar)
     masked = at_wall.amplitudes * refined_mask(cfg, which)
     weight = float(np.sum(np.abs(masked) ** 2) * g.dx)
     _check_weight(weight, cfg)
-    behind = QWavefunction(g, masked / np.sqrt(weight), time=at_wall.time)
+    behind = Wavefunction(g, masked / np.sqrt(weight), time=at_wall.time)
     at_screen = free_quantum_propagate(behind, cfg.t_R - cfg.t_M, cfg.mass, cfg.hbar)
     rho = np.abs(at_screen.amplitudes) ** 2
     rho = rho / (np.sum(rho) * g.dx)
@@ -235,20 +239,15 @@ class FringeStats:
     max_contrast: float
 
 
-def fringe_stats(
-    x: np.ndarray,
-    density: np.ndarray,
-    window: tuple[float, float] = (-20.0, 20.0),
-    floor_fraction: float = 0.1,
-) -> FringeStats:
+def fringe_stats(x: np.ndarray, density: np.ndarray) -> FringeStats:
     """Count interior local maxima and their best adjacent-minimum contrast.
 
-    Only maxima above ``floor_fraction`` of the window peak count, so weak
-    aperture side lobes do not register as fringes.
+    Only maxima above ``FRINGE_FLOOR`` of the peak in ``FRINGE_WINDOW``
+    count, so weak aperture side lobes do not register as fringes.
     """
-    sel = (x >= window[0]) & (x <= window[1])
-    xs, d = x[sel], density[sel]
-    floor = floor_fraction * d.max()
+    sel = (x >= FRINGE_WINDOW[0]) & (x <= FRINGE_WINDOW[1])
+    d = density[sel]
+    floor = FRINGE_FLOOR * d.max()
     is_max = (d[1:-1] > d[:-2]) & (d[1:-1] > d[2:]) & (d[1:-1] > floor)
     peaks = np.flatnonzero(is_max) + 1
     if len(peaks) < 2:

@@ -29,6 +29,8 @@ from .errors import DegenerateInputError, PhysicsError
 #: validity envelope for the Bessel evaluations
 MAX_ORDER = 50.0
 MAX_ARGUMENT = 200.0
+#: width to which ``lowest_zero`` brackets a zero of J_nu
+ZERO_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,11 +104,11 @@ def jv(nu, x):
     return jv(nu, x)
 
 
-def lowest_zero(nu: float, tol: float = 1e-10) -> float:
+def lowest_zero(nu: float) -> float:
     """First positive zero of J_nu by bracketing and bisection.
 
     J_nu is positive on (0, j_{nu,1}), so scanning outward from the order
-    finds the sign change; bisection then tightens it to ``tol``.
+    finds the sign change; bisection then tightens it to ``ZERO_TOL``.
     """
     if nu < 0 or nu > MAX_ORDER:
         raise DegenerateInputError(f"order {nu} outside [0, {MAX_ORDER}]")
@@ -117,7 +119,7 @@ def lowest_zero(nu: float, tol: float = 1e-10) -> float:
         lo, hi = hi, hi + step
         if hi > MAX_ARGUMENT:
             raise DegenerateInputError(f"no zero of J_{nu} found below {MAX_ARGUMENT}")
-    while hi - lo > tol:
+    while hi - lo > ZERO_TOL:
         mid = 0.5 * (lo + hi)
         if jv(nu, mid) > 0:
             lo = mid

@@ -55,6 +55,14 @@ class Grid1D:
     def length(self) -> float:
         return self.x_max - self.x_min
 
+    @property
+    def cell_area(self) -> float:
+        return self.dx
+
+    @property
+    def shape(self) -> tuple[int]:
+        return (self.n,)
+
 
 @dataclass(frozen=True)
 class PhaseGrid:

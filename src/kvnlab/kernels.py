@@ -27,11 +27,17 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .grid import Grid1D, wavenumbers
-from .states import KvNWavefunction, QWavefunction
+from .states import Wavefunction
 
 #: Most samples one damped quadrature of ``kernel_convolution`` may take; the
 #: count grows as 1/t for short times and as (x, x0) move off the origin.
 MAX_QUADRATURE_SAMPLES = 2**22
+
+#: ``kernel_convolution``'s damping ladder, eps = DAMPING_EPS0 / 2**j for j < DAMPING_LEVELS,
+#: and its samples per period of the integrand's fastest oscillation.
+DAMPING_EPS0 = 0.02
+DAMPING_LEVELS = 5
+POINTS_PER_CYCLE = 8.0
 
 
 def _kernel_prefactor(t: float, mass: float, hbar: float) -> complex:
@@ -50,8 +56,8 @@ def free_quantum_kernel(
 
 
 def kernel_propagate(
-    psi: QWavefunction, t: float, mass: float = 1.0, hbar: float = 1.0
-) -> QWavefunction:
+    psi: Wavefunction, t: float, mass: float = 1.0, hbar: float = 1.0
+) -> Wavefunction:
     """Propagate a compactly supported state by quadrature against the kernel.
 
     out_i = sum_j K(x_i - x_j) psi_j dx, summed directly as a linear
@@ -61,21 +67,21 @@ def kernel_propagate(
     half = free_quantum_kernel(g.points - g.points[0], 0.0, t, mass, hbar)
     kern = np.concatenate([half[:0:-1], half])  # K is even in the offset
     out = np.convolve(kern, psi.amplitudes, "valid") * g.dx
-    return QWavefunction(g, out, time=psi.time + t)
+    return Wavefunction(g, out, time=psi.time + t)
 
 
 def free_quantum_propagate(
-    psi: QWavefunction, t: float, mass: float = 1.0, hbar: float = 1.0
-) -> QWavefunction:
+    psi: Wavefunction, t: float, mass: float = 1.0, hbar: float = 1.0
+) -> Wavefunction:
     """Exact free evolution in the Fourier representation (any t, one step)."""
     g = psi.grid
     k = wavenumbers(g)
     phase = np.exp(-1j * hbar * k**2 * t / (2 * mass))
     out = np.fft.ifft(phase * np.fft.fft(psi.amplitudes))
-    return QWavefunction(g, out, time=psi.time + t)
+    return Wavefunction(g, out, time=psi.time + t)
 
 
-def free_kvn_propagate(psi: KvNWavefunction, t: float, mass: float = 1.0) -> KvNWavefunction:
+def free_kvn_propagate(psi: Wavefunction, t: float, mass: float = 1.0) -> Wavefunction:
     """Exact classical shear psi(x - p t / m, p), realized spectrally; a real
     state runs on rfft/irfft (see the module docstring)."""
     if t < 0:
@@ -83,7 +89,7 @@ def free_kvn_propagate(psi: KvNWavefunction, t: float, mass: float = 1.0) -> KvN
     amp = real_if_real(psi.amplitudes)
     pg = psi.grid
     out = shear(amp, shear_factor(pg.q, pg.p.points, t, mass, real=np.isrealobj(amp)))
-    return KvNWavefunction(psi.grid, out, time=psi.time + t)
+    return Wavefunction(psi.grid, out, time=psi.time + t)
 
 
 def real_if_real(amp: np.ndarray) -> np.ndarray:
@@ -117,24 +123,24 @@ def shear(amp: np.ndarray, factor: np.ndarray) -> np.ndarray:
 def kernel_convolution(
     x: float, x0: float, t1: float, t2: float,
     mass: float = 1.0, hbar: float = 1.0,
-    eps0: float = 0.02, levels: int = 5, points_per_cycle: float = 8.0,
 ) -> complex:
     """integral K(x, y, t2) K(y, x0, t1) dy by damped quadrature.
 
     The bare integrand oscillates without decaying, so each quadrature runs
     with a Gaussian damping exp(-eps y^2); the ladder of eps values
-    (halved ``levels`` times from ``eps0``) is extrapolated polynomially to
-    eps = 0.  The group law says the result equals K(x, x0, t1 + t2).
+    (``DAMPING_LEVELS`` of them, halving from ``DAMPING_EPS0``) is
+    extrapolated polynomially to eps = 0.  The group law says the result
+    equals K(x, x0, t1 + t2).
     The two Fresnel phases and the damping share one exponential per sample.
     """
     pref = _kernel_prefactor(t2, mass, hbar) * _kernel_prefactor(t1, mass, hbar)
     a1, a2 = mass / (2 * hbar * t1), mass / (2 * hbar * t2)
-    eps_values = [eps0 / 2**j for j in range(levels)]
+    eps_values = [DAMPING_EPS0 / 2**j for j in range(DAMPING_LEVELS)]
     estimates = []
     slope_scale = mass * (1.0 / t1 + 1.0 / t2) / hbar
     for eps in eps_values:
         half_width = 6.0 / np.sqrt(eps) + abs(x) + abs(x0)
-        dy = 2 * np.pi / (slope_scale * half_width) / points_per_cycle
+        dy = 2 * np.pi / (slope_scale * half_width) / POINTS_PER_CYCLE
         n = np.ceil(2 * half_width / dy)
         if not n <= MAX_QUADRATURE_SAMPLES:
             raise DegenerateInputError(

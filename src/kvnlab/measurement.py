@@ -25,7 +25,7 @@ import numpy as np
 
 from .operators import Generator
 from .propagation import propagate
-from .states import DensityMatrix, dephase, measure_probability, pure_density
+from .states import DensityMatrix, Wavefunction, dephase, measure_probability, pure_density
 
 SQ34 = np.sqrt(3.0 / 4.0)
 HALF = 1.0 / np.sqrt(2.0)
@@ -84,25 +84,17 @@ def simulate_p_a_nonselective(omega_tau: float) -> float:
     return measure_probability(rho_2tau, AB_BASIS[:, 0])
 
 
-@dataclass(frozen=True)
-class DisturbanceReport:
-    """Largest pointwise density change a mid-run phase discard produced."""
-
-    max_density_change: float
-    t_measure: float
-    t_final: float
-
-
 def phase_discard_disturbance(
-    psi0, G: Generator, tau: float, t_final: float, n_steps: int
-) -> DisturbanceReport:
-    """Compare evolving straight through against discarding the phase at tau.
+    psi0: Wavefunction, G: Generator, tau: float, t_final: float, n_steps: int
+) -> float:
+    """Largest pointwise density change that discarding the phase at tau
+    makes at t_final, against evolving straight through.
 
     The phase discard psi -> |psi| is the non-selective measurement in the
     position(-momentum) basis: outcome probabilities are untouched at the
     instant of measurement, and for classical phase-space dynamics they stay
-    untouched forever.  Works for both state flavors; ``n_steps`` covers
-    [0, t_final] and must make tau a step boundary.
+    untouched forever.  ``n_steps`` covers [0, t_final] and must make tau a
+    step boundary; the state and its |psi| both go on from one run to tau.
     """
     if not 0.0 < tau < t_final:
         raise ValueError("need 0 < tau < t_final")
@@ -110,15 +102,10 @@ def phase_discard_disturbance(
     dt = t_final / n_steps
     if abs(n_first * dt - tau) > 1e-12:
         raise ValueError("tau must fall on a step boundary")
-    direct = propagate(psi0, G, dt, n_steps)[0]
-    first_leg = propagate(psi0, G, tau / n_first, n_first)[0]
-    measured = type(first_leg)(first_leg.grid, np.abs(first_leg.amplitudes).astype(complex),
-                               time=first_leg.time)
-    second_leg = propagate(measured, G, (t_final - tau) / (n_steps - n_first),
-                           n_steps - n_first)[0]
-
+    at_tau = propagate(psi0, G, tau / n_first, n_first)[0]
+    measured = Wavefunction(at_tau.grid, np.abs(at_tau.amplitudes), time=at_tau.time)
+    dt_rest, n_rest = (t_final - tau) / (n_steps - n_first), n_steps - n_first
+    direct = propagate(at_tau, G, dt_rest, n_rest)[0]
+    second_leg = propagate(measured, G, dt_rest, n_rest)[0]
     diff = np.abs(np.abs(direct.amplitudes) ** 2 - np.abs(second_leg.amplitudes) ** 2)
-    return DisturbanceReport(
-        max_density_change=float(np.max(diff)), t_measure=tau, t_final=t_final
-    )
-
+    return float(np.max(diff))

@@ -1,12 +1,12 @@
 """Grid realizations of q, p, theta, lambda operators and the three generators.
 
 Operators are represented by their action on fields, not by dense matrices.
-Two diagonal families cover everything needed here:
-
-* ``diag-position``: pointwise multiplication by a (broadcastable) array;
-* ``diag-conjugate``: multiplication by an array after an FFT along one axis
-  (the representation in which the operator is diagonal), then the inverse
-  FFT.
+Every one is a diagonal: a (broadcastable) payload array and the axis of the
+FFT that brings a field into the representation where the operator is
+diagonal, or None for position.  One rule, ``_apply_diagonal``, applies a
+grid operator and each of a generator's two parts.  The grid decides what
+momentum means: ``momentum_op`` is the spectral hbar k on a ``Grid1D`` and
+multiplication by p on a ``PhaseGrid``.
 
 An operator is one diagonal, so the square of one and the commutator of two
 diagonal in the same representation are payload products: the commutator
@@ -42,23 +42,25 @@ Potential = Callable[[np.ndarray], np.ndarray]
 # grid operators
 
 
+def _apply_diagonal(payload: np.ndarray, axis: int | None, field: np.ndarray) -> np.ndarray:
+    """Multiply ``field`` by ``payload`` in the representation it is diagonal
+    in: as is when ``axis`` is None, else after an FFT along ``axis``."""
+    if axis is None:
+        return payload * field
+    return np.fft.ifft(payload * np.fft.fft(field, axis=axis), axis=axis)
+
+
 @dataclass(frozen=True)
 class GridOperator:
-    """An operator on grid fields, identified by how it acts."""
+    """A diagonal operator: ``payload`` after an FFT along ``fft_axis``, or in position if None."""
 
     grid: Grid1D | PhaseGrid
-    kind: str  # diag-position | diag-conjugate
     payload: np.ndarray
     fft_axis: int | None = None
     hermitian: bool = False
 
     def apply(self, field: np.ndarray) -> np.ndarray:
-        if self.kind == "diag-position":
-            return self.payload * field
-        if self.kind == "diag-conjugate":
-            f = np.fft.fft(field, axis=self.fft_axis or 0)
-            return np.fft.ifft(self.payload * f, axis=self.fft_axis or 0)
-        raise ValueError(f"unknown operator kind {self.kind!r}")
+        return _apply_diagonal(self.payload, self.fft_axis, field)
 
 
 def operator_square(op: GridOperator) -> GridOperator:
@@ -77,7 +79,7 @@ def commutator_apply(a: GridOperator, b: GridOperator, field: np.ndarray) -> np.
     """
     if a.grid != b.grid:
         raise GridMismatchError("operators live on different grids")
-    if a.kind == b.kind and a.fft_axis == b.fft_axis:
+    if a.fft_axis == b.fft_axis:
         return (a.payload * b.payload - b.payload * a.payload) * field
     return a.apply(b.apply(field)) - b.apply(a.apply(field))
 
@@ -85,44 +87,28 @@ def commutator_apply(a: GridOperator, b: GridOperator, field: np.ndarray) -> np.
 def position_op(grid: Grid1D | PhaseGrid) -> GridOperator:
     """Multiplication by q (configuration grid or axis 0 of a phase grid)."""
     if isinstance(grid, Grid1D):
-        return GridOperator(grid, "diag-position", grid.points.copy(), hermitian=True)
-    q = grid.q.points[:, None]
-    return GridOperator(grid, "diag-position", q, hermitian=True)
+        return GridOperator(grid, grid.points.copy(), hermitian=True)
+    return GridOperator(grid, grid.q.points[:, None], hermitian=True)
 
 
-def momentum_op(
-    grid: Grid1D | PhaseGrid, flavor: str = "quantum", hbar: float = 1.0
-) -> GridOperator:
-    """Momentum operator.
-
-    ``quantum`` is the spectral -i hbar d/dq on a configuration grid;
-    ``kvn`` is multiplication by the p coordinate on a phase grid.
-    """
-    if flavor == "quantum":
-        if not isinstance(grid, Grid1D):
-            raise GridMismatchError("quantum momentum operator needs a Grid1D")
-        return GridOperator(
-            grid, "diag-conjugate", hbar * wavenumbers(grid), fft_axis=0,
-            hermitian=True,
-        )
-    if flavor == "kvn":
-        if not isinstance(grid, PhaseGrid):
-            raise GridMismatchError("kvn momentum operator needs a PhaseGrid")
-        p = grid.p.points[None, :]
-        return GridOperator(grid, "diag-position", p, hermitian=True)
-    raise ValueError(f"unknown momentum flavor {flavor!r}")
+def momentum_op(grid: Grid1D | PhaseGrid, hbar: float = 1.0) -> GridOperator:
+    """Momentum operator: the spectral -i hbar d/dq on a configuration grid,
+    multiplication by the p coordinate on a phase grid."""
+    if isinstance(grid, Grid1D):
+        return GridOperator(grid, hbar * wavenumbers(grid), fft_axis=0, hermitian=True)
+    return GridOperator(grid, grid.p.points[None, :], hermitian=True)
 
 
 def theta_op(pg: PhaseGrid) -> GridOperator:
     """-i d/dq on a phase grid (diagonal in the q-conjugate representation)."""
     kq = wavenumbers(pg.q)[:, None]
-    return GridOperator(pg, "diag-conjugate", kq, fft_axis=0, hermitian=True)
+    return GridOperator(pg, kq, fft_axis=0, hermitian=True)
 
 
 def lambda_op(pg: PhaseGrid) -> GridOperator:
     """-i d/dp on a phase grid (diagonal in the p-conjugate representation)."""
     kp = wavenumbers(pg.p)[None, :]
-    return GridOperator(pg, "diag-conjugate", kp, fft_axis=1, hermitian=True)
+    return GridOperator(pg, kp, fft_axis=1, hermitian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +133,14 @@ class Generator:
     conjugate_part: np.ndarray
     conjugate_axis: int
     phase_scale: float
-    mass: float
     hbar: float
     potential_prime: Potential
     kappa: float = 0.0
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         """Generator action on a field (used by Hermiticity and algebra checks)."""
-        f = np.fft.fft(field, axis=self.conjugate_axis)
-        out = np.fft.ifft(self.conjugate_part * f, axis=self.conjugate_axis)
-        if self.position_axis is None:
-            out = out + self.position_part * field
-        else:
-            f = np.fft.fft(field, axis=self.position_axis)
-            out = out + np.fft.ifft(self.position_part * f, axis=self.position_axis)
-        return out
+        return (_apply_diagonal(self.conjugate_part, self.conjugate_axis, field)
+                + _apply_diagonal(self.position_part, self.position_axis, field))
 
 
 def hamiltonian(
@@ -186,7 +165,6 @@ def hamiltonian(
         conjugate_part=(hbar * k) ** 2 / (2.0 * mass),
         conjugate_axis=0,
         phase_scale=hbar,
-        mass=mass,
         hbar=hbar,
         kappa=1.0,
         potential_prime=vprime,
@@ -216,7 +194,6 @@ def koopman_generator(
         conjugate_part=P * kq / mass,
         conjugate_axis=0,
         phase_scale=1.0,
-        mass=mass,
         hbar=1.0,
         kappa=0.0,
         potential_prime=vprime,
@@ -261,7 +238,6 @@ def unified_generator(
         conjugate_part=advection * np.ones(pg.shape),
         conjugate_axis=0,
         phase_scale=hbar,
-        mass=mass,
         hbar=hbar,
         kappa=kappa,
         potential_prime=vprime,

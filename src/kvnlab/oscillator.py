@@ -29,7 +29,7 @@ import numpy as np
 from .errors import PhysicsError
 from .operators import koopman_generator
 from .propagation import propagate
-from .states import KvNWavefunction
+from .states import Wavefunction
 
 Stiffness = Callable[[float], float]
 
@@ -137,7 +137,7 @@ class KvnOscillatorTrajectory:
     q_mean: np.ndarray
     p_mean: np.ndarray
     covariance: np.ndarray  # (n_samples, 2, 2) second central moments
-    final_state: KvNWavefunction
+    final_state: Wavefunction
     norms: np.ndarray
 
 
@@ -151,7 +151,7 @@ def _phase_moments(rho: np.ndarray, q: np.ndarray, p: np.ndarray):
 
 
 def kvn_tdho_evolve(
-    psi0: KvNWavefunction, k: Stiffness, t_final: float, n_steps: int
+    psi0: Wavefunction, k: Stiffness, t_final: float, n_steps: int
 ) -> KvnOscillatorTrajectory:
     """Phase-space evolution in ``n_steps`` fourth-order steps, sampled
     before the first and after each.

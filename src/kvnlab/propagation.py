@@ -76,9 +76,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryMassError
-from .grid import edge_mass, wavenumbers
+from .grid import Grid1D, edge_mass, wavenumbers
 from .operators import Generator
-from .states import KvNWavefunction, QWavefunction, Wavefunction
+from .states import Wavefunction
 
 #: Probability mass allowed within EDGE_CELLS cells of a domain edge during evolve().
 BOUNDARY_MASS_LIMIT = 1e-8
@@ -219,10 +219,10 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
             )
         if record is not None:
             record(i, amp, rho, spec)
-    return type(state)(state.grid, amp, time=t), times, norms, edges
+    return Wavefunction(state.grid, amp, time=t), times, norms, edges
 
 
-def kvn_step(psi: KvNWavefunction, G: Generator, dt: float) -> KvNWavefunction:
+def kvn_step(psi: Wavefunction, G: Generator, dt: float) -> Wavefunction:
     """One Strang step of a phase-space generator (koopman, unified): a
     one-step ``propagate``, the state sampled before and after it.
 
@@ -275,7 +275,7 @@ def _means(state: Wavefunction, observers) -> Callable:
     the expectation-value equations of motion for every kappa.  The
     reductions no kappa enters are taken once per sample.
     """
-    if isinstance(state, QWavefunction):
+    if isinstance(state.grid, Grid1D):
         g = state.grid
         x, k = g.points, wavenumbers(g)
         read = [(G.hbar * k, np.asarray(G.potential_prime(x), dtype=float)) for G in observers]

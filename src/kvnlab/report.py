@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 
 SVG_SIZE = (960, 540)
+#: cells per axis beyond which ``svg_heatmap`` strides its matrix down
+HEATMAP_MAX_CELLS = 128
 _MARGIN = 60
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -167,14 +169,13 @@ def svg_heatmap(
     x_label: str = "q",
     y_label: str = "p",
     title: str = "",
-    max_cells: int = 128,
 ) -> None:
     """Signed-diverging raster; matrix axis 0 runs along x, axis 1 along y."""
     w, h = SVG_SIZE
     m = _MARGIN
     mat = np.asarray(matrix, dtype=float)
-    step0 = max(1, mat.shape[0] // max_cells)
-    step1 = max(1, mat.shape[1] // max_cells)
+    step0 = max(1, mat.shape[0] // HEATMAP_MAX_CELLS)
+    step1 = max(1, mat.shape[1] // HEATMAP_MAX_CELLS)
     mat = mat[::step0, ::step1]
     vmax = float(np.max(np.abs(mat))) or 1.0
     nx, ny = mat.shape

@@ -1,8 +1,8 @@
 """Wavefunctions, density matrices, inner products and expectation values.
 
-Grid states come in two flavors: ``QWavefunction`` (complex field over a
-``Grid1D``) and ``KvNWavefunction`` (complex field over a ``PhaseGrid``).
-Both are value-semantic; ``normalize`` returns a new state.  Mixed states of
+One state type, ``Wavefunction``, serves both mechanics: psi(q) on a ``Grid1D``
+or psi(q, p) on a ``PhaseGrid``, its shape and cell measure read from the grid.
+States are value-semantic; ``normalize`` returns a new state.  Mixed states of
 small finite systems are handled by ``DensityMatrix`` (dense, dim <= 64).
 
 Planck's constant is a parameter (default 1) so that hbar-explicit formulas
@@ -22,35 +22,10 @@ MAX_DENSITY_DIM = 64
 
 
 @dataclass(frozen=True)
-class QWavefunction:
-    """Configuration-space state psi(q) on a periodic grid."""
+class Wavefunction:
+    """psi(q) on a ``Grid1D`` or psi(q, p) on a ``PhaseGrid`` (axis 0 q, axis 1 p)."""
 
-    grid: Grid1D
-    amplitudes: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.grid.n,):
-            raise ValueError(f"amplitude shape {amp.shape} != ({self.grid.n},)")
-        object.__setattr__(self, "amplitudes", amp)
-
-    @property
-    def measure(self) -> float:
-        return self.grid.dx
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.measure)
-
-    def normalize(self) -> "QWavefunction":
-        return replace(self, amplitudes=self.amplitudes / np.sqrt(self.norm_squared()))
-
-
-@dataclass(frozen=True)
-class KvNWavefunction:
-    """Phase-space state psi(q, p); axis 0 is q, axis 1 is p."""
-
-    grid: PhaseGrid
+    grid: Grid1D | PhaseGrid
     amplitudes: np.ndarray
     time: float = 0.0
 
@@ -67,16 +42,13 @@ class KvNWavefunction:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.measure)
 
-    def normalize(self) -> "KvNWavefunction":
+    def normalize(self) -> "Wavefunction":
         return replace(self, amplitudes=self.amplitudes / np.sqrt(self.norm_squared()))
 
 
-Wavefunction = QWavefunction | KvNWavefunction
-
-
-def _require_same_grid(phi: Wavefunction, psi: Wavefunction) -> None:
-    if type(phi) is not type(psi) or phi.grid != psi.grid:
-        raise GridMismatchError("states live on different grids")
+def _require_same_grid(a, b) -> None:
+    if a.grid != b.grid:
+        raise GridMismatchError("states or operators live on different grids")
 
 
 def inner_product(phi: Wavefunction, psi: Wavefunction) -> complex:
@@ -99,12 +71,12 @@ def born_density(psi: Wavefunction) -> np.ndarray:
 
 
 def expectation(op, psi: Wavefunction) -> complex:
-    """<psi| op |psi> for a normalized state.
+    """<psi| op |psi> for a normalized state on ``op``'s grid (else GridMismatchError).
 
     When ``op`` is flagged Hermitian the imaginary part must be numerical
     noise; a residue above 1e-10 raises :class:`PhysicsError`.
     """
-    _require_same_grid(psi, psi)
+    _require_same_grid(op, psi)
     applied = op.apply(psi.amplitudes)
     value = complex(np.sum(np.conj(psi.amplitudes) * applied) * psi.measure)
     if getattr(op, "hermitian", False) and abs(value.imag) > 1e-10:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kvnlab.grid import Grid1D, PhaseGrid
-from kvnlab.states import KvNWavefunction, QWavefunction
+from kvnlab.states import Wavefunction
 
 
 def gaussian_1d(grid, center=0.0, sigma=1.0, k0=0.0, hbar=1.0):
@@ -13,7 +13,7 @@ def gaussian_1d(grid, center=0.0, sigma=1.0, k0=0.0, hbar=1.0):
     amp = np.exp(-((x - center) ** 2) / (4 * sigma**2)) * np.exp(
         1j * k0 * x / 1.0
     )
-    psi = QWavefunction(grid, amp).normalize()
+    psi = Wavefunction(grid, amp).normalize()
     return psi
 
 
@@ -25,7 +25,7 @@ def gaussian_phase(pg, q0=0.0, p0=0.0, sigma_q=1.0, sigma_p=1.0, phase=None):
     ).astype(complex)
     if phase is not None:
         amp = amp * np.exp(1j * phase(Q, P))
-    return KvNWavefunction(pg, amp).normalize()
+    return Wavefunction(pg, amp).normalize()
 
 
 def random_bandlimited_1d(grid, rng, n_modes=8, envelope_sigma=None):
@@ -39,7 +39,7 @@ def random_bandlimited_1d(grid, rng, n_modes=8, envelope_sigma=None):
         envelope_sigma = grid.length / 16.0
     mid = 0.5 * (grid.x_min + grid.x_max)
     f = f * np.exp(-((grid.points - mid) ** 2) / (2 * envelope_sigma**2))
-    return QWavefunction(grid, f).normalize()
+    return Wavefunction(grid, f).normalize()
 
 
 def random_bandlimited_phase(pg, rng, n_modes=5):
@@ -56,7 +56,7 @@ def random_bandlimited_phase(pg, rng, n_modes=5):
     mp = 0.5 * (pg.p.x_min + pg.p.x_max)
     sq, sp = pg.q.length / 16.0, pg.p.length / 16.0
     f = f * np.exp(-((Q - mq) ** 2) / (2 * sq**2) - ((P - mp) ** 2) / (2 * sp**2))
-    return KvNWavefunction(pg, f).normalize()
+    return Wavefunction(pg, f).normalize()
 
 
 @pytest.fixture

@@ -56,7 +56,7 @@ from kvnlab.oscillator import (
     solve_classical_tdho,
 )
 from kvnlab.propagation import evolve, kvn_step
-from kvnlab.states import QWavefunction
+from kvnlab.states import Wavefunction
 
 
 def report(n: int, text: str) -> None:
@@ -114,7 +114,7 @@ def test_criterion_3_commutator_table():
     hbar = 1.0
     g = Grid1D(256, -16.0, 16.0)
     rng = np.random.default_rng(2024)
-    q1, p1 = position_op(g), momentum_op(g, "quantum", hbar=hbar)
+    q1, p1 = position_op(g), momentum_op(g, hbar=hbar)
     worst_quantum = 0.0
     for _ in range(100):
         psi = random_bandlimited_1d(g, rng)
@@ -123,7 +123,7 @@ def test_criterion_3_commutator_table():
     assert worst_quantum < 1e-8
 
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
-    q, p = position_op(pg), momentum_op(pg, "kvn")
+    q, p = position_op(pg), momentum_op(pg)
     th, lam = theta_op(pg), lambda_op(pg)
     worst_i = 0.0
     worst_zero = 0.0
@@ -150,15 +150,15 @@ def test_criterion_4_uncertainty():
     hbar = 1.0
     g = Grid1D(512, -16.0, 16.0)
     psi = gaussian_1d(g, sigma=0.5)
-    rep_q = robertson_check(position_op(g), momentum_op(g, "quantum", hbar=hbar), psi)
+    rep_q = robertson_check(position_op(g), momentum_op(g, hbar=hbar), psi)
     assert abs(rep_q.lhs - hbar / 2) <= 1e-6
 
     pg = PhaseGrid(Grid1D(256, -2.0, 2.0), Grid1D(256, -2.0, 2.0))
     phi = gaussian_phase(pg, sigma_q=0.1, sigma_p=0.1)
-    rep_qp = robertson_check(position_op(pg), momentum_op(pg, "kvn"), phi)
+    rep_qp = robertson_check(position_op(pg), momentum_op(pg), phi)
     assert rep_qp.lhs <= hbar / 20
     rep_qt = robertson_check(position_op(pg), theta_op(pg), phi)
-    rep_pl = robertson_check(momentum_op(pg, "kvn"), lambda_op(pg), phi)
+    rep_pl = robertson_check(momentum_op(pg), lambda_op(pg), phi)
     assert rep_qt.lhs >= 0.5 - 1e-6
     assert rep_pl.lhs >= 0.5 - 1e-6
     report(
@@ -242,7 +242,7 @@ def test_criterion_7_wigner():
     assert W0.min() >= -1e-10
 
     amp = g.points * np.exp(-g.points**2 / 2)
-    fock1 = QWavefunction(g, amp.astype(complex)).normalize()
+    fock1 = Wavefunction(g, amp.astype(complex)).normalize()
     W1 = wigner_transform(fock1, pg)
     i0 = np.argmin(np.abs(pg.q.points))
     j0 = np.argmin(np.abs(pg.p.points))
@@ -324,18 +324,18 @@ def test_criterion_10_nondisturbance_contrast():
     phase = lambda Q, P: 0.4 * np.sin(2 * np.pi * Q / 16) * np.cos(2 * np.pi * P / 16)
     blob = gaussian_phase(pg, q0=0.8, sigma_q=0.5, sigma_p=0.5, phase=phase)
     G = koopman_generator(pg, lambda q: q)
-    rep_kvn = phase_discard_disturbance(blob, G, tau=1.0, t_final=2.0, n_steps=2000)
-    assert rep_kvn.max_density_change < 1e-8
+    change_kvn = phase_discard_disturbance(blob, G, tau=1.0, t_final=2.0, n_steps=2000)
+    assert change_kvn < 1e-8
 
     g = Grid1D(256, -16.0, 16.0)
     psi = gaussian_1d(g, center=1.0, sigma=0.7, k0=2 * np.pi / g.length * 8)
     H = hamiltonian(g, QUARTIC[0], vprime=QUARTIC[1])
-    rep_q = phase_discard_disturbance(psi, H, tau=0.5, t_final=1.0, n_steps=1000)
-    assert rep_q.max_density_change > 1e-2
+    change_q = phase_discard_disturbance(psi, H, tau=0.5, t_final=1.0, n_steps=1000)
+    assert change_q > 1e-2
     report(
         10,
-        f"classical change {rep_kvn.max_density_change:.1e}, "
-        f"quantum change {rep_q.max_density_change:.1e}",
+        f"classical change {change_kvn:.1e}, "
+        f"quantum change {change_q:.1e}",
     )
 
 

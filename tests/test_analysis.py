@@ -25,7 +25,7 @@ from kvnlab.operators import (
     unified_generator,
 )
 from kvnlab.propagation import evolve, propagate
-from kvnlab.states import KvNWavefunction, QWavefunction
+from kvnlab.states import Wavefunction
 
 
 # --- standard deviations -----------------------------------------------------
@@ -43,15 +43,15 @@ def test_std_dev_momentum_of_gaussian():
     s, hbar = 0.8, 0.7
     psi = gaussian_1d(g, sigma=s)
     # oracle: Fourier transform of a Gaussian is Gaussian with width hbar/(2s)
-    assert std_dev(momentum_op(g, "quantum", hbar=hbar), psi) == pytest.approx(
+    assert std_dev(momentum_op(g, hbar=hbar), psi) == pytest.approx(
         hbar / (2 * s), abs=1e-6
     )
 
 
 def test_std_dev_vanishes_on_eigenstate():
     g = Grid1D(64, 0.0, 2 * np.pi)
-    psi = QWavefunction(g, np.exp(1j * 3 * g.points)).normalize()
-    assert std_dev(momentum_op(g, "quantum"), psi) < 1e-10
+    psi = Wavefunction(g, np.exp(1j * 3 * g.points)).normalize()
+    assert std_dev(momentum_op(g), psi) < 1e-10
 
 
 # --- Robertson bound ---------------------------------------------------------
@@ -60,7 +60,7 @@ def test_std_dev_vanishes_on_eigenstate():
 def test_robertson_quantum_gaussian_saturates():
     g = Grid1D(512, -16.0, 16.0)
     psi = gaussian_1d(g, sigma=0.5)
-    rep = robertson_check(position_op(g), momentum_op(g, "quantum"), psi)
+    rep = robertson_check(position_op(g), momentum_op(g), psi)
     assert rep.lhs == pytest.approx(0.5, abs=1e-6)
     assert rep.rhs == pytest.approx(0.5, abs=1e-6)
     assert rep.satisfied
@@ -69,7 +69,7 @@ def test_robertson_quantum_gaussian_saturates():
 def test_robertson_kvn_position_momentum_unconstrained():
     pg = PhaseGrid(Grid1D(256, -2.0, 2.0), Grid1D(256, -2.0, 2.0))
     psi = gaussian_phase(pg, sigma_q=0.1, sigma_p=0.1)
-    rep = robertson_check(position_op(pg), momentum_op(pg, "kvn"), psi)
+    rep = robertson_check(position_op(pg), momentum_op(pg), psi)
     assert rep.rhs == 0.0
     assert rep.lhs == pytest.approx(0.01, abs=1e-6)
     assert rep.lhs <= 1.0 / 20.0
@@ -81,7 +81,7 @@ def test_robertson_kvn_auxiliary_pairs():
     psi = gaussian_phase(pg, sigma_q=0.1, sigma_p=0.1)
     for pair in [
         (position_op(pg), theta_op(pg)),
-        (momentum_op(pg, "kvn"), lambda_op(pg)),
+        (momentum_op(pg), lambda_op(pg)),
     ]:
         rep = robertson_check(*pair, psi)
         assert rep.rhs == pytest.approx(0.5, abs=1e-6)
@@ -92,15 +92,15 @@ def test_robertson_kvn_auxiliary_pairs():
 def test_robertson_holds_on_random_states():
     g = Grid1D(256, -16.0, 16.0)
     rng = np.random.default_rng(61)
-    q, p = position_op(g), momentum_op(g, "quantum")
+    q, p = position_op(g), momentum_op(g)
     for _ in range(100):
         psi = random_bandlimited_1d(g, rng)
         assert robertson_check(q, p, psi).satisfied
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     pairs = [
-        (position_op(pg), momentum_op(pg, "kvn")),
+        (position_op(pg), momentum_op(pg)),
         (position_op(pg), theta_op(pg)),
-        (momentum_op(pg, "kvn"), lambda_op(pg)),
+        (momentum_op(pg), lambda_op(pg)),
     ]
     for _ in range(100):
         psi = random_bandlimited_phase(pg, rng)
@@ -187,7 +187,7 @@ def test_wigner_gaussian_matches_analytic_oracle(wigner_setup):
 def test_wigner_first_excited_negative_at_origin(wigner_setup):
     g, pg = wigner_setup
     amp = g.points * np.exp(-g.points**2 / 2)
-    psi = QWavefunction(g, amp.astype(complex)).normalize()
+    psi = Wavefunction(g, amp.astype(complex)).normalize()
     W = wigner_transform(psi, pg)
     i0 = np.argmin(np.abs(pg.q.points))
     j0 = np.argmin(np.abs(pg.p.points))
@@ -235,7 +235,7 @@ def test_moyal_evolution_of_wigner_matches_schrodinger(kappa):
     pg = PhaseGrid(g, g)
     V, Vp = (lambda q: q**4 / 4), (lambda q: q**3)
     psi0 = gaussian_1d(g, center=1.0, sigma=0.5)
-    W0 = KvNWavefunction(pg, wigner_transform(psi0, pg))
+    W0 = Wavefunction(pg, wigner_transform(psi0, pg))
     G = unified_generator(pg, V, kappa, vprime=Vp)
     W = propagate(W0, G, 1.0 / 250, 250)[0].amplitudes
     target = wigner_transform(evolve(psi0, hamiltonian(g, V, vprime=Vp), 1.0, 250).final_state, pg)

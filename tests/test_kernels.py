@@ -7,6 +7,7 @@ from conftest import gaussian_1d, gaussian_phase
 from kvnlab.errors import DegenerateInputError
 from kvnlab.grid import Grid1D, PhaseGrid, wavenumbers
 from kvnlab.kernels import (
+    DAMPING_LEVELS,
     free_kvn_propagate,
     free_quantum_kernel,
     free_quantum_propagate,
@@ -64,8 +65,8 @@ def test_kernel_propagate_forms_no_dense_kernel():
 
 
 def test_kernel_convolution_one_exp_per_level(call_counts):
-    kernel_convolution(0.7, -0.3, 0.4, 0.4, levels=5)
-    assert call_counts["exp"] == 5
+    kernel_convolution(0.7, -0.3, 0.4, 0.4)
+    assert call_counts["exp"] == DAMPING_LEVELS
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

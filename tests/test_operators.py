@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import random_bandlimited_1d, random_bandlimited_phase
-from kvnlab.errors import GridMismatchError
 from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.operators import (
     commutator_apply,
@@ -15,7 +14,7 @@ from kvnlab.operators import (
     theta_op,
     unified_generator,
 )
-from kvnlab.states import QWavefunction
+from kvnlab.states import Wavefunction
 
 
 @pytest.fixture
@@ -35,23 +34,16 @@ def test_quantum_momentum_on_plane_wave():
     hbar = 0.7
     k0 = 5.0
     f = np.exp(1j * k0 * g.points)
-    p = momentum_op(g, "quantum", hbar=hbar)
+    p = momentum_op(g, hbar=hbar)
     np.testing.assert_allclose(p.apply(f), hbar * k0 * f, atol=1e-10)
 
 
 def test_kvn_momentum_is_multiplication(pg):
     psi = random_bandlimited_phase(pg, np.random.default_rng(0))
-    p = momentum_op(pg, "kvn")
+    p = momentum_op(pg)
     np.testing.assert_allclose(
         p.apply(psi.amplitudes), pg.p.points[None, :] * psi.amplitudes, atol=0
     )
-
-
-def test_momentum_flavor_grid_mismatch(pg):
-    with pytest.raises(GridMismatchError):
-        momentum_op(pg, "quantum")
-    with pytest.raises(GridMismatchError):
-        momentum_op(Grid1D(64, -1.0, 1.0), "kvn")
 
 
 def test_position_expectation_of_sharp_peak():
@@ -59,7 +51,7 @@ def test_position_expectation_of_sharp_peak():
     # delta-like peak: expectation should localize at q0 within one cell
     q0 = 3.2
     amp = np.exp(-((g.points - q0) ** 2) / (2 * (2 * g.dx) ** 2))
-    psi = QWavefunction(g, amp).normalize()
+    psi = Wavefunction(g, amp).normalize()
     q = position_op(g)
     # oracle: direct weighted sum
     oracle = float(np.sum(g.points * np.abs(psi.amplitudes) ** 2) * g.dx)
@@ -101,7 +93,7 @@ def test_quantum_canonical_commutator():
     g = Grid1D(256, -16.0, 16.0)
     rng = np.random.default_rng(21)
     hbar = 1.0
-    q, p = position_op(g), momentum_op(g, "quantum", hbar=hbar)
+    q, p = position_op(g), momentum_op(g, hbar=hbar)
     for _ in range(5):
         psi = random_bandlimited_1d(g, rng)
         resid = commutator_apply(q, p, psi.amplitudes) - 1j * hbar * psi.amplitudes
@@ -110,13 +102,13 @@ def test_quantum_canonical_commutator():
 
 def test_kvn_position_momentum_commute_exactly(pg):
     psi = random_bandlimited_phase(pg, np.random.default_rng(3))
-    out = commutator_apply(position_op(pg), momentum_op(pg, "kvn"), psi.amplitudes)
+    out = commutator_apply(position_op(pg), momentum_op(pg), psi.amplitudes)
     assert np.all(out == 0)
 
 
 def test_koopman_algebra_nontrivial_entries(pg):
     rng = np.random.default_rng(17)
-    q, p = position_op(pg), momentum_op(pg, "kvn")
+    q, p = position_op(pg), momentum_op(pg)
     th, lam = theta_op(pg), lambda_op(pg)
     for _ in range(3):
         psi = random_bandlimited_phase(pg, rng)
@@ -129,7 +121,7 @@ def test_koopman_algebra_nontrivial_entries(pg):
 
 def test_koopman_algebra_vanishing_entries(pg):
     rng = np.random.default_rng(29)
-    q, p = position_op(pg), momentum_op(pg, "kvn")
+    q, p = position_op(pg), momentum_op(pg)
     th, lam = theta_op(pg), lambda_op(pg)
     psi = random_bandlimited_phase(pg, rng)
     a = psi.amplitudes
@@ -148,7 +140,7 @@ def test_commutator_antisymmetry(pg):
 
 def test_elementary_operators_hermitian(pg):
     rng = np.random.default_rng(37)
-    ops = [position_op(pg), momentum_op(pg, "kvn"), theta_op(pg), lambda_op(pg)]
+    ops = [position_op(pg), momentum_op(pg), theta_op(pg), lambda_op(pg)]
     f = random_bandlimited_phase(pg, rng)
     h = random_bandlimited_phase(pg, rng)
     for op in ops:
@@ -161,14 +153,12 @@ def test_elementary_operators_hermitian(pg):
 def test_operator_square_applies_twice(pg):
     rng = np.random.default_rng(41)
     g = Grid1D(256, -16.0, 16.0)
-    cases = [(momentum_op(g, "quantum", hbar=0.7), random_bandlimited_1d(g, rng))]
-    phase_ops = [position_op(pg), momentum_op(pg, "kvn"), theta_op(pg), lambda_op(pg)]
+    cases = [(momentum_op(g, hbar=0.7), random_bandlimited_1d(g, rng))]
+    phase_ops = [position_op(pg), momentum_op(pg), theta_op(pg), lambda_op(pg)]
     cases += [(op, random_bandlimited_phase(pg, rng)) for op in phase_ops]
     for op, psi in cases:
         square = operator_square(op)
-        assert (square.kind, square.fft_axis, square.hermitian) == (
-            op.kind, op.fft_axis, op.hermitian
-        )
+        assert (square.fft_axis, square.hermitian) == (op.fft_axis, op.hermitian)
         f = psi.amplitudes
         assert np.max(np.abs(square.apply(f) - op.apply(op.apply(f)))) <= 1e-12
 
@@ -188,7 +178,7 @@ def test_hamiltonian_on_harmonic_ground_state():
     g = Grid1D(256, -16.0, 16.0)
     H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     amp = np.exp(-g.points**2 / 2).astype(complex)
-    psi = QWavefunction(g, amp).normalize()
+    psi = Wavefunction(g, amp).normalize()
     resid = H.apply(psi.amplitudes) - 0.5 * psi.amplitudes
     assert l2(resid, g.dx) < 1e-6
 

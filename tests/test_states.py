@@ -7,7 +7,7 @@ from kvnlab.grid import Grid1D
 from kvnlab.operators import hamiltonian, momentum_op, position_op
 from kvnlab.states import (
     DensityMatrix,
-    QWavefunction,
+    Wavefunction,
     born_density,
     dephase,
     expectation,
@@ -43,8 +43,8 @@ def test_inner_product_of_normalized_state_is_one(grid_small):
 
 def test_inner_product_orthogonal_modes():
     g = Grid1D(64, 0.0, 2 * np.pi)
-    m1 = QWavefunction(g, np.exp(1j * 3 * g.points)).normalize()
-    m2 = QWavefunction(g, np.exp(1j * 5 * g.points)).normalize()
+    m1 = Wavefunction(g, np.exp(1j * 3 * g.points)).normalize()
+    m2 = Wavefunction(g, np.exp(1j * 5 * g.points)).normalize()
     assert abs(inner_product(m1, m2)) < 1e-12
 
 
@@ -65,8 +65,8 @@ def test_inner_product_offset_gaussians_vs_quadrature_oracle():
 
 def test_inner_product_conjugate_symmetric(grid_small):
     rng = np.random.default_rng(2)
-    f = QWavefunction(grid_small, rng.standard_normal(256) + 1j * rng.standard_normal(256))
-    h = QWavefunction(grid_small, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    f = Wavefunction(grid_small, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    h = Wavefunction(grid_small, rng.standard_normal(256) + 1j * rng.standard_normal(256))
     assert inner_product(f, h) == np.conj(inner_product(h, f))
 
 
@@ -88,7 +88,7 @@ def test_expectation_momentum_kicked_gaussian():
     hbar = 0.7
     k0 = 2 * np.pi / g.length * 16  # exact grid mode
     psi = gaussian_1d(g, k0=k0)
-    p = momentum_op(g, "quantum", hbar=hbar)
+    p = momentum_op(g, hbar=hbar)
     # oracle: quadrature of the analytic integrand psi* (-i hbar d/dq) psi
     # reduces to hbar * k0 for a kicked Gaussian
     assert expectation(p, psi).real == pytest.approx(hbar * k0, abs=1e-8)
@@ -101,6 +101,17 @@ def test_expectation_harmonic_ground_energy(grid_small):
     assert expectation(H, psi).real == pytest.approx(0.5, abs=1e-8)
 
 
+def test_expectation_refuses_an_operator_on_another_grid():
+    # same size, twice the length: read on psi's grid it gave <q> = 2.0 and
+    # <H> = 4.031 for this state instead of 1.0 and 1.125
+    g, other = Grid1D(256, -8.0, 8.0), Grid1D(256, -16.0, 16.0)
+    psi = gaussian_1d(g, center=1.0)
+    H = hamiltonian(other, lambda q: 0.5 * q**2, vprime=lambda q: q)
+    for op in (position_op(other), H):
+        with pytest.raises(GridMismatchError):
+            expectation(op, psi)
+
+
 def test_expectation_guards_hermitian_flag(grid_small):
     from kvnlab.errors import PhysicsError
     from kvnlab.operators import GridOperator
@@ -108,7 +119,7 @@ def test_expectation_guards_hermitian_flag(grid_small):
     psi = gaussian_1d(grid_small)
     # a complex diagonal falsely flagged Hermitian must be caught
     bogus = GridOperator(
-        grid_small, "diag-position", 1j * (grid_small.points**2 + 1.0), hermitian=True
+        grid_small, 1j * (grid_small.points**2 + 1.0), hermitian=True
     )
     with pytest.raises(PhysicsError):
         expectation(bogus, psi)
@@ -116,7 +127,7 @@ def test_expectation_guards_hermitian_flag(grid_small):
 
 def test_born_density_plane_wave():
     g = Grid1D(64, 0.0, 2 * np.pi)
-    psi = QWavefunction(g, np.exp(1j * 4 * g.points)).normalize()
+    psi = Wavefunction(g, np.exp(1j * 4 * g.points)).normalize()
     rho = born_density(psi)
     np.testing.assert_allclose(rho, 1.0 / g.length, atol=1e-12)
 
