@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhysicsError
+from .errors import GridMismatchError, PhysicsError
 from .grid import PhaseGrid
 from .operators import GridOperator, commutator_apply, operator_square
 from .states import Wavefunction, expectation
@@ -57,9 +57,9 @@ def robertson_check(a: GridOperator, b: GridOperator, psi: Wavefunction) -> Robe
 
 @dataclass(frozen=True)
 class EhrenfestResiduals:
-    r1_max: float  # max |d<q>/dt - <p>/m|
+    r1_max: float  # max |d<q>/dt - <p>|
     r2_max: float  # max |d<p>/dt + <V'>|
-    r1_scale: float  # max |<p>/m| over the series
+    r1_scale: float  # max |<p>| over the series
     r2_scale: float  # max |<V'>| over the series
 
     @property
@@ -80,8 +80,9 @@ def _time_derivative(series: np.ndarray, dt: float) -> np.ndarray:
     return d
 
 
-def ehrenfest_residuals(trajectory, mass: float = 1.0) -> EhrenfestResiduals:
-    """Violations of d<q>/dt = <p>/m and d<p>/dt = -<V'> along a trajectory."""
+def ehrenfest_residuals(trajectory) -> EhrenfestResiduals:
+    """Violations of d<q>/dt = <p> and d<p>/dt = -<V'> (unit mass, as the
+    generators) along a trajectory."""
     t = trajectory.times
     if len(t) < 5:
         raise ValueError("need at least 5 time samples")
@@ -90,13 +91,13 @@ def ehrenfest_residuals(trajectory, mass: float = 1.0) -> EhrenfestResiduals:
         raise ValueError("time samples must be uniform")
     dq = _time_derivative(trajectory.q_mean, dt)
     dp = _time_derivative(trajectory.p_mean, dt)
-    r1 = np.abs(dq - trajectory.p_mean / mass)
+    r1 = np.abs(dq - trajectory.p_mean)
     r2 = np.abs(dp + trajectory.vprime_mean)
     interior = slice(1, -1)
     return EhrenfestResiduals(
         r1_max=float(np.max(r1[interior])),
         r2_max=float(np.max(r2[interior])),
-        r1_scale=float(np.max(np.abs(trajectory.p_mean / mass))),
+        r1_scale=float(np.max(np.abs(trajectory.p_mean))),
         r2_scale=float(np.max(np.abs(trajectory.vprime_mean))),
     )
 
@@ -104,13 +105,13 @@ def ehrenfest_residuals(trajectory, mass: float = 1.0) -> EhrenfestResiduals:
 def wigner_transform(psi: Wavefunction, pg: PhaseGrid, hbar: float = 1.0) -> np.ndarray:
     """Real phase-space field W(q, p) of a configuration-space state.
 
-    ``pg.q`` must equal the state's grid; the momentum axis is free.  The
-    output is normalized so that sum(W) * dq * dp = 1; the discarded
-    imaginary residue must be below 1e-10.
+    ``pg.q`` must equal the state's grid (else GridMismatchError); the
+    momentum axis is free.  The output is normalized so that
+    sum(W) * dq * dp = 1; the discarded imaginary residue must be below 1e-10.
     """
     g = psi.grid
     if pg.q != g:
-        raise ValueError("phase grid position axis must match the state's grid")
+        raise GridMismatchError("phase grid position axis must match the state's grid")
     n = g.n
     amp = psi.amplitudes
     # separations hbar*lam = 2*j*dx over the domain width: shifted

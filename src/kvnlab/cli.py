@@ -594,7 +594,7 @@ def _characteristics(p: dict, stiffness, n_steps: int):
     t_final = p["t_final"]
     dt = t_final / n_steps
     aux = integrate_ermakov(stiffness, ErmakovState(rho=1.0, rho_dot=0.0, C=1.0), t_final, dt)
-    return aux, solve_classical_tdho(stiffness, p["q0"], p["p0"], 1.0, t_final, dt)
+    return aux, solve_classical_tdho(stiffness, p["q0"], p["p0"], t_final, dt)
 
 
 def _run_oscillator(cfg: ExperimentConfig, out: _Output):

@@ -78,9 +78,9 @@ def simulate_p_a_nonselective(omega_tau: float) -> float:
     sys = TwoLevelSystem(omega=1.0)
     U = sys.evolution_matrix(omega_tau)
     rho = pure_density(PSI0)
-    rho_tau = DensityMatrix(U @ rho.entries @ U.conj().T, time=omega_tau)
+    rho_tau = DensityMatrix(U @ rho.entries @ U.conj().T)
     rho_tau = dephase(rho_tau, AB_BASIS)
-    rho_2tau = DensityMatrix(U @ rho_tau.entries @ U.conj().T, time=2 * omega_tau)
+    rho_2tau = DensityMatrix(U @ rho_tau.entries @ U.conj().T)
     return measure_probability(rho_2tau, AB_BASIS[:, 0])
 
 
@@ -94,14 +94,14 @@ def phase_discard_disturbance(
     position(-momentum) basis: outcome probabilities are untouched at the
     instant of measurement, and for classical phase-space dynamics they stay
     untouched forever.  ``n_steps`` covers [0, t_final] and must make tau a
-    step boundary; the state and its |psi| both go on from one run to tau.
+    step boundary with a step on either side; the state and its |psi| both
+    go on from one run to tau.
     """
     if not 0.0 < tau < t_final:
         raise ValueError("need 0 < tau < t_final")
     n_first = int(round(n_steps * tau / t_final))
-    dt = t_final / n_steps
-    if abs(n_first * dt - tau) > 1e-12:
-        raise ValueError("tau must fall on a step boundary")
+    if not 0 < n_first < n_steps or abs(n_first * (t_final / n_steps) - tau) > 1e-12:
+        raise ValueError(f"tau {tau:g} must be a step boundary with a step on either side")
     at_tau = propagate(psi0, G, tau / n_first, n_first)[0]
     measured = Wavefunction(at_tau.grid, np.abs(at_tau.amplitudes), time=at_tau.time)
     dt_rest, n_rest = (t_final - tau) / (n_steps - n_first), n_steps - n_first

@@ -14,15 +14,20 @@ of such a pair is an exact zero field (multiplication of floats commutes),
 exactly as the operator algebra says.
 
 Generators bundle the two exactly-exponentiable parts used by the
-split-step propagators:
+split-step propagators, at unit mass, with evolution exp(-i G t / hbar):
 
-* quantum:    H = p^2/2m + V(q), conjugate part hbar^2 k^2/2m, position
-  part V(q), evolution exp(-i H t / hbar);
-* koopman: K = p theta / m - V'(q) lambda, evolution exp(-i K t); the two
-  parts are advection shears, each exact in its own mixed representation;
-* unified: H_QC = (hbar/m) p theta + (1/kappa)[V(q - hbar kappa lambda/2)
-  - V(q + hbar kappa lambda/2)], evolution exp(-i H_QC t / hbar); the
-  kappa -> 0 limit is taken analytically and reproduces hbar K.
+* quantum:    H = p^2/2 + V(q), conjugate part hbar^2 k^2/2, position
+  part V(q);
+* koopman: K = p theta - V'(q) lambda at hbar = 1; the two parts are
+  advection shears, each exact in its own mixed representation;
+* unified: H_QC = hbar p theta + (1/kappa)[V(q - hbar kappa lambda/2)
+  - V(q + hbar kappa lambda/2)]; the kappa -> 0 limit is taken
+  analytically and reproduces hbar K.
+
+The grid fixes the representations: the conjugate part is diagonal after an
+FFT along axis 0 (k on a ``Grid1D``, theta on a ``PhaseGrid``), the position
+part as is on a ``Grid1D`` and after an FFT along axis 1 (lambda) on a
+``PhaseGrid``.
 """
 
 from __future__ import annotations
@@ -119,39 +124,36 @@ def lambda_op(pg: PhaseGrid) -> GridOperator:
 class Generator:
     """A propagation rule split into two exactly-exponentiable diagonals.
 
-    ``position_part`` is diagonal after an FFT along ``position_axis``
-    (no FFT when the axis is None), ``conjugate_part`` after an FFT along
-    ``conjugate_axis``.  One split step multiplies by
-    ``exp(-1j * part * dt / phase_scale)`` in the respective representation.
+    ``conjugate_part`` is diagonal after an FFT along axis 0,
+    ``position_part`` as is on a ``Grid1D`` and after an FFT along axis 1 on
+    a ``PhaseGrid``.  One split step multiplies by
+    ``exp(-1j * part * dt / hbar)`` in the respective representation.
     ``potential_prime`` is the exact V' that the recorded force means use.
     """
 
     label: str  # quantum | koopman | unified
     grid: Grid1D | PhaseGrid
     position_part: np.ndarray
-    position_axis: int | None
     conjugate_part: np.ndarray
-    conjugate_axis: int
-    phase_scale: float
     hbar: float
     potential_prime: Potential
     kappa: float = 0.0
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         """Generator action on a field (used by Hermiticity and algebra checks)."""
-        return (_apply_diagonal(self.conjugate_part, self.conjugate_axis, field)
-                + _apply_diagonal(self.position_part, self.position_axis, field))
+        position_axis = 1 if isinstance(self.grid, PhaseGrid) else None
+        return (_apply_diagonal(self.conjugate_part, 0, field)
+                + _apply_diagonal(self.position_part, position_axis, field))
 
 
 def hamiltonian(
     grid: Grid1D,
     potential: Potential,
-    mass: float = 1.0,
     hbar: float = 1.0,
     *,
     vprime: Potential,
 ) -> Generator:
-    """Quantum generator H = p^2/2m + V(q) on a configuration grid.
+    """Quantum generator H = p^2/2 + V(q) on a configuration grid.
 
     ``vprime``, the exact V', feeds the force expectation recorded along
     trajectories.
@@ -161,22 +163,15 @@ def hamiltonian(
         label="quantum",
         grid=grid,
         position_part=np.asarray(potential(grid.points), dtype=float),
-        position_axis=None,
-        conjugate_part=(hbar * k) ** 2 / (2.0 * mass),
-        conjugate_axis=0,
-        phase_scale=hbar,
+        conjugate_part=(hbar * k) ** 2 / 2.0,
         hbar=hbar,
         kappa=1.0,
         potential_prime=vprime,
     )
 
 
-def koopman_generator(
-    pg: PhaseGrid,
-    vprime: Potential,
-    mass: float = 1.0,
-) -> Generator:
-    """Koopman generator K = p theta / m - V'(q) lambda.
+def koopman_generator(pg: PhaseGrid, vprime: Potential) -> Generator:
+    """Koopman generator K = p theta - V'(q) lambda.
 
     The integration constant C(q, p) of K is fixed to zero: a real C would
     only add a phase along each characteristic, which |psi|^2 does not see.
@@ -189,11 +184,8 @@ def koopman_generator(
         grid=pg,
         # -V'(q) lambda, diagonal in (q, lambda-mode)
         position_part=-np.asarray(vprime(Q), dtype=float) * kp,
-        position_axis=1,
-        # p theta / m, diagonal in (theta-mode, p)
-        conjugate_part=P * kq / mass,
-        conjugate_axis=0,
-        phase_scale=1.0,
+        # p theta, diagonal in (theta-mode, p)
+        conjugate_part=P * kq,
         hbar=1.0,
         kappa=0.0,
         potential_prime=vprime,
@@ -204,7 +196,6 @@ def unified_generator(
     pg: PhaseGrid,
     potential: Potential,
     kappa: float,
-    mass: float = 1.0,
     hbar: float = 1.0,
     *,
     vprime: Potential,
@@ -223,7 +214,6 @@ def unified_generator(
     kp = wavenumbers(pg.p)[None, :]
     q = pg.q.points[:, None]
     p = pg.p.points[None, :]
-    advection = hbar * p * kq / mass
     if kappa == 0.0:
         force = -hbar * np.asarray(vprime(q), dtype=float) * kp
     else:
@@ -234,10 +224,7 @@ def unified_generator(
         label="unified",
         grid=pg,
         position_part=force,
-        position_axis=1,
-        conjugate_part=advection * np.ones(pg.shape),
-        conjugate_axis=0,
-        phase_scale=hbar,
+        conjugate_part=hbar * p * kq,
         hbar=hbar,
         kappa=kappa,
         potential_prime=vprime,

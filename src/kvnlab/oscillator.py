@@ -1,6 +1,6 @@
 """Time-dependent harmonic oscillator: auxiliary-equation integration,
 invariant bookkeeping, classical characteristics, and phase-space evolution
-under the generator p theta / m - k(t) q lambda.
+under the unit-mass generator p theta - k(t) q lambda.
 
 The auxiliary equation
 
@@ -99,20 +99,19 @@ class ClassicalTrajectory:
     t: np.ndarray
     q: np.ndarray
     p: np.ndarray
-    mass: float
 
 
 def solve_classical_tdho(
-    k: Stiffness, q0: float, p0: float, mass: float, t_final: float, dt: float
+    k: Stiffness, q0: float, p0: float, t_final: float, dt: float
 ) -> ClassicalTrajectory:
-    """Characteristics q' = p/m, p' = -k(t) q by fixed-step 4th order."""
+    """Characteristics q' = p, p' = -k(t) q (unit mass) by fixed-step RK4."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = int(round(t_final / dt))
     ts = dt * np.arange(n + 1)
 
     def rhs(t, q, p):
-        return p / mass, -float(k(t)) * q
+        return p, -float(k(t)) * q
 
     times = ts.tolist()
     q, p = [float(q0)], [float(p0)]
@@ -120,7 +119,7 @@ def solve_classical_tdho(
         x, y = _rk4(rhs, q[i], p[i], times[i], dt)
         q.append(x)
         p.append(y)
-    return ClassicalTrajectory(ts, np.array(q), np.array(p), mass)
+    return ClassicalTrajectory(ts, np.array(q), np.array(p))
 
 
 def lewis_invariant_classical(q, p, rho, rho_dot) -> np.ndarray | float:

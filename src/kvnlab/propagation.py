@@ -1,12 +1,14 @@
 """Time evolution by exponentiated generators: one split-step engine.
 
 ``propagate`` advances a state of one generator G at one step dt by the
-Strang step exp(-i B dt/2) exp(-i A dt) exp(-i B dt/2), where A is G's
-conjugate-diagonal part and B its position-side part.  Each factor is exact
-in the representation where its part is diagonal, so the step is unitary
-and second order in dt, and for classical generators every factor is an
-advection shear.  The factors are built once per call, for the one path
-(real-field or complex) the call takes, and ``propagate`` is the one
+Strang step exp(-i B dt/2hbar) exp(-i A dt/hbar) exp(-i B dt/2hbar), where A
+is G's conjugate part and B its position part.  The state must live on G's
+grid, which fixes where each part is diagonal: A after an FFT along axis 0,
+B as is on a 1-D grid and after an FFT along the p axis, in (q, lambda), on
+a phase grid.  Each factor is exact in that representation, so the step is
+unitary and second order in dt, and for classical generators every factor
+is an advection shear.  The factors are built once per call, for the one
+path (real-field or complex) the call takes, and ``propagate`` is the one
 stepping loop.  On a phase grid a step ends in the (q, lambda)
 representation and the next step opens from that spectrum, which the run
 carries from the first step to the last, so a Strang step costs five FFTs.
@@ -76,9 +78,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryMassError
-from .grid import Grid1D, edge_mass, wavenumbers
+from .grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from .operators import Generator
-from .states import Wavefunction
+from .states import Wavefunction, _require_same_grid
 
 #: Probability mass allowed within EDGE_CELLS cells of a domain edge during evolve().
 BOUNDARY_MASS_LIMIT = 1e-8
@@ -115,8 +117,7 @@ def _head(field: np.ndarray, axis: int) -> np.ndarray:
     return np.take(field, np.arange(field.shape[axis] // 2 + 1), axis)
 
 
-def _kicks(pos_arg: np.ndarray, axis: int | None, dt: float, scale: Callable,
-           real: bool) -> Callable:
+def _kicks(pos_arg: np.ndarray, dt: float, scale: Callable, real: bool) -> Callable:
     """SRKN6b's position factors: ``kicks(t)`` yields the seven kicks of the
     step from t, exp(c * pos_arg) with c = 2 b_j k_j, pos_arg the position
     exponent of a half-step of dt and k_j = scale(t + _KICK_TIMES[j] dt),
@@ -128,7 +129,7 @@ def _kicks(pos_arg: np.ndarray, axis: int | None, dt: float, scale: Callable,
     pos_arg is a phase-space position part linear in lambda."""
     n = pos_arg.shape[-1]
     bins = np.concatenate([np.arange(n // 2 + 1), np.arange(1 - n // 2, 0)])
-    if axis != 1 or pos_arg.real.any() or not np.allclose(
+    if pos_arg.ndim != 2 or pos_arg.real.any() or not np.allclose(
         pos_arg, bins * pos_arg[:, 1:2], rtol=1e-12, atol=0
     ):
         raise ValueError("position_scale needs a phase-space position part linear in lambda")
@@ -158,22 +159,24 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
     with B scaled by ``position_scale(t + _KICK_TIMES[j] * dt)``, between
     conjugate drifts of ``_DRIFTS[j] * dt``; B must then be a phase-space
     position part linear in lambda, or ValueError is raised before any step.
+    A state on another grid than G's raises GridMismatchError.
 
     ``record(i, amplitudes, rho, spectrum)`` sees every sample; rho is
-    |psi|^2 * measure and spectrum the FFT along G's position axis, or
-    None on a 1-D grid.  On the real-field path the amplitudes are
-    float64 and the spectrum is the rfft (bins 0..n/2).
+    |psi|^2 * measure and spectrum the FFT along the p axis, or None on a
+    1-D grid.  On the real-field path the amplitudes are float64 and the
+    spectrum is the rfft (bins 0..n/2).
     Returns ``(final_state, times, norms, boundary_mass)`` with one
     series entry per sample; the final state is complex, as always.
     """
-    arg = -1j * dt / G.phase_scale
+    _require_same_grid(state, G)
+    arg = -1j * dt / G.hbar
     conj_arg, pos_arg = arg * G.conjugate_part, 0.5 * arg * G.position_part
-    pa, ca = G.position_axis, G.conjugate_axis
+    pa = 1 if isinstance(G.grid, PhaseGrid) else None  # the position part's FFT axis
     amp = state.amplitudes
     real = (pa is not None and not amp.imag.any()
-            and _conj_symmetric(conj_arg, ca) and _conj_symmetric(pos_arg, pa))
+            and _conj_symmetric(conj_arg, 0) and _conj_symmetric(pos_arg, pa))
     if real:
-        amp, conj_arg = amp.real, _head(conj_arg, ca)
+        amp, conj_arg = amp.real, _head(conj_arg, 0)
         fft, ifft = np.fft.rfft, np.fft.irfft
         nyquist = (slice(None),) * pa + (-1,)  # the last rfft bin along pa
     else:
@@ -182,7 +185,7 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
         pos = np.exp(_head(pos_arg, pa) if real else pos_arg)
         position, conj = lambda t: (pos, pos), (np.exp(conj_arg),)
     else:
-        position = _kicks(pos_arg, pa, dt, position_scale, real)
+        position = _kicks(pos_arg, dt, position_scale, real)
         drifts = [np.exp(a * conj_arg) for a in _A]
         conj = (*drifts, *drifts[::-1])
     del conj_arg, pos_arg  # free the exponents: the steps read only the factors
@@ -197,12 +200,12 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
             factors = iter(position(t))
             if pa is None:
                 for conj_factor in conj:
-                    amp = ifft(conj_factor * fft(next(factors) * amp, axis=ca), axis=ca)
+                    amp = ifft(conj_factor * fft(next(factors) * amp))
                 amp = next(factors) * amp
             else:
                 for conj_factor in conj:
                     amp = ifft(next(factors) * spec, axis=pa)
-                    amp = ifft(conj_factor * fft(amp, axis=ca), axis=ca)
+                    amp = ifft(conj_factor * fft(amp, axis=0), axis=0)
                     spec = fft(amp, axis=pa)
                 spec = next(factors) * spec
                 amp = ifft(spec, axis=pa)
@@ -231,7 +234,7 @@ def kvn_step(psi: Wavefunction, G: Generator, dt: float) -> Wavefunction:
     The edge mass is not bounded, but a NaN state stops the step with
     :class:`BoundaryMassError`.
     """
-    if G.label not in ("koopman", "unified"):
+    if not isinstance(G.grid, PhaseGrid):
         raise ValueError(f"kvn_step needs a phase-space generator, got {G.label}")
     return propagate(psi, G, dt, 1, boundary_limit=np.inf)[0]
 
@@ -335,24 +338,13 @@ class Trajectory:
     boundary_mass: np.ndarray  # probability within EDGE_CELLS of a domain edge
 
 
-def evolve(
-    state: Wavefunction,
-    G: Generator,
-    t_final: float,
-    n_steps: int,
-    boundary_limit: float = BOUNDARY_MASS_LIMIT,
-) -> Trajectory:
+def evolve(state: Wavefunction, G: Generator, t_final: float, n_steps: int) -> Trajectory:
     """Propagate ``state`` to ``t_final`` in ``n_steps`` uniform Strang steps."""
-    return evolve_many(state, G, (G,), t_final, n_steps, boundary_limit)[0]
+    return evolve_many(state, G, (G,), t_final, n_steps)[0]
 
 
 def evolve_many(
-    state: Wavefunction,
-    G: Generator,
-    observers,
-    t_final: float,
-    n_steps: int,
-    boundary_limit: float = BOUNDARY_MASS_LIMIT,
+    state: Wavefunction, G: Generator, observers, t_final: float, n_steps: int
 ) -> list[Trajectory]:
     """Propagate ``state`` under G as ``evolve`` does and record the means of
     each observer's observables from the same samples: one trajectory per
@@ -370,6 +362,5 @@ def evolve_many(
     def record(i, amp, rho, spec):
         series[:, :, i] = means(amp, rho, spec)
 
-    final, times, norms, edges = propagate(state, G, t_final / n_steps, n_steps, record,
-                                           boundary_limit)
+    final, times, norms, edges = propagate(state, G, t_final / n_steps, n_steps, record)
     return [Trajectory(times, *s, final, norms, edges) for s in series]

@@ -91,7 +91,6 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite state of a small system."""
 
     entries: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.entries, dtype=complex)
@@ -112,11 +111,11 @@ class DensityMatrix:
         object.__setattr__(self, "entries", rho)
 
 
-def pure_density(psi: np.ndarray, time: float = 0.0) -> DensityMatrix:
+def pure_density(psi: np.ndarray) -> DensityMatrix:
     """|psi><psi| from a normalized finite-dimensional state vector."""
     v = np.asarray(psi, dtype=complex)
     v = v / np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()), time=time)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -155,4 +154,4 @@ def dephase(rho: DensityMatrix, basis: np.ndarray) -> DensityMatrix:
     diag = np.diag(np.diag(in_basis))
     out = b @ diag @ b.conj().T
     out = 0.5 * (out + out.conj().T)  # scrub rounding asymmetry
-    return DensityMatrix(out, time=rho.time)
+    return DensityMatrix(out)

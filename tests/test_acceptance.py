@@ -269,7 +269,7 @@ def test_criterion_8_oscillator():
     k = lambda t: 1.0 + 0.1 * np.sin(t)
     dt = 1e-3
     aux = integrate_ermakov(k, ErmakovState(rho=1.0, rho_dot=0.0, C=1.0), 20.0, dt)
-    cl = solve_classical_tdho(k, 1.0, 0.0, 1.0, 20.0, dt)
+    cl = solve_classical_tdho(k, 1.0, 0.0, 20.0, dt)
     I = lewis_invariant_classical(cl.q, cl.p, aux.rho, aux.rho_dot)
     drift = float(np.max(np.abs(I - I[0])) / abs(I[0]))
     assert drift < 1e-6
@@ -280,7 +280,7 @@ def test_criterion_8_oscillator():
     # per KVN_MAX_STRIDE of them
     n_steps, stride = 2500, KVN_MAX_STRIDE
     run = kvn_tdho_evolve(blob, k, 10.0, n_steps // stride)
-    cl10 = solve_classical_tdho(k, 1.0, 0.0, 1.0, 10.0, 10.0 / n_steps)
+    cl10 = solve_classical_tdho(k, 1.0, 0.0, 10.0, 10.0 / n_steps)
     centroid = float(
         max(np.max(np.abs(run.q_mean - cl10.q[::stride])),
             np.max(np.abs(run.p_mean - cl10.p[::stride])))

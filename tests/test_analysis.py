@@ -14,6 +14,7 @@ from kvnlab.analysis import (
     std_dev,
     wigner_transform,
 )
+from kvnlab.errors import GridMismatchError
 from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.operators import (
     hamiltonian,
@@ -220,7 +221,7 @@ def test_wigner_total_integral_is_one(wigner_setup):
 def test_wigner_grid_mismatch(wigner_setup):
     g, pg = wigner_setup
     psi = gaussian_1d(Grid1D(128, -12.0, 12.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(GridMismatchError):
         wigner_transform(psi, pg)
 
 

@@ -28,7 +28,7 @@ def test_generators_need_the_exact_force():
         unified_generator(PhaseGrid(g, g), V, 0.0)
     # the force is keyword-only: a positional one is refused too
     with pytest.raises(TypeError):
-        hamiltonian(g, V, 1.0, 1.0, np.zeros_like)
+        hamiltonian(g, V, 1.0, np.zeros_like)
 
 
 def _unused_imports(path: Path) -> list[str]:

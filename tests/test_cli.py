@@ -620,7 +620,7 @@ def test_quadratic_mark_holds_for_the_generators(name):
     K = koopman_generator(_PHASE_GRID, Vp)
     for kappa, hbar in itertools.product((0.5, 1.0), (1.0, 2.0)):
         U = unified_generator(_PHASE_GRID, V, kappa, hbar=hbar, vprime=Vp)
-        miss = {part: np.max(np.abs(getattr(U, part) / U.phase_scale - getattr(K, part)))
+        miss = {part: np.max(np.abs(getattr(U, part) / U.hbar - getattr(K, part)))
                 / np.max(np.abs(getattr(K, part))) for part in ("position_part", "conjugate_part")}
         assert miss["conjugate_part"] <= 1e-14
         if quadratic:

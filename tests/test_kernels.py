@@ -153,18 +153,18 @@ def test_kvn_shear_group_law():
 
 def delta_law_residuals(traj, vprime):
     """Largest violations of the discretized classical laws along ``traj``:
-    p_j = m (q_{j+1} - q_j) / dt, the forward difference form of p = m v, and
-    (p_{j+1} - p_j) / dt = -V'(q_j).  Both vanish with dt for a consistent
-    integrator."""
+    p_j = (q_{j+1} - q_j) / dt, the forward difference form of p = v at unit
+    mass, and (p_{j+1} - p_j) / dt = -V'(q_j).  Both vanish with dt for a
+    consistent integrator."""
     dt = np.diff(traj.t)
-    r1 = np.max(np.abs(traj.p[:-1] - traj.mass * np.diff(traj.q) / dt))
+    r1 = np.max(np.abs(traj.p[:-1] - np.diff(traj.q) / dt))
     r2 = np.max(np.abs(np.diff(traj.p) / dt + vprime(traj.q[:-1])))
     return r1, r2
 
 
 def test_delta_laws_exact_free_trajectory():
     dt = 1e-2
-    traj = solve_classical_tdho(lambda t: 0.0, 0.3, 1.1, 1.0, 199 * dt, dt)
+    traj = solve_classical_tdho(lambda t: 0.0, 0.3, 1.1, 199 * dt, dt)
     np.testing.assert_allclose(traj.q, 0.3 + 1.1 * traj.t, atol=1e-13)
     r1, r2 = delta_law_residuals(traj, np.zeros_like)
     assert r1 < 1e-12
@@ -176,7 +176,7 @@ def test_delta_laws_harmonic_rk4():
     # dt/2 * max|second derivative| to leading order; RK4's own error is
     # negligible next to that
     dt = 1e-3
-    traj = solve_classical_tdho(lambda t: 1.0, 1.0, 0.0, 1.0, 1.0, dt)
+    traj = solve_classical_tdho(lambda t: 1.0, 1.0, 0.0, 1.0, dt)
     r1, r2 = delta_law_residuals(traj, lambda x: x)
     assert r1 == pytest.approx(dt / 2 * np.max(np.abs(traj.q)), rel=0.05)
     assert r2 == pytest.approx(dt / 2 * np.max(np.abs(traj.p)), rel=0.05)
@@ -186,6 +186,6 @@ def test_delta_laws_harmonic_rk4():
 def test_delta_law_residual_scales_linearly_with_dt():
     r = []
     for dt in (2e-3, 1e-3):
-        traj = solve_classical_tdho(lambda t: 1.0, 1.0, 0.0, 1.0, 1.0, dt)
+        traj = solve_classical_tdho(lambda t: 1.0, 1.0, 0.0, 1.0, dt)
         r.append(delta_law_residuals(traj, lambda x: x)[0])
     assert 1.8 < r[0] / r[1] < 2.2

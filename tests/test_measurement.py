@@ -153,3 +153,8 @@ def test_phase_discard_validates_tau():
         phase_discard_disturbance(psi, G, tau=2.0, t_final=1.0, n_steps=10)
     with pytest.raises(ValueError):
         phase_discard_disturbance(psi, G, tau=0.05, t_final=1.0, n_steps=3)
+    # within 1e-12 of the step boundaries 0 and t_final, or no steps at all:
+    # a leg would have no step
+    for tau, n_steps in ((1e-13, 100), (1.0 - 1e-13, 100), (0.5, 0)):
+        with pytest.raises(ValueError, match="tau"):
+            phase_discard_disturbance(psi, G, tau=tau, t_final=1.0, n_steps=n_steps)

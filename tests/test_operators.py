@@ -167,11 +167,12 @@ def test_operator_square_applies_twice(pg):
 
 
 def test_hamiltonian_on_plane_wave():
+    # free dispersion (hbar k)^2 / 2 at unit mass, hbar away from 1
     g = Grid1D(64, 0.0, 2 * np.pi)
     k0 = 3.0
-    H = hamiltonian(g, lambda q: np.zeros_like(q), mass=2.0, hbar=1.0, vprime=np.zeros_like)
+    H = hamiltonian(g, lambda q: np.zeros_like(q), hbar=0.5, vprime=np.zeros_like)
     f = np.exp(1j * k0 * g.points)
-    np.testing.assert_allclose(H.apply(f), (k0**2 / 4.0) * f, atol=1e-10)
+    np.testing.assert_allclose(H.apply(f), ((0.5 * k0) ** 2 / 2.0) * f, atol=1e-10)
 
 
 def test_hamiltonian_on_harmonic_ground_state():
@@ -205,11 +206,11 @@ def test_liouvillian_annihilates_functions_of_h(pg):
 
 
 def test_liouvillian_advection_on_plane_wave(pg):
-    L = koopman_generator(pg, lambda q: np.zeros_like(q), mass=1.3)
+    L = koopman_generator(pg, lambda q: np.zeros_like(q))
     k0 = 2 * np.pi / pg.q.length * 3
     Q, P = pg.meshes()
     f = np.exp(1j * k0 * Q) * np.exp(-(P**2) / 2)
-    np.testing.assert_allclose(L.apply(f), (P * k0 / 1.3) * f, atol=1e-10)
+    np.testing.assert_allclose(L.apply(f), (P * k0) * f, atol=1e-10)
 
 
 def test_liouvillian_hermitian_on_phase_states(pg):
@@ -223,14 +224,14 @@ def test_liouvillian_hermitian_on_phase_states(pg):
 
 
 def test_koopman_equals_liouvillian(pg):
-    # K against the Liouvillian p theta / m - V'(q) lambda spelled out from
+    # K against the Liouvillian p theta - V'(q) lambda spelled out from
     # the elementary operators
     rng = np.random.default_rng(47)
-    K = koopman_generator(pg, lambda q: q**3, mass=1.3)
+    K = koopman_generator(pg, lambda q: q**3)
     psi = random_bandlimited_phase(pg, rng)
     f = psi.amplitudes
     Q, P = pg.meshes()
-    L_f = P * theta_op(pg).apply(f) / 1.3 - Q**3 * lambda_op(pg).apply(f)
+    L_f = P * theta_op(pg).apply(f) - Q**3 * lambda_op(pg).apply(f)
     diff = K.apply(f) - L_f
     assert l2(diff, pg.cell_area) < 1e-12
 

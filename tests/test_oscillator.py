@@ -32,7 +32,7 @@ def monodromy_matrix(k, t_final, dt):
     """Fundamental solution of the unit-mass flow d(q,p)/dt = (p, -k(t) q): its
     columns are the characteristics from (1, 0) and from (0, 1) at t_final."""
     starts = (1.0, 0.0), (0.0, 1.0)
-    ends = [solve_classical_tdho(k, q0, p0, 1.0, t_final, dt) for q0, p0 in starts]
+    ends = [solve_classical_tdho(k, q0, p0, t_final, dt) for q0, p0 in starts]
     return np.array([[end.q[-1] for end in ends], [end.p[-1] for end in ends]])
 
 
@@ -78,20 +78,20 @@ def test_ermakov_aborts_near_zero():
 
 
 def test_classical_constant_k_cosine():
-    traj = solve_classical_tdho(lambda t: 1.0, 1.0, 0.0, 1.0, 2 * np.pi, 1e-3)
+    traj = solve_classical_tdho(lambda t: 1.0, 1.0, 0.0, 2 * np.pi, 1e-3)
     assert abs(traj.q[-1] - np.cos(2 * np.pi)) < 1e-6
     assert abs(traj.q[-1] - 1.0) < 1e-6
 
 
 def test_classical_energy_conserved_constant_k():
-    traj = solve_classical_tdho(lambda t: 1.0, 1.0, 0.5, 1.0, 20.0, 1e-3)
+    traj = solve_classical_tdho(lambda t: 1.0, 1.0, 0.5, 20.0, 1e-3)
     E = traj.p**2 / 2 + traj.q**2 / 2
     assert np.max(np.abs(E - E[0])) < 1e-8
 
 
 def test_classical_richardson_convergence():
-    a = solve_classical_tdho(wobble, 1.0, 0.0, 1.0, 10.0, 2e-3)
-    b = solve_classical_tdho(wobble, 1.0, 0.0, 1.0, 10.0, 1e-3)
+    a = solve_classical_tdho(wobble, 1.0, 0.0, 10.0, 2e-3)
+    b = solve_classical_tdho(wobble, 1.0, 0.0, 10.0, 1e-3)
     assert abs(a.q[-1] - b.q[-1]) < 1e-7
 
 
@@ -115,7 +115,7 @@ def test_invariant_conserved_along_coupled_trajectories():
     dt = 1e-3
     t_final = 20.0
     aux = integrate_ermakov(wobble, ErmakovState(rho=1.0, rho_dot=0.0, C=1.0), t_final, dt)
-    cl = solve_classical_tdho(wobble, 1.0, 0.0, 1.0, t_final, dt)
+    cl = solve_classical_tdho(wobble, 1.0, 0.0, t_final, dt)
     I = lewis_invariant_classical(cl.q, cl.p, aux.rho, aux.rho_dot)
     drift = np.max(np.abs(I - I[0])) / abs(I[0])
     assert drift < 1e-6
@@ -131,7 +131,7 @@ def test_invariant_time_dependence_removed_in_transformed_frame():
     # carries no time-dependent stiffness
     dt = 1e-3
     aux = integrate_ermakov(wobble, ErmakovState(rho=1.0, rho_dot=0.0, C=1.0), 20.0, dt)
-    cl = solve_classical_tdho(wobble, 1.0, 0.0, 1.0, 20.0, dt)
+    cl = solve_classical_tdho(wobble, 1.0, 0.0, 20.0, dt)
     u = cl.q / aux.rho
     v = aux.rho_dot * cl.q - aux.rho * cl.p
     r2 = u**2 + v**2
@@ -154,7 +154,7 @@ def kvn_run():
 
 
 def test_kvn_centroid_tracks_characteristics(kvn_run):
-    cl = solve_classical_tdho(wobble, 1.0, 0.0, 1.0, 10.0, 10.0 / N_STEPS)
+    cl = solve_classical_tdho(wobble, 1.0, 0.0, 10.0, 10.0 / N_STEPS)
     assert np.max(np.abs(kvn_run.q_mean - cl.q[::STRIDE])) < 1e-4
     assert np.max(np.abs(kvn_run.p_mean - cl.p[::STRIDE])) < 1e-4
 
@@ -183,7 +183,7 @@ def test_kvn_centroid_error_is_fourth_order():
     # falls 4x
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     psi = gaussian_phase(pg, q0=1.0, p0=0.0, sigma_q=0.5, sigma_p=0.5)
-    cl = solve_classical_tdho(wobble, 1.0, 0.0, 1.0, 10.0, 10.0 / 1600)
+    cl = solve_classical_tdho(wobble, 1.0, 0.0, 10.0, 10.0 / 1600)
 
     def error(n_steps):
         run = kvn_tdho_evolve(psi, wobble, 10.0, n_steps)

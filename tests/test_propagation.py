@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_1d, gaussian_phase
-from kvnlab.errors import BoundaryMassError
+from kvnlab.errors import BoundaryMassError, GridMismatchError
 from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from kvnlab.operators import hamiltonian, koopman_generator, unified_generator
 from kvnlab.oscillator import kvn_tdho_evolve
@@ -283,22 +283,20 @@ def test_unified_kappa_0_is_koopman(hbar):
 def reference_step(amp, G, dt, real=False):
     """One Strang step, every factor exponentiated and transformed afresh; with
     ``real``, the real part is taken after each inverse transform."""
-    scale = G.phase_scale
-    half_pos = np.exp(-0.5j * G.position_part * dt / scale)
-    full_conj = np.exp(-1j * G.conjugate_part * dt / scale)
+    half_pos = np.exp(-0.5j * G.position_part * dt / G.hbar)
+    full_conj = np.exp(-1j * G.conjugate_part * dt / G.hbar)
 
     def inverse(f, axis):
         out = np.fft.ifft(f, axis=axis)
         return np.real(out) if real else out
 
     def position_half(f):
-        if G.position_axis is None:
+        if isinstance(G.grid, Grid1D):
             return half_pos * f
-        spec = np.fft.fft(f, axis=G.position_axis)
-        return inverse(half_pos * spec, G.position_axis)
+        return inverse(half_pos * np.fft.fft(f, axis=1), 1)
 
     amp = position_half(amp)
-    amp = inverse(full_conj * np.fft.fft(amp, axis=G.conjugate_axis), G.conjugate_axis)
+    amp = inverse(full_conj * np.fft.fft(amp, axis=0), 0)
     return position_half(amp)
 
 
@@ -520,14 +518,33 @@ def test_evolve_records_boundary_mass():
     g = Grid1D(128, -8.0, 8.0)
     psi = gaussian_1d(g, center=3.0, sigma=0.5, k0=2 * np.pi / g.length * 10)
     H = hamiltonian(g, lambda q: np.zeros_like(q), vprime=np.zeros_like)
-    traj = evolve(psi, H, 0.3, 30, boundary_limit=np.inf)
-    rho = np.abs(traj.final_state.amplitudes) ** 2 * g.dx
-    assert traj.boundary_mass[-1] == pytest.approx(rho[:4].sum() + rho[-4:].sum(), rel=1e-12)
-    assert traj.boundary_mass[-1] > traj.boundary_mass[0]
+    final, _, _, edges = propagate(psi, H, 0.3 / 30, 30, boundary_limit=np.inf)
+    rho = np.abs(final.amplitudes) ** 2 * g.dx
+    assert edges[-1] == pytest.approx(rho[:4].sum() + rho[-4:].sum(), rel=1e-12)
+    assert edges[-1] > edges[0]
+
+
+def test_propagate_refuses_a_state_on_another_grid(call_counts):
+    # a quartic flow built on a grid twice as wide, of the same size, would
+    # step the state with the wrong physics and no error (<q> at t = 1 ends
+    # at -0.398, against -0.0070 on the state's own grid); a harmonic one
+    # hides the fault, the two grids' scalings cancelling
+    psi = gaussian_1d(Grid1D(256, -8.0, 8.0), center=1.0)
+    H = hamiltonian(Grid1D(256, -16.0, 16.0), lambda q: q**4 / 4, vprime=lambda q: q**3)
+    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    blob = gaussian_phase(pg, sigma_q=0.7, sigma_p=0.7)
+    K = koopman_generator(PhaseGrid(pg.q, Grid1D(32, -4.0, 4.0)), lambda q: q**3)
+    runs = (lambda: evolve(psi, H, 1.0, 1000), lambda: propagate(psi, H, 1e-3, 1),
+            lambda: evolve_many(blob, K, (K,), 1.0, 10), lambda: kvn_step(blob, K, 1e-2))
+    for run in runs:
+        call_counts.clear()
+        with pytest.raises(GridMismatchError):
+            run()
+        assert not call_counts  # refused before any factor is built
 
 
 def _half_position_arg(G, dt):
-    return 0.5 * (-1j * dt / G.phase_scale) * G.position_part
+    return 0.5 * (-1j * dt / G.hbar) * G.position_part
 
 
 def test_real_path_position_factor_is_head_of_exp():
@@ -542,7 +559,7 @@ def test_real_path_position_factor_is_head_of_exp():
     scales = [lambda t: 1.0 + 0.1 * np.sin(t), lambda t: t]
     scales += [lambda t, s=s: s for s in (0.0, -1.3, 40.0)]
     for scale in scales:
-        kicks, t = [_kicks(arg, G.position_axis, dt, scale, r) for r in (True, False)], 0.0
+        kicks, t = [_kicks(arg, dt, scale, r) for r in (True, False)], 0.0
         for i in range(250):
             if i % 5 == 0:
                 coeffs = [2 * b * scale(s) for b, s in zip(KICKS, kick_times(t, dt))]
