@@ -12,6 +12,13 @@ realized spectrally.  Oscillatory (Fresnel) integrals are defined by the
 principal branch square root, i.e. the standard damping prescription with
 the damping sent to zero.
 
+Running products in place of exponentials: the group-law quadrature's
+exponent is quadratic in the sample y, so within a block of consecutive
+samples each term is the block's first term times a running product, which
+takes a few exponentials per block of ``QUADRATURE_BLOCK`` samples instead
+of one per sample.  The shear factor exp(-i k_q p t / m) is linear in the q
+wavenumber, so its rows are the powers of its bin-1 row (``grid.dft_powers``).
+
 Real-field shear: the shear maps a real field to a real field.  A state
 whose imaginary part is exactly zero is sheared as float64 with rfft/irfft
 along q and the factor over rows 0..n/2 only; other states take the complex
@@ -26,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError
-from .grid import Grid1D, wavenumbers
+from .grid import Grid1D, dft_powers, wavenumbers
 from .states import Wavefunction
 
 #: Most samples one damped quadrature of ``kernel_convolution`` may take; the
@@ -38,6 +45,11 @@ MAX_QUADRATURE_SAMPLES = 2**22
 DAMPING_EPS0 = 0.02
 DAMPING_LEVELS = 5
 POINTS_PER_CYCLE = 8.0
+
+#: ``kernel_convolution`` sums a quadrature in blocks of QUADRATURE_BLOCK
+#: consecutive samples, QUADRATURE_TILE_ROWS blocks (a 1 MB complex tile) at a time.
+QUADRATURE_BLOCK = 512
+QUADRATURE_TILE_ROWS = 128
 
 
 def _kernel_prefactor(t: float, mass: float, hbar: float) -> complex:
@@ -105,11 +117,8 @@ def shear_factor(
     """The spectral shear factor exp(-i k_q p t / m) of the q grid ``q`` for
     the momenta ``p``: axis 0 in k_q order, one column per momentum (a whole
     p axis or any slab of it); with ``real``, only rows 0..n/2, the bins that
-    rfft keeps."""
-    kq = wavenumbers(q)
-    if real:
-        kq = kq[: q.n // 2 + 1]
-    return np.exp(-1j * kq[:, None] * p[None, :] * t / mass)
+    rfft keeps.  The rows are the powers of the bin-1 row (``dft_powers``)."""
+    return dft_powers(-1j * wavenumbers(q)[1] * p * t / mass, q.n, 0, real)
 
 
 def shear(amp: np.ndarray, factor: np.ndarray) -> np.ndarray:
@@ -131,13 +140,15 @@ def kernel_convolution(
     (``DAMPING_LEVELS`` of them, halving from ``DAMPING_EPS0``) is
     extrapolated polynomially to eps = 0.  The group law says the result
     equals K(x, x0, t1 + t2).
-    The two Fresnel phases and the damping share one exponential per sample.
+    The two Fresnel phases and the damping make one quadratic exponent,
+    summed by ``_quadratic_exp_sum`` with a few exponentials per block of
+    samples.  Every level's sample count is checked before any is summed.
     """
     pref = _kernel_prefactor(t2, mass, hbar) * _kernel_prefactor(t1, mass, hbar)
     a1, a2 = mass / (2 * hbar * t1), mass / (2 * hbar * t2)
     eps_values = [DAMPING_EPS0 / 2**j for j in range(DAMPING_LEVELS)]
-    estimates = []
     slope_scale = mass * (1.0 / t1 + 1.0 / t2) / hbar
+    levels = []
     for eps in eps_values:
         half_width = 6.0 / np.sqrt(eps) + abs(x) + abs(x0)
         dy = 2 * np.pi / (slope_scale * half_width) / POINTS_PER_CYCLE
@@ -147,10 +158,40 @@ def kernel_convolution(
                 f"kernel_convolution needs {n:.3g} samples per quadrature, more than "
                 f"{MAX_QUADRATURE_SAMPLES}: t1, t2 too short or x, x0 too far out"
             )
-        y = np.linspace(-half_width, half_width, int(n), endpoint=False)
-        exponent = 1j * (a2 * (x - y) ** 2 + a1 * (y - x0) ** 2) - eps * y**2
-        estimates.append(pref * np.sum(np.exp(exponent)) * (y[1] - y[0]))
+        levels.append((eps, half_width, int(n)))
+    # i [a2 (x - y)^2 + a1 (y - x0)^2] - eps y^2 = A y^2 + B y + C
+    B = -2j * (a2 * x + a1 * x0)
+    C = 1j * (a2 * x**2 + a1 * x0**2)
+    estimates = []
+    for eps, half_width, n in levels:
+        h = 2 * half_width / n
+        A = 1j * (a1 + a2) - eps
+        estimates.append(pref * _quadratic_exp_sum(A, B, C, -half_width, h, n) * h)
     return _neville_at_zero(eps_values, estimates)
+
+
+def _quadratic_exp_sum(A: complex, B: complex, C: complex, y0: float, h: float,
+                       n: int) -> complex:
+    """sum_k exp(A y_k^2 + B y_k + C) over y_k = y0 + k h, k = 0..n-1.
+
+    With k = b m + r, m = ``QUADRATURE_BLOCK`` and Y_b = y0 + b m h, a term
+    is E_b D_b^r U_r: E_b = exp(A Y_b^2 + B Y_b + C), D_b = exp((2 A Y_b + B) h)
+    and U_r = exp(A h^2 r^2).  That is m + 2 ceil(n/m) exponentials and a
+    running product along r, taken ``QUADRATURE_TILE_ROWS`` blocks at a time.
+    """
+    m = QUADRATURE_BLOCK
+    U = np.exp(A * (h * np.arange(m)) ** 2)
+    total = 0j
+    for start in range(0, n, m * QUADRATURE_TILE_ROWS):
+        k = np.arange(start, min(n, start + m * QUADRATURE_TILE_ROWS), m)
+        Y = y0 + k * h
+        powers = np.empty((len(k), m), dtype=complex)
+        powers[:, 0], powers[:, 1:] = 1.0, np.exp((2 * A * Y + B) * h)[:, None]
+        powers.cumprod(axis=1, out=powers)
+        powers *= U
+        powers[-1, n - k[-1]:] = 0.0  # the last block may run past sample n - 1
+        total += np.exp((A * Y + B) * Y + C) @ powers.sum(axis=1)
+    return total
 
 
 def _neville_at_zero(xs, ys) -> complex:

@@ -26,9 +26,9 @@ conjugate factors are built once; a step costs 25 FFTs and six force
 factors, its closing kick being the next step's opening one.  The
 phase-space position part -V'(q) lambda is linear in the lambda
 wavenumber, so each position factor exp(c B) is, column by column, a power
-of its first lambda column: one exponential over the q rows and a running
-product over lambda bins 0..n/2, the negative bins being the conjugates of
-the positive ones (the exponent is imaginary).
+of its first lambda column (``grid.dft_powers``): one exponential over the q
+rows and a running product over lambda bins 0..n/2, the negative bins being
+the conjugates of the positive ones (the exponent is imaginary).
 
 Real-field path: the phase-space generators are real operators, so a real
 amplitude stays real.  When a phase-grid state's imaginary part is exactly
@@ -78,7 +78,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryMassError
-from .grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
+from .grid import Grid1D, PhaseGrid, dft_bins, dft_powers, edge_mass, wavenumbers
 from .operators import Generator
 from .states import Wavefunction, _require_same_grid
 
@@ -121,28 +121,21 @@ def _kicks(pos_arg: np.ndarray, dt: float, scale: Callable, real: bool) -> Calla
     """SRKN6b's position factors: ``kicks(t)`` yields the seven kicks of the
     step from t, exp(c * pos_arg) with c = 2 b_j k_j, pos_arg the position
     exponent of a half-step of dt and k_j = scale(t + _KICK_TIMES[j] dt),
-    each built only as it is taken.  Lambda bins 0..n/2 are the powers
-    0..n/2 of the bin-1 column, one exp over the q rows; off the real-field
-    path the negative bins are added as the conjugates of bins n/2-1..1.
+    each built only as it is taken: ``dft_powers`` of the bin-1 column, one
+    exp over the q rows, over lambda bins 0..n/2 on the real-field path.
     The last kick is kept, so a step's closing kick serves as the next
     step's opening one (both b1 at the same time).  Raises ValueError unless
     pos_arg is a phase-space position part linear in lambda."""
     n = pos_arg.shape[-1]
-    bins = np.concatenate([np.arange(n // 2 + 1), np.arange(1 - n // 2, 0)])
     if pos_arg.ndim != 2 or pos_arg.real.any() or not np.allclose(
-        pos_arg, bins * pos_arg[:, 1:2], rtol=1e-12, atol=0
+        pos_arg, dft_bins(n) * pos_arg[:, 1:2], rtol=1e-12, atol=0
     ):
         raise ValueError("position_scale needs a phase-space position part linear in lambda")
     unit, last = pos_arg[:, 1].copy(), [None, None]  # (c, factor) of the last kick built
 
     def kick(c: float) -> np.ndarray:
         if c != last[0]:
-            powers = np.empty((len(unit), n // 2 + 1), dtype=complex)
-            powers[:, 0], powers[:, 1:] = 1.0, np.exp(c * unit)[:, None]
-            powers = powers.cumprod(axis=1)
-            if not real:
-                powers = np.concatenate([powers, powers[:, -2:0:-1].conj()], axis=1)
-            last[:] = c, powers
+            last[:] = c, dft_powers(c * unit, n, 1, real)
         return last[1]
 
     return lambda t: (kick(2.0 * b * scale(t + s * dt)) for b, s in zip(_KICKS, _KICK_TIMES))

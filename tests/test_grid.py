@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kvnlab.grid import Grid1D, PhaseGrid, wavenumbers
+from kvnlab.grid import Grid1D, PhaseGrid, dft_powers, wavenumbers
 from kvnlab.operators import momentum_op
 
 
@@ -126,3 +126,18 @@ def test_phase_grid_cell_area():
     assert pg.shape == (32, 16)
     Q, P = pg.meshes()
     assert Q.shape == (32, 1) and P.shape == (1, 16)
+
+
+@pytest.mark.parametrize("n", [8, 2048])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("columns", [slice(None), slice(96, 128)], ids=["p_axis", "slab"])
+def test_dft_powers_match_direct_shear_phase(n, real, columns):
+    q, p = Grid1D(n, -64.0, 64.0), Grid1D(256, -8.0, 8.0).points[columns]
+    t, m = 2.0, 1.3
+    kq = wavenumbers(q)
+    want = np.exp(-1j * kq[:, None] * p[None, :] * t / m)
+    got = dft_powers(-1j * kq[1] * p * t / m, n, 0, real)
+    if real:
+        want = want[: n // 2 + 1]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12

@@ -7,7 +7,11 @@ from conftest import gaussian_1d, gaussian_phase
 from kvnlab.errors import DegenerateInputError
 from kvnlab.grid import Grid1D, PhaseGrid, wavenumbers
 from kvnlab.kernels import (
+    DAMPING_EPS0,
     DAMPING_LEVELS,
+    POINTS_PER_CYCLE,
+    QUADRATURE_BLOCK,
+    _quadratic_exp_sum,
     free_kvn_propagate,
     free_quantum_kernel,
     free_quantum_propagate,
@@ -64,15 +68,51 @@ def test_kernel_propagate_forms_no_dense_kernel():
     assert peak < g.n * g.n  # a dense complex kernel takes 16 n^2 bytes
 
 
-def test_kernel_convolution_one_exp_per_level(call_counts):
-    kernel_convolution(0.7, -0.3, 0.4, 0.4)
-    assert call_counts["exp"] == DAMPING_LEVELS
+def per_sample_level(x, x0, t1, t2, eps, m=1.0, hbar=1.0):
+    """One damping level of the group-law quadrature with one exponential per
+    sample: its sample count, half width and unscaled sum."""
+    a1, a2 = m / (2 * hbar * t1), m / (2 * hbar * t2)
+    half_width = 6.0 / np.sqrt(eps) + abs(x) + abs(x0)
+    dy = 2 * np.pi / (m * (1.0 / t1 + 1.0 / t2) / hbar * half_width) / POINTS_PER_CYCLE
+    n = int(np.ceil(2 * half_width / dy))
+    y = np.linspace(-half_width, half_width, n, endpoint=False)
+    exponent = 1j * (a2 * (x - y) ** 2 + a1 * (y - x0) ** 2) - eps * y**2
+    return n, half_width, np.sum(np.exp(exponent))
+
+
+@pytest.mark.parametrize("level", [0, DAMPING_LEVELS - 1])
+def test_quadratic_exp_sum_matches_per_sample_sum(level):
+    # level 0 sums one tile, the last level six; neither n is a multiple of the block
+    x, x0, t1, t2, m, hbar = 0.7, -0.3, 0.4, 0.3, 1.3, 0.9
+    eps = DAMPING_EPS0 / 2**level
+    n, half_width, want = per_sample_level(x, x0, t1, t2, eps, m, hbar)
+    assert n % QUADRATURE_BLOCK
+    a1, a2 = m / (2 * hbar * t1), m / (2 * hbar * t2)
+    A, B, C = 1j * (a1 + a2) - eps, -2j * (a2 * x + a1 * x0), 1j * (a2 * x**2 + a1 * x0**2)
+    got = _quadratic_exp_sum(A, B, C, -half_width, 2 * half_width / n, n)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_kernel_convolution_few_exps_small_peak(monkeypatch):
+    args = 0.7, -0.3, 0.4, 0.4
+    samples = sum(per_sample_level(*args, DAMPING_EPS0 / 2**j)[0] for j in range(DAMPING_LEVELS))
+    sizes, exp = [], np.exp
+    monkeypatch.setattr(np, "exp", lambda z, *a, **kw: sizes.append(np.size(z)) or exp(z, *a, **kw))
+    tracemalloc.start()
+    try:
+        kernel_convolution(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(sizes) < 0.02 * samples
+    assert peak < 3e6
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("t1, x", [(1e-3, 0.7), (5e-324, 0.7), (0.4, 1e6)])
+@pytest.mark.parametrize("t1, x", [(1e-3, 0.7), (5e-324, 0.7), (0.4, 1e6), (0.015, 0.7)])
 def test_kernel_convolution_refuses_oversized_quadrature(call_counts, t1, x):
-    # unchecked, t1 = 1e-3 alone asks for ~7e7 samples (over 1 GB per array)
+    # unchecked, t1 = 1e-3 alone asks for ~7e7 samples (over 1 GB per array);
+    # at t1 = 0.015 only the last damping level is too large
     with pytest.raises(DegenerateInputError, match="samples per quadrature"):
         kernel_convolution(x, -0.3, t1, 0.4)
     assert call_counts["exp"] == 0
