@@ -6,7 +6,24 @@ layer, and ships the comparative experiments (double slit, non-selective
 measurement, uncertainty products, Wigner transform, time-dependent
 oscillator, Aharonov-Bohm radial problem) behind the ``kvnlab`` command
 line tool.
+
+BLAS runs on one thread in every kvnlab process: importing the package sets
+``OPENBLAS_NUM_THREADS`` (and ``MKL_NUM_THREADS``, for MKL builds of numpy) to
+1 unless the environment already sets it.  The BLAS calls here are small
+(the Wigner transform's 256 x 129 by 129 x 256 product is the largest), and
+on them OpenBLAS's threads cost more than they save: the product takes about
+ten times as long on two threads as on one, and the idle workers spin for a
+while after each call, slowing the work that follows.  A threaded product
+also rounds differently at each thread count, so one thread keeps the
+tables byte-identical whatever CPUs a run gets.  The setting only takes
+effect when kvnlab is imported before numpy; set the variable yourself to
+choose another count (``OPENBLAS_NUM_THREADS=2 kvnlab run config.json``).
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
@@ -16,6 +33,7 @@ from .errors import (
     GridMismatchError,
     KvnLabError,
     PhysicsError,
+    WorkerError,
 )
 from .grid import Grid1D, PhaseGrid, wavenumbers
 from .operators import (
@@ -73,4 +91,5 @@ __all__ = [
     "DegenerateInputError",
     "PhysicsError",
     "BoundaryMassError",
+    "WorkerError",
 ]

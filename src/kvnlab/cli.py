@@ -31,12 +31,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -46,7 +44,7 @@ import numpy as np
 from . import __version__
 from .analysis import ehrenfest_residuals, momentum_density, robertson_check, wigner_transform
 from .doubleslit import SlitConfig, fringe_stats, kvn_screens, run_quantum
-from .errors import PhysicsError
+from .errors import PhysicsError, WorkerError
 from .gauge import SolenoidConfig, disc_ground_energy, kvn_radial_coeffs
 from .grid import Grid1D, PhaseGrid
 from .kernels import (
@@ -111,10 +109,15 @@ def _pmap(fn, items) -> list:
     The workers inherit ``fn`` and ``items`` and are handed indices, so
     neither needs pickling; only results and exceptions travel back.  The
     first failing job's exception is raised, and jobs not yet started are
-    cancelled.  With one worker, where fork is unavailable, or while other
-    threads run (a child forked then could inherit a lock one of them holds),
-    the jobs run in this process.
+    cancelled; a worker process that dies raises WorkerError.  With one
+    worker, where fork is unavailable, or while other threads run (a child
+    forked then could inherit a lock one of them holds), the jobs run in this
+    process.  The pool's modules are imported here, so that runs which never
+    fork do not pay for their import.
     """
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
     global _JOB
     items = list(items)
     workers = min(_workers(), len(items))
@@ -125,6 +128,8 @@ def _pmap(fn, items) -> list:
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
         return list(pool.map(_run_job, range(len(items))))
+    except BrokenExecutor as exc:
+        raise WorkerError(str(exc)) from exc
     finally:
         pool.shutdown(cancel_futures=True)
         _JOB = None
@@ -777,7 +782,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except BrokenExecutor as exc:
+    except WorkerError as exc:
         print(f"worker error: {exc}", file=sys.stderr)
         return 4
 

@@ -5,7 +5,8 @@ orders outside the supported envelope) raise ``ValueError`` subclasses;
 violations detected while a computation is running (boundary mass, singular
 auxiliary solutions, inconsistent numerics) raise ``PhysicsError``
 subclasses.  The CLI maps the
-two families to different exit codes.
+two families to different exit codes, and a worker process that died
+(``WorkerError``) to a third.
 """
 
 
@@ -27,3 +28,7 @@ class PhysicsError(KvnLabError, RuntimeError):
 
 class BoundaryMassError(PhysicsError):
     """Probability mass reached the edge of a periodic domain."""
+
+
+class WorkerError(KvnLabError, RuntimeError):
+    """A worker process died before returning its result."""

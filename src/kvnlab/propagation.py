@@ -61,12 +61,14 @@ taken over the half spectrum with the weights at -k folded onto +k, and
 kappa != 0 step with its record costs five transforms however many
 observers read it; on the complex path <theta> costs one more FFT.
 
-BLAS: the step and record loop makes no BLAS call on a full grid (full-grid
-reductions are ``sum``s; only length-n dot products remain, below the size
-at which OpenBLAS starts its own threads), so evolutions running side by
-side in separate processes do not contend for BLAS workers.  Processes
-rather than threads: each step is many small numpy calls on 128 x 65 arrays,
-and threads would hand the GIL back and forth at every one of them.
+BLAS: every kvnlab process does its BLAS work on one thread (the package
+sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is set already), so evolutions
+running side by side in separate processes do not contend for BLAS
+workers, and no idle worker spins beside the next step.  The step and
+record loop makes no BLAS call on a full grid anyway: full-grid reductions
+are ``sum``s, and only length-n dot products remain.  Processes rather than
+threads: each step is many small numpy calls on 128 x 65 arrays, and
+threads would hand the GIL back and forth at every one of them.
 """
 
 from __future__ import annotations
@@ -107,9 +109,11 @@ def _abs2(field: np.ndarray) -> np.ndarray:
 def _conj_symmetric(arg: np.ndarray, axis: int) -> bool:
     """Whether exp(arg) is conjugate-symmetric along ``axis`` (bin -k the
     conjugate of bin k) at every bin but the Nyquist one, exactly."""
-    n = arg.shape[axis]
-    k = np.delete(np.arange(n), n // 2)
-    return np.array_equal(np.take(arg, k, axis), np.conj(np.take(arg, -k % n, axis)))
+    a = np.moveaxis(arg, axis, 0)
+    n = len(a)
+    # bin 0 is its own partner; bins 1.. pair with n-1.. down to past the middle
+    return (np.array_equal(a[0], np.conj(a[0]))
+            and np.array_equal(a[1:(n + 1) // 2], np.conj(a[: n // 2 : -1])))
 
 
 def _head(field: np.ndarray, axis: int) -> np.ndarray:

@@ -4,8 +4,20 @@ CSV files carry '#'-prefixed metadata lines (tool version, experiment name,
 config hash, any experiment-specific ``key: value`` lines, column names and
 units) followed by comma-separated rows with 17-significant-digit floats,
 which round-trip exactly.  Identical configs therefore produce
-byte-identical files; volatile quantities such as wall time are reported on
-stdout, never written into the tables.
+byte-identical files, whatever the number of CPUs or worker processes (BLAS
+runs on one thread, see the package docstring); volatile quantities such as
+wall time are reported on stdout, never written into the tables.
+
+A float costs about a microsecond to format to 17 digits, so the writers
+format each distinct number once where numbers repeat.  A table of at least
+``DISTINCT_MIN_CELLS`` cells, at most half of which hold distinct bit
+patterns, has each pattern formatted once and the strings placed by index;
+keying on bit patterns keeps -0.0 apart from 0.0.  Other tables are
+formatted row by row: below that size the count itself (a sort, in numpy
+code a run may otherwise never touch) costs more than it can save.  A
+heatmap formats each of its cell x's and y's once and picks each cell's
+fill from the 2 x 256 it can have.  Either way the bytes are those of
+formatting every value in place.
 
 SVG plots are generated directly (no plotting toolkit): polyline charts for
 curves and rect rasters for matrices, both 960x540.
@@ -23,6 +35,8 @@ import numpy as np
 SVG_SIZE = (960, 540)
 #: cells per axis beyond which ``svg_heatmap`` strides its matrix down
 HEATMAP_MAX_CELLS = 128
+#: cells from which ``write_csv`` counts a table's distinct numbers
+DISTINCT_MIN_CELLS = 1 << 15
 _MARGIN = 60
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -61,8 +75,12 @@ class ResultTable:
             f"# columns: {','.join(self.columns)}",
             f"# units: {','.join(self.units)}",
         ]
-        row = ",".join(["%.17g"] * self.rows.shape[1])
-        lines += [row % values for values in map(tuple, self.rows.tolist())]
+        cells = _distinct_format("%.17g", self.rows)
+        if cells is None:
+            row = ",".join(["%.17g"] * self.rows.shape[1])
+            lines += [row % values for values in map(tuple, self.rows.tolist())]
+        else:
+            lines += map(",".join, cells.tolist())
         path.write_text("\n".join(lines) + "\n")
 
 
@@ -90,6 +108,23 @@ def _map(v, lo, hi, out_lo, out_hi):
     if hi == lo:
         return np.full(np.shape(v), 0.5 * (out_lo + out_hi))[()]
     return out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
+
+
+def _distinct_format(spec: str, values: np.ndarray) -> np.ndarray | None:
+    """``spec % v`` for each float of ``values``, as an object array of its
+    shape, each distinct bit pattern formatted once; None for fewer than
+    ``DISTINCT_MIN_CELLS`` values or when more than half of them are
+    distinct, for which formatting each in place is cheaper."""
+    if values.size < DISTINCT_MIN_CELLS:
+        return None
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
+    # count first with a plain sort, which allocates less than np.unique
+    ordered = np.sort(bits, axis=None)
+    if 2 * (np.count_nonzero(ordered[1:] != ordered[:-1]) + 1) > ordered.size:
+        return None
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    strings = np.array([spec % v for v in distinct.view(float).tolist()], dtype=object)
+    return strings[inverse.reshape(bits.shape)]
 
 
 def _format(template: str, sep: str, *columns: np.ndarray) -> str:
@@ -178,6 +213,8 @@ def svg_heatmap(
     step1 = max(1, mat.shape[1] // HEATMAP_MAX_CELLS)
     mat = mat[::step0, ::step1]
     vmax = float(np.max(np.abs(mat))) or 1.0
+    if not np.isfinite(vmax):
+        raise ValueError("svg_heatmap needs a finite matrix")
     nx, ny = mat.shape
     cw = (w - 2 * m) / nx
     ch = (h - 2 * m) / ny
@@ -189,14 +226,16 @@ def svg_heatmap(
     ]
     # cell (i, j) at x = m + i cw, y = h - m - (j + 1) ch; red above 0, blue
     # below, faded to white as 255 (1 - |v|) truncated, v the cell over vmax
+    # (a fade level 0..255); each x, y and fill is formatted once
     v = (mat / vmax).ravel()
-    fade = np.trunc(255 * (1 - np.abs(v)))
-    red = v >= 0
+    level = np.trunc(255 * (1 - np.abs(v))).astype(np.intp)
+    fills = np.array([f"rgb(255,{k},{k})" for k in range(256)]
+                     + [f"rgb({k},{k},255)" for k in range(256)], dtype=object)
+    xs = np.array(["%.2f" % x for x in (m + np.arange(nx) * cw).tolist()], dtype=object)
+    ys = np.array(["%.2f" % y for y in (h - m - np.arange(1, ny + 1) * ch).tolist()], dtype=object)
     parts.append(_format(
-        f'<rect x="%.2f" y="%.2f" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
-        f'fill="rgb(%d,%d,%d)"/>', "\n",
-        np.repeat(m + np.arange(nx) * cw, ny), np.tile(h - m - np.arange(1, ny + 1) * ch, nx),
-        np.where(red, 255, fade), fade, np.where(red, fade, 255),
+        f'<rect x="%s" y="%s" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" fill="%s"/>', "\n",
+        np.repeat(xs, ny), np.tile(ys, nx), fills[level + 256 * (v < 0)],
     ))
     parts += _axes(x_label, y_label, extent[:2], extent[2:])
     parts.append("</svg>")

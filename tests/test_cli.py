@@ -299,6 +299,58 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_pool_modules_unloaded():
+    # only a run that forks workers imports them (in ``_pmap``)
+    proc = run_python(
+        "import sys, kvnlab.cli; print(sorted({'multiprocessing', 'concurrent.futures'}"
+        " & set(sys.modules)))"
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
+#: the child's own BLAS setting dropped before kvnlab (and so numpy) is imported
+UNSET_BLAS = ("import os\n"
+              "for var in ('OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS'):\n"
+              "    os.environ.pop(var, None)\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_wigner_tables_identical_on_one_cpu_and_on_all(tmp_path):
+    # a threaded BLAS product rounds differently at each thread count
+    script = UNSET_BLAS + (
+        "import sys\n"
+        "if sys.argv[2] == 'one':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "import kvnlab.cli as cli\n"
+        "sys.exit(cli.main(['run', sys.argv[1]]))\n"
+    )
+    tables = {}
+    for cpus in ("one", "all"):
+        (tmp_path / cpus).mkdir()
+        cfg = write_config(tmp_path / cpus, {"experiment": "wigner", "output": {"directory": "."}})
+        proc = run_python(script, str(cfg), cpus)
+        assert proc.returncode == 0, proc.stderr
+        tables[cpus] = [(tmp_path / cpus / name).read_bytes() for name in ("wigner.csv", "wigner.svg")]
+    assert tables["one"] == tables["all"]
+
+
+def test_preset_blas_thread_count_is_left_alone():
+    proc = run_python("import os, kvnlab; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                      OPENBLAS_NUM_THREADS="2")
+    assert proc.returncode == 0 and proc.stdout.strip() == "2"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux's /proc")
+def test_blas_product_starts_no_thread():
+    proc = run_python(UNSET_BLAS + (
+        "import kvnlab.cli, numpy as np\n"
+        "a = np.ones((256, 256), dtype=complex)\n"
+        "a @ a\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    ))
+    assert proc.returncode == 0 and proc.stdout.strip() == "1"
+
+
 def test_measure_run_and_determinism(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -1,15 +1,25 @@
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import gaussian_1d, gaussian_phase
 from kvnlab.errors import BoundaryMassError, GridMismatchError
 from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from kvnlab.operators import hamiltonian, koopman_generator, unified_generator
 from kvnlab.oscillator import kvn_tdho_evolve
-from kvnlab.propagation import _kicks, _theta_mean, evolve, evolve_many, kvn_step, propagate
+from kvnlab.propagation import (
+    _conj_symmetric,
+    _kicks,
+    _theta_mean,
+    evolve,
+    evolve_many,
+    kvn_step,
+    propagate,
+)
 from kvnlab.states import Wavefunction
 
 
@@ -639,3 +649,46 @@ def test_theta_mean_without_fft_matches_fft_formula():
         expected = (kq @ w_th) / w_th.sum()
         assert _theta_mean(amp, kq) == pytest.approx(expected, rel=1e-12, abs=0)
         assert _theta_mean(amp.astype(complex), kq) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def reference_conj_symmetric(arg, axis):
+    """Every bin but the Nyquist one against the conjugate of its mirror
+    bin, through full copies (the check as first written)."""
+    n = arg.shape[axis]
+    k = np.delete(np.arange(n), n // 2)
+    return np.array_equal(np.take(arg, k, axis), np.conj(np.take(arg, -k % n, axis)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(n=st.integers(8, 70), width=st.integers(1, 4), axis=st.sampled_from([0, 1]),
+       case=st.sampled_from(["symmetric", "nyquist", "asymmetric"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_conj_symmetric_matches_full_copy_reference(n, width, axis, case, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    a[0] = a[0].real
+    for k in range(1, n):  # bin n-k the conjugate of bin k; an even n's Nyquist bin real
+        a[n - k] = np.conj(a[k]) if 2 * k != n else a[k].real
+    if case == "nyquist" and n % 2 == 0:  # asymmetric in the one bin the check skips
+        a[n // 2] += 1j
+    if case == "asymmetric":
+        j = rng.choice([k for k in range(n) if 2 * k != n])
+        a[j, rng.integers(width)] += 1e-3j if j == 0 else 1e-3
+    arg = np.moveaxis(a, 0, axis)
+    assert _conj_symmetric(arg, axis) == reference_conj_symmetric(arg, axis)
+    assert _conj_symmetric(arg, axis) == (case != "asymmetric")
+
+
+def test_kvn_step_setup_holds_few_fields():
+    # kernelcheck's shear check: one free Koopman step on a tall 2048 x 64 grid
+    pg = PhaseGrid(Grid1D(2048, -32.0, 32.0), Grid1D(64, -4.0, 4.0))
+    psi = gaussian_phase(pg, p0=0.5, sigma_p=0.3)
+    G = koopman_generator(pg, lambda q: np.zeros_like(q))
+    tracemalloc.start()
+    try:
+        kvn_step(psi, G, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 3.6 complex fields; the symmetry check's full copies took it to 5.0
+    assert peak < 4 * 16 * pg.q.n * pg.p.n

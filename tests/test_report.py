@@ -2,8 +2,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kvnlab.report import _MARGIN, SVG_SIZE, ResultTable, read_table, svg_heatmap, svg_line_plot
+from kvnlab import report
+from kvnlab.report import (
+    _MARGIN,
+    SVG_SIZE,
+    ResultTable,
+    _distinct_format,
+    read_table,
+    svg_heatmap,
+    svg_line_plot,
+)
 
 PROV = {"config_hash": "0123456789abcdef", "code_version": "9.9"}
 
@@ -97,11 +107,38 @@ def reference_cells(mat):
     return cells
 
 
-def test_csv_rows_match_per_value_format(tmp_path):
-    rows = np.array([SPECIAL, SPECIAL[::-1], np.linspace(-1, 1, len(SPECIAL))])
-    ResultTable(list("abcdefg"), ["1"] * 7, rows, "demo", PROV).write_csv(tmp_path / "t.csv")
-    body = (tmp_path / "t.csv").read_text().splitlines()[5:]
-    assert body == [",".join(map("{:.17g}".format, row)) for row in rows.tolist()]
+SUBNORMAL = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3.3e-320]
+SIGNED_ZEROS = np.column_stack([np.tile([0.0, -0.0], 12), np.full(24, 1.5), np.arange(24.0) % 3])
+ROW_CASES = {  # rows, and whether they repeat enough to be formatted once per distinct value
+    "special": (np.array([SPECIAL, SPECIAL[::-1], np.linspace(-1, 1, len(SPECIAL))]), False),
+    "repeated": (np.tile(SPECIAL, (9, 2)), True),
+    "signed-zeros": (SIGNED_ZEROS, True),
+    "subnormal": (np.array([SUBNORMAL, np.multiply(SUBNORMAL, 3)]), False),
+    "subnormal-repeated": (np.tile(SUBNORMAL, (6, 1)), True),
+}
+
+
+def test_csv_rows_match_per_value_format(tmp_path, monkeypatch):
+    monkeypatch.setattr(report, "DISTINCT_MIN_CELLS", 0)  # small tables take either path
+    for case, (rows, repeats) in ROW_CASES.items():
+        assert (_distinct_format("%.17g", rows) is not None) == repeats, case
+        ncol = rows.shape[1]
+        out = tmp_path / f"{case}.csv"
+        ResultTable([f"c{j}" for j in range(ncol)], ["1"] * ncol, rows, "demo", PROV).write_csv(out)
+        body = out.read_text().splitlines()[5:]
+        assert body == [",".join(map("{:.17g}".format, row)) for row in rows.tolist()], case
+        _, back = read_table(out)
+        assert np.array_equal(np.signbit(back), np.signbit(rows)), case  # -0.0 apart from 0.0
+
+
+def test_only_large_tables_count_their_distinct_numbers():
+    repeated = np.tile([0.1, -0.0, 0.0], (report.DISTINCT_MIN_CELLS // 3 + 1, 1))
+    assert _distinct_format("%.17g", repeated[:-1]) is None  # one row short
+    cells = _distinct_format("%.17g", repeated)
+    assert cells.shape == repeated.shape
+    assert cells[-1].tolist() == ["0.10000000000000001", "-0", "0"]
+    distinct = np.arange(report.DISTINCT_MIN_CELLS, dtype=float).reshape(-1, 4)
+    assert _distinct_format("%.17g", distinct) is None
 
 
 @pytest.mark.parametrize("x, y", [
@@ -127,9 +164,55 @@ def test_polyline_points_match_per_point_map(tmp_path, x, y):
     -np.arange(12.0).reshape(3, 4),  # every cell at or below zero
     np.zeros((2, 3)),  # vmax 0 falls back to 1
     np.random.default_rng(3).standard_normal((40, 24)),
+    np.tile([[0.5, -0.25, 1.0], [0.0, -1.0, 0.5]], (20, 10)),  # repeated values
+    SIGNED_ZEROS,  # 0.0 and -0.0 in one column
+    np.array([SUBNORMAL, SUBNORMAL[::-1]]),  # vmax subnormal
+    np.vstack([np.tile(SUBNORMAL, (8, 1)), np.ones((1, 5))]),  # cells of ~1e-308 beside 1
 ])
 def test_heatmap_cells_match_per_cell_reference(tmp_path, mat):
     svg_heatmap(tmp_path / "h.svg", mat, (0, 1, 0, 1))
     lines = (tmp_path / "h.svg").read_text().splitlines()
     cells = [line for line in lines if 'fill="rgb(' in line]
     assert cells == reference_cells(mat)
+
+
+# --- both writers against the per-cell reference, on drawn inputs -----------
+
+FORMAT_PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+#: a few values, so that drawn cells repeat, among them -0.0 and a subnormal
+POOL = st.sampled_from([0.0, -0.0, 5e-324, 1.0, -2.5, 1 / 3, 255.0, 1e300])
+
+
+def drawn_row(n, finite=False):
+    values = POOL | (st.floats(-1e300, 1e300) if finite else st.floats())
+    return st.lists(values, min_size=n, max_size=n)
+
+
+@FORMAT_PROPERTY
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(drawn_row(n), min_size=1, max_size=12)))
+def test_write_csv_matches_per_cell_format(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("csv") / "t.csv"
+    ncol = len(rows[0])
+    for min_cells in (0, report.DISTINCT_MIN_CELLS):  # the counting path and the row-wise one
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report, "DISTINCT_MIN_CELLS", min_cells)
+            ResultTable(["c"] * ncol, ["1"] * ncol, rows, "demo", PROV).write_csv(out)
+        assert out.read_text().splitlines()[5:] == [",".join("%.17g" % v for v in row)
+                                                    for row in rows]
+
+
+@FORMAT_PROPERTY
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(drawn_row(n, finite=True), min_size=1,
+                                                      max_size=12)))
+def test_heatmap_matches_per_cell_reference(tmp_path_factory, rows):
+    mat = np.array(rows)
+    out = tmp_path_factory.mktemp("svg") / "h.svg"
+    svg_heatmap(out, mat, (0, 1, 0, 1))
+    assert [line for line in out.read_text().splitlines() if 'fill="rgb(' in line] == \
+        reference_cells(mat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_heatmap_refuses_a_non_finite_matrix(tmp_path, bad):
+    with pytest.raises(ValueError):
+        svg_heatmap(tmp_path / "h.svg", np.array([[1.0, bad]]), (0, 1, 0, 1))
