@@ -18,6 +18,11 @@ also rounds differently at each thread count, so one thread keeps the
 tables byte-identical whatever CPUs a run gets.  The setting only takes
 effect when kvnlab is imported before numpy; set the variable yourself to
 choose another count (``OPENBLAS_NUM_THREADS=2 kvnlab run config.json``).
+The variables stay in ``os.environ``: a program that imports kvnlab passes
+them on to every process it starts afterwards, numpy jobs that are not
+kvnlab's included, even where its own numpy was loaded first and the
+setting had no effect on it.  Give such a child its own environment to run
+it otherwise.
 """
 
 import os

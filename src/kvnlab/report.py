@@ -10,14 +10,13 @@ wall time are reported on stdout, never written into the tables.
 
 A float costs about a microsecond to format to 17 digits, so the writers
 format each distinct number once where numbers repeat.  A table of at least
-``DISTINCT_MIN_CELLS`` cells, at most half of which hold distinct bit
-patterns, has each pattern formatted once and the strings placed by index;
-keying on bit patterns keeps -0.0 apart from 0.0.  Other tables are
-formatted row by row: below that size the count itself (a sort, in numpy
-code a run may otherwise never touch) costs more than it can save.  A
-heatmap formats each of its cell x's and y's once and picks each cell's
-fill from the 2 x 256 it can have.  Either way the bytes are those of
-formatting every value in place.
+``DISTINCT_MIN_CELLS`` cells has each distinct bit pattern formatted once
+and the strings placed by index; keying on bit patterns keeps -0.0 apart
+from 0.0.  Smaller tables are formatted row by row: for them the sort that
+finds the distinct patterns (numpy code a run may otherwise never touch)
+costs more than it can save.  A heatmap formats each of its cell x's and
+y's once and picks each cell's fill from the 2 x 256 it can have.  Either
+way the bytes are those of formatting every value in place.
 
 SVG plots are generated directly (no plotting toolkit): polyline charts for
 curves and rect rasters for matrices, both 960x540.
@@ -35,7 +34,7 @@ import numpy as np
 SVG_SIZE = (960, 540)
 #: cells per axis beyond which ``svg_heatmap`` strides its matrix down
 HEATMAP_MAX_CELLS = 128
-#: cells from which ``write_csv`` counts a table's distinct numbers
+#: cells from which ``write_csv`` formats each distinct number of a table once
 DISTINCT_MIN_CELLS = 1 << 15
 _MARGIN = 60
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -75,7 +74,7 @@ class ResultTable:
             f"# columns: {','.join(self.columns)}",
             f"# units: {','.join(self.units)}",
         ]
-        cells = _distinct_format("%.17g", self.rows)
+        cells = _distinct_format(self.rows)
         if cells is None:
             row = ",".join(["%.17g"] * self.rows.shape[1])
             lines += [row % values for values in map(tuple, self.rows.tolist())]
@@ -110,20 +109,15 @@ def _map(v, lo, hi, out_lo, out_hi):
     return out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def _distinct_format(spec: str, values: np.ndarray) -> np.ndarray | None:
-    """``spec % v`` for each float of ``values``, as an object array of its
+def _distinct_format(values: np.ndarray) -> np.ndarray | None:
+    """``"%.17g" % v`` for each float of ``values``, as an object array of its
     shape, each distinct bit pattern formatted once; None for fewer than
-    ``DISTINCT_MIN_CELLS`` values or when more than half of them are
-    distinct, for which formatting each in place is cheaper."""
+    ``DISTINCT_MIN_CELLS`` values, which are cheaper to format in place."""
     if values.size < DISTINCT_MIN_CELLS:
         return None
     bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
-    # count first with a plain sort, which allocates less than np.unique
-    ordered = np.sort(bits, axis=None)
-    if 2 * (np.count_nonzero(ordered[1:] != ordered[:-1]) + 1) > ordered.size:
-        return None
     distinct, inverse = np.unique(bits, return_inverse=True)
-    strings = np.array([spec % v for v in distinct.view(float).tolist()], dtype=object)
+    strings = np.array(["%.17g" % v for v in distinct.view(float).tolist()], dtype=object)
     return strings[inverse.reshape(bits.shape)]
 
 

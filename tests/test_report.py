@@ -109,36 +109,39 @@ def reference_cells(mat):
 
 SUBNORMAL = [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3.3e-320]
 SIGNED_ZEROS = np.column_stack([np.tile([0.0, -0.0], 12), np.full(24, 1.5), np.arange(24.0) % 3])
-ROW_CASES = {  # rows, and whether they repeat enough to be formatted once per distinct value
-    "special": (np.array([SPECIAL, SPECIAL[::-1], np.linspace(-1, 1, len(SPECIAL))]), False),
-    "repeated": (np.tile(SPECIAL, (9, 2)), True),
-    "signed-zeros": (SIGNED_ZEROS, True),
-    "subnormal": (np.array([SUBNORMAL, np.multiply(SUBNORMAL, 3)]), False),
-    "subnormal-repeated": (np.tile(SUBNORMAL, (6, 1)), True),
+ROW_CASES = {
+    "special": np.array([SPECIAL, SPECIAL[::-1], np.linspace(-1, 1, len(SPECIAL))]),
+    "repeated": np.tile(SPECIAL, (9, 2)),
+    "signed-zeros": SIGNED_ZEROS,
+    "subnormal": np.array([SUBNORMAL, np.multiply(SUBNORMAL, 3)]),
+    "subnormal-repeated": np.tile(SUBNORMAL, (6, 1)),
 }
 
 
 def test_csv_rows_match_per_value_format(tmp_path, monkeypatch):
-    monkeypatch.setattr(report, "DISTINCT_MIN_CELLS", 0)  # small tables take either path
-    for case, (rows, repeats) in ROW_CASES.items():
-        assert (_distinct_format("%.17g", rows) is not None) == repeats, case
-        ncol = rows.shape[1]
-        out = tmp_path / f"{case}.csv"
-        ResultTable([f"c{j}" for j in range(ncol)], ["1"] * ncol, rows, "demo", PROV).write_csv(out)
-        body = out.read_text().splitlines()[5:]
-        assert body == [",".join(map("{:.17g}".format, row)) for row in rows.tolist()], case
-        _, back = read_table(out)
-        assert np.array_equal(np.signbit(back), np.signbit(rows)), case  # -0.0 apart from 0.0
+    for min_cells in (0, report.DISTINCT_MIN_CELLS):  # each distinct value once, then row-wise
+        monkeypatch.setattr(report, "DISTINCT_MIN_CELLS", min_cells)
+        for case, rows in ROW_CASES.items():
+            assert (_distinct_format(rows) is None) == (min_cells > 0), case
+            ncol = rows.shape[1]
+            out = tmp_path / f"{case}.csv"
+            ResultTable([f"c{j}" for j in range(ncol)], ["1"] * ncol, rows, "demo",
+                        PROV).write_csv(out)
+            body = out.read_text().splitlines()[5:]
+            assert body == [",".join(map("{:.17g}".format, row)) for row in rows.tolist()], case
+            _, back = read_table(out)
+            assert np.array_equal(np.signbit(back), np.signbit(rows)), case  # -0.0 stays signed
 
 
-def test_only_large_tables_count_their_distinct_numbers():
+def test_only_large_tables_format_each_distinct_number_once():
     repeated = np.tile([0.1, -0.0, 0.0], (report.DISTINCT_MIN_CELLS // 3 + 1, 1))
-    assert _distinct_format("%.17g", repeated[:-1]) is None  # one row short
-    cells = _distinct_format("%.17g", repeated)
+    assert _distinct_format(repeated[:-1]) is None  # one row short
+    cells = _distinct_format(repeated)
     assert cells.shape == repeated.shape
     assert cells[-1].tolist() == ["0.10000000000000001", "-0", "0"]
-    distinct = np.arange(report.DISTINCT_MIN_CELLS, dtype=float).reshape(-1, 4)
-    assert _distinct_format("%.17g", distinct) is None
+    distinct = np.arange(report.DISTINCT_MIN_CELLS, dtype=float).reshape(-1, 4) / 3
+    assert _distinct_format(distinct).tolist() == [["%.17g" % v for v in row]
+                                                   for row in distinct.tolist()]
 
 
 @pytest.mark.parametrize("x, y", [
@@ -193,7 +196,7 @@ def drawn_row(n, finite=False):
 def test_write_csv_matches_per_cell_format(tmp_path_factory, rows):
     out = tmp_path_factory.mktemp("csv") / "t.csv"
     ncol = len(rows[0])
-    for min_cells in (0, report.DISTINCT_MIN_CELLS):  # the counting path and the row-wise one
+    for min_cells in (0, report.DISTINCT_MIN_CELLS):  # each distinct value once, and row-wise
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(report, "DISTINCT_MIN_CELLS", min_cells)
             ResultTable(["c"] * ncol, ["1"] * ncol, rows, "demo", PROV).write_csv(out)
