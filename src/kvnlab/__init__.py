@@ -57,12 +57,9 @@ from .propagation import Trajectory, evolve, kvn_step
 from .states import (
     DensityMatrix,
     Wavefunction,
-    born_density,
     dephase,
     expectation,
-    inner_product,
     measure_probability,
-    purity,
 )
 
 __all__ = [
@@ -72,10 +69,7 @@ __all__ = [
     "wavenumbers",
     "Wavefunction",
     "DensityMatrix",
-    "inner_product",
     "expectation",
-    "born_density",
-    "purity",
     "measure_probability",
     "dephase",
     "GridOperator",

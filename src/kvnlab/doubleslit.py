@@ -158,11 +158,7 @@ def _check_edges(mass: float, limit: float) -> None:
         )
 
 
-def run_quantum(
-    cfg: SlitConfig,
-    which: int | None = None,
-    boundary_limit: float = APERTURE_BOUNDARY_LIMIT,
-) -> ScreenResult:
+def run_quantum(cfg: SlitConfig, which: int | None = None) -> ScreenResult:
     """Quantum screen density at t_R (optionally with one slit covered)."""
     g = cfg.x_grid
     amp = np.exp(-g.points**2 / (2 * cfg.sigma_x**2)).astype(complex)
@@ -176,7 +172,7 @@ def run_quantum(
     rho = np.abs(at_screen.amplitudes) ** 2
     rho = rho / (np.sum(rho) * g.dx)
     edge = edge_mass(rho * g.dx)
-    _check_edges(edge, boundary_limit)
+    _check_edges(edge, APERTURE_BOUNDARY_LIMIT)
     return ScreenResult(g.points.copy(), rho, weight, edge)
 
 

@@ -19,8 +19,6 @@ so each can check the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import Generator
@@ -36,23 +34,9 @@ PSI0 = np.array([0.5, SQ34], dtype=complex)
 AB_BASIS = np.array([[HALF, HALF], [HALF, -HALF]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class TwoLevelSystem:
-    """Energy eigenvalues +/- hbar*omega (hbar = 1) in the (|+>, |->) basis."""
-
-    omega: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
-
-    def evolve_pure(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """Exact evolution: componentwise phases exp(-/+ i omega t)."""
-        phases = np.exp(np.array([-1j, 1j]) * self.omega * t)
-        return phases * np.asarray(psi, dtype=complex)
-
-    def evolution_matrix(self, t: float) -> np.ndarray:
-        return np.diag(np.exp(np.array([-1j, 1j]) * self.omega * t))
+def _evolution(t: float) -> np.ndarray:
+    """Diagonal of exp(-iHt) in the (|+>, |->) basis, hbar = omega = 1."""
+    return np.exp(np.array([-1j, 1j]) * t)
 
 
 def p_a_unmeasured(omega_tau: float) -> float:
@@ -67,16 +51,14 @@ def p_a_nonselective(omega_tau: float) -> float:
 
 def simulate_p_a_unmeasured(omega_tau: float) -> float:
     """Explicit 2x2 simulation of the undisturbed readout."""
-    sys = TwoLevelSystem(omega=1.0)
-    psi = sys.evolve_pure(PSI0, 2.0 * omega_tau)
+    psi = _evolution(2.0 * omega_tau) * PSI0
     a = AB_BASIS[:, 0]
     return float(np.abs(a.conj() @ psi) ** 2)
 
 
 def simulate_p_a_nonselective(omega_tau: float) -> float:
     """Density-matrix simulation: evolve, dephase in {a, b} at tau, evolve, read."""
-    sys = TwoLevelSystem(omega=1.0)
-    U = sys.evolution_matrix(omega_tau)
+    U = np.diag(_evolution(omega_tau))
     rho = pure_density(PSI0)
     rho_tau = DensityMatrix(U @ rho.entries @ U.conj().T)
     rho_tau = dephase(rho_tau, AB_BASIS)

@@ -39,7 +39,6 @@ class ErmakovState:
     rho: float
     rho_dot: float
     C: float = 1.0
-    t: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rho <= 0:
@@ -56,42 +55,48 @@ class ErmakovTrajectory:
     C: float
 
 
-def _rk4(rhs, x: float, y: float, t: float, dt: float) -> tuple[float, float]:
-    """One classical RK4 step of the pair (x, y) under ``rhs(t, x, y) -> (x', y')``.
+def _rk4_series(rhs, x0: float, y0: float, t_final: float, dt: float, check=None):
+    """Classical RK4 steps of the pair (x, y) under ``rhs(t, x, y) -> (x', y')``
+    from t = 0 to ``t_final``: the sample times and both series, as arrays.
+    ``check(t, x, y)``, if given, sees each new sample and may raise.
 
     The pair and the rates are Python floats: numpy scalars would give the
     same bits at several times the cost per operation."""
-    h = 0.5 * dt
-    a1, b1 = rhs(t, x, y)
-    a2, b2 = rhs(t + h, x + h * a1, y + h * b1)
-    a3, b3 = rhs(t + h, x + h * a2, y + h * b2)
-    a4, b4 = rhs(t + dt, x + dt * a3, y + dt * b3)
-    s = dt / 6.0
-    return x + s * (a1 + 2 * a2 + 2 * a3 + a4), y + s * (b1 + 2 * b2 + 2 * b3 + b4)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    ts = dt * np.arange(int(round(t_final / dt)) + 1)
+    times = ts.tolist()
+    x, y = float(x0), float(y0)
+    xs, ys = [x], [y]
+    h, s = 0.5 * dt, dt / 6.0
+    for t, t_next in zip(times, times[1:]):
+        a1, b1 = rhs(t, x, y)
+        a2, b2 = rhs(t + h, x + h * a1, y + h * b1)
+        a3, b3 = rhs(t + h, x + h * a2, y + h * b2)
+        a4, b4 = rhs(t + dt, x + dt * a3, y + dt * b3)
+        x, y = x + s * (a1 + 2 * a2 + 2 * a3 + a4), y + s * (b1 + 2 * b2 + 2 * b3 + b4)
+        if check is not None:
+            check(t_next, x, y)
+        xs.append(x)
+        ys.append(y)
+    return ts, np.array(xs), np.array(ys)
 
 
 def integrate_ermakov(
     k: Stiffness, init: ErmakovState, t_final: float, dt: float
 ) -> ErmakovTrajectory:
     """Integrate the auxiliary equation, aborting if rho approaches zero."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n = int(round((t_final - init.t) / dt))
     C = init.C
 
     def rhs(t, rho, rho_dot):
         return rho_dot, C / rho**3 - float(k(t)) * rho
 
-    ts = init.t + dt * np.arange(n + 1)
-    times = ts.tolist()
-    rho, rho_dot = [float(init.rho)], [float(init.rho_dot)]
-    for i in range(n):
-        x, y = _rk4(rhs, rho[i], rho_dot[i], times[i], dt)
-        if x <= 10 * dt * abs(y) or x <= 1e-12:
-            raise PhysicsError(f"auxiliary amplitude approaching zero at t={times[i + 1]:.6g}")
-        rho.append(x)
-        rho_dot.append(y)
-    return ErmakovTrajectory(ts, np.array(rho), np.array(rho_dot), C)
+    def check(t, rho, rho_dot):
+        if rho <= 10 * dt * abs(rho_dot) or rho <= 1e-12:
+            raise PhysicsError(f"auxiliary amplitude approaching zero at t={t:.6g}")
+
+    ts, rho, rho_dot = _rk4_series(rhs, init.rho, init.rho_dot, t_final, dt, check)
+    return ErmakovTrajectory(ts, rho, rho_dot, C)
 
 
 @dataclass
@@ -105,21 +110,11 @@ def solve_classical_tdho(
     k: Stiffness, q0: float, p0: float, t_final: float, dt: float
 ) -> ClassicalTrajectory:
     """Characteristics q' = p, p' = -k(t) q (unit mass) by fixed-step RK4."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n = int(round(t_final / dt))
-    ts = dt * np.arange(n + 1)
 
     def rhs(t, q, p):
         return p, -float(k(t)) * q
 
-    times = ts.tolist()
-    q, p = [float(q0)], [float(p0)]
-    for i in range(n):
-        x, y = _rk4(rhs, q[i], p[i], times[i], dt)
-        q.append(x)
-        p.append(y)
-    return ClassicalTrajectory(ts, np.array(q), np.array(p))
+    return ClassicalTrajectory(*_rk4_series(rhs, q0, p0, t_final, dt))
 
 
 def lewis_invariant_classical(q, p, rho, rho_dot) -> np.ndarray | float:

@@ -51,7 +51,7 @@ class ResultTable:
     units: list[str]
     rows: np.ndarray  # (n_rows, n_cols)
     experiment: str
-    provenance: dict = field(default_factory=dict)  # config_hash, code_version, wall_time_s
+    provenance: dict = field(default_factory=dict)  # config_hash, code_version
     extra_meta: list[str] = field(default_factory=list)  # "key: value" lines after config_hash
 
     def __post_init__(self) -> None:
@@ -83,21 +83,6 @@ class ResultTable:
         path.write_text("\n".join(lines) + "\n")
 
 
-def read_table(path: Path) -> tuple[dict, np.ndarray]:
-    """Read back a table written by :meth:`ResultTable.write_csv`."""
-    meta: dict = {}
-    rows = []
-    for line in path.read_text().splitlines():
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, value = body.split(":", 1)
-                meta[key.strip()] = value.strip()
-        elif line.strip():
-            rows.append([float(v) for v in line.split(",")])
-    return meta, np.array(rows)
-
-
 # ---------------------------------------------------------------------------
 # SVG
 
@@ -127,10 +112,19 @@ def _format(template: str, sep: str, *columns: np.ndarray) -> str:
     return sep.join([template] * len(columns[0])) % tuple(values)
 
 
-def _axes(x_label: str, y_label: str, xlim, ylim) -> list[str]:
+def _write_svg(path: Path, title: str, x_label: str, y_label: str, xlim, ylim,
+               under=(), over=()) -> None:
+    """A white SVG_SIZE page at ``path``: its title, the elements ``under``,
+    the plot frame with its labels and ticks over ``xlim`` x ``ylim``, then
+    the elements ``over``."""
     w, h = SVG_SIZE
     m = _MARGIN
     parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="0 0 {w} {h}">',
+        f'<rect width="{w}" height="{h}" fill="white"/>',
+        f'<text x="{w // 2}" y="28" text-anchor="middle" font-size="16">{title}</text>',
+        *under,
         f'<rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
         f'<text x="{w // 2}" y="{h - 12}" text-anchor="middle" '
@@ -151,7 +145,9 @@ def _axes(x_label: str, y_label: str, xlim, ylim) -> list[str]:
             f'<text x="{m - 6}" y="{py:.1f}" text-anchor="end" '
             f'font-size="11">{yv:.4g}</text>'
         )
-    return parts
+    parts += over
+    parts.append("</svg>")
+    path.write_text("\n".join(parts) + "\n")
 
 
 def svg_line_plot(
@@ -169,26 +165,19 @@ def svg_line_plot(
     ylim = (float(np.min(ys)), float(np.max(ys)))
     if ylim[0] == ylim[1]:
         ylim = (ylim[0] - 1.0, ylim[1] + 1.0)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<text x="{w // 2}" y="28" text-anchor="middle" font-size="16">{title}</text>',
-    ]
-    parts += _axes(x_label, y_label, xlim, ylim)
+    curves = []
     px = _map(np.asarray(x, dtype=float), *xlim, m, w - m)
     for i, (label, y) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
         pts = _format("%.2f,%.2f", " ", px, _map(np.asarray(y, dtype=float), *ylim, h - m, m))
-        parts.append(
+        curves.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        parts.append(
+        curves.append(
             f'<text x="{w - m - 8}" y="{m + 18 + 16 * i}" text-anchor="end" '
             f'font-size="12" fill="{color}">{label}</text>'
         )
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    _write_svg(path, title, x_label, y_label, xlim, ylim, over=curves)
 
 
 def svg_heatmap(
@@ -212,12 +201,6 @@ def svg_heatmap(
     nx, ny = mat.shape
     cw = (w - 2 * m) / nx
     ch = (h - 2 * m) / ny
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="0 0 {w} {h}">',
-        f'<rect width="{w}" height="{h}" fill="white"/>',
-        f'<text x="{w // 2}" y="28" text-anchor="middle" font-size="16">{title}</text>',
-    ]
     # cell (i, j) at x = m + i cw, y = h - m - (j + 1) ch; red above 0, blue
     # below, faded to white as 255 (1 - |v|) truncated, v the cell over vmax
     # (a fade level 0..255); each x, y and fill is formatted once
@@ -227,10 +210,8 @@ def svg_heatmap(
                      + [f"rgb({k},{k},255)" for k in range(256)], dtype=object)
     xs = np.array(["%.2f" % x for x in (m + np.arange(nx) * cw).tolist()], dtype=object)
     ys = np.array(["%.2f" % y for y in (h - m - np.arange(1, ny + 1) * ch).tolist()], dtype=object)
-    parts.append(_format(
+    cells = _format(
         f'<rect x="%s" y="%s" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" fill="%s"/>', "\n",
         np.repeat(xs, ny), np.tile(ys, nx), fills[level + 256 * (v < 0)],
-    ))
-    parts += _axes(x_label, y_label, extent[:2], extent[2:])
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    )
+    _write_svg(path, title, x_label, y_label, extent[:2], extent[2:], under=[cells])

@@ -1,4 +1,4 @@
-"""Wavefunctions, density matrices, inner products and expectation values.
+"""Wavefunctions, density matrices and expectation values.
 
 One state type, ``Wavefunction``, serves both mechanics: psi(q) on a ``Grid1D``
 or psi(q, p) on a ``PhaseGrid``, its shape and cell measure read from the grid.
@@ -51,25 +51,6 @@ def _require_same_grid(a, b) -> None:
         raise GridMismatchError("states or operators live on different grids")
 
 
-def inner_product(phi: Wavefunction, psi: Wavefunction) -> complex:
-    """<phi|psi> with the grid measure.
-
-    Real and imaginary parts are accumulated separately so that swapping the
-    arguments conjugates the result bit-for-bit (vectorized complex products
-    do not guarantee that).
-    """
-    _require_same_grid(phi, psi)
-    a, b = phi.amplitudes, psi.amplitudes
-    re = np.sum(a.real * b.real + a.imag * b.imag)
-    im = np.sum(a.real * b.imag - a.imag * b.real)
-    return complex(re * phi.measure, im * phi.measure)
-
-
-def born_density(psi: Wavefunction) -> np.ndarray:
-    """Pointwise probability density |psi|^2 (unit total mass for a normalized state)."""
-    return np.abs(psi.amplitudes) ** 2
-
-
 def expectation(op, psi: Wavefunction) -> complex:
     """<psi| op |psi> for a normalized state on ``op``'s grid (else GridMismatchError).
 
@@ -116,11 +97,6 @@ def pure_density(psi: np.ndarray) -> DensityMatrix:
     v = np.asarray(psi, dtype=complex)
     v = v / np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr rho^2; 1 for pure states, down to 1/dim for maximally mixed ones."""
-    return float(np.real(np.trace(rho.entries @ rho.entries)))
 
 
 def measure_probability(rho: DensityMatrix, a: np.ndarray) -> float:

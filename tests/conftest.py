@@ -1,10 +1,35 @@
 from collections import Counter
+from pathlib import Path
+
+# kvnlab before numpy: importing kvnlab sets BLAS to one thread, as in every
+# kvnlab run, and the setting only holds if numpy is not yet loaded
+from kvnlab.grid import Grid1D, PhaseGrid
+from kvnlab.states import Wavefunction
 
 import numpy as np
 import pytest
 
-from kvnlab.grid import Grid1D, PhaseGrid
-from kvnlab.states import Wavefunction
+
+def read_table(path: Path) -> tuple[dict, np.ndarray]:
+    """The ``key: value`` metadata and the rows of a table written by
+    ``ResultTable.write_csv``."""
+    meta: dict = {}
+    rows = []
+    for line in path.read_text().splitlines():
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if ":" in body:
+                key, value = body.split(":", 1)
+                meta[key.strip()] = value.strip()
+        elif line.strip():
+            rows.append([float(v) for v in line.split(",")])
+    return meta, np.array(rows)
+
+
+def purity(rho) -> float:
+    """Tr rho^2 of a ``DensityMatrix``: 1 for a pure state, down to 1/dim
+    for a maximally mixed one."""
+    return float(np.real(np.trace(rho.entries @ rho.entries)))
 
 
 def gaussian_1d(grid, center=0.0, sigma=1.0, k0=0.0, hbar=1.0):

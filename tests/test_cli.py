@@ -9,14 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import gaussian_phase
+from conftest import gaussian_phase, read_table
 import kvnlab.cli as cli
 from kvnlab.analysis import ehrenfest_residuals
 from kvnlab.cli import SPECS, _pmap, _workers, load_config, main
 from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.operators import koopman_generator, unified_generator
 from kvnlab.propagation import evolve, evolve_many
-from kvnlab.report import ResultTable, read_table, svg_heatmap, svg_line_plot
+from kvnlab.report import ResultTable, svg_heatmap, svg_line_plot
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -19,11 +19,15 @@ import sys
 import tempfile
 from pathlib import Path
 
+# kvnlab before numpy, also when run as a script: importing kvnlab sets BLAS
+# to one thread, as in every kvnlab run, which only holds if numpy is not yet
+# loaded
+from kvnlab.cli import SPECS, main
+
 import numpy as np
 import pytest
 
-from kvnlab.cli import SPECS, main
-from kvnlab.report import read_table
+from conftest import read_table
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 THIN = 8  # wigner.csv keeps rows and columns 0, 8, 16, ...

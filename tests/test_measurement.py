@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_1d, gaussian_phase
+from conftest import gaussian_1d, gaussian_phase, purity
 from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.measurement import (
     AB_BASIS,
     PSI0,
     SQ34,
-    TwoLevelSystem,
+    _evolution,
     p_a_nonselective,
     p_a_unmeasured,
     phase_discard_disturbance,
@@ -15,27 +15,24 @@ from kvnlab.measurement import (
     simulate_p_a_unmeasured,
 )
 from kvnlab.operators import hamiltonian, koopman_generator
-from kvnlab.states import dephase, measure_probability, pure_density, purity
+from kvnlab.states import dephase, measure_probability, pure_density
 
 
 def test_evolve_pure_identity_at_zero():
-    sys = TwoLevelSystem(omega=1.3)
-    np.testing.assert_allclose(sys.evolve_pure(PSI0, 0.0), PSI0, atol=1e-15)
+    np.testing.assert_array_equal(_evolution(0.0) * PSI0, PSI0)
 
 
 def test_evolve_pure_global_phase_on_eigenstate():
-    sys = TwoLevelSystem(omega=2.0)
     plus = np.array([1.0, 0.0], dtype=complex)
-    out = sys.evolve_pure(plus, 0.7)
-    assert out[0] == pytest.approx(np.exp(-1j * 2.0 * 0.7), abs=1e-14)
+    out = _evolution(0.7) * plus
+    assert out[0] == pytest.approx(np.exp(-1j * 0.7), abs=1e-14)
     assert abs(out[1]) == 0.0
     assert abs(np.abs(out[0]) - 1.0) < 1e-14
 
 
 def test_evolved_superposition_coefficients():
-    sys = TwoLevelSystem(omega=1.0)
     tau = 0.37
-    out = sys.evolve_pure(PSI0, 2 * tau)
+    out = _evolution(2 * tau) * PSI0
     assert out[0] == pytest.approx(0.5 * np.exp(-2j * tau), abs=1e-14)
     assert out[1] == pytest.approx(SQ34 * np.exp(2j * tau), abs=1e-14)
 
@@ -78,7 +75,7 @@ def test_measurable_disturbance_at_quarter_pi():
 def weights_at_tau(omega_tau):
     """Populations of |a> and |b> after the unread collapse at tau: the
     diagonal of the dephased two-level state."""
-    rho = dephase(pure_density(TwoLevelSystem().evolve_pure(PSI0, omega_tau)), AB_BASIS)
+    rho = dephase(pure_density(_evolution(omega_tau) * PSI0), AB_BASIS)
     return measure_probability(rho, AB_BASIS[:, 0]), measure_probability(rho, AB_BASIS[:, 1])
 
 
@@ -111,12 +108,10 @@ def test_interval_bounds_and_coincidence_points():
 
 def test_nonselective_purity_degenerate_iff_cos_is_unit():
     for omega_tau in (0.0, np.pi / 2):
-        rho = dephase(
-            pure_density(TwoLevelSystem().evolve_pure(PSI0, omega_tau)), AB_BASIS
-        )
+        rho = dephase(pure_density(_evolution(omega_tau) * PSI0), AB_BASIS)
         assert abs(np.cos(2 * omega_tau)) == pytest.approx(1.0, abs=1e-12)
         assert purity(rho) < 1.0  # weights (1±sq34)/2 are not 0/1: still mixed
-    rho = dephase(pure_density(TwoLevelSystem().evolve_pure(PSI0, np.pi / 4)), AB_BASIS)
+    rho = dephase(pure_density(_evolution(np.pi / 4) * PSI0), AB_BASIS)
     assert purity(rho) == pytest.approx(0.5, abs=1e-12)
 
 

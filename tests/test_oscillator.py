@@ -95,6 +95,74 @@ def test_classical_richardson_convergence():
     assert abs(a.q[-1] - b.q[-1]) < 1e-7
 
 
+# --- one RK4 loop for both integrators ---------------------------------------
+
+
+def _reference_rk4(rhs, x, y, t, dt):
+    """The one RK4 step both integrators took before they shared a loop."""
+    h = 0.5 * dt
+    a1, b1 = rhs(t, x, y)
+    a2, b2 = rhs(t + h, x + h * a1, y + h * b1)
+    a3, b3 = rhs(t + h, x + h * a2, y + h * b2)
+    a4, b4 = rhs(t + dt, x + dt * a3, y + dt * b3)
+    s = dt / 6.0
+    return x + s * (a1 + 2 * a2 + 2 * a3 + a4), y + s * (b1 + 2 * b2 + 2 * b3 + b4)
+
+
+def _reference_ermakov(k, rho0, rho_dot0, C, t_final, dt):
+    """``integrate_ermakov``'s former loop: times, rho, rho'.  Its start
+    time, an ``ErmakovState`` field no caller set, is the 0.0 here."""
+    def rhs(t, rho, rho_dot):
+        return rho_dot, C / rho**3 - float(k(t)) * rho
+
+    ts = 0.0 + dt * np.arange(int(round((t_final - 0.0) / dt)) + 1)
+    times = ts.tolist()
+    rho, rho_dot = [float(rho0)], [float(rho_dot0)]
+    for i in range(len(times) - 1):
+        x, y = _reference_rk4(rhs, rho[i], rho_dot[i], times[i], dt)
+        if x <= 10 * dt * abs(y) or x <= 1e-12:
+            raise PhysicsError(f"auxiliary amplitude approaching zero at t={times[i + 1]:.6g}")
+        rho.append(x)
+        rho_dot.append(y)
+    return ts, np.array(rho), np.array(rho_dot)
+
+
+def _reference_characteristics(k, q0, p0, t_final, dt):
+    """``solve_classical_tdho``'s former loop: times, q, p."""
+    def rhs(t, q, p):
+        return p, -float(k(t)) * q
+
+    ts = dt * np.arange(int(round(t_final / dt)) + 1)
+    times = ts.tolist()
+    q, p = [float(q0)], [float(p0)]
+    for i in range(len(times) - 1):
+        x, y = _reference_rk4(rhs, q[i], p[i], times[i], dt)
+        q.append(x)
+        p.append(y)
+    return ts, np.array(q), np.array(p)
+
+
+def test_shared_rk4_loop_gives_the_former_bits():
+    aux = integrate_ermakov(wobble, ErmakovState(rho=1.0, rho_dot=0.0, C=1.0), 10.0, 4e-3)
+    cl = solve_classical_tdho(wobble, 1.0, 0.0, 10.0, 4e-3)
+    for got, want in zip(
+        ((aux.t, aux.rho, aux.rho_dot), (cl.t, cl.q, cl.p)),
+        (_reference_ermakov(wobble, 1.0, 0.0, 1.0, 10.0, 4e-3),
+         _reference_characteristics(wobble, 1.0, 0.0, 10.0, 4e-3)),
+    ):
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_shared_rk4_loop_stops_a_collapse_at_the_former_time():
+    k = lambda t: 100.0
+    with pytest.raises(PhysicsError) as want:
+        _reference_ermakov(k, 1.0, -10.0, 1e-8, 2.0, 1e-3)
+    with pytest.raises(PhysicsError) as got:
+        integrate_ermakov(k, ErmakovState(rho=1.0, rho_dot=-10.0, C=1e-8), 2.0, 1e-3)
+    assert str(got.value) == str(want.value)
+
+
 # --- invariant ---------------------------------------------------------------
 
 

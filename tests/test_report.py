@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import read_table
 from kvnlab import report
 from kvnlab.report import (
     _MARGIN,
     SVG_SIZE,
     ResultTable,
     _distinct_format,
-    read_table,
     svg_heatmap,
     svg_line_plot,
 )

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from conftest import read_table
 from kvnlab.cli import SPECS, Choice, Grid, Int, ListOf, Num, load_config, main
-from kvnlab.report import read_table
 
 #: Experiments cheap enough to run on every drawn config, once their grids are small.
 CHEAP = ("measure", "uncertainty", "aharonov-bohm", "wigner", "kernelcheck")
