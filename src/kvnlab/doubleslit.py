@@ -28,6 +28,18 @@ is real (always, without ``phase``) is sheared as a real field on
 rfft/irfft, with the factors over rows 0..n/2 only (see
 :mod:`kvnlab.kernels`).
 
+A slab whose source holds exactly zero float64 probability (sum|amp|^2 ==
+0.0) is skipped: it builds no factors and runs no shear.  Its amplitudes may
+still be nonzero (1e-200 and below at the default grid's edge slabs), but
+the shear is unitary per column, so it could put at most n * 2^-1075 on the
+screen, which every sum it would join absorbs; its transforms would run on
+subnormal numbers, several times slower than on a live slab.  The slabs keep
+their boundaries at multiples of ``SLAB_COLUMNS``, so the live ones are
+summed in the same grouping as without the skip, and a NaN source is not
+skipped, so it still trips the edge check.  When no slab is live, the grids
+hold none of the source and ``PhysicsError`` names ``p_grid`` and
+``sigma_p`` before any normalisation divides by the zero mass.
+
 Both runs refuse an aperture that passes less than
 ``MIN_TRANSMITTED_WEIGHT`` of the beam: the screen density behind it would
 be round-off renormalised into fringes.
@@ -198,8 +210,11 @@ def kvn_screens(
         amp = np.exp(-(Q**2) / (2 * cfg.sigma_x**2) - P**2 / (2 * cfg.sigma_p**2))
         if phase is not None:
             amp = real_if_real(amp * np.exp(1j * phase(Q, P)))
+        slab_mass = np.sum(np.abs(amp) ** 2)
+        if slab_mass == 0.0:  # no float64 probability: nothing to shear (a NaN is kept)
+            continue
+        source_mass += slab_mass
         real = np.isrealobj(amp)
-        source_mass += np.sum(np.abs(amp) ** 2)
         at_wall = shear(amp, shear_factor(q, P[0], cfg.t_M, cfg.mass, real))
         to_screen = shear_factor(q, P[0], cfg.t_R - cfg.t_M, cfg.mass, real)
         for i, mask in enumerate(masks):
@@ -208,6 +223,12 @@ def kvn_screens(
             rho = np.abs(shear(masked, to_screen)) ** 2
             marginal[i] += rho.sum(axis=1)
             interior[i, cols] = rho[c:-c].sum(axis=0)
+    if source_mass == 0.0:
+        raise PhysicsError(
+            f"the source (sigma_x={cfg.sigma_x:g}, sigma_p={cfg.sigma_p:g}) holds no probability "
+            f"on x_grid [{q.x_min:g}, {q.x_max:g}) x p_grid [{p.x_min:g}, {p.x_max:g}); "
+            f"the grids must reach within a few widths of q = p = 0"
+        )
     results = []
     for mass, rho_q, col in zip(masked_mass, marginal, interior):
         weight = float(mass / source_mass)

@@ -193,6 +193,7 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
     spec = None if pa is None else fft(amp, axis=pa)
     for i in range(n_steps + 1):
         if i:
+            del rho  # the last sample's, recorded: free it before the transforms
             # the position factors alternate with the conjugate ones, first and last
             factors = iter(position(t))
             if pa is None:
@@ -202,6 +203,7 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
             else:
                 for conj_factor in conj:
                     amp = ifft(next(factors) * spec, axis=pa)
+                    del spec  # stale until the drift's closing transform
                     amp = ifft(conj_factor * fft(amp, axis=0), axis=0)
                     spec = fft(amp, axis=pa)
                 spec = next(factors) * spec
@@ -219,6 +221,8 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
             )
         if record is not None:
             record(i, amp, rho, spec)
+    # free the factors before the complex final state is made
+    pos = drifts = position = conj = factors = conj_factor = None
     return Wavefunction(state.grid, amp, time=t), times, norms, edges
 
 

@@ -468,6 +468,16 @@ def test_doubleslit_beam_missing_the_slits_exits_3_writing_nothing(tmp_path, cap
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_doubleslit_momentum_grid_missing_the_beam_exits_3_writing_nothing(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"experiment": "doubleslit",
+                                  "params": {"p_grid": {"n": 64, "min": 3, "max": 5}},
+                                  "output": {"directory": ".", "svg": True}})
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "p_grid [3, 5)" in err[0] and "sigma_p=0.1" in err[0]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_doubleslit_default_config_exits_0(tmp_path):
     cfg = write_config(tmp_path, {"experiment": "doubleslit",
                                   "output": {"directory": ".", "svg": False}})

@@ -17,7 +17,7 @@ from kvnlab.doubleslit import (
 )
 from kvnlab.errors import BoundaryMassError, PhysicsError
 from kvnlab.gauge import SolenoidConfig
-from kvnlab.grid import Grid1D, PhaseGrid, edge_mass
+from kvnlab.grid import EDGE_CELLS, Grid1D, PhaseGrid, edge_mass
 from kvnlab.kernels import real_if_real, shear, shear_factor
 
 
@@ -173,14 +173,31 @@ def _slabs(cfg):
     return -(-cfg.p_grid.n // SLAB_COLUMNS)
 
 
+def _slab_sources(cfg):
+    """Each slab's p-columns and real source, as ``kvn_screens`` builds them."""
+    Q = cfg.x_grid.points[:, None]
+    for j in range(0, cfg.p_grid.n, SLAB_COLUMNS):
+        cols = slice(j, j + SLAB_COLUMNS)
+        P = cfg.p_grid.points[None, cols]
+        yield cols, np.exp(-(Q**2) / (2 * cfg.sigma_x**2) - P**2 / (2 * cfg.sigma_p**2))
+
+
+def _dead_slabs(cfg):
+    """Indices of the slabs whose source holds no float64 probability."""
+    return [k for k, (_, amp) in enumerate(_slab_sources(cfg)) if np.sum(amp**2) == 0.0]
+
+
 def test_kvn_screens_share_one_source_run(cfg, kvn_runs, call_counts):
+    dead = len(_dead_slabs(cfg))
+    live = _slabs(cfg) - dead
+    assert (live, dead) == (6, 2)
+    call_counts.clear()
     screens = kvn_screens(cfg, (None, 1, 2))
-    # per slab: the source Gaussian and the two shear factors; one rfft/irfft
-    # pair for the shear to the wall and one per aperture
-    slabs = _slabs(cfg)
-    assert slabs > 1
-    assert call_counts["exp"] == 3 * slabs
-    assert call_counts["rfft"] == call_counts["irfft"] == 4 * slabs
+    # a live slab: the source Gaussian and the two shear factors; one
+    # rfft/irfft pair for the shear to the wall and one per aperture.
+    # A dead slab (no probability in its source): the source Gaussian alone
+    assert call_counts["exp"] == 3 * live + dead
+    assert call_counts["rfft"] == call_counts["irfft"] == 4 * live
     assert call_counts["fft"] == call_counts["ifft"] == 0
     for res, key in zip(screens, ("both", 1, 2)):
         np.testing.assert_array_equal(res.density, kvn_runs[key].density)
@@ -190,8 +207,46 @@ def test_kvn_screens_share_one_source_run(cfg, kvn_runs, call_counts):
 
 def test_kvn_phased_source_takes_complex_shears(cfg, call_counts):
     kvn_screens(cfg, (1,), phase=lambda Q, P: np.sin(Q) * np.cos(P))
-    assert call_counts["fft"] == call_counts["ifft"] == 2 * _slabs(cfg)
+    # the same slabs are skipped: one fft/ifft pair to the wall, one to the screen
+    live = _slabs(cfg) - len(_dead_slabs(cfg))
+    assert call_counts["fft"] == call_counts["ifft"] == 2 * live
     assert call_counts["rfft"] == call_counts["irfft"] == 0
+
+
+def test_skipped_slabs_would_add_nothing(cfg):
+    # shear the default grid's dead slabs as a live one is sheared: every sum
+    # they would join (source and masked masses, q-marginals with their edge
+    # rows, column sums off the q-edge strips) gets exactly +0.0 from them,
+    # which changes no bit of a sum of non-negative terms
+    q, p, c = cfg.x_grid, cfg.p_grid, EDGE_CELLS
+    sources = list(_slab_sources(cfg))
+    dead = _dead_slabs(cfg)
+    assert dead == [0, len(sources) - 1]  # only columns 41..215 hold probability
+    for k in dead:
+        cols, amp = sources[k]
+        assert np.count_nonzero(amp) > 0  # tiny, but not zero before squaring
+        at_wall = shear(amp, shear_factor(q, p.points[cols], cfg.t_M, cfg.mass, True))
+        to_screen = shear_factor(q, p.points[cols], cfg.t_R - cfg.t_M, cfg.mass, True)
+        terms = [np.sum(amp**2)]
+        for which in (None, 1, 2):
+            masked = at_wall * refined_mask(cfg, which)[:, None]
+            rho = np.abs(shear(masked, to_screen)) ** 2
+            terms += [np.sum(masked**2), rho.sum(axis=1), rho[c:-c].sum(axis=0)]
+        for term in terms:
+            assert np.all(term == 0.0) and not np.any(np.signbit(term))
+
+
+def test_beam_reaching_every_slab_shears_all_of_them(call_counts):
+    cfg = SlitConfig(sigma_p=1.0, x_grid=Grid1D(256, -16.0, 16.0), p_grid=Grid1D(128, -4.0, 4.0))
+    assert _dead_slabs(cfg) == []
+    kvn_screens(cfg, (None,), boundary_limit=np.inf)
+    assert call_counts["rfft"] == call_counts["irfft"] == 2 * _slabs(cfg)
+
+
+def test_grids_holding_none_of_the_source_are_refused_naming_them():
+    cfg = SlitConfig(p_grid=Grid1D(64, 3.0, 5.0))  # 30 sigma_p and more from the beam
+    with pytest.raises(PhysicsError, match=r"sigma_p=0\.1.*p_grid \[3, 5\)"):
+        kvn_screens(cfg, (None, 1, 2))
 
 
 def _one_shot_screen(cfg, which, phase):

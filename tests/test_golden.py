@@ -19,15 +19,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-# kvnlab before numpy, also when run as a script: importing kvnlab sets BLAS
-# to one thread, as in every kvnlab run, which only holds if numpy is not yet
-# loaded
+# conftest first, also when run as a script: it pins BLAS to one thread, as in
+# a default kvnlab run, before kvnlab and numpy load
+from conftest import read_table
+
 from kvnlab.cli import SPECS, main
 
 import numpy as np
 import pytest
-
-from conftest import read_table
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 THIN = 8  # wigner.csv keeps rows and columns 0, 8, 16, ...

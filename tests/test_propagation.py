@@ -690,5 +690,7 @@ def test_kvn_step_setup_holds_few_fields():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 3.6 complex fields; the symmetry check's full copies took it to 5.0
-    assert peak < 4 * 16 * pg.q.n * pg.p.n
+    # 2.6 complex fields; holding the last sample's rho and the stale spectrum
+    # through the drift, and the factors through the return, took it to 3.6,
+    # and the symmetry check's full copies to 5.0
+    assert peak < 3 * 16 * pg.q.n * pg.p.n
