@@ -38,7 +38,8 @@ their boundaries at multiples of ``SLAB_COLUMNS``, so the live ones are
 summed in the same grouping as without the skip, and a NaN source is not
 skipped, so it still trips the edge check.  When no slab is live, the grids
 hold none of the source and ``PhysicsError`` names ``p_grid`` and
-``sigma_p`` before any normalisation divides by the zero mass.
+``sigma_p`` before any normalisation divides by the zero mass;
+:func:`run_quantum` names ``x_grid`` and ``sigma_x`` in the same way.
 
 Both runs refuse an aperture that passes less than
 ``MIN_TRANSMITTED_WEIGHT`` of the beam: the screen density behind it would
@@ -96,6 +97,11 @@ class SlitConfig:
         for name in ("delta", "sigma_x", "sigma_p", "mass", "p0y", "hbar"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("sigma_x", "sigma_p"):  # the source divides by 2 sigma^2
+            if not 2 * getattr(self, name) ** 2 > 0:
+                raise ValueError(
+                    f"{name} {getattr(self, name):g} is too small: 2 {name}^2 underflows to 0"
+                )
         if not self.x_A > self.delta:
             raise ValueError(f"slits must not overlap the axis: need x_A > delta, got {self.x_A}")
         if not self.y_R > self.y_M > 0:
@@ -173,8 +179,13 @@ def _check_edges(mass: float, limit: float) -> None:
 def run_quantum(cfg: SlitConfig, which: int | None = None) -> ScreenResult:
     """Quantum screen density at t_R (optionally with one slit covered)."""
     g = cfg.x_grid
-    amp = np.exp(-g.points**2 / (2 * cfg.sigma_x**2)).astype(complex)
-    psi = Wavefunction(g, amp).normalize()
+    amp = np.exp(-g.points**2 / (2 * cfg.sigma_x**2))
+    if np.sum(amp**2) == 0.0:  # normalising would divide by the zero mass
+        raise PhysicsError(
+            f"the source (sigma_x={cfg.sigma_x:g}) holds no probability on x_grid "
+            f"[{g.x_min:g}, {g.x_max:g}); the grid must reach within a few widths of x = 0"
+        )
+    psi = Wavefunction(g, amp.astype(complex)).normalize()
     at_wall = free_quantum_propagate(psi, cfg.t_M, cfg.mass, cfg.hbar)
     masked = at_wall.amplitudes * refined_mask(cfg, which)
     weight = float(np.sum(np.abs(masked) ** 2) * g.dx)

@@ -17,6 +17,23 @@ contain alpha at all.
 A Dirichlet disc of radius R turns the order shift into a discrete,
 comparable observable: E(n, alpha) = hbar^2 j_{|n-alpha|,1}^2 / (2 m R^2)
 + pz0^2 / (2 m).
+
+The zero j_{nu,1} comes from an eigenvalue, not from evaluating J_nu
+(Ikebe, Kikuchi & Fujishiro, J. Comput. Appl. Math. 38, 1991; Ball, SIAM J.
+Sci. Comput. 21, 2000).  At a zero j of J_nu, the recurrence
+J_{mu-1} + J_{mu+1} = (2 mu / j) J_mu at mu = nu+1, nu+2, ... makes the
+values sqrt(nu + k) J_{nu+k}(j) an eigenvector, with eigenvalue 1/j, of a
+symmetric tridiagonal matrix with zero diagonal.  Its square restricted to
+the even k is the symmetric tridiagonal matrix T_nu / 4, where, for
+k = 1, 2, ...,
+
+    T[k, k]     = 2 / ((nu + 2k - 1)(nu + 2k + 1))
+    T[k, k + 1] = 1 / ((nu + 2k + 1) sqrt((nu + 2k)(nu + 2k + 2)))
+
+has the eigenvalues 4 / j^2 over the zeros j of J_nu, so the first zero is
+2 / sqrt(lambda_max).  The largest eigenvalue converges fastest as the
+matrix is truncated: ``ZERO_MATRIX_ROWS`` = 20 rows give j_{nu,1} to a few
+ulps for every order in [0, ``MAX_ORDER``], from one ``eigvalsh`` call.
 """
 
 from __future__ import annotations
@@ -24,13 +41,15 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 
+import numpy as np
+
 from .errors import DegenerateInputError, PhysicsError
 
-#: validity envelope for the Bessel evaluations
+#: largest Bessel order ``lowest_zero`` accepts
 MAX_ORDER = 50.0
-MAX_ARGUMENT = 200.0
-#: width to which ``lowest_zero`` brackets a zero of J_nu
-ZERO_TOL = 1e-10
+#: rows of the truncated matrix; at MAX_ORDER 10 rows err by 1.3e-8 relative,
+#: 20 agree with a brentq-refined zero of J_nu to a few ulps
+ZERO_MATRIX_ROWS = 20
 
 
 @dataclass(frozen=True)
@@ -96,36 +115,16 @@ def kvn_radial_coeffs(cfg: SolenoidConfig, E_tilde: float) -> KvnRadialCoeffs:
     return coeffs
 
 
-def jv(nu, x):
-    """scipy's J_nu, imported on first use: scipy.special is most of the
-    package's import time and only this module needs it."""
-    from scipy.special import jv
-
-    return jv(nu, x)
-
-
 def lowest_zero(nu: float) -> float:
-    """First positive zero of J_nu by bracketing and bisection.
-
-    J_nu is positive on (0, j_{nu,1}), so scanning outward from the order
-    finds the sign change; bisection then tightens it to ``ZERO_TOL``.
-    """
-    if nu < 0 or nu > MAX_ORDER:
+    """First positive zero of J_nu, as 2 / sqrt of the largest eigenvalue of
+    the ``ZERO_MATRIX_ROWS``-row tridiagonal matrix in the module docstring."""
+    if not 0 <= nu <= MAX_ORDER:  # NaN fails too
         raise DegenerateInputError(f"order {nu} outside [0, {MAX_ORDER}]")
-    lo = max(nu, 1e-3)
-    step = 0.1
-    hi = lo + step
-    while jv(nu, hi) > 0:
-        lo, hi = hi, hi + step
-        if hi > MAX_ARGUMENT:
-            raise DegenerateInputError(f"no zero of J_{nu} found below {MAX_ARGUMENT}")
-    while hi - lo > ZERO_TOL:
-        mid = 0.5 * (lo + hi)
-        if jv(nu, mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    a = nu + 2.0 * np.arange(1, ZERO_MATRIX_ROWS + 1)  # nu + 2k
+    diagonal = 2.0 / ((a - 1.0) * (a + 1.0))
+    off = 1.0 / ((a[:-1] + 1.0) * np.sqrt(a[:-1] * (a[:-1] + 2.0)))
+    t = np.diag(diagonal) + np.diag(off, -1)  # eigvalsh reads the lower triangle
+    return float(2.0 / np.sqrt(np.linalg.eigvalsh(t)[-1]))
 
 
 def disc_ground_energy(cfg: SolenoidConfig) -> float:

@@ -1,8 +1,10 @@
 """The package's public surface: every exported name resolves, every public
 name has a caller in the package, a generator cannot be built without the
-exact force V', and no module imports a name it never uses."""
+exact force V', no module imports a name it never uses, and the package
+imports nothing beyond the standard library and numpy."""
 
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -86,3 +88,23 @@ def test_no_unused_imports():
     files = [p for p in sorted((root / "src" / "kvnlab").glob("*.py")) if p.name != "__init__.py"]
     files += sorted((root / "tests").glob("*.py"))
     assert [entry for path in files for entry in _unused_imports(path)] == []
+
+
+def test_src_imports_only_stdlib_numpy_and_kvnlab():
+    """kvnlab runs on numpy alone: every import statement in ``src/kvnlab``,
+    those inside functions included, names a module of the standard library,
+    numpy or kvnlab itself (relative imports are kvnlab)."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "kvnlab"}
+    src = Path(kvnlab.__file__).resolve().parent
+    foreign = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {module}" for module in modules
+                        if module.split(".")[0] not in allowed]
+    assert foreign == []

@@ -292,11 +292,22 @@ def test_dead_worker_exits_4_without_hanging(tmp_path):
     assert not (tmp_path / "ehrenfest.csv").exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # kvnlab needs numpy alone: importing the CLI and running every default
+    # config loads no scipy module
     proc = run_python(
-        "import sys, kvnlab.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        "import json, sys\n"
+        "import kvnlab.cli as cli\n"
+        "for name in cli.SPECS:\n"
+        "    path = f'{sys.argv[1]}/{name}.json'\n"
+        "    with open(path, 'w') as f:\n"
+        "        json.dump({'experiment': name, 'output': {'directory': sys.argv[1]}}, f)\n"
+        "    assert cli.main(['run', path]) == 0, name\n"
+        "print(len(cli.SPECS), any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+        str(tmp_path),
     )
-    assert proc.returncode == 0 and proc.stdout.strip() == "False"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "8 False"
 
 
 def test_cli_import_leaves_pool_modules_unloaded():
@@ -475,6 +486,28 @@ def test_doubleslit_momentum_grid_missing_the_beam_exits_3_writing_nothing(tmp_p
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "p_grid [3, 5)" in err[0] and "sigma_p=0.1" in err[0]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_doubleslit_position_grid_missing_the_beam_exits_3_writing_nothing(tmp_path, capsys):
+    # the quantum run used to normalise the all-zero source to NaN
+    cfg = write_config(tmp_path, {"experiment": "doubleslit",
+                                  "params": {"x_grid": {"n": 256, "min": 100, "max": 200}},
+                                  "output": {"directory": ".", "svg": True}})
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "x_grid [100, 200)" in err[0] and "sigma_x=1" in err[0]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("key", ["sigma_x", "sigma_p"])
+def test_doubleslit_width_whose_square_underflows_exits_2_naming_it(tmp_path, capsys, key):
+    # 2 * 1e-300**2 is 0.0, so the source would be 0/0 = NaN at x = 0 or p = 0
+    cfg = write_config(tmp_path, {"experiment": "doubleslit", "params": {key: 1e-300},
+                                  "output": {"directory": ".", "svg": True}})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ") and f"{key} 1e-300" in err[0]
     assert list(tmp_path.iterdir()) == [cfg]
 
 

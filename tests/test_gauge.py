@@ -8,7 +8,6 @@ from kvnlab.gauge import (
     MAX_ORDER,
     SolenoidConfig,
     disc_ground_energy,
-    jv,
     kvn_radial_coeffs,
     lowest_zero,
 )
@@ -104,16 +103,35 @@ def test_half_integer_order_closed_form():
     assert np.tan(x) == pytest.approx(x, abs=1e-8)
 
 
-def test_bessel_at_zero():
-    assert jv(0.0, 0.0) == 1.0
-    assert jv(1.5, 0.0) == 0.0
-
-
 def test_bessel_envelope():
-    with pytest.raises(DegenerateInputError):
-        lowest_zero(MAX_ORDER + 1.0)
-    with pytest.raises(DegenerateInputError):
-        lowest_zero(-1.0)
+    for nu in (MAX_ORDER + 1.0, -1.0, float("nan")):
+        with pytest.raises(DegenerateInputError):
+            lowest_zero(nu)
+
+
+#: the orders |n - alpha| of the default aharonov-bohm table, n in 0..2 and
+#: alpha in 0, 0.1, ..., 0.5 (0.5 twice)
+DEFAULT_ORDERS = [abs(n - a / 10) for n in (0, 1, 2) for a in range(6)]
+
+
+def test_lowest_zero_matches_scipy_at_integer_orders():
+    special = pytest.importorskip("scipy.special")
+    for n in range(int(MAX_ORDER) + 1):
+        oracle = special.jn_zeros(n, 1)[0]
+        assert lowest_zero(float(n)) == pytest.approx(oracle, rel=1e-13, abs=0), n
+
+
+@pytest.mark.parametrize("nu", DEFAULT_ORDERS + [25.5, 49.9])
+def test_lowest_zero_matches_a_brentq_zero_of_scipy_jv(nu):
+    # oracle: scan J_nu outward from the order (J_nu > 0 on (0, j_nu,1)) for the
+    # first sign change, then refine it with brentq
+    special = pytest.importorskip("scipy.special")
+    optimize = pytest.importorskip("scipy.optimize")
+    lo = max(nu, 1e-3)
+    while special.jv(nu, lo + 0.1) > 0:
+        lo += 0.1
+    oracle = optimize.brentq(lambda x: special.jv(nu, x), lo, lo + 0.1, xtol=1e-15)
+    assert lowest_zero(nu) == pytest.approx(oracle, rel=1e-13, abs=0)
 
 
 def test_lowest_zero_half_order_is_pi():

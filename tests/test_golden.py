@@ -33,7 +33,7 @@ THIN = 8  # wigner.csv keeps rows and columns 0, 8, 16, ...
 
 #: Ids, inputs and grid coordinates: the same arithmetic gives the same bits.
 EXACT = 0.0
-#: Closed forms through libm or scipy (cosines, Bessel zeros): a few ulps.
+#: Closed forms through libm or LAPACK (cosines, Bessel zeros): a few ulps.
 CLOSED_FORM = 1e-13
 #: Values carried through FFT or Runge-Kutta chains of up to 2500 steps,
 #: whose rounding follows the FFT library's plan.
