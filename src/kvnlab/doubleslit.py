@@ -251,16 +251,6 @@ def kvn_screens(
     return results
 
 
-def run_kvn(
-    cfg: SlitConfig,
-    which: int | None = None,
-    phase: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    boundary_limit: float = APERTURE_BOUNDARY_LIMIT,
-) -> ScreenResult:
-    """Classical screen density at t_R from the phase-space pipeline."""
-    return kvn_screens(cfg, (which,), phase, boundary_limit)[0]
-
-
 @dataclass(frozen=True)
 class FringeStats:
     n_maxima: int

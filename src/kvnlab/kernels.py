@@ -9,15 +9,19 @@ formed, and on a dyadic grid the kernel values are bit-identical to the
 dense matrix's.  Its classical counterpart is a pair of delta constraints
 that reduce to the exact shear psi(x, p, t) = psi0(x - p t / m, p),
 realized spectrally.  Oscillatory (Fresnel) integrals are defined by the
-principal branch square root, i.e. the standard damping prescription with
-the damping sent to zero.
+principal branch square root.
 
-Running products in place of exponentials: the group-law quadrature's
-exponent is quadratic in the sample y, so within a block of consecutive
-samples each term is the block's first term times a running product, which
-takes a few exponentials per block of ``QUADRATURE_BLOCK`` samples instead
-of one per sample.  The shear factor exp(-i k_q p t / m) is linear in the q
-wavenumber, so its rows are the powers of its bin-1 row (``grid.dft_powers``).
+The group law is checked by one trapezoid sum.  The integrand
+K(x, y, t2) K(y, x0, t1) is an entire Gaussian chirp in y; on the line
+y = y_c + e^{i pi/4} s through its stationary point y_c it is a real
+Gaussian in s, on which the trapezoid rule converges exponentially
+(Trefethen & Weideman, SIAM Rev. 56, 385, 2014).  The damped definition of
+the oscillatory integral and the sum along this line agree by Cauchy's
+theorem: the integrand is entire and decays in the sector between the real
+axis and the line.
+
+The shear factor exp(-i k_q p t / m) is linear in the q wavenumber, so its
+rows are the powers of its bin-1 row (``grid.dft_powers``).
 
 Real-field shear: the shear maps a real field to a real field.  A state
 whose imaginary part is exactly zero is sheared as float64 with rfft/irfft
@@ -36,26 +40,13 @@ from .errors import DegenerateInputError
 from .grid import Grid1D, dft_powers, wavenumbers
 from .states import Wavefunction
 
-#: Most samples one damped quadrature of ``kernel_convolution`` may take; the
-#: count grows as 1/t for short times and as (x, x0) move off the origin.
-MAX_QUADRATURE_SAMPLES = 2**22
+#: Nodes of ``kernel_convolution``'s trapezoid sum, over |s| <= 7 / sqrt(a1 + a2),
+#: where the Gaussian in s falls to e^-49.
+CONVOLUTION_NODES = 64
 
-#: ``kernel_convolution``'s damping ladder, eps = DAMPING_EPS0 / 2**j for j < DAMPING_LEVELS,
-#: and its samples per period of the integrand's fastest oscillation.
-DAMPING_EPS0 = 0.02
-DAMPING_LEVELS = 5
-POINTS_PER_CYCLE = 8.0
-
-#: ``kernel_convolution`` sums a quadrature in blocks of QUADRATURE_BLOCK
-#: consecutive samples, QUADRATURE_TILE_ROWS blocks (a 1 MB complex tile) at a time.
-QUADRATURE_BLOCK = 512
-QUADRATURE_TILE_ROWS = 128
-
-
-def _kernel_prefactor(t: float, mass: float, hbar: float) -> complex:
-    if t <= 0:
-        raise ValueError(f"kernel needs t > 0, got {t}")
-    return np.sqrt(mass / (2j * np.pi * hbar * t))
+#: Largest phase scale ``kernel_convolution`` accepts (see there): below it no
+#: kernel factor's modulus exceeds e^500 and rounding costs about 1e3 ulps.
+MAX_PHASE = 1e3
 
 
 def free_quantum_kernel(
@@ -63,7 +54,9 @@ def free_quantum_kernel(
     mass: float = 1.0, hbar: float = 1.0,
 ) -> np.ndarray | complex:
     """Free-particle propagator amplitude from x0 to x in time t > 0."""
-    pref = _kernel_prefactor(t, mass, hbar)
+    if t <= 0:
+        raise ValueError(f"kernel needs t > 0, got {t}")
+    pref = np.sqrt(mass / (2j * np.pi * hbar * t))
     return pref * np.exp(1j * mass * (np.asarray(x) - np.asarray(x0)) ** 2 / (2 * hbar * t))
 
 
@@ -133,72 +126,29 @@ def kernel_convolution(
     x: float, x0: float, t1: float, t2: float,
     mass: float = 1.0, hbar: float = 1.0,
 ) -> complex:
-    """integral K(x, y, t2) K(y, x0, t1) dy by damped quadrature.
+    """integral K(x, y, t2) K(y, x0, t1) dy, which the group law says equals
+    K(x, x0, t1 + t2), as one trapezoid sum along y = y_c + e^{i pi/4} s (see
+    the module docstring).
 
-    The bare integrand oscillates without decaying, so each quadrature runs
-    with a Gaussian damping exp(-eps y^2); the ladder of eps values
-    (``DAMPING_LEVELS`` of them, halving from ``DAMPING_EPS0``) is
-    extrapolated polynomially to eps = 0.  The group law says the result
-    equals K(x, x0, t1 + t2).
-    The two Fresnel phases and the damping make one quadratic exponent,
-    summed by ``_quadratic_exp_sum`` with a few exponentials per block of
-    samples.  Every level's sample count is checked before any is summed.
+    With a_i = m / (2 hbar t_i), the phase scale a_i (|u| + |v|)^2 over each
+    factor's positions u, v at the nodes bounds its phase, twice the log of
+    its modulus and, times the float64 epsilon, its phase's rounding error.
+    If a1 + a2 is not finite or the phase scale exceeds ``MAX_PHASE``, raises
+    ``DegenerateInputError`` before any kernel is evaluated.
     """
-    pref = _kernel_prefactor(t2, mass, hbar) * _kernel_prefactor(t1, mass, hbar)
     a1, a2 = mass / (2 * hbar * t1), mass / (2 * hbar * t2)
-    eps_values = [DAMPING_EPS0 / 2**j for j in range(DAMPING_LEVELS)]
-    slope_scale = mass * (1.0 / t1 + 1.0 / t2) / hbar
-    levels = []
-    for eps in eps_values:
-        half_width = 6.0 / np.sqrt(eps) + abs(x) + abs(x0)
-        dy = 2 * np.pi / (slope_scale * half_width) / POINTS_PER_CYCLE
-        n = np.ceil(2 * half_width / dy)
-        if not n <= MAX_QUADRATURE_SAMPLES:
-            raise DegenerateInputError(
-                f"kernel_convolution needs {n:.3g} samples per quadrature, more than "
-                f"{MAX_QUADRATURE_SAMPLES}: t1, t2 too short or x, x0 too far out"
-            )
-        levels.append((eps, half_width, int(n)))
-    # i [a2 (x - y)^2 + a1 (y - x0)^2] - eps y^2 = A y^2 + B y + C
-    B = -2j * (a2 * x + a1 * x0)
-    C = 1j * (a2 * x**2 + a1 * x0**2)
-    estimates = []
-    for eps, half_width, n in levels:
-        h = 2 * half_width / n
-        A = 1j * (a1 + a2) - eps
-        estimates.append(pref * _quadratic_exp_sum(A, B, C, -half_width, h, n) * h)
-    return _neville_at_zero(eps_values, estimates)
-
-
-def _quadratic_exp_sum(A: complex, B: complex, C: complex, y0: float, h: float,
-                       n: int) -> complex:
-    """sum_k exp(A y_k^2 + B y_k + C) over y_k = y0 + k h, k = 0..n-1.
-
-    With k = b m + r, m = ``QUADRATURE_BLOCK`` and Y_b = y0 + b m h, a term
-    is E_b D_b^r U_r: E_b = exp(A Y_b^2 + B Y_b + C), D_b = exp((2 A Y_b + B) h)
-    and U_r = exp(A h^2 r^2).  That is m + 2 ceil(n/m) exponentials and a
-    running product along r, taken ``QUADRATURE_TILE_ROWS`` blocks at a time.
-    """
-    m = QUADRATURE_BLOCK
-    U = np.exp(A * (h * np.arange(m)) ** 2)
-    total = 0j
-    for start in range(0, n, m * QUADRATURE_TILE_ROWS):
-        k = np.arange(start, min(n, start + m * QUADRATURE_TILE_ROWS), m)
-        Y = y0 + k * h
-        powers = np.empty((len(k), m), dtype=complex)
-        powers[:, 0], powers[:, 1:] = 1.0, np.exp((2 * A * Y + B) * h)[:, None]
-        powers.cumprod(axis=1, out=powers)
-        powers *= U
-        powers[-1, n - k[-1]:] = 0.0  # the last block may run past sample n - 1
-        total += np.exp((A * Y + B) * Y + C) @ powers.sum(axis=1)
-    return total
-
-
-def _neville_at_zero(xs, ys) -> complex:
-    vals = list(ys)
-    n = len(vals)
-    for level in range(1, n):
-        for i in range(n - level):
-            x_i, x_j = xs[i], xs[i + level]
-            vals[i] = (x_i * vals[i + 1] - x_j * vals[i]) / (x_i - x_j)
-    return vals[0]
+    y_c = (a2 * x + a1 * x0) / (a1 + a2)
+    half_width = 7.0 / np.sqrt(a1 + a2)
+    y_max = abs(y_c) + half_width
+    phase_scale = max(a2 * (abs(x) + y_max) ** 2, a1 * (y_max + abs(x0)) ** 2)
+    if not (np.isfinite(a1 + a2) and phase_scale <= MAX_PHASE):
+        raise DegenerateInputError(
+            f"kernel_convolution cannot resolve t1={t1:g}, t2={t2:g} at (x, x0) = "
+            f"({x:g}, {x0:g}): phase scale {phase_scale:.3g}, over {MAX_PHASE:g}"
+        )
+    s, h = np.linspace(-half_width, half_width, CONVOLUTION_NODES, retstep=True)
+    rot = np.exp(0.25j * np.pi)
+    y = y_c + rot * s
+    f = free_quantum_kernel(x, y, t2, mass, hbar) * free_quantum_kernel(y, x0, t1, mass, hbar)
+    # the end terms weigh e^-49, so the plain sum is the trapezoid rule
+    return f.sum() * rot * h

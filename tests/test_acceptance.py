@@ -21,7 +21,7 @@ from kvnlab.analysis import (
     wigner_transform,
 )
 from kvnlab.cli import KVN_MAX_STRIDE
-from kvnlab.doubleslit import SlitConfig, fringe_stats, run_kvn, run_quantum
+from kvnlab.doubleslit import SlitConfig, fringe_stats, kvn_screens, run_quantum
 from kvnlab.gauge import SolenoidConfig, disc_ground_energy, kvn_radial_coeffs
 from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.kernels import (
@@ -87,14 +87,14 @@ def test_criterion_1_measurement_formulas():
 def test_criterion_2_double_slit():
     start = time.perf_counter()
     cfg = SlitConfig()  # frozen default: 2048 x 256
-    both = run_kvn(cfg)
-    s1 = run_kvn(cfg, which=1)
-    s2 = run_kvn(cfg, which=2)
+    both = kvn_screens(cfg, (None,))[0]
+    s1 = kvn_screens(cfg, (1,))[0]
+    s2 = kvn_screens(cfg, (2,))[0]
     w1, w2 = s1.transmitted_weight, s2.transmitted_weight
     combo = (w1 * s1.density + w2 * s2.density) / (w1 + w2)
     additivity = float(np.max(np.abs(both.density - combo)))
     assert additivity < 1e-10
-    phased = run_kvn(cfg, phase=lambda Q, P: np.sin(Q) * np.cos(P))
+    phased = kvn_screens(cfg, (None,), lambda Q, P: np.sin(Q) * np.cos(P))[0]
     phase_dep = float(np.max(np.abs(phased.density - both.density)))
     assert phase_dep < 1e-10
     q = run_quantum(cfg)

@@ -24,7 +24,6 @@ def test_every_export_resolves_once():
 #: Public names kept without a caller in ``src/``, each with its reason.
 NO_SRC_CALLER = {
     "propagation.evolve": "the benchmark's tracer wraps it by name",
-    "doubleslit.run_kvn": "the benchmark's tracer wraps it by name",
     "measurement.phase_discard_disturbance":
         "criterion 10's protocol, kept for a nondisturbance table in `measure`",
 }

@@ -427,6 +427,16 @@ def test_kernelcheck_outputs(tmp_path):
     assert np.all(shear < 1e-10)
 
 
+@pytest.mark.parametrize("params", [{"t1": 1e-300}, {"points": [[1e6, -0.3]]}],
+                         ids=["t1-1e-300", "x-1e6"])
+def test_kernelcheck_unresolvable_group_law_exits_2_with_one_line(tmp_path, capsys, params):
+    cfg = write_config(tmp_path, {"experiment": "kernelcheck", "params": params})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "t1=" in err[0] and "t2=" in err[0] and "(x, x0)" in err[0]
+    assert list(tmp_path.iterdir()) == [cfg]  # no table written
+
+
 def test_wigner_run_with_axis_metadata(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -11,7 +11,6 @@ from kvnlab.doubleslit import (
     heaviside,
     kvn_screens,
     refined_mask,
-    run_kvn,
     run_quantum,
     slit_mask,
 )
@@ -29,9 +28,9 @@ def cfg():
 @pytest.fixture(scope="module")
 def kvn_runs(cfg):
     return {
-        "both": run_kvn(cfg),
-        1: run_kvn(cfg, which=1),
-        2: run_kvn(cfg, which=2),
+        "both": kvn_screens(cfg, (None,))[0],
+        1: kvn_screens(cfg, (1,))[0],
+        2: kvn_screens(cfg, (2,))[0],
     }
 
 
@@ -165,7 +164,7 @@ def test_kvn_weights_decompose(kvn_runs):
 
 
 def test_kvn_phase_independence(kvn_runs, cfg):
-    phased = run_kvn(cfg, phase=lambda Q, P: np.sin(Q) * np.cos(P))
+    phased = kvn_screens(cfg, (None,), lambda Q, P: np.sin(Q) * np.cos(P))[0]
     assert np.max(np.abs(phased.density - kvn_runs["both"].density)) < 1e-10
 
 

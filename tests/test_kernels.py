@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import gaussian_1d, gaussian_phase
+from kvnlab import kernels
 from kvnlab.errors import DegenerateInputError
 from kvnlab.grid import Grid1D, PhaseGrid, wavenumbers
 from kvnlab.kernels import (
-    DAMPING_EPS0,
-    DAMPING_LEVELS,
-    POINTS_PER_CYCLE,
-    QUADRATURE_BLOCK,
-    _quadratic_exp_sum,
     free_kvn_propagate,
     free_quantum_kernel,
     free_quantum_propagate,
@@ -68,53 +64,21 @@ def test_kernel_propagate_forms_no_dense_kernel():
     assert peak < g.n * g.n  # a dense complex kernel takes 16 n^2 bytes
 
 
-def per_sample_level(x, x0, t1, t2, eps, m=1.0, hbar=1.0):
-    """One damping level of the group-law quadrature with one exponential per
-    sample: its sample count, half width and unscaled sum."""
-    a1, a2 = m / (2 * hbar * t1), m / (2 * hbar * t2)
-    half_width = 6.0 / np.sqrt(eps) + abs(x) + abs(x0)
-    dy = 2 * np.pi / (m * (1.0 / t1 + 1.0 / t2) / hbar * half_width) / POINTS_PER_CYCLE
-    n = int(np.ceil(2 * half_width / dy))
-    y = np.linspace(-half_width, half_width, n, endpoint=False)
-    exponent = 1j * (a2 * (x - y) ** 2 + a1 * (y - x0) ** 2) - eps * y**2
-    return n, half_width, np.sum(np.exp(exponent))
-
-
-@pytest.mark.parametrize("level", [0, DAMPING_LEVELS - 1])
-def test_quadratic_exp_sum_matches_per_sample_sum(level):
-    # level 0 sums one tile, the last level six; neither n is a multiple of the block
-    x, x0, t1, t2, m, hbar = 0.7, -0.3, 0.4, 0.3, 1.3, 0.9
-    eps = DAMPING_EPS0 / 2**level
-    n, half_width, want = per_sample_level(x, x0, t1, t2, eps, m, hbar)
-    assert n % QUADRATURE_BLOCK
-    a1, a2 = m / (2 * hbar * t1), m / (2 * hbar * t2)
-    A, B, C = 1j * (a1 + a2) - eps, -2j * (a2 * x + a1 * x0), 1j * (a2 * x**2 + a1 * x0**2)
-    got = _quadratic_exp_sum(A, B, C, -half_width, 2 * half_width / n, n)
-    assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def test_kernel_convolution_few_exps_small_peak(monkeypatch):
-    args = 0.7, -0.3, 0.4, 0.4
-    samples = sum(per_sample_level(*args, DAMPING_EPS0 / 2**j)[0] for j in range(DAMPING_LEVELS))
-    sizes, exp = [], np.exp
-    monkeypatch.setattr(np, "exp", lambda z, *a, **kw: sizes.append(np.size(z)) or exp(z, *a, **kw))
-    tracemalloc.start()
-    try:
-        kernel_convolution(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(sizes) < 0.02 * samples
-    assert peak < 3e6
-
-
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("t1, x", [(1e-3, 0.7), (5e-324, 0.7), (0.4, 1e6), (0.015, 0.7)])
+@pytest.mark.parametrize("t1, x", [(1e-3, 0.7), (5e-324, 0.7), (0.4, 1e6), (0.015, 0.7),
+                                   (1e-300, 0.7)])
 def test_kernel_convolution_refuses_oversized_quadrature(call_counts, t1, x):
-    # unchecked, t1 = 1e-3 alone asks for ~7e7 samples (over 1 GB per array);
-    # at t1 = 0.015 only the last damping level is too large
-    with pytest.raises(DegenerateInputError, match="samples per quadrature"):
-        kernel_convolution(x, -0.3, t1, 0.4)
+    # t1 = 1e-3 and 0.015 take the same 64 nodes as t1 = 0.4 on the steepest-descent
+    # line (a quadrature on the real line needs 7e7 samples at t1 = 1e-3), so they
+    # are summed.  t1 = 5e-324 makes a1 infinite; unchecked, t1 = 1e-300 collapses
+    # the nodes onto one float (relative miss 0.9) and x = 1e6 overflows a factor (NaN).
+    x0, t2 = -0.3, 0.4
+    if t1 in (1e-3, 0.015):
+        direct = free_quantum_kernel(x, x0, t1 + t2)
+        assert abs(kernel_convolution(x, x0, t1, t2) - direct) <= 1e-14 * abs(direct)
+        return
+    with pytest.raises(DegenerateInputError, match=r"t1=.*t2=0\.4 at \(x, x0\) = .*phase scale"):
+        kernel_convolution(x, x0, t1, t2)
     assert call_counts["exp"] == 0
 
 
@@ -124,6 +88,26 @@ def test_kernel_group_law_numeric_convolution():
         direct = free_quantum_kernel(x, x0, t1 + t2, m, hbar)
         conv = kernel_convolution(x, x0, t1, t2, m, hbar)
         assert abs(conv - direct) < 1e-6
+
+
+@pytest.mark.parametrize("fault", [None, "phase", "prefactor"])
+def test_group_law_catches_a_planted_kernel_fault(monkeypatch, fault):
+    """Criterion 6's group residual, at its three points, is at the rounding
+    floor for the exact kernel and over its 1e-6 bound when the kernel's phase
+    or its prefactor is scaled by 1.01."""
+    exact = kernels.free_quantum_kernel
+    faulty = {
+        None: exact,
+        # K(t / 1.01) / sqrt(1.01) is K with its phase alone scaled by 1.01
+        "phase": lambda x, x0, t, m=1.0, hbar=1.0: exact(x, x0, t / 1.01, m, hbar) / np.sqrt(1.01),
+        "prefactor": lambda x, x0, t, m=1.0, hbar=1.0: 1.01 * exact(x, x0, t, m, hbar),
+    }[fault]
+    monkeypatch.setattr(kernels, "free_quantum_kernel", faulty)
+    worst = max(
+        abs(kernel_convolution(x, x0, 0.4, 0.4) - faulty(x, x0, 0.8))
+        for x, x0 in ((0.7, -0.3), (1.2, 0.5), (0.0, 0.0))
+    )
+    assert worst <= 1e-14 if fault is None else worst > 1e-6
 
 
 # --- classical kernel --------------------------------------------------------
