@@ -322,11 +322,11 @@ class ExperimentConfig:
     params: dict  # parsed values, keyed as in the experiment's spec
     output_dir: Path
     svg: bool
-    resolved: dict  # canonical dict the config hash is computed from
+    resolved: dict  # canonical dict: the whole config with every default filled in
 
     @property
-    def hash(self) -> str:
-        return config_hash(self.resolved)
+    def hash(self) -> str:  # what the results depend on, not where they are written
+        return config_hash({key: value for key, value in self.resolved.items() if key != "output"})
 
 
 def _merge(spec: dict, user, section: str) -> tuple[dict, dict]:

@@ -23,10 +23,10 @@ whole phase grid is ever formed.  The shear is linear and unitary, so every
 normalisation waits for the last slab: the transmitted weight is
 sum|masked|^2 / sum|source|^2, the density is the accumulated q-marginal
 over its integral, and the boundary mass is the marginal's edge rows plus
-the edge p-columns' interior sums over sum|masked|^2.  A slab whose source
-is real (always, without ``phase``) is sheared as a real field on
-rfft/irfft, with the factors over rows 0..n/2 only (see
-:mod:`kvnlab.kernels`).
+the edge p-columns' interior sums over sum|masked|^2.  The shear is a real
+operator, so a phased source is sheared as its real parts
+(``states.real_parts``), each on rfft/irfft (see :mod:`kvnlab.kernels`),
+and |psi|^2 is the sum of their squares.
 
 A slab whose source holds exactly zero float64 probability (sum|amp|^2 ==
 0.0) is skipped: it builds no factors and runs no shear.  Its amplitudes may
@@ -55,8 +55,8 @@ import numpy as np
 
 from .errors import BoundaryMassError, PhysicsError
 from .grid import EDGE_CELLS, Grid1D, edge_mass
-from .kernels import free_quantum_propagate, real_if_real, shear, shear_factor
-from .states import Wavefunction
+from .kernels import free_quantum_propagate, shear, shear_factor
+from .states import Wavefunction, density, real_parts
 
 #: fraction of |psi|^2 allowed within 4 cells of a domain edge at readout.
 #: A hard-edged aperture scatters ~1e-4 of the beam into near-Nyquist modes
@@ -219,19 +219,18 @@ def kvn_screens(
         cols = slice(j, j + SLAB_COLUMNS)
         P = p.points[None, cols]
         amp = np.exp(-(Q**2) / (2 * cfg.sigma_x**2) - P**2 / (2 * cfg.sigma_p**2))
-        if phase is not None:
-            amp = real_if_real(amp * np.exp(1j * phase(Q, P)))
-        slab_mass = np.sum(np.abs(amp) ** 2)
+        parts = [amp] if phase is None else real_parts(amp * np.exp(1j * phase(Q, P)))
+        slab_mass = np.sum(density(parts))
         if slab_mass == 0.0:  # no float64 probability: nothing to shear (a NaN is kept)
             continue
         source_mass += slab_mass
-        real = np.isrealobj(amp)
-        at_wall = shear(amp, shear_factor(q, P[0], cfg.t_M, cfg.mass, real))
-        to_screen = shear_factor(q, P[0], cfg.t_R - cfg.t_M, cfg.mass, real)
+        to_wall = shear_factor(q, P[0], cfg.t_M, cfg.mass)
+        at_wall = [shear(part, to_wall) for part in parts]
+        to_screen = shear_factor(q, P[0], cfg.t_R - cfg.t_M, cfg.mass)
         for i, mask in enumerate(masks):
-            masked = at_wall * mask
-            masked_mass[i] += np.sum(np.abs(masked) ** 2)
-            rho = np.abs(shear(masked, to_screen)) ** 2
+            masked = [part * mask for part in at_wall]
+            masked_mass[i] += np.sum(density(masked))
+            rho = density([shear(part, to_screen) for part in masked])
             marginal[i] += rho.sum(axis=1)
             interior[i, cols] = rho[c:-c].sum(axis=0)
     if source_mass == 0.0:
@@ -246,8 +245,8 @@ def kvn_screens(
         _check_weight(weight, cfg)
         edge = float((rho_q[:c].sum() + rho_q[-c:].sum() + col[:c].sum() + col[-c:].sum()) / mass)
         _check_edges(edge, boundary_limit)
-        density = rho_q / (np.sum(rho_q) * q.dx)
-        results.append(ScreenResult(q.points.copy(), density, weight, edge))
+        screen = rho_q / (np.sum(rho_q) * q.dx)
+        results.append(ScreenResult(q.points.copy(), screen, weight, edge))
     return results
 
 

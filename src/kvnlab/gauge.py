@@ -90,18 +90,16 @@ class KvnRadialCoeffs:
 
 
 def kvn_radial_coeffs(cfg: SolenoidConfig, E_tilde: float) -> KvnRadialCoeffs:
-    # minimal coupling shifts the operator's p_theta down by e Phi/(2 pi c)
-    # = hbar * alpha, while the delta in the eigenfunction pins p_theta at
-    # ptheta0 + hbar * alpha; composing the two is an exact cancellation,
-    # kept as a single difference so it is exact in floating point too
-    flux_shift = cfg.hbar * cfg.alpha
-    ptheta_eff = cfg.ptheta0 + (flux_shift - flux_shift)
+    """The classical radial coefficients.  Minimal coupling shifts p_theta
+    down by hbar alpha and the eigenfunction's delta pins it at ptheta0 +
+    hbar alpha, so the record carries no alpha by construction: criterion
+    9's classical half (one distinct record) is structural, not computed."""
     m = cfg.mass
     try:
         coeffs = KvnRadialCoeffs(
             dr_coeff=-1.0 / m,
-            centrifugal=ptheta_eff * cfg.n / m,
-            dpr_coeff=-(ptheta_eff**2) / m,
+            centrifugal=cfg.ptheta0 * cfg.n / m,
+            dpr_coeff=-(cfg.ptheta0**2) / m,
             lambda_z_coeff=cfg.pz0 / m,
             energy=-E_tilde,
         )

@@ -99,23 +99,16 @@ def wavenumbers(g: Grid1D) -> np.ndarray:
     return dft_bins(g.n) * (2.0 * np.pi / (g.n * g.dx))
 
 
-def dft_powers(arg: np.ndarray, n: int, axis: int, real: bool) -> np.ndarray:
-    """exp(j * arg) for the bins j of an n-point DFT, in ``dft_bins`` order
-    along ``axis`` of the result, the 1-D ``arg`` along the other axis.
+def dft_powers(arg: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """exp(j * arg) for the bins j = 0..n/2 of an n-point DFT, the ones rfft
+    keeps, along ``axis`` of the result, the 1-D ``arg`` along the other axis.
 
     A factor whose exponent is linear in the wavenumber is the powers of its
-    bin-1 entry: one exponential over ``arg`` and a running product over
-    bins 0..n/2.  With ``real`` only those bins are returned, the ones rfft
-    keeps; otherwise bins -n/2+1..-1 follow as the conjugates of bins
-    n/2-1..1, which needs ``arg`` imaginary.
+    bin-1 entry: one exponential over ``arg`` and a running product.
     """
     powers = np.repeat(np.expand_dims(np.exp(arg), axis), n // 2 + 1, axis)
     np.moveaxis(powers, axis, 0)[0] = 1.0
-    powers = powers.cumprod(axis)
-    if real:
-        return powers
-    negative = np.take(powers, np.arange(n // 2 - 1, 0, -1), axis).conj()
-    return np.concatenate([powers, negative], axis)
+    return powers.cumprod(axis)
 
 
 def edge_mass(rho_times_measure: np.ndarray) -> float:

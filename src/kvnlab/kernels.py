@@ -23,13 +23,10 @@ axis and the line.
 The shear factor exp(-i k_q p t / m) is linear in the q wavenumber, so its
 rows are the powers of its bin-1 row (``grid.dft_powers``).
 
-Real-field shear: the shear maps a real field to a real field.  A state
-whose imaginary part is exactly zero is sheared as float64 with rfft/irfft
-along q and the factor over rows 0..n/2 only; other states take the complex
-fft/ifft path.  As in :mod:`kvnlab.propagation`, the two differ by round-off
-and by the Nyquist bin: its wavenumber +pi/dx has no -pi/dx partner, so the
-complex path leaks an imaginary part there that the real path drops.  The
-real path equals the real part of the complex one.
+The shear is a real operator: it maps a real field to a real field.  A
+state is sheared as its real parts (``states.real_parts``): its real part,
+and its imaginary part unless that is exactly zero, each as float64 with
+rfft/irfft along q and the factor over rows 0..n/2, the bins rfft keeps.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .grid import Grid1D, dft_powers, wavenumbers
-from .states import Wavefunction
+from .states import Wavefunction, join_parts, real_parts
 
 #: Nodes of ``kernel_convolution``'s trapezoid sum, over |s| <= 7 / sqrt(a1 + a2),
 #: where the Gaussian in s falls to e^-49.
@@ -87,39 +84,28 @@ def free_quantum_propagate(
 
 
 def free_kvn_propagate(psi: Wavefunction, t: float, mass: float = 1.0) -> Wavefunction:
-    """Exact classical shear psi(x - p t / m, p), realized spectrally; a real
-    state runs on rfft/irfft (see the module docstring)."""
+    """Exact classical shear psi(x - p t / m, p), realized spectrally on the
+    state's real parts (see the module docstring)."""
     if t < 0:
         raise ValueError(f"shear propagation needs t >= 0, got {t}")
-    amp = real_if_real(psi.amplitudes)
     pg = psi.grid
-    out = shear(amp, shear_factor(pg.q, pg.p.points, t, mass, real=np.isrealobj(amp)))
-    return Wavefunction(psi.grid, out, time=psi.time + t)
+    factor = shear_factor(pg.q, pg.p.points, t, mass)
+    parts = [shear(part, factor) for part in real_parts(psi.amplitudes)]
+    del factor  # free it before the complex result is made
+    return Wavefunction(psi.grid, join_parts(parts), time=psi.time + t)
 
 
-def real_if_real(amp: np.ndarray) -> np.ndarray:
-    """``amp`` as float64 when its imaginary part is exactly zero, else as is."""
-    if np.iscomplexobj(amp) and not amp.imag.any():
-        return amp.real
-    return amp
-
-
-def shear_factor(
-    q: Grid1D, p: np.ndarray, t: float, mass: float = 1.0, real: bool = False
-) -> np.ndarray:
+def shear_factor(q: Grid1D, p: np.ndarray, t: float, mass: float = 1.0) -> np.ndarray:
     """The spectral shear factor exp(-i k_q p t / m) of the q grid ``q`` for
-    the momenta ``p``: axis 0 in k_q order, one column per momentum (a whole
-    p axis or any slab of it); with ``real``, only rows 0..n/2, the bins that
-    rfft keeps.  The rows are the powers of the bin-1 row (``dft_powers``)."""
-    return dft_powers(-1j * wavenumbers(q)[1] * p * t / mass, q.n, 0, real)
+    the momenta ``p``: rows 0..n/2 in k_q order, the bins that rfft keeps,
+    one column per momentum (a whole p axis or any slab of it).  The rows are
+    the powers of the bin-1 row (``dft_powers``)."""
+    return dft_powers(-1j * wavenumbers(q)[1] * p * t / mass, q.n, 0)
 
 
 def shear(amp: np.ndarray, factor: np.ndarray) -> np.ndarray:
-    """Apply a :func:`shear_factor` along q: rfft/irfft for a real ``amp``
-    (with the ``real`` factor), fft/ifft for a complex one."""
-    if np.isrealobj(amp):
-        return np.fft.irfft(factor * np.fft.rfft(amp, axis=0), n=amp.shape[0], axis=0)
-    return np.fft.ifft(factor * np.fft.fft(amp, axis=0), axis=0)
+    """Apply a :func:`shear_factor` along q to the real field ``amp``."""
+    return np.fft.irfft(factor * np.fft.rfft(amp, axis=0), n=amp.shape[0], axis=0)
 
 
 def kernel_convolution(

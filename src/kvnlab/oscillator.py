@@ -161,7 +161,7 @@ def kvn_tdho_evolve(
     qs, ps = np.empty((2, n_steps + 1))
     covs = np.empty((n_steps + 1, 2, 2))
 
-    def record(i, amp, rho, spec):
+    def record(i, parts, rho, spec):
         qs[i], ps[i], covs[i] = _phase_moments(rho, q, p)
 
     G = koopman_generator(psi0.grid, lambda x: x)

@@ -7,73 +7,68 @@ grid, which fixes where each part is diagonal: A after an FFT along axis 0,
 B as is on a 1-D grid and after an FFT along the p axis, in (q, lambda), on
 a phase grid.  Each factor is exact in that representation, so the step is
 unitary and second order in dt, and for classical generators every factor
-is an advection shear.  The factors are built once per call, for the one
-path (real-field or complex) the call takes, and ``propagate`` is the one
-stepping loop.  On a phase grid a step ends in the (q, lambda)
-representation and the next step opens from that spectrum, which the run
-carries from the first step to the last, so a Strang step costs five FFTs.
+is an advection shear.  The factors are built once per call, and
+``propagate`` is the one stepping loop.  On a phase grid a step ends in the
+(q, lambda) representation and the next step opens from that spectrum, so a
+Strang step costs five FFTs.
 
 A time-dependent force enters through ``position_scale``, which rescales B
 at each force kick of a fourth-order step: Blanes and Moan's RKN splitting
 SRKN6b (J. Comput. Appl. Math. 142, 313, 2002), seven kicks of weights
 b1 b2 b3 b4 b3 b2 b1 alternating with six conjugate drifts of weights
 a1 a2 a3 a3 a2 a1, a kick first and last, each kick's B scaled at the time
-the drifts before it have reached.  A Runge-Kutta-Nystrom
-splitting needs [B, [B, [B, A]]] = 0, which holds for the Koopman
-Liouvillian ({V, {V, {V, p^2/2}}} = 0) and, with time as a coordinate that
-the drifts advance, for a stiffness depending on t.  The three distinct
-conjugate factors are built once; a step costs 25 FFTs and six force
-factors, its closing kick being the next step's opening one.  The
-phase-space position part -V'(q) lambda is linear in the lambda
-wavenumber, so each position factor exp(c B) is, column by column, a power
-of its first lambda column (``grid.dft_powers``): one exponential over the q
-rows and a running product over lambda bins 0..n/2, the negative bins being
-the conjugates of the positive ones (the exponent is imaginary).
+the drifts before it have reached.  A Runge-Kutta-Nystrom splitting needs
+[B, [B, [B, A]]] = 0, which holds for the Koopman Liouvillian
+({V, {V, {V, p^2/2}}} = 0) and, with time as a coordinate that the drifts
+advance, for a stiffness depending on t.  The three distinct conjugate
+factors are built once; a step costs 25 FFTs and six force factors, its
+closing kick being the next step's opening one.  The phase-space position
+part -V'(q) lambda is linear in the lambda wavenumber, so each position
+factor exp(c B) is the powers of its first lambda column
+(``grid.dft_powers``): one exponential over the q rows.
 
-Real-field path: the phase-space generators are real operators, so a real
-amplitude stays real.  When a phase-grid state's imaginary part is exactly
-zero and both exponents are conjugate-symmetric along their FFT axes
-(checked exactly before the first step), the state is carried as float64 and
-every FFT is an rfft/irfft over bins 0..n/2: the conjugate factors keep
-their first n/2+1 rows, the position factor its first n/2+1 columns, and
-time-dependent position factors are built over those columns only.  This
-equals the complex step with the real part taken after each inverse
-transform.  The two differ by round-off, and by what the Nyquist bin leaks:
-the wavenumber there is +pi/dx with no -pi/dx partner, so its factor is not
-conjugate-symmetric and the complex path grows an imaginary part (about
-2e-7 by t = 1 on the quartic at 128^2) that the real path drops.  Complex
-states and 1-D quantum states take the complex path.
+Real parts: the phase-space generators (Koopman, and the interpolating one
+at every kappa) are real operators, so a state's real and imaginary parts
+never mix.  On a phase grid a state is carried as its ``real_parts``, each
+stepped as float64 on rfft/irfft with every factor over bins 0..n/2, and
+the final state joins them.  Both exponents must be exactly
+conjugate-symmetric along their FFT axes, or ValueError names the generator
+before the first step; an exponent holding a NaN is let through, and its
+state stops the run at the edge check.  The Nyquist wavenumber +pi/dx has
+no -pi/dx partner: irfft reads only the real part of that bin, and the
+spectrum carried to the next step keeps only what it read.  A 1-D quantum
+state is one complex field on fft/ifft, the Schrodinger step not being a
+real operator.
 
-Recording rule: ``propagate`` samples the state before the first step
-and after every step.  Each sample computes rho = |psi|^2 * measure once and
+Recording rule: ``propagate`` samples the state before the first step and
+after every step.  Each sample computes rho = |psi|^2 * measure once and
 takes from it the norm and the mass within ``EDGE_CELLS`` cells of the
-domain edge.  Edge mass above the limit aborts the run: the domain was
-chosen too small and any Ehrenfest check would be meaningless.  A NaN edge
-mass aborts it too.  ``evolve_many`` records the means <q>, <p>, <V'> of
-several observers (generators) from one evolution's samples; ``evolve`` is
-its one-observer case.  A sample takes rho's marginals and, for kappa != 0,
-|F|^2 of the lambda-spectrum the step already holds (|exp(i phi) F|^2 =
-|F|^2), its lambda marginal and <theta> once; each observer adds only its
-Bopp shifts and its own <V'(q - hbar kappa lambda/2)> sum, in a lone
-observer's arithmetic.  On the real-field path the full-spectrum sums are
-taken over the half spectrum with the weights at -k folded onto +k, and
-<theta> needs only the Nyquist bin, an alternating sum over q, so a
-kappa != 0 step with its record costs five transforms however many
-observers read it; on the complex path <theta> costs one more FFT.
+domain edge.  Edge mass above the limit, or NaN, aborts the run: the domain
+was chosen too small and any Ehrenfest check would be meaningless.
+``evolve_many`` records the means <q>, <p>, <V'> of several observers
+(generators) from one evolution's samples; ``evolve`` is its one-observer
+case.  A sample takes rho's marginals and, for kappa != 0, the lambda
+spectra the step already holds (|exp(i phi) F|^2 = |F|^2), their lambda
+marginal and <theta> once; each observer adds only its Bopp shifts and its
+own <V'(q - hbar kappa lambda/2)> sum, in a lone observer's arithmetic.
+Full-spectrum sums are taken over the parts' half spectra (``_fold``,
+``_cross``).  A real state's <theta> needs only the Nyquist bin, an
+alternating sum over q, so a kappa != 0 step with its record costs five
+transforms however many observers read it; a complex state adds two rffts.
 
 BLAS: every kvnlab process does its BLAS work on one thread (the package
 sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is set already), so evolutions
 running side by side in separate processes do not contend for BLAS
-workers, and no idle worker spins beside the next step.  The step and
-record loop makes no BLAS call on a full grid anyway: full-grid reductions
-are ``sum``s, and only length-n dot products remain.  Processes rather than
-threads: each step is many small numpy calls on 128 x 65 arrays, and
-threads would hand the GIL back and forth at every one of them.
+workers.  The step and record loop makes no BLAS call on a full grid
+anyway: full-grid reductions are ``sum``s.  Processes rather than threads:
+each step is many small numpy calls on 128 x 65 arrays, and threads would
+hand the GIL back and forth at every one of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from typing import Callable
 
@@ -82,7 +77,7 @@ import numpy as np
 from .errors import BoundaryMassError
 from .grid import Grid1D, PhaseGrid, dft_bins, dft_powers, edge_mass, wavenumbers
 from .operators import Generator
-from .states import Wavefunction, _require_same_grid
+from .states import Wavefunction, _require_same_grid, density, join_parts, real_parts
 
 #: Probability mass allowed within EDGE_CELLS cells of a domain edge during evolve().
 BOUNDARY_MASS_LIMIT = 1e-8
@@ -100,12 +95,6 @@ _KICKS = _B + _B[-2::-1]
 _KICK_TIMES = (*accumulate(_DRIFTS[:-1], initial=0.0), 1.0)
 
 
-def _abs2(field: np.ndarray) -> np.ndarray:
-    if np.isrealobj(field):
-        return field**2
-    return field.real**2 + field.imag**2
-
-
 def _conj_symmetric(arg: np.ndarray, axis: int) -> bool:
     """Whether exp(arg) is conjugate-symmetric along ``axis`` (bin -k the
     conjugate of bin k) at every bin but the Nyquist one, exactly."""
@@ -116,30 +105,24 @@ def _conj_symmetric(arg: np.ndarray, axis: int) -> bool:
             and np.array_equal(a[1:(n + 1) // 2], np.conj(a[: n // 2 : -1])))
 
 
-def _head(field: np.ndarray, axis: int) -> np.ndarray:
-    """Bins 0..n/2 along ``axis``, the part of a spectrum that rfft keeps."""
-    return np.take(field, np.arange(field.shape[axis] // 2 + 1), axis)
-
-
-def _kicks(pos_arg: np.ndarray, dt: float, scale: Callable, real: bool) -> Callable:
+def _kicks(pos_arg: np.ndarray, dt: float, scale: Callable) -> Callable:
     """SRKN6b's position factors: ``kicks(t)`` yields the seven kicks of the
-    step from t, exp(c * pos_arg) with c = 2 b_j k_j, pos_arg the position
-    exponent of a half-step of dt and k_j = scale(t + _KICK_TIMES[j] dt),
-    each built only as it is taken: ``dft_powers`` of the bin-1 column, one
-    exp over the q rows, over lambda bins 0..n/2 on the real-field path.
+    step from t, exp(c * pos_arg) over lambda bins 0..n/2 with c = 2 b_j k_j,
+    pos_arg the position exponent of a half-step of dt and k_j = scale(t +
+    _KICK_TIMES[j] dt), each built only as it is taken (``dft_powers``).
     The last kick is kept, so a step's closing kick serves as the next
     step's opening one (both b1 at the same time).  Raises ValueError unless
     pos_arg is a phase-space position part linear in lambda."""
     n = pos_arg.shape[-1]
     if pos_arg.ndim != 2 or pos_arg.real.any() or not np.allclose(
-        pos_arg, dft_bins(n) * pos_arg[:, 1:2], rtol=1e-12, atol=0
+        pos_arg.imag, dft_bins(n) * pos_arg.imag[:, 1:2], rtol=1e-12, atol=0
     ):
         raise ValueError("position_scale needs a phase-space position part linear in lambda")
     unit, last = pos_arg[:, 1].copy(), [None, None]  # (c, factor) of the last kick built
 
     def kick(c: float) -> np.ndarray:
         if c != last[0]:
-            last[:] = c, dft_powers(c * unit, n, 1, real)
+            last[:] = c, dft_powers(c * unit, n, 1)
         return last[1]
 
     return lambda t: (kick(2.0 * b * scale(t + s * dt)) for b, s in zip(_KICKS, _KICK_TIMES))
@@ -156,63 +139,64 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
     with B scaled by ``position_scale(t + _KICK_TIMES[j] * dt)``, between
     conjugate drifts of ``_DRIFTS[j] * dt``; B must then be a phase-space
     position part linear in lambda, or ValueError is raised before any step.
-    A state on another grid than G's raises GridMismatchError.
+    A state on another grid than G's raises GridMismatchError, and a
+    phase-space G that is not a real operator ValueError.
 
-    ``record(i, amplitudes, rho, spectrum)`` sees every sample; rho is
-    |psi|^2 * measure and spectrum the FFT along the p axis, or None on a
-    1-D grid.  On the real-field path the amplitudes are float64 and the
-    spectrum is the rfft (bins 0..n/2).
+    ``record(i, parts, rho, spectra)`` sees every sample: the state's real
+    parts (on a 1-D grid its one complex field), rho = |psi|^2 * measure and
+    each part's rfft along the p axis (on a 1-D grid the parts themselves).
     Returns ``(final_state, times, norms, boundary_mass)`` with one
     series entry per sample; the final state is complex, as always.
     """
     _require_same_grid(state, G)
     arg = -1j * dt / G.hbar
     conj_arg, pos_arg = arg * G.conjugate_part, 0.5 * arg * G.position_part
-    pa = 1 if isinstance(G.grid, PhaseGrid) else None  # the position part's FFT axis
-    amp = state.amplitudes
-    real = (pa is not None and not amp.imag.any()
-            and _conj_symmetric(conj_arg, 0) and _conj_symmetric(pos_arg, pa))
+    if position_scale is not None:
+        position = _kicks(pos_arg, dt, position_scale)
+    real = isinstance(G.grid, PhaseGrid)
     if real:
-        amp, conj_arg = amp.real, _head(conj_arg, 0)
-        fft, ifft = np.fft.rfft, np.fft.irfft
-        nyquist = (slice(None),) * pa + (-1,)  # the last rfft bin along pa
-    else:
-        fft, ifft = np.fft.fft, np.fft.ifft
+        # NaN is looked for only once the check fails: it fails on every NaN
+        if not (_conj_symmetric(conj_arg, 0) and _conj_symmetric(pos_arg, 1)
+                or np.isnan(conj_arg).any() or np.isnan(pos_arg).any()):
+            raise ValueError(f"the {G.label} generator is not a real operator: "
+                             "its split factors are not conjugate-symmetric")
+        parts, fft, ifft = real_parts(state.amplitudes), np.fft.rfft, np.fft.irfft
+        to_p, from_p = partial(fft, axis=1), partial(ifft, axis=1)
+        conj_arg = conj_arg[: len(conj_arg) // 2 + 1].copy()  # the rows rfft keeps
+    else:  # B is diagonal as is
+        parts, fft, ifft = [state.amplitudes], np.fft.fft, np.fft.ifft
+        to_p = from_p = lambda field: field
     if position_scale is None:
-        pos = np.exp(_head(pos_arg, pa) if real else pos_arg)
+        pos = np.exp(pos_arg[:, : pos_arg.shape[1] // 2 + 1] if real else pos_arg)
         position, conj = lambda t: (pos, pos), (np.exp(conj_arg),)
     else:
-        position = _kicks(pos_arg, dt, position_scale, real)
         drifts = [np.exp(a * conj_arg) for a in _A]
         conj = (*drifts, *drifts[::-1])
     del conj_arg, pos_arg  # free the exponents: the steps read only the factors
 
     times, norms, edges = np.empty((3, n_steps + 1))
     t = state.time
-    # on a phase grid a step's closing spectrum is the next step's opening one
-    spec = None if pa is None else fft(amp, axis=pa)
+    specs = [to_p(part) for part in parts]  # a step's closing spectra open the next
     for i in range(n_steps + 1):
         if i:
-            del rho  # the last sample's, recorded: free it before the transforms
+            del rho, parts  # the last sample's, recorded: free them before the transforms
             # the position factors alternate with the conjugate ones, first and last
             factors = iter(position(t))
-            if pa is None:
-                for conj_factor in conj:
-                    amp = ifft(conj_factor * fft(next(factors) * amp))
-                amp = next(factors) * amp
-            else:
-                for conj_factor in conj:
-                    amp = ifft(next(factors) * spec, axis=pa)
-                    del spec  # stale until the drift's closing transform
+            for conj_factor in conj:
+                kick = next(factors)
+                for j in range(len(specs)):
+                    amp = from_p(kick * specs[j])
+                    specs[j] = None  # stale until the drift's closing transform
                     amp = ifft(conj_factor * fft(amp, axis=0), axis=0)
-                    spec = fft(amp, axis=pa)
-                spec = next(factors) * spec
-                amp = ifft(spec, axis=pa)
-                if real:
-                    # irfft read only the real part of the Nyquist bin: carry what it read
-                    spec[nyquist].imag = 0.0
+                    specs[j] = to_p(amp)
+            kick, amp = next(factors), None
+            specs = [kick * spec for spec in specs]
+            parts = [from_p(spec) for spec in specs]
+            if real:  # irfft read only the real part of the Nyquist bin: carry what it read
+                for j in range(len(specs)):
+                    specs[j][:, -1].imag = 0.0
             t = t + dt
-        rho = _abs2(amp) * state.measure
+        rho = density(parts) * state.measure
         times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)
         if not edges[i] <= boundary_limit:  # also stops a NaN state
             raise BoundaryMassError(
@@ -220,10 +204,10 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
                 f"at t={t:.4g}"
             )
         if record is not None:
-            record(i, amp, rho, spec)
+            record(i, parts, rho, specs)
     # free the factors before the complex final state is made
-    pos = drifts = position = conj = factors = conj_factor = None
-    return Wavefunction(state.grid, amp, time=t), times, norms, edges
+    pos = drifts = position = conj = factors = conj_factor = kick = None
+    return Wavefunction(state.grid, join_parts(parts), time=t), times, norms, edges
 
 
 def kvn_step(psi: Wavefunction, G: Generator, dt: float) -> Wavefunction:
@@ -244,33 +228,40 @@ def kvn_step(psi: Wavefunction, G: Generator, dt: float) -> Wavefunction:
 # observable recording
 
 
-def _fold(weights: np.ndarray) -> np.ndarray:
-    """``weights`` on bins 0..n/2 of the last axis with bin -k added to bin k,
-    so that summing them against a real field's half spectrum gives the sum
-    over the full one (|F(-k)| = |F(k)|)."""
+def _fold(weights: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """``weights`` on bins 0..n/2 of the last axis, ``sign`` times bin -k added
+    to bin k: the weights of the half spectra's |F|^2 (sign 1) and of their
+    ``_cross`` term (sign -1)."""
     n = weights.shape[-1]
     out = weights[..., : n // 2 + 1].copy()
-    out[..., 1 : n // 2] += weights[..., : n // 2 : -1]
+    out[..., 1 : n // 2] += sign * weights[..., : n // 2 : -1]
     return out
 
 
-def _theta_mean(amp: np.ndarray, kq: np.ndarray) -> float:
-    """<theta> = sum_k kq[k] |F(k, p)|^2 / sum |F|^2, F the FFT along q.
+def _cross(R: np.ndarray, I: np.ndarray) -> np.ndarray:
+    """Im(conj(R) I) per bin of the half spectra R, I of a state's two parts.
+    Bins k and -k of the state's spectrum hold R + iI and conj(R) + i conj(I),
+    so |F(+-k)|^2 = |R|^2 + |I|^2 -+ 2 Im(conj(R) I), and a full-spectrum sum
+    of w |F|^2 is _fold(w) on |R|^2 + |I|^2 less 2 _fold(w, -1) on this."""
+    return R.real * I.imag - R.imag * I.real
 
-    For a real field F(-k) is the conjugate of F(k) and kq[-k] = -kq[k], so
-    every pair cancels but the unpaired Nyquist bin, whose transform is the
-    alternating sum over q; Parseval gives the denominator.  No FFT is taken.
-    """
-    if np.isrealobj(amp):
-        n = len(kq)
-        alternating = amp[0::2].sum(axis=0) - amp[1::2].sum(axis=0)
-        return kq[n // 2] * (alternating @ alternating) / (n * (amp * amp).sum())
-    w_th = _abs2(np.fft.fft(amp, axis=0)).sum(axis=1)
-    return (kq @ w_th) / w_th.sum()
+
+def _theta_mean(parts: list[np.ndarray], kq: np.ndarray) -> float:
+    """<theta> = sum_k kq[k] |F(k, p)|^2 / sum |F|^2, F the FFT along q of the
+    state whose real parts are ``parts``.  The fold of the odd kq is zero but
+    at the Nyquist bin, a part's alternating sum over q; a complex state adds
+    the cross term of its parts' rffts.  Parseval gives the denominator."""
+    n = len(kq)
+    alternating = [part[0::2].sum(axis=0) - part[1::2].sum(axis=0) for part in parts]
+    moment = kq[n // 2] * sum(a @ a for a in alternating)
+    if len(parts) > 1:
+        cross = _cross(*(np.fft.rfft(part, axis=0) for part in parts))
+        moment -= 2 * (_fold(kq, -1.0) @ cross.sum(axis=1))
+    return moment / (n * density(parts).sum())
 
 
 def _means(state: Wavefunction, observers) -> Callable:
-    """``means(amplitudes, rho, spectrum) -> [(<q>, <p>, <V'>) per observer]``,
+    """``means(parts, rho, spectra) -> [(<q>, <p>, <V'>) per observer]``,
     with every array that does not change between steps built once.
 
     On a phase grid an observer at kappa = 0 reads the plain multiplicative
@@ -284,43 +275,46 @@ def _means(state: Wavefunction, observers) -> Callable:
         x, k = g.points, wavenumbers(g)
         read = [(G.hbar * k, np.asarray(G.potential_prime(x), dtype=float)) for G in observers]
 
-        def quantum(amp, rho, spec):
-            w = _abs2(np.fft.fft(amp))
+        def quantum(parts, rho, spec):
+            w = density([np.fft.fft(parts[0])])
             return [(x @ rho, pk @ w / w.sum(), vx @ rho) for pk, vx in read]
 
         return quantum
 
     q, p = state.grid.q.points, state.grid.p.points
     kq, kp = wavenumbers(state.grid.q), wavenumbers(state.grid.p)
-    read = []  # (shift, V' on the full lambda spectrum, V' on the half one) per observer
+    read = []  # (shift, V' on q or folded onto lambda bins 0..n/2, its odd fold) per observer
     for G in observers:
         if G.kappa == 0.0:
             read.append((0.0, np.asarray(G.potential_prime(q), dtype=float), None))
         else:
             shift = 0.5 * G.hbar * G.kappa
             v = np.asarray(G.potential_prime(q[:, None] - shift * kp), dtype=float)  # (q, lambda)
-            read.append((shift, v, _fold(v)))
+            read.append((shift, _fold(v), _fold(v, -1.0)))
     bopp = any(shift for shift, *_ in read)
-    full = kp, np.ones(len(kp))  # the last: multiplicities
-    half = tuple(_fold(w) for w in full)
+    kp_even, kp_odd, mult = _fold(kp), _fold(kp, -1.0), _fold(np.ones(len(kp)))
 
-    def phase(amp, rho, spec):
+    def phase(parts, rho, spec):
         rho_q = rho.sum(axis=1)
         q_mean, p_mean = q @ rho_q, rho.sum(axis=0) @ p
-        real = np.isrealobj(amp)
         if bopp:
-            kp_, mult_p = half if real else full
-            w_lam = _abs2(spec)
+            w_lam = density(spec)
+            cross = _cross(*spec) if len(spec) > 1 else None
             w_p = w_lam.sum(axis=0)
-            lam_sum, norm_lam = w_p @ kp_, w_p @ mult_p
-            theta = _theta_mean(amp, kq)
+            lam_sum, norm_lam = w_p @ kp_even, w_p @ mult
+            if cross is not None:
+                lam_sum -= 2 * (cross.sum(axis=0) @ kp_odd)
+            theta = _theta_mean(parts, kq)
         out = []
-        for shift, v, v_half in read:
+        for shift, v, v_odd in read:
             if not shift:
                 out.append((q_mean, p_mean, v @ rho_q))
-            else:
-                out.append((q_mean - shift * lam_sum / norm_lam, p_mean + shift * theta,
-                            ((v_half if real else v) * w_lam).sum() / norm_lam))
+                continue
+            v_sum = (v * w_lam).sum()
+            if cross is not None:
+                v_sum -= 2 * (v_odd * cross).sum()
+            out.append((q_mean - shift * lam_sum / norm_lam, p_mean + shift * theta,
+                        v_sum / norm_lam))
         return out
 
     return phase
@@ -360,8 +354,8 @@ def evolve_many(
     series = np.empty((len(observers), 3, n_steps + 1))
     means = _means(state, observers)
 
-    def record(i, amp, rho, spec):
-        series[:, :, i] = means(amp, rho, spec)
+    def record(i, parts, rho, spec):
+        series[:, :, i] = means(parts, rho, spec)
 
     final, times, norms, edges = propagate(state, G, t_final / n_steps, n_steps, record)
     return [Trajectory(times, *s, final, norms, edges) for s in series]

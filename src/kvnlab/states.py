@@ -51,6 +51,33 @@ def _require_same_grid(a, b) -> None:
         raise GridMismatchError("states or operators live on different grids")
 
 
+def real_parts(amp: np.ndarray) -> list[np.ndarray]:
+    """``amp`` as the real fields that a real operator (every phase-space
+    generator, the free shear) evolves apart: its real part, and its
+    imaginary part unless that is exactly zero."""
+    return [amp.real] if np.isrealobj(amp) or not amp.imag.any() else [amp.real, amp.imag]
+
+
+def join_parts(parts: list[np.ndarray]) -> np.ndarray:
+    """The complex amplitudes whose ``real_parts`` are ``parts``, or a lone complex field."""
+    if np.iscomplexobj(parts[0]):
+        return parts[0]
+    amp = parts[0].astype(complex)
+    if len(parts) > 1:
+        amp.imag = parts[1]
+    return amp
+
+
+def density(fields: list[np.ndarray]) -> np.ndarray:
+    """|psi|^2 from ``real_parts`` or a lone complex field: the sum of the
+    squares of every real and imaginary part, in order."""
+    squares = (x**2 for f in fields for x in ((f.real, f.imag) if np.iscomplexobj(f) else (f,)))
+    rho = next(squares)
+    for square in squares:
+        rho += square
+    return rho
+
+
 def expectation(op, psi: Wavefunction) -> complex:
     """<psi| op |psi> for a normalized state on ``op``'s grid (else GridMismatchError).
 

@@ -59,6 +59,17 @@ def gaussian_phase(pg, q0=0.0, p0=0.0, sigma_q=1.0, sigma_p=1.0, phase=None):
     return Wavefunction(pg, amp).normalize()
 
 
+def assert_runs_its_parts_apart(run, psi):
+    """``run(state) -> state`` of the complex ``psi`` is, bit for bit, its run
+    of the real part plus i times its run of the imaginary part, each alone a
+    real state that stays real: the mark of a real operator."""
+    whole, re, im = (run(Wavefunction(psi.grid, a, time=psi.time)).amplitudes
+                     for a in (psi.amplitudes, psi.amplitudes.real, psi.amplitudes.imag))
+    assert not re.imag.any() and not im.imag.any()
+    assert whole.real.tobytes() == re.real.tobytes()
+    assert whole.imag.tobytes() == im.real.tobytes()
+
+
 def random_bandlimited_1d(grid, rng, n_modes=8, envelope_sigma=None):
     """Random smooth state localized away from the periodic boundary."""
     coeff = np.zeros(grid.n, dtype=complex)

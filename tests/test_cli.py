@@ -795,6 +795,22 @@ def test_svg_writers(tmp_path):
     assert "<rect" in (tmp_path / "h.svg").read_text()
 
 
+def test_tables_written_to_two_directories_are_byte_identical(tmp_path, capsys):
+    # the config hash covers the experiment, hbar, seed and params, not where
+    # the tables go, so the same config gives the same bytes anywhere
+    for sub in ("a", "b"):
+        cfg = write_config(tmp_path, {"experiment": "measure", "output": {"directory": sub}},
+                           f"{sub}.json")
+        assert main(["run", str(cfg)]) == 0
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert "measure_sweep.csv" in names
+    assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+    out = capsys.readouterr().out.splitlines()
+    assert len({line.split()[2] for line in out if line.startswith("measure: config ")}) == 1
+
+
 def test_load_config_resolved_hash_stable(tmp_path):
     cfg_path = write_config(tmp_path, {"experiment": "measure"})
     a = load_config(cfg_path)

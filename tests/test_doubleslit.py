@@ -17,7 +17,8 @@ from kvnlab.doubleslit import (
 from kvnlab.errors import BoundaryMassError, PhysicsError
 from kvnlab.gauge import SolenoidConfig
 from kvnlab.grid import EDGE_CELLS, Grid1D, PhaseGrid, edge_mass
-from kvnlab.kernels import real_if_real, shear, shear_factor
+from kvnlab.kernels import shear, shear_factor
+from kvnlab.states import density, real_parts
 
 
 @pytest.fixture(scope="module")
@@ -204,12 +205,45 @@ def test_kvn_screens_share_one_source_run(cfg, kvn_runs, call_counts):
         assert res.boundary_mass == kvn_runs[key].boundary_mass
 
 
-def test_kvn_phased_source_takes_complex_shears(cfg, call_counts):
-    kvn_screens(cfg, (1,), phase=lambda Q, P: np.sin(Q) * np.cos(P))
-    # the same slabs are skipped: one fft/ifft pair to the wall, one to the screen
-    live = _slabs(cfg) - len(_dead_slabs(cfg))
-    assert call_counts["fft"] == call_counts["ifft"] == 2 * live
-    assert call_counts["rfft"] == call_counts["irfft"] == 0
+WAVY = lambda Q, P: np.sin(Q) * np.cos(P)
+
+
+def test_kvn_phased_source_shears_its_real_parts(cfg, call_counts):
+    dead = len(_dead_slabs(cfg))
+    live = _slabs(cfg) - dead
+    call_counts.clear()
+    kvn_screens(cfg, (1,), phase=WAVY)
+    # the same slabs are skipped.  A live slab: the source Gaussian, its
+    # phase and the two shear factors; per part, one rfft/irfft pair to the
+    # wall and one to the screen.  A dead slab: the source and its phase
+    assert call_counts["exp"] == 4 * live + 2 * dead
+    assert call_counts["rfft"] == call_counts["irfft"] == 2 * 2 * live
+    assert call_counts["fft"] == call_counts["ifft"] == 0
+
+
+def test_kvn_phased_screens_are_those_of_the_source_parts(cfg):
+    # the shear is a real operator, so a phased slab reaches the screen as
+    # its real part's run plus i times its imaginary part's, and the density
+    # is the sum of their squares, to the bit
+    q, masks = cfg.x_grid, [refined_mask(cfg, which)[:, None] for which in (None, 1)]
+    source_mass, masked_mass, marginal = 0.0, np.zeros(2), np.zeros((2, q.n))
+    for cols, amp in _slab_sources(cfg):
+        Q, P = q.points[:, None], cfg.p_grid.points[None, cols]
+        amp = amp * np.exp(1j * WAVY(Q, P))
+        re, im = amp.real, amp.imag
+        if np.sum(re**2 + im**2) == 0.0:
+            continue
+        source_mass += np.sum(re**2 + im**2)
+        to_wall = shear_factor(q, P[0], cfg.t_M, cfg.mass)
+        to_screen = shear_factor(q, P[0], cfg.t_R - cfg.t_M, cfg.mass)
+        re, im = shear(re, to_wall), shear(im, to_wall)
+        for i, mask in enumerate(masks):
+            masked_mass[i] += np.sum((re * mask) ** 2 + (im * mask) ** 2)
+            marginal[i] += (shear(re * mask, to_screen) ** 2
+                            + shear(im * mask, to_screen) ** 2).sum(axis=1)
+    for res, mass, rho_q in zip(kvn_screens(cfg, (None, 1), WAVY), masked_mass, marginal):
+        assert res.density.tobytes() == (rho_q / (np.sum(rho_q) * q.dx)).tobytes()
+        assert res.transmitted_weight == mass / source_mass
 
 
 def test_skipped_slabs_would_add_nothing(cfg):
@@ -224,8 +258,8 @@ def test_skipped_slabs_would_add_nothing(cfg):
     for k in dead:
         cols, amp = sources[k]
         assert np.count_nonzero(amp) > 0  # tiny, but not zero before squaring
-        at_wall = shear(amp, shear_factor(q, p.points[cols], cfg.t_M, cfg.mass, True))
-        to_screen = shear_factor(q, p.points[cols], cfg.t_R - cfg.t_M, cfg.mass, True)
+        at_wall = shear(amp, shear_factor(q, p.points[cols], cfg.t_M, cfg.mass))
+        to_screen = shear_factor(q, p.points[cols], cfg.t_R - cfg.t_M, cfg.mass)
         terms = [np.sum(amp**2)]
         for which in (None, 1, 2):
             masked = at_wall * refined_mask(cfg, which)[:, None]
@@ -254,16 +288,17 @@ def _one_shot_screen(cfg, which, phase):
     Q, P = pg.meshes()
     amp = np.exp(-(Q**2) / (2 * cfg.sigma_x**2) - P**2 / (2 * cfg.sigma_p**2))
     if phase is not None:
-        amp = real_if_real(amp * np.exp(1j * phase(Q, P)))
-    real = np.isrealobj(amp)
-    amp = amp / np.sqrt(np.sum(np.abs(amp) ** 2) * pg.cell_area)
-    masked = shear(amp, shear_factor(pg.q, pg.p.points, cfg.t_M, cfg.mass, real))
-    masked = masked * refined_mask(cfg, which)[:, None]
-    weight = np.sum(np.abs(masked) ** 2) * pg.cell_area
-    rho2d = np.abs(shear(masked / np.sqrt(weight),
-                         shear_factor(pg.q, pg.p.points, cfg.t_R - cfg.t_M, cfg.mass, real))) ** 2
-    density = rho2d.sum(axis=1) / (np.sum(rho2d) * pg.q.dx)
-    return density, weight, edge_mass(rho2d * pg.cell_area)
+        amp = amp * np.exp(1j * phase(Q, P))
+    parts = real_parts(amp)
+    norm = np.sqrt(np.sum(density(parts)) * pg.cell_area)
+    to_wall = shear_factor(pg.q, pg.p.points, cfg.t_M, cfg.mass)
+    mask = refined_mask(cfg, which)[:, None]
+    masked = [shear(part / norm, to_wall) * mask for part in parts]
+    weight = np.sum(density(masked)) * pg.cell_area
+    to_screen = shear_factor(pg.q, pg.p.points, cfg.t_R - cfg.t_M, cfg.mass)
+    rho2d = density([shear(part / np.sqrt(weight), to_screen) for part in masked])
+    screen = rho2d.sum(axis=1) / (np.sum(rho2d) * pg.q.dx)
+    return screen, weight, edge_mass(rho2d * pg.cell_area)
 
 
 @pytest.mark.parametrize("p_n", [16, 128], ids=["one-partial-slab", "several-slabs"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import gaussian_1d, gaussian_phase
+from conftest import assert_runs_its_parts_apart, gaussian_1d, gaussian_phase
 from kvnlab.errors import BoundaryMassError, GridMismatchError
 from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from kvnlab.operators import hamiltonian, koopman_generator, unified_generator
@@ -363,14 +363,17 @@ def test_evolve_matches_reference_strang_loop(case):
         psi = gaussian_1d(grid, center=0.8, sigma=np.sqrt(0.5))
     else:
         psi = gaussian_phase(grid, q0=0.8, sigma_q=0.35, sigma_p=0.7, phase=phase)
-    # a real blob takes the real-field path
-    real = isinstance(grid, PhaseGrid) and phase is None
+    # a phase-space state steps as its real and imaginary parts, each with
+    # the real part taken after every inverse transform; a 1-D one whole
+    real = isinstance(grid, PhaseGrid)
+    parts = [psi.amplitudes.real, psi.amplitudes.imag] if real else [psi.amplitudes]
     n_steps, dt = 200, 1e-3
     traj = evolve(psi, G, n_steps * dt, n_steps)
     amp = psi.amplitudes
     for i in range(n_steps + 1):
         if i:
-            amp = reference_step(amp, G, dt, real)
+            parts = [reference_step(part, G, dt, real) for part in parts]
+            amp = parts[0] + 1j * parts[1] if real else parts[0]
         expected = reference_means(amp, G, grid)
         got = (traj.q_mean[i], traj.p_mean[i], traj.vprime_mean[i])
         assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12
@@ -429,25 +432,25 @@ def kick_times(t, dt):
 
 def srkn_reference_step(amp, pg, k, t, dt):
     """One SRKN6b step by FFTs of the full field, with the Koopman generator
-    rebuilt at each kick's stiffness."""
+    rebuilt at each kick's stiffness, on the real and imaginary parts of
+    ``amp`` apart, the real part taken after each inverse transform."""
     drift_part = koopman_generator(pg, lambda q: q).conjugate_part
+    parts = [amp.real, amp.imag]
     for j, t_kick in enumerate(kick_times(t, dt)):
         G = koopman_generator(pg, lambda q: k(t_kick) * q)
         kick = np.exp(-1j * KICKS[j] * dt * G.position_part)
-        amp = np.fft.ifft(kick * np.fft.fft(amp, axis=1), axis=1)
+        parts = [np.fft.ifft(kick * np.fft.fft(a, axis=1), axis=1).real for a in parts]
         if j < 6:
             drift = np.exp(-1j * DRIFTS[j] * dt * drift_part)
-            amp = np.fft.ifft(drift * np.fft.fft(amp, axis=0), axis=0)
-    return amp
+            parts = [np.fft.ifft(drift * np.fft.fft(a, axis=0), axis=0).real for a in parts]
+    return parts[0] + 1j * parts[1]
 
 
 def test_tdho_evolve_matches_reference_kick_drift_loop():
     # the reference takes each step's seven kicks and six drifts as separate
-    # full-field shears, the generator rebuilt at each kick's stiffness; the
-    # real blob takes the real-field path, the phased one the complex path.
-    # The real path differs from the reference by what irfft drops of the
-    # Nyquist bin, so the blob is wide enough that this bin holds only
-    # round-off.
+    # full-field shears of the real and imaginary parts, the generator
+    # rebuilt at each kick's stiffness; the real blob and the phased one
+    # both step as real parts.
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     k = lambda t: 1.0 + 0.1 * np.sin(t)
     n_steps, dt = 20, 0.2
@@ -506,8 +509,9 @@ def test_phase_step_fft_budget(call_counts, kappa, budget):
     ["real", "complex-state", "asymmetric-conjugate-part", "asymmetric-position-part"],
 )
 def test_real_field_path_selection(call_counts, variant):
-    # only a real state under conjugate-symmetric factors runs on
-    # rfft/irfft; everything else keeps the complex transforms
+    # every phase-space state runs on rfft/irfft, a complex one as its two
+    # real parts; a generator whose factors are not conjugate-symmetric is
+    # not a real operator and is refused, named, before any factor is built
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
     G = koopman_generator(pg, lambda q: q)
     if variant == "asymmetric-conjugate-part":
@@ -517,11 +521,59 @@ def test_real_field_path_selection(call_counts, variant):
     psi = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7,
                          phase=WOBBLE if variant == "complex-state" else None)
     call_counts.clear()
+    if variant.startswith("asymmetric"):
+        with pytest.raises(ValueError, match="the koopman generator is not a real operator"):
+            propagate(psi, G, 1e-2, 1)
+        assert not call_counts
+        return
     final = propagate(psi, G, 1e-2, 1)[0]
-    real = call_counts["rfft"] + call_counts["irfft"]
-    full = call_counts["fft"] + call_counts["ifft"]
-    assert (real > 0, full > 0) == ((True, False) if variant == "real" else (False, True))
+    # per part: the opening rfft along p, then irfft along p, the drift's
+    # rfft/irfft pair along q, rfft along p, and the closing irfft
+    parts = 2 if variant == "complex-state" else 1
+    assert call_counts["rfft"] == call_counts["irfft"] == 3 * parts
+    assert call_counts["fft"] == call_counts["ifft"] == 0
     assert final.amplitudes.dtype == complex
+
+
+def test_nan_generator_stops_the_run_at_the_edge_check():
+    # a NaN exponent fails the symmetry check too, but the run is let through
+    # so that the NaN state it makes stops at the edge check (exit 3, not 2)
+    pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
+    G = koopman_generator(pg, lambda q: q)
+    G = replace(G, position_part=np.where(pg.meshes()[0] > 7.0, np.nan, G.position_part))
+    psi = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
+    with pytest.raises(BoundaryMassError, match="boundary mass nan"):
+        propagate(psi, G, 1e-2, 1)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+def test_complex_evolve_is_its_parts_evolved(call_counts, kappa):
+    # the generators are real operators, so a complex state's evolution is
+    # that of its real part plus i times that of its imaginary part, to the
+    # bit; the record of the Bopp means takes no complex transform either
+    pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
+    V, Vp = POTENTIALS["quartic"]
+    G = unified_generator(pg, V, kappa, vprime=Vp)
+    psi = gaussian_phase(pg, q0=0.8, sigma_q=0.35, sigma_p=0.7, phase=WOBBLE)
+    call_counts.clear()
+    assert_runs_its_parts_apart(lambda s: evolve(s, G, 0.1, 20).final_state, psi)
+    assert call_counts["fft"] == call_counts["ifft"] == 0 < call_counts["rfft"]
+
+
+@pytest.mark.parametrize("kappa", [None, 1.0], ids=["koopman", "unified-1"])
+def test_vanishing_imaginary_part_changes_no_density(kappa):
+    # ehrenfest's blob and the same blob times (1 + 1e-300 i), 1000 quartic
+    # steps to t = 1 at 128^2: the imaginary part, subnormal, is a second
+    # part that the step never mixes into the first
+    pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
+    V, Vp = POTENTIALS["quartic"]
+    G = koopman_generator(pg, Vp) if kappa is None else unified_generator(pg, V, kappa, vprime=Vp)
+    blob = gaussian_phase(pg, q0=0.8, sigma_q=0.35, sigma_p=0.7)
+    tiny = Wavefunction(pg, blob.amplitudes * (1 + 1e-300j))
+    assert tiny.amplitudes.imag.any()
+    a, b = (evolve(psi, G, 1.0, 1000).final_state.amplitudes for psi in (blob, tiny))
+    assert np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)) == 0.0
+    assert np.max(np.abs(b.imag)) < 1e-290
 
 
 def test_evolve_records_boundary_mass():
@@ -559,27 +611,24 @@ def _half_position_arg(G, dt):
 
 def test_real_path_position_factor_is_head_of_exp():
     # the driven oscillator's generator: the seven kicks built from one
-    # lambda column are exp(c * arg), with c = 2 b_j k_j and k_j the
-    # scale at kick j's time, on the complex path, and their lambda columns
-    # 0..n/2 on the real-field path, at the step times ``propagate``
-    # accumulates (a scale linear in t shows a time off by one ulp)
+    # lambda column are the lambda columns 0..n/2 of exp(c * arg), with
+    # c = 2 b_j k_j and k_j the scale at kick j's time, at the step times
+    # ``propagate`` accumulates (a scale linear in t shows a time off by one ulp)
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     G, dt = koopman_generator(pg, lambda q: q), 10.0 / 250
     arg = _half_position_arg(G, dt)
     scales = [lambda t: 1.0 + 0.1 * np.sin(t), lambda t: t]
     scales += [lambda t, s=s: s for s in (0.0, -1.3, 40.0)]
     for scale in scales:
-        kicks, t = [_kicks(arg, dt, scale, r) for r in (True, False)], 0.0
+        kicks, t = _kicks(arg, dt, scale), 0.0
         for i in range(250):
             if i % 5 == 0:
                 coeffs = [2 * b * scale(s) for b, s in zip(KICKS, kick_times(t, dt))]
-                reals, fulls = (tuple(path(t)) for path in kicks)
-                assert len(reals) == len(fulls) == 7
-                for c, real, full in zip(coeffs, reals, fulls):
-                    expected = np.exp(c * arg)
-                    assert real.shape == (128, 65) and full.shape == (128, 128)
-                    assert np.max(np.abs(real - expected[:, :65])) <= 1e-13
-                    assert np.max(np.abs(full - expected)) <= 1e-13
+                heads = tuple(kicks(t))
+                assert len(heads) == 7
+                for c, head in zip(coeffs, heads):
+                    assert head.shape == (128, 65)
+                    assert np.max(np.abs(head - np.exp(c * arg)[:, :65])) <= 1e-13
             t = t + dt
 
 
@@ -601,24 +650,25 @@ def test_position_part_not_linear_in_lambda_refuses_scale(call_counts):
               position_scale=lambda t: 1.05)
 
 
-def test_phased_state_with_scale_takes_complex_path(call_counts, monkeypatch):
+def test_phased_state_with_scale_steps_real_parts(call_counts, monkeypatch):
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
     G, k = koopman_generator(pg, lambda q: q), lambda t: 1.05
     real = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
     phased = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7, phase=WOBBLE)
     sizes, exp = [], np.exp
     monkeypatch.setattr(np, "exp", lambda x, *a, **kw: sizes.append(np.size(x)) or exp(x, *a, **kw))
-    propagate(real, G, 1e-2, 3, position_scale=k)
-    # a real state builds only the half-spectrum drifts, rows 0..n/2
-    assert sizes == [17 * 32] * 3 + [32] * (7 + 6 + 6)
-    sizes.clear()
-    call_counts.clear()
-    final = propagate(phased, G, 1e-2, 3, position_scale=k)[0]
-    assert call_counts["rfft"] + call_counts["irfft"] == 0 and call_counts["fft"] > 0
-    # the three distinct conjugate factors in full, then one exp over the q
-    # rows per kick, the first step's seven and six in each later one, whose
-    # opening kick is the last one's closing
-    assert sizes == [32 * 32] * 3 + [32] * (7 + 6 + 6)
+    for psi in (real, phased):
+        sizes.clear()
+        call_counts.clear()
+        final = propagate(psi, G, 1e-2, 3, position_scale=k)[0]
+        # the three distinct half-spectrum drifts, rows 0..n/2, then one exp
+        # over the q rows per kick, the first step's seven and six in each
+        # later one, whose opening kick is the last one's closing: the two
+        # parts of the phased state share every factor
+        assert sizes == [17 * 32] * 3 + [32] * (7 + 6 + 6)
+        assert call_counts["fft"] == call_counts["ifft"] == 0
+    assert_runs_its_parts_apart(lambda psi: propagate(psi, G, 1e-2, 3, position_scale=k)[0],
+                                phased)
     reference = phased.amplitudes
     for i in range(3):  # the same steps with every factor exponentiated in full
         reference = srkn_reference_step(reference, pg, k, i * 1e-2, 1e-2)
@@ -638,17 +688,21 @@ def test_driven_oscillator_leaves_threads_unchanged():
 
 def test_theta_mean_without_fft_matches_fft_formula():
     # on a real field only the Nyquist bin survives the folded kq weights;
-    # both fields carry enough of it for <theta> to sit far above round-off
+    # both real fields carry enough of it for <theta> to sit far above
+    # round-off.  A complex field's two parts add their cross term
     rng = np.random.default_rng(5)
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     kq = wavenumbers(pg.q)
     blob = gaussian_phase(pg, q0=0.8).amplitudes.real
     zigzag = (-1.0) ** np.arange(128)[:, None] * np.exp(-pg.meshes()[1] ** 2)
-    for amp in (rng.standard_normal((128, 64)), blob + 0.01 * zigzag):
+    noise = rng.standard_normal((128, 64))
+    fields = (noise, blob + 0.01 * zigzag, noise + 1j * rng.standard_normal((128, 64)),
+              (blob + 0.01 * zigzag) * np.exp(1j * WOBBLE(*pg.meshes())))
+    for amp in fields:
         w_th = (np.abs(np.fft.fft(amp, axis=0)) ** 2).sum(axis=1)
         expected = (kq @ w_th) / w_th.sum()
-        assert _theta_mean(amp, kq) == pytest.approx(expected, rel=1e-12, abs=0)
-        assert _theta_mean(amp.astype(complex), kq) == pytest.approx(expected, rel=1e-12, abs=0)
+        parts = [amp.real, amp.imag] if np.iscomplexobj(amp) else [amp]
+        assert _theta_mean(parts, kq) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def reference_conj_symmetric(arg, axis):
