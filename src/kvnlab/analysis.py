@@ -47,12 +47,13 @@ class RobertsonReport:
 
 
 def robertson_check(a: GridOperator, b: GridOperator, psi: Wavefunction) -> RobertsonReport:
-    """Evaluate both sides of the uncertainty bound for a Hermitian pair."""
+    """Evaluate both sides of the uncertainty bound for a Hermitian pair;
+    satisfied within a relative slack of 1e-8, so it reads the same at any hbar."""
     lhs = std_dev(a, psi) * std_dev(b, psi)
     comm_field = commutator_apply(a, b, psi.amplitudes)
     comm_mean = np.sum(np.conj(psi.amplitudes) * comm_field) * psi.measure
     rhs = 0.5 * abs(comm_mean)
-    return RobertsonReport(lhs=lhs, rhs=rhs, satisfied=bool(lhs >= rhs - 1e-8))
+    return RobertsonReport(lhs=lhs, rhs=rhs, satisfied=bool(lhs >= rhs * (1 - 1e-8)))
 
 
 @dataclass(frozen=True)

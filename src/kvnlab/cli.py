@@ -21,6 +21,9 @@ success, 2 config error, 3 physics precondition violation (a non-finite table
 among them; nothing is written), 4 I/O error or a worker process that died.
 For a fixed config and seed the tables are byte-identical across runs on one
 platform; wall time is printed to stdout rather than written into the files.
+Each runner writes its tables and returns its results, a dict of named
+numbers that ``run`` returns too; the printed summary is the templates of
+``SUMMARY`` filled from it, the one place the summary text is written.
 Ehrenfest's distinct evolutions, each run once however many rows read it,
 run side by side in forked worker processes, one per CPU the process may use,
 at most ``MAX_WORKERS`` (limit them with ``taskset``).  Results are assembled
@@ -69,13 +72,7 @@ from .operators import (
     theta_op,
     unified_generator,
 )
-from .oscillator import (
-    ErmakovState,
-    integrate_ermakov,
-    kvn_tdho_evolve,
-    lewis_invariant_classical,
-    solve_classical_tdho,
-)
+from .oscillator import kvn_tdho_residuals
 from .propagation import evolve_many, kvn_step
 from .report import ResultTable, config_hash, svg_heatmap, svg_line_plot
 from .states import Wavefunction
@@ -381,7 +378,8 @@ def verify(cfg: ExperimentConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# drivers: each adds its tables and plots to an _Output, returns its summary lines
+# drivers: each adds its tables and plots to an _Output and returns its results,
+# named numbers that its SUMMARY templates read
 
 
 @dataclass
@@ -430,10 +428,7 @@ def _run_doubleslit(cfg: ExperimentConfig, out: _Output):
         "doubleslit_screens", svg_line_plot, q.x, {"quantum": q.density, "classical": k.density},
         x_label="x", y_label="density", title="screen densities",
     )
-    return [
-        f"quantum fringes: {stats.n_maxima} maxima, contrast {stats.max_contrast:.3f}",
-        f"classical additivity sup-residual: {additivity:.3e}",
-    ]
+    return {"maxima": stats.n_maxima, "contrast": stats.max_contrast, "additivity": additivity}
 
 
 def _run_measure(cfg: ExperimentConfig, out: _Output):
@@ -456,7 +451,7 @@ def _run_measure(cfg: ExperimentConfig, out: _Output):
         {"undisturbed": rows[:, 1], "non-selective": rows[:, 2]},
         x_label="omega*tau", y_label="P(a)", title="measurement disturbance",
     )
-    return [f"{len(ts)} sweep points, closed forms verified to 1e-12"]
+    return {"points": len(ts)}
 
 
 def _run_uncertainty(cfg: ExperimentConfig, out: _Output):
@@ -488,8 +483,7 @@ def _run_uncertainty(cfg: ExperimentConfig, out: _Output):
         rows.append([10 + i, rep.lhs, rep.rhs, float(rep.satisfied)])
     out.table("uncertainty", ["case", "lhs", "rhs", "satisfied"],
               ["id", "hbar", "hbar", "bool"], rows)
-    n_ok = int(sum(r[3] for r in rows))
-    return [f"{n_ok}/{len(rows)} uncertainty checks satisfied"]
+    return {"satisfied": int(sum(r[3] for r in rows)), "checks": len(rows)}
 
 
 def _run_ehrenfest(cfg: ExperimentConfig, out: _Output):
@@ -543,9 +537,8 @@ def _run_ehrenfest(cfg: ExperimentConfig, out: _Output):
         "ehrenfest", ["flavor", "potential", "kappa", "r1_max", "r2_max", "r1_rel", "r2_rel"],
         ["0q_1kvn_2uni", "0harm_1quart", "1", "mixed", "mixed", "1", "1"], rows,
     )
-    worst = max(max(r[5], r[6]) for r in rows)
-    return [f"worst relative residual {worst:.3e} across {len(rows)} rows "
-            f"from {len(jobs)} evolutions"]
+    return {"worst_relative": float(max(max(r[5], r[6]) for r in rows)), "rows": len(rows),
+            "evolutions": len(jobs)}
 
 
 #: Largest miss of the Wigner table's momentum marginal that a run accepts.
@@ -579,53 +572,16 @@ def _run_wigner(cfg: ExperimentConfig, out: _Output):
             f"Wigner momentum marginal misses |psi(p)|^2 by {p_err:.3e} at hbar {cfg.hbar:g}: "
             f"p_grid [{pg.p.x_min:g}, {pg.p.x_max:g}) does not hold the state's momenta"
         )
-    return [
-        f"marginal errors: position {q_err:.3e}, momentum {p_err:.3e}",
-        f"minimum value {W.min():.6f}",
-    ]
-
-
-#: The driven oscillator takes one fourth-order phase-space step per at most
-#: this many RK4 steps.  At the default dt = 4e-3 the centroid error is
-#: 7.0e-6 for a Strang step per RK4 step; SRKN6b steps at stride 50 (dt 0.2)
-#: give 2.4e-7 with an Ermakov width residual of 1.1e-8, and stride 100
-#: gives 3.9e-6.
-KVN_MAX_STRIDE = 50
-
-
-def _characteristics(p: dict, stiffness, n_steps: int):
-    """The auxiliary solution (rho = 1, rho' = 0, C = 1) and the centroid's
-    characteristics, by RK4 in ``n_steps`` steps over t_final."""
-    t_final = p["t_final"]
-    dt = t_final / n_steps
-    aux = integrate_ermakov(stiffness, ErmakovState(rho=1.0, rho_dot=0.0, C=1.0), t_final, dt)
-    return aux, solve_classical_tdho(stiffness, p["q0"], p["p0"], t_final, dt)
+    return {"q_error": q_err, "p_error": p_err, "minimum": float(W.min())}
 
 
 def _run_oscillator(cfg: ExperimentConfig, out: _Output):
     p = cfg.params
     stiffness = lambda t: p["k_base"] + p["k_mod"] * np.sin(t)
-    n_steps, m = p["n_steps"], KVN_MAX_STRIDE
-    aux, cl = _characteristics(p, stiffness, n_steps)
-    I = lewis_invariant_classical(cl.q, cl.p, aux.rho, aux.rho_dot)
     pg = PhaseGrid(p["phase_grid"], p["phase_grid"])
     blob = _gaussian_phase(pg, p["q0"], p["p0"], p["sigma"], p["sigma"])
-    # one phase-space step per m RK4 steps; when m does not divide n_steps the
-    # comparisons take their RK4 samples from a run of n_kvn * m steps
-    n_kvn = -(-n_steps // m)
-    run = kvn_tdho_evolve(blob, stiffness, p["t_final"], n_kvn)
-    ref_aux, ref = (aux, cl) if n_kvn * m == n_steps else _characteristics(p, stiffness, n_kvn * m)
-    centroid_err = float(
-        max(np.max(np.abs(run.q_mean - ref.q[::m])), np.max(np.abs(run.p_mean - ref.p[::m])))
-    )
-    # the blob starts at covariance sigma^2 I and the auxiliary solution at
-    # rho = 1, rho' = 0, C = 1, so var q = sigma^2 rho^2 (Pinney) and the
-    # covariance keeps its determinant sigma^4 (Liouville)
-    s2, cov = p["sigma"] ** 2, run.covariance
-    var_q = s2 * ref_aux.rho[::m] ** 2
-    width = float(np.max(np.abs(cov[:, 0, 0] - var_q)) / np.max(var_q))
-    det = cov[:, 0, 0] * cov[:, 1, 1] - cov[:, 0, 1] * cov[:, 1, 0]
-    area = float(np.max(np.abs(det / s2**2 - 1.0)))
+    cl, aux, I, run, results = kvn_tdho_residuals(
+        blob, stiffness, p["t_final"], p["n_steps"], p["q0"], p["p0"], p["sigma"])
     out.table(
         "oscillator", ["t", "q", "p", "rho", "invariant"],
         ["time", "length", "momentum", "length", "energy"],
@@ -634,19 +590,13 @@ def _run_oscillator(cfg: ExperimentConfig, out: _Output):
     out.table(
         "oscillator_kvn", ["t", "kvn_q", "kvn_p", "kvn_var_q"],
         ["time", "length", "momentum", "length^2"],
-        np.column_stack([run.times, run.q_mean, run.p_mean, cov[:, 0, 0]]),
+        np.column_stack([run.times, run.q_mean, run.p_mean, run.covariance[:, 0, 0]]),
     )
     out.plot(
         "oscillator", svg_line_plot, cl.t, {"q": cl.q, "rho": aux.rho, "invariant": I},
         x_label="t", y_label="value", title="driven oscillator",
     )
-    drift = float(np.max(np.abs(I - I[0])) / abs(I[0]))
-    return [
-        f"invariant relative drift {drift:.3e}",
-        f"phase-space centroid error vs characteristics {centroid_err:.3e}",
-        f"phase-space steps {n_kvn}, one per {m} RK4 steps",
-        f"Ermakov width residual {width:.3e}, Liouville area residual {area:.3e}",
-    ]
+    return results
 
 
 def _run_aharonov_bohm(cfg: ExperimentConfig, out: _Output):
@@ -678,7 +628,7 @@ def _run_aharonov_bohm(cfg: ExperimentConfig, out: _Output):
         {f"n={n}": rows[:, 1 + i] for i, n in enumerate(n_values)},
         x_label="alpha", y_label="disc ground energy", title="flux dependence",
     )
-    return [f"{len(distinct)} distinct classical coefficient record(s)"]
+    return {"distinct_records": len(distinct)}
 
 
 def _run_kernelcheck(cfg: ExperimentConfig, out: _Output):
@@ -704,7 +654,7 @@ def _run_kernelcheck(cfg: ExperimentConfig, out: _Output):
     b = kvn_step(blob, koopman_generator(pg, lambda q: np.zeros_like(q)), t_free)
     rows.append([2, float(np.max(np.abs(a.amplitudes - b.amplitudes)))])
     out.table("kernelcheck", ["check", "residual"], ["0group_1quad_2shear", "mixed"], rows)
-    return [f"max residual {max(r[1] for r in rows):.3e}"]
+    return {"max_residual": float(max(r[1] for r in rows))}
 
 
 RUNNERS = {
@@ -718,26 +668,47 @@ RUNNERS = {
     "kernelcheck": _run_kernelcheck,
 }
 
+#: Each experiment's summary lines, filled from its runner's results.  The
+#: benchmark's gates read these lines, so their text stays fixed.
+SUMMARY = {
+    "doubleslit": ["quantum fringes: {maxima} maxima, contrast {contrast:.3f}",
+                   "classical additivity sup-residual: {additivity:.3e}"],
+    "measure": ["{points} sweep points, closed forms verified to 1e-12"],
+    "uncertainty": ["{satisfied}/{checks} uncertainty checks satisfied"],
+    "ehrenfest": ["worst relative residual {worst_relative:.3e} across {rows} rows "
+                  "from {evolutions} evolutions"],
+    "wigner": ["marginal errors: position {q_error:.3e}, momentum {p_error:.3e}",
+               "minimum value {minimum:.6f}"],
+    "oscillator": ["invariant relative drift {invariant_drift:.3e}",
+                   "phase-space centroid error vs characteristics {centroid_error:.3e}",
+                   "phase-space steps {kvn_steps}, one per {stride} RK4 steps",
+                   "Ermakov width residual {width_residual:.3e}, "
+                   "Liouville area residual {area_residual:.3e}"],
+    "aharonov-bohm": ["{distinct_records} distinct classical coefficient record(s)"],
+    "kernelcheck": ["max residual {max_residual:.3e}"],
+}
+
 
 # ---------------------------------------------------------------------------
 # entry points
 
 
-def run(config_path: str | Path) -> int:
+def run(config_path: str | Path) -> dict:
+    """Run one config: write its files, print its summary, return its results."""
     cfg = load_config(Path(config_path))
     verify(cfg)
     out = _Output(cfg)
     start = time.perf_counter()
     with np.errstate(all="ignore"):  # a non-finite result stops the run once, as exit 3
-        summary = RUNNERS[cfg.experiment](cfg, out)
+        results = RUNNERS[cfg.experiment](cfg, out)
     files = out.write()
     wall = time.perf_counter() - start
     print(f"{cfg.experiment}: config {cfg.hash}, wall time {wall:.2f} s")
-    for line in summary:
-        print(f"  {line}")
+    for template in SUMMARY[cfg.experiment]:
+        print("  " + template.format(**results))
     for f in files:
         print(f"  wrote {f}")
-    return 0
+    return results
 
 
 def verify_cmd(config_path: str | Path) -> int:
@@ -769,7 +740,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return run(args.config)
+            run(args.config)
+            return 0
         if args.command == "verify":
             return verify_cmd(args.config)
         return list_cmd()

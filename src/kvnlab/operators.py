@@ -62,7 +62,6 @@ class GridOperator:
     grid: Grid1D | PhaseGrid
     payload: np.ndarray
     fft_axis: int | None = None
-    hermitian: bool = False
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         return _apply_diagonal(self.payload, self.fft_axis, field)
@@ -70,10 +69,7 @@ class GridOperator:
 
 def operator_square(op: GridOperator) -> GridOperator:
     """A^2: the same diagonal with its payload squared."""
-    return replace(
-        op, payload=op.payload * op.payload,
-        hermitian=op.hermitian and np.isrealobj(op.payload),
-    )
+    return replace(op, payload=op.payload * op.payload)
 
 
 def commutator_apply(a: GridOperator, b: GridOperator, field: np.ndarray) -> np.ndarray:
@@ -92,28 +88,28 @@ def commutator_apply(a: GridOperator, b: GridOperator, field: np.ndarray) -> np.
 def position_op(grid: Grid1D | PhaseGrid) -> GridOperator:
     """Multiplication by q (configuration grid or axis 0 of a phase grid)."""
     if isinstance(grid, Grid1D):
-        return GridOperator(grid, grid.points.copy(), hermitian=True)
-    return GridOperator(grid, grid.q.points[:, None], hermitian=True)
+        return GridOperator(grid, grid.points.copy())
+    return GridOperator(grid, grid.q.points[:, None])
 
 
 def momentum_op(grid: Grid1D | PhaseGrid, hbar: float = 1.0) -> GridOperator:
     """Momentum operator: the spectral -i hbar d/dq on a configuration grid,
     multiplication by the p coordinate on a phase grid."""
     if isinstance(grid, Grid1D):
-        return GridOperator(grid, hbar * wavenumbers(grid), fft_axis=0, hermitian=True)
-    return GridOperator(grid, grid.p.points[None, :], hermitian=True)
+        return GridOperator(grid, hbar * wavenumbers(grid), fft_axis=0)
+    return GridOperator(grid, grid.p.points[None, :])
 
 
 def theta_op(pg: PhaseGrid) -> GridOperator:
     """-i d/dq on a phase grid (diagonal in the q-conjugate representation)."""
     kq = wavenumbers(pg.q)[:, None]
-    return GridOperator(pg, kq, fft_axis=0, hermitian=True)
+    return GridOperator(pg, kq, fft_axis=0)
 
 
 def lambda_op(pg: PhaseGrid) -> GridOperator:
     """-i d/dp on a phase grid (diagonal in the p-conjugate representation)."""
     kp = wavenumbers(pg.p)[None, :]
-    return GridOperator(pg, kp, fft_axis=1, hermitian=True)
+    return GridOperator(pg, kp, fft_axis=1)
 
 
 # ---------------------------------------------------------------------------

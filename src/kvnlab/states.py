@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import GridMismatchError, PhysicsError
 from .grid import Grid1D, PhaseGrid
+from .operators import GridOperator
 
 MAX_DENSITY_DIM = 64
 
@@ -81,13 +82,15 @@ def density(fields: list[np.ndarray]) -> np.ndarray:
 def expectation(op, psi: Wavefunction) -> complex:
     """<psi| op |psi> for a normalized state on ``op``'s grid (else GridMismatchError).
 
-    When ``op`` is flagged Hermitian the imaginary part must be numerical
-    noise; a residue above 1e-10 raises :class:`PhysicsError`.
+    A ``GridOperator`` stands for a Hermitian operator (every builder's
+    payload is real), so its imaginary part must be numerical noise: a
+    residue above 1e-10 of the largest |payload|, which bounds the value,
+    raises :class:`PhysicsError`.
     """
     _require_same_grid(op, psi)
     applied = op.apply(psi.amplitudes)
     value = complex(np.sum(np.conj(psi.amplitudes) * applied) * psi.measure)
-    if getattr(op, "hermitian", False) and abs(value.imag) > 1e-10:
+    if isinstance(op, GridOperator) and abs(value.imag) > 1e-10 * np.max(np.abs(op.payload)):
         raise PhysicsError(
             f"Hermitian expectation grew an imaginary part {value.imag:.3e}"
         )

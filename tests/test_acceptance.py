@@ -20,7 +20,7 @@ from kvnlab.analysis import (
     robertson_check,
     wigner_transform,
 )
-from kvnlab.cli import KVN_MAX_STRIDE
+from kvnlab.oscillator import KVN_MAX_STRIDE
 from kvnlab.doubleslit import SlitConfig, fringe_stats, kvn_screens, run_quantum
 from kvnlab.gauge import SolenoidConfig, disc_ground_energy, kvn_radial_coeffs
 from kvnlab.grid import Grid1D, PhaseGrid

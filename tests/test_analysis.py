@@ -7,6 +7,7 @@ from conftest import (
     random_bandlimited_1d,
     random_bandlimited_phase,
 )
+import kvnlab.analysis as analysis
 from kvnlab.analysis import (
     ehrenfest_residuals,
     momentum_density,
@@ -107,6 +108,18 @@ def test_robertson_holds_on_random_states():
         psi = random_bandlimited_phase(pg, rng)
         for a, b in pairs:
             assert robertson_check(a, b, psi).satisfied
+
+
+@pytest.mark.parametrize("hbar", [1.0, 1e-6, 1e-9])
+def test_robertson_refuses_a_quarter_of_the_bound_at_any_hbar(monkeypatch, hbar):
+    # both widths halved leave lhs = rhs/4, which no hbar may pass: an
+    # absolute slack of 1e-8 passed it once hbar/2 fell below 1e-8
+    g = Grid1D(512, -16.0, 16.0)
+    psi = gaussian_1d(g, sigma=0.5)
+    monkeypatch.setattr(analysis, "std_dev", lambda op, state: 0.5 * std_dev(op, state))
+    rep = robertson_check(position_op(g), momentum_op(g, hbar=hbar), psi)
+    assert rep.lhs == pytest.approx(rep.rhs / 4, rel=1e-6)
+    assert not rep.satisfied
 
 
 # --- expectation-value equations of motion -----------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import gaussian_phase, read_table
 import kvnlab.cli as cli
+import kvnlab.oscillator as oscillator
 from kvnlab.analysis import ehrenfest_residuals
 from kvnlab.cli import SPECS, _pmap, _workers, load_config, main
 from kvnlab.grid import Grid1D, PhaseGrid
@@ -562,13 +563,13 @@ def test_oscillator_run_small(tmp_path):
 
 
 @pytest.mark.parametrize("n_steps, kvn_steps", [(2500, 50), (2501, 51), (7, 1)])
-def test_oscillator_phase_steps_are_ceil_of_n_steps_over_max_stride(tmp_path, capsys, monkeypatch,
+def test_oscillator_phase_steps_are_ceil_of_n_steps_over_max_stride(tmp_path, monkeypatch,
                                                                     n_steps, kvn_steps):
     # one phase-space step per at most 50 RK4 steps, whatever divides
     # n_steps: 2501 = 41 * 61 has no divisor in 2..50, yet takes 51 steps
     calls = []
-    evolve = cli.kvn_tdho_evolve
-    monkeypatch.setattr(cli, "kvn_tdho_evolve",
+    evolve = oscillator.kvn_tdho_evolve
+    monkeypatch.setattr(oscillator, "kvn_tdho_evolve",
                         lambda *args: calls.append(args[3]) or evolve(*args))
     cfg = write_config(
         tmp_path,
@@ -579,10 +580,9 @@ def test_oscillator_phase_steps_are_ceil_of_n_steps_over_max_stride(tmp_path, ca
             "output": {"directory": ".", "svg": False},
         },
     )
-    assert main(["run", str(cfg)]) == 0
+    results = cli.run(cfg)
     assert calls == [kvn_steps]
-    out = capsys.readouterr().out
-    assert f"phase-space steps {kvn_steps}, one per 50 RK4 steps" in out
+    assert (results["kvn_steps"], results["stride"]) == (kvn_steps, 50)
     _, rows = read_table(tmp_path / "oscillator.csv")
     assert rows.shape == (n_steps + 1, 5)  # the RK4 table keeps every step
     meta, rows = read_table(tmp_path / "oscillator_kvn.csv")
@@ -591,47 +591,42 @@ def test_oscillator_phase_steps_are_ceil_of_n_steps_over_max_stride(tmp_path, ca
     np.testing.assert_allclose(rows[:, 0], np.arange(kvn_steps + 1) / kvn_steps, atol=1e-12)
 
 
-def test_oscillator_prime_n_steps_keeps_default_accuracy(tmp_path, capsys):
+def test_oscillator_prime_n_steps_keeps_default_accuracy(tmp_path):
     # 2503 is prime: its 51 phase-space steps are compared with RK4 over
     # 2550 steps, and stay as close to the characteristics as the default's
     cfg = write_config(tmp_path, {"experiment": "oscillator", "params": {"n_steps": 2503},
                                   "output": {"directory": ".", "svg": False}})
-    assert main(["run", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    number = lambda pattern: float(re.search(pattern, out).group(1))
-    assert "phase-space steps 51, one per 50 RK4 steps" in out
-    assert number(r"centroid error vs characteristics (\S+)") <= 5e-7
-    assert number(r"Ermakov width residual (\S+),") <= 5e-8
+    results = cli.run(cfg)
+    assert (results["kvn_steps"], results["stride"]) == (51, 50)
+    assert results["centroid_error"] <= 5e-7
+    assert results["width_residual"] <= 5e-8
     _, rows = read_table(tmp_path / "oscillator.csv")
     assert rows.shape == (2504, 5)
 
 
-def test_oscillator_default_summary_bounds(tmp_path, capsys):
+def test_oscillator_default_summary_bounds(tmp_path):
     # the default run: the centroid within 5e-7 of the characteristics
     # (2.4e-7), the position variance within 5e-8 of sigma^2 rho^2 (Pinney;
     # 1.1e-8, where Strang at every RK4 step gave 3.7e-6) and the covariance
     # determinant within 1e-12 of sigma^4 (Liouville)
     cfg = write_config(tmp_path, {"experiment": "oscillator",
                                   "output": {"directory": ".", "svg": False}})
-    assert main(["run", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    number = lambda pattern: float(re.search(pattern, out).group(1))
-    assert number(r"centroid error vs characteristics (\S+)") <= 5e-7
-    assert number(r"Ermakov width residual (\S+),") <= 5e-8
-    assert number(r"Liouville area residual (\S+)") <= 1e-12
-    assert "phase-space steps 50, one per 50 RK4 steps" in out
+    results = cli.run(cfg)
+    assert results["centroid_error"] <= 5e-7
+    assert results["width_residual"] <= 5e-8
+    assert results["area_residual"] <= 1e-12
+    assert (results["kvn_steps"], results["stride"]) == (50, 50)
     _, rows = read_table(tmp_path / "oscillator_kvn.csv")
     assert rows.shape == (51, 4)
 
 
-def test_ehrenfest_default_summary_counts_rows_and_evolutions(tmp_path, capsys):
+def test_ehrenfest_default_summary_counts_rows_and_evolutions(tmp_path):
     # ten rows, but the Koopman run serves both kappa = 0 rows of each
     # potential and every harmonic row but the quantum one, so six evolutions
     cfg = write_config(tmp_path, {"experiment": "ehrenfest",
                                   "output": {"directory": ".", "svg": False}})
-    assert main(["run", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert re.search(r"worst relative residual \S+ across 10 rows from 6 evolutions\n", out)
+    results = cli.run(cfg)
+    assert (results["rows"], results["evolutions"]) == (10, 6)
 
 
 def test_uncertainty_run(tmp_path):
@@ -646,6 +641,17 @@ def test_uncertainty_run(tmp_path):
     assert main(["run", str(cfg)]) == 0
     _, rows = read_table(tmp_path / "uncertainty.csv")
     assert np.all(rows[:, 3] == 1.0)  # every bound satisfied
+
+
+@pytest.mark.parametrize("hbar", [3e3, 1e5])
+def test_uncertainty_at_large_hbar_satisfies_every_check(tmp_path, hbar):
+    # <p^2> at these hbar is ~1e7 and ~1e10, and its rounding residue in the
+    # imaginary part (2.3e-10 and 2.0e-7) is noise on that scale, not a
+    # non-Hermitian operator
+    cfg = write_config(tmp_path, {"experiment": "uncertainty", "hbar": hbar,
+                                  "output": {"directory": ".", "svg": False}})
+    results = cli.run(cfg)
+    assert (results["satisfied"], results["checks"]) == (24, 24)
 
 
 def test_output_paths_relative_to_config(tmp_path):

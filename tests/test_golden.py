@@ -14,7 +14,9 @@ of 1e-34 at the screen edge) do not dominate the comparison.
 """
 
 import json
+import math
 import shutil
+import string
 import sys
 import tempfile
 from pathlib import Path
@@ -23,7 +25,7 @@ from pathlib import Path
 # a default kvnlab run, before kvnlab and numpy load
 from conftest import read_table
 
-from kvnlab.cli import SPECS, main
+from kvnlab.cli import SPECS, SUMMARY, run
 
 import numpy as np
 import pytest
@@ -67,12 +69,15 @@ TOLERANCES = {
 }
 
 
-def run_defaults(directory: Path) -> None:
-    """Run every experiment at its default config, tables only, into ``directory``."""
+def run_defaults(directory: Path) -> dict:
+    """Run every experiment at its default config, tables only, into
+    ``directory``; return each experiment's results."""
+    results = {}
     for name in SPECS:
         cfg = directory / f"{name}.json"
         cfg.write_text(json.dumps({"experiment": name, "output": {"svg": False}}))
-        assert main(["run", str(cfg)]) == 0, name
+        results[name] = run(cfg)
+    return results
 
 
 def thin(meta: dict, rows: np.ndarray) -> tuple[dict, np.ndarray]:
@@ -83,14 +88,14 @@ def thin(meta: dict, rows: np.ndarray) -> tuple[dict, np.ndarray]:
 
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
+    """The directory of the default tables and each experiment's results."""
     directory = tmp_path_factory.mktemp("defaults")
-    run_defaults(directory)
-    return directory
+    return directory, run_defaults(directory)
 
 
 @pytest.mark.parametrize("table", sorted(TOLERANCES))
 def test_default_table_matches_golden(fresh, table):
-    meta, rows = read_table(fresh / table)
+    meta, rows = read_table(fresh[0] / table)
     if table == "wigner.csv":
         meta, rows = thin(meta, rows)
     gold_meta, gold = read_table(GOLDEN / table)
@@ -101,6 +106,17 @@ def test_default_table_matches_golden(fresh, table):
         scale = np.max(np.abs(gold[:, j]))
         error = np.max(np.abs(rows[:, j] - gold[:, j]))
         assert error <= bound * scale, f"{table} {column}: {error:.3e} > {bound:.0e} x {scale:.3e}"
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_default_results_are_the_fields_their_summary_prints(fresh, name):
+    # no result goes unprinted, and no printed field is missing
+    results = fresh[1][name]
+    fields = {field for template in SUMMARY[name]
+              for _, field, _, _ in string.Formatter().parse(template) if field is not None}
+    assert set(results) == fields
+    for key, value in results.items():
+        assert type(value) in (int, float) and math.isfinite(value), (key, value)
 
 
 def regenerate(tables) -> None:

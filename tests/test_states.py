@@ -73,10 +73,8 @@ def test_expectation_guards_hermitian_flag(grid_small):
     from kvnlab.operators import GridOperator
 
     psi = gaussian_1d(grid_small)
-    # a complex diagonal falsely flagged Hermitian must be caught
-    bogus = GridOperator(
-        grid_small, 1j * (grid_small.points**2 + 1.0), hermitian=True
-    )
+    # a complex diagonal is not Hermitian and must be caught
+    bogus = GridOperator(grid_small, 1j * (grid_small.points**2 + 1.0))
     with pytest.raises(PhysicsError):
         expectation(bogus, psi)
 
