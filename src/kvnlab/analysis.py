@@ -30,11 +30,12 @@ from .states import Wavefunction, expectation
 
 
 def std_dev(op: GridOperator, psi: Wavefunction) -> float:
-    """sqrt(<A^2> - <A>^2) on a normalized state."""
+    """sqrt(<A^2> - <A>^2) on a normalized state; a variance below -1e-10 <A^2>,
+    more than rounding at any scale of A, raises PhysicsError."""
     mean = expectation(op, psi).real
     second = expectation(operator_square(op), psi).real
     radicand = second - mean * mean
-    if radicand < -1e-10:
+    if radicand < -1e-10 * second:
         raise PhysicsError(f"variance came out negative: {radicand:.3e}")
     return float(np.sqrt(max(radicand, 0.0)))
 

@@ -496,36 +496,31 @@ def _run_ehrenfest(cfg: ExperimentConfig, out: _Output):
     # blob shape chosen so the quartic runs keep their tails off the
     # energy contours that cross the p boundary, for every kappa
     blob = _gaussian_phase(pg, 0.8, 0.0, 0.35, 0.7)
-    # the flow each row reads: unified at kappa = 0, or at any kappa on a
-    # quadratic potential, is hbar K, whose evolution exp(-i hbar K t / hbar)
-    # is the Koopman one; such rows record their Bopp-shifted means along it
+    # the flow each row reads, keyed (potential, kappa), None if quantum: at kappa = 0,
+    # or any kappa on a quadratic potential, it is hbar K, whose evolution
+    # exp(-i hbar K t / hbar) is the Koopman one; its rows record their Bopp means along it
     plan = []  # (flavor, potential code, kappa, flow) per row
     for pot_code, potential in enumerate(p["potentials"]):
         *_, quadratic = _POTENTIALS[potential]
-        koopman = ("koopman", potential)
-        plan += [(0, pot_code, 1.0, ("quantum", potential)), (1, pot_code, 0.0, koopman)]
-        plan += [(2, pot_code, kappa, koopman if quadratic or not kappa
-                  else ("unified", potential, kappa)) for kappa in p["kappas"]]
+        plan += [(0, pot_code, 1.0, (potential, None)), (1, pot_code, 0.0, (potential, 0.0))]
+        plan += [(2, pot_code, kappa, (potential, 0.0 if quadratic else kappa))
+                 for kappa in p["kappas"]]
     observed = {}  # flow -> the kappas its rows read, each once
     for *_, kappa, flow in plan:
         observed.setdefault(flow, {})[kappa] = None
     # one job per flow, the phase-space ones, the costliest, dispatched first
     jobs = sorted(((flow, tuple(kappas)) for flow, kappas in observed.items()),
-                  key=lambda job: job[0][0] == "quantum")
+                  key=lambda job: job[0][1] is None)
 
     def residuals(job):
-        # each job builds its own generators, so only the running ones hold arrays
-        (flavor, potential, *kappa), kappas = job
+        # each job builds its own generator, so only the running ones hold arrays
+        (potential, kappa), kappas = job
         V, Vp, _ = _POTENTIALS[potential]
-        if flavor == "quantum":
+        if kappa is None:
             state, G = psi, hamiltonian(g, V, hbar=cfg.hbar, vprime=Vp)
-        elif flavor == "koopman":
-            state, G = blob, koopman_generator(pg, Vp)
         else:
-            state, G = blob, unified_generator(pg, V, *kappa, hbar=cfg.hbar, vprime=Vp)
-        observers = [G if k == G.kappa else unified_generator(pg, V, k, hbar=cfg.hbar, vprime=Vp)
-                     for k in kappas]
-        trajectories = evolve_many(state, G, observers, t_final, n_steps)
+            state, G = blob, unified_generator(pg, V, kappa, hbar=cfg.hbar, vprime=Vp)
+        trajectories = evolve_many(state, G, kappas, t_final, n_steps)
         return [[res.r1_max, res.r2_max, res.r1_relative, res.r2_relative]
                 for res in map(ehrenfest_residuals, trajectories)]
 

@@ -18,11 +18,12 @@ split-step propagators, at unit mass, with evolution exp(-i G t / hbar):
 
 * quantum:    H = p^2/2 + V(q), conjugate part hbar^2 k^2/2, position
   part V(q);
-* koopman: K = p theta - V'(q) lambda at hbar = 1; the two parts are
-  advection shears, each exact in its own mixed representation;
 * unified: H_QC = hbar p theta + (1/kappa)[V(q - hbar kappa lambda/2)
-  - V(q + hbar kappa lambda/2)]; the kappa -> 0 limit is taken
-  analytically and reproduces hbar K.
+  - V(q + hbar kappa lambda/2)], with [q, p] = i hbar kappa; the
+  kappa -> 0 limit is taken analytically and gives hbar K;
+* koopman: K = p theta - V'(q) lambda, the unified member at kappa = 0 and
+  hbar = 1, built by that one body; its two parts are advection shears,
+  each exact in its own mixed representation.
 
 The grid fixes the representations: the conjugate part is diagonal after an
 FFT along axis 0 (k on a ``Grid1D``, theta on a ``PhaseGrid``), the position
@@ -167,30 +168,18 @@ def hamiltonian(
 
 
 def koopman_generator(pg: PhaseGrid, vprime: Potential) -> Generator:
-    """Koopman generator K = p theta - V'(q) lambda.
+    """Koopman generator K = p theta - V'(q) lambda: the interpolating one at
+    kappa = 0 and hbar = 1, which never evaluates V.
 
     The integration constant C(q, p) of K is fixed to zero: a real C would
     only add a phase along each characteristic, which |psi|^2 does not see.
     """
-    Q, P = pg.meshes()
-    kq = wavenumbers(pg.q)[:, None]
-    kp = wavenumbers(pg.p)[None, :]
-    return Generator(
-        label="koopman",
-        grid=pg,
-        # -V'(q) lambda, diagonal in (q, lambda-mode)
-        position_part=-np.asarray(vprime(Q), dtype=float) * kp,
-        # p theta, diagonal in (theta-mode, p)
-        conjugate_part=P * kq,
-        hbar=1.0,
-        kappa=0.0,
-        potential_prime=vprime,
-    )
+    return replace(unified_generator(pg, None, 0.0, vprime=vprime), label="koopman")
 
 
 def unified_generator(
     pg: PhaseGrid,
-    potential: Potential,
+    potential: Potential | None,
     kappa: float,
     hbar: float = 1.0,
     *,

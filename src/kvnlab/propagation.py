@@ -45,16 +45,16 @@ after every step.  Each sample computes rho = |psi|^2 * measure once and
 takes from it the norm and the mass within ``EDGE_CELLS`` cells of the
 domain edge.  Edge mass above the limit, or NaN, aborts the run: the domain
 was chosen too small and any Ehrenfest check would be meaningless.
-``evolve_many`` records the means <q>, <p>, <V'> of several observers
-(generators) from one evolution's samples; ``evolve`` is its one-observer
-case.  A sample takes rho's marginals and, for kappa != 0, the lambda
-spectra the step already holds (|exp(i phi) F|^2 = |F|^2), their lambda
-marginal and <theta> once; each observer adds only its Bopp shifts and its
-own <V'(q - hbar kappa lambda/2)> sum, in a lone observer's arithmetic.
+``evolve_many`` records the means <q>, <p>, <V'> at several kappas, with
+G's hbar and V', from one evolution's samples; ``evolve`` reads G's kappa.
+A sample takes rho's marginals and, for kappa != 0, the lambda spectra the
+step already holds (|exp(i phi) F|^2 = |F|^2), their lambda marginal and
+<theta> once; each kappa adds only its Bopp shifts and its own
+<V'(q - hbar kappa lambda/2)> sum, in a lone kappa's arithmetic.
 Full-spectrum sums are taken over the parts' half spectra (``_fold``,
 ``_cross``).  A real state's <theta> needs only the Nyquist bin, an
 alternating sum over q, so a kappa != 0 step with its record costs five
-transforms however many observers read it; a complex state adds two rffts.
+transforms however many kappas it reads; a complex state adds two rffts.
 
 BLAS: every kvnlab process does its BLAS work on one thread (the package
 sets ``OPENBLAS_NUM_THREADS`` to 1 unless it is set already), so evolutions
@@ -260,35 +260,35 @@ def _theta_mean(parts: list[np.ndarray], kq: np.ndarray) -> float:
     return moment / (n * density(parts).sum())
 
 
-def _means(state: Wavefunction, observers) -> Callable:
-    """``means(parts, rho, spectra) -> [(<q>, <p>, <V'>) per observer]``,
-    with every array that does not change between steps built once.
+def _means(state: Wavefunction, G: Generator, kappas) -> Callable:
+    """``means(parts, rho, spectra) -> [(<q>, <p>, <V'>) per kappa]`` with
+    G's hbar and V', every array that does not change between steps built once.
 
-    On a phase grid an observer at kappa = 0 reads the plain multiplicative
-    q and p; the interpolating generator's observables carry the Bopp shifts
-    q - hbar kappa lambda / 2 and p + hbar kappa theta / 2, whose means obey
-    the expectation-value equations of motion for every kappa.  The
-    reductions no kappa enters are taken once per sample.
+    On a phase grid kappa = 0 reads the plain multiplicative q and p; other
+    kappas read the Bopp shifts q - hbar kappa lambda / 2 and
+    p + hbar kappa theta / 2, whose means obey the expectation-value
+    equations of motion for every kappa.  The reductions no kappa enters are
+    taken once per sample.  A 1-D grid reads the quantum means at any kappa.
     """
     if isinstance(state.grid, Grid1D):
         g = state.grid
-        x, k = g.points, wavenumbers(g)
-        read = [(G.hbar * k, np.asarray(G.potential_prime(x), dtype=float)) for G in observers]
+        x, pk = g.points, G.hbar * wavenumbers(g)
+        vx = np.asarray(G.potential_prime(x), dtype=float)
 
         def quantum(parts, rho, spec):
             w = density([np.fft.fft(parts[0])])
-            return [(x @ rho, pk @ w / w.sum(), vx @ rho) for pk, vx in read]
+            return [(x @ rho, pk @ w / w.sum(), vx @ rho)] * len(kappas)
 
         return quantum
 
     q, p = state.grid.q.points, state.grid.p.points
     kq, kp = wavenumbers(state.grid.q), wavenumbers(state.grid.p)
-    read = []  # (shift, V' on q or folded onto lambda bins 0..n/2, its odd fold) per observer
-    for G in observers:
-        if G.kappa == 0.0:
+    read = []  # (shift, V' on q or folded onto lambda bins 0..n/2, its odd fold) per kappa
+    for kappa in kappas:
+        if kappa == 0.0:
             read.append((0.0, np.asarray(G.potential_prime(q), dtype=float), None))
         else:
-            shift = 0.5 * G.hbar * G.kappa
+            shift = 0.5 * G.hbar * kappa
             v = np.asarray(G.potential_prime(q[:, None] - shift * kp), dtype=float)  # (q, lambda)
             read.append((shift, _fold(v), _fold(v, -1.0)))
     bopp = any(shift for shift, *_ in read)
@@ -335,24 +335,23 @@ class Trajectory:
 
 def evolve(state: Wavefunction, G: Generator, t_final: float, n_steps: int) -> Trajectory:
     """Propagate ``state`` to ``t_final`` in ``n_steps`` uniform Strang steps."""
-    return evolve_many(state, G, (G,), t_final, n_steps)[0]
+    return evolve_many(state, G, (G.kappa,), t_final, n_steps)[0]
 
 
 def evolve_many(
-    state: Wavefunction, G: Generator, observers, t_final: float, n_steps: int
+    state: Wavefunction, G: Generator, kappas, t_final: float, n_steps: int
 ) -> list[Trajectory]:
-    """Propagate ``state`` under G as ``evolve`` does and record the means of
-    each observer's observables from the same samples: one trajectory per
-    observer, all sharing the times, norms, edge masses and final state.
+    """Propagate ``state`` under G as ``evolve`` does and record the means at
+    each of ``kappas``, with G's hbar and V', from the same samples: one
+    trajectory per kappa, sharing times, norms, edge masses and final state.
 
-    An observer's trajectory is the one its own evolution gives only where
-    its flow is G's, e.g. the interpolating generator at any kappa with a
-    potential whose V''' vanishes, which is hbar times the Koopman one.
+    A kappa's trajectory is its own evolution's only where its flow is G's,
+    e.g. any kappa on G = hbar K with a potential whose V''' vanishes.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    series = np.empty((len(observers), 3, n_steps + 1))
-    means = _means(state, observers)
+    series = np.empty((len(kappas), 3, n_steps + 1))
+    means = _means(state, G, kappas)
 
     def record(i, parts, rho, spec):
         series[:, :, i] = means(parts, rho, spec)

@@ -15,7 +15,7 @@ from kvnlab.analysis import (
     std_dev,
     wigner_transform,
 )
-from kvnlab.errors import GridMismatchError
+from kvnlab.errors import GridMismatchError, PhysicsError
 from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.operators import (
     hamiltonian,
@@ -54,6 +54,25 @@ def test_std_dev_vanishes_on_eigenstate():
     g = Grid1D(64, 0.0, 2 * np.pi)
     psi = Wavefunction(g, np.exp(1j * 3 * g.points)).normalize()
     assert std_dev(momentum_op(g), psi) < 1e-10
+
+
+@pytest.mark.parametrize("hbar", [1.0, 1e3, 1e5])
+def test_std_dev_of_an_eigenstate_is_zero_at_any_hbar(hbar):
+    # <p^2> = 9 hbar^2 rounds to a variance of order -1e-16 <p^2>, which is
+    # rounding at every hbar, not a negative variance
+    g = Grid1D(64, 0.0, 2 * np.pi)
+    psi = Wavefunction(g, np.exp(1j * 3 * g.points)).normalize()
+    assert std_dev(momentum_op(g, hbar=hbar), psi) == 0.0
+
+
+@pytest.mark.parametrize("hbar", [1.0, 1e3, 1e5])
+def test_std_dev_refuses_an_unnormalized_state_at_any_hbar(hbar):
+    # norm^2 2 gives <p^2> - <p>^2 = 18 hbar^2 - 36 hbar^2 < 0
+    g = Grid1D(64, 0.0, 2 * np.pi)
+    psi = Wavefunction(g, np.exp(1j * 3 * g.points)).normalize()
+    psi = Wavefunction(g, np.sqrt(2.0) * psi.amplitudes)
+    with pytest.raises(PhysicsError, match="variance came out negative"):
+        std_dev(momentum_op(g, hbar=hbar), psi)
 
 
 # --- Robertson bound ---------------------------------------------------------

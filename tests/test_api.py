@@ -23,7 +23,8 @@ def test_every_export_resolves_once():
 
 #: Public names kept without a caller in ``src/``, each with its reason.
 NO_SRC_CALLER = {
-    "propagation.evolve": "the benchmark's tracer wraps it by name",
+    "propagation.evolve": "the one-kappa case of `evolve_many`, called by the acceptance "
+        "criteria and the tests; the benchmark's tracer wraps it by name, but no run calls it",
     "measurement.phase_discard_disturbance":
         "criterion 10's protocol, kept for a nondisturbance table in `measure`",
 }

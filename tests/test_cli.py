@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import gaussian_phase, read_table
+from conftest import CallCounter, gaussian_phase, read_table
 import kvnlab.cli as cli
 import kvnlab.oscillator as oscillator
 from kvnlab.analysis import ehrenfest_residuals
@@ -620,13 +620,20 @@ def test_oscillator_default_summary_bounds(tmp_path):
     assert rows.shape == (51, 4)
 
 
-def test_ehrenfest_default_summary_counts_rows_and_evolutions(tmp_path):
-    # ten rows, but the Koopman run serves both kappa = 0 rows of each
-    # potential and every harmonic row but the quantum one, so six evolutions
+def test_ehrenfest_default_summary_counts_rows_and_evolutions(tmp_path, monkeypatch):
+    # ten rows, but the kappa = 0 run (hbar K, the Koopman flow) serves both
+    # kappa = 0 rows of each potential and every harmonic row but the
+    # quantum one, so six evolutions, each building its one generator (in
+    # this process, so that the builds are counted)
+    monkeypatch.setattr(cli, "_workers", lambda: 1)
+    builds = CallCounter(monkeypatch)
+    for name in ("hamiltonian", "unified_generator", "koopman_generator"):
+        builds.watch(cli, name)
     cfg = write_config(tmp_path, {"experiment": "ehrenfest",
                                   "output": {"directory": ".", "svg": False}})
     results = cli.run(cfg)
     assert (results["rows"], results["evolutions"]) == (10, 6)
+    assert builds == {"hamiltonian": 2, "unified_generator": 4}
 
 
 def test_uncertainty_run(tmp_path):
@@ -688,22 +695,22 @@ def test_ehrenfest_table_independent_of_workers(tmp_path, monkeypatch, serial_eh
 
 def test_ehrenfest_runs_each_distinct_evolution_once(tmp_path, monkeypatch):
     # rows: quantum, Koopman, then unified at kappa 0, 0.5, 0.5, 0; the
-    # Koopman evolution serves every kappa = 0 row, and for the harmonic
-    # potential (V''' = 0) every unified row too; a repeated kappa is
-    # observed once, and the phase-space jobs are dispatched before the
-    # quantum one
+    # kappa = 0 evolution (hbar K, the Koopman flow) serves every kappa = 0
+    # row, and for the harmonic potential (V''' = 0) every unified row too; a
+    # repeated kappa is read once, and the phase-space jobs are dispatched
+    # before the quantum one
     monkeypatch.setattr(cli, "_workers", lambda: 1)
     seen = []
     evolve_many = cli.evolve_many
 
-    def spy(state, G, observers, *args):
-        seen.append((G.label, [O.kappa for O in observers]))
-        return evolve_many(state, G, observers, *args)
+    def spy(state, G, kappas, *args):
+        seen.append((G.label, G.kappa, list(kappas)))
+        return evolve_many(state, G, kappas, *args)
 
     monkeypatch.setattr(cli, "evolve_many", spy)
     expected = {
-        "harmonic": [("koopman", [0.0, 0.5]), ("quantum", [1.0])],
-        "quartic": [("koopman", [0.0]), ("unified", [0.5]), ("quantum", [1.0])],
+        "harmonic": [("unified", 0.0, [0.0, 0.5]), ("quantum", 1.0, [1.0])],
+        "quartic": [("unified", 0.0, [0.0]), ("unified", 0.5, [0.5]), ("quantum", 1.0, [1.0])],
     }
     for potential, calls in expected.items():
         seen.clear()
@@ -742,15 +749,16 @@ def test_quadratic_mark_holds_for_the_generators(name):
 
 @pytest.mark.parametrize("hbar", [1.0, 2.0])
 def test_shared_harmonic_run_matches_separate_unified_runs(hbar):
-    # the harmonic unified rows read the Koopman run; their own unified
-    # evolutions give the same residuals and the same state
+    # the harmonic unified rows read the kappa = 0 run at their hbar, hbar K;
+    # their own unified evolutions give the same residuals and the same state
     V, Vp, quadratic = cli._POTENTIALS["harmonic"]
     assert quadratic
     blob = gaussian_phase(_PHASE_GRID, q0=0.8, sigma_q=0.35, sigma_p=0.7)
-    observers = [unified_generator(_PHASE_GRID, V, kappa, hbar=hbar, vprime=Vp)
-                 for kappa in (0.5, 1.0)]
-    shared = evolve_many(blob, koopman_generator(_PHASE_GRID, Vp), observers, 0.1, 100)
-    for U, traj in zip(observers, shared):
+    kappas = (0.5, 1.0)
+    flow = unified_generator(_PHASE_GRID, V, 0.0, hbar=hbar, vprime=Vp)
+    shared = evolve_many(blob, flow, kappas, 0.1, 100)
+    for kappa, traj in zip(kappas, shared):
+        U = unified_generator(_PHASE_GRID, V, kappa, hbar=hbar, vprime=Vp)
         alone = evolve(blob, U, 0.1, 100)
         mine, theirs = ehrenfest_residuals(traj), ehrenfest_residuals(alone)
         assert abs(mine.r2_relative - theirs.r2_relative) <= 1e-8 * theirs.r2_relative

@@ -265,6 +265,19 @@ def test_unified_kappa_zero_uses_analytic_limit(pg):
     np.testing.assert_allclose(G0.position_part, K.position_part * np.ones(pg.shape))
 
 
+@pytest.mark.parametrize("Vp", [np.zeros_like, lambda q: q, lambda q: q**3],
+                         ids=["free", "harmonic", "quartic"])
+def test_koopman_is_the_unified_member_at_kappa_0(pg, Vp):
+    # K is the interpolating generator at kappa = 0 and hbar = 1, bit for bit;
+    # at kappa = 0 only V' is read, so any V will do
+    K = koopman_generator(pg, Vp)
+    U = unified_generator(pg, lambda q: q**4 / 4, 0.0, vprime=Vp)
+    for part in ("position_part", "conjugate_part"):
+        assert getattr(K, part).shape == pg.shape
+        assert getattr(K, part).tobytes() == getattr(U, part).tobytes(), part
+    assert (K.label, K.hbar, K.kappa, K.potential_prime) == ("koopman", 1.0, 0.0, Vp)
+
+
 def test_unified_kappa_independent_for_quadratic_potential(pg):
     V = lambda q: 0.7 * q**2 / 2
     parts = [

@@ -384,32 +384,30 @@ def test_evolve_matches_reference_strang_loop(case):
 
 @pytest.mark.parametrize("phase", [None, WOBBLE], ids=["real", "complex"])
 def test_observers_of_one_run_record_as_if_alone(phase):
-    # the reductions a sample shares between observers give each observer
-    # the bits its own single-observer record gives
+    # the reductions a sample shares between the kappas it reads give each
+    # kappa the bits its own single-kappa record gives
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
     V, Vp = POTENTIALS["quartic"]
     blob = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7, phase=phase)
-    G = unified_generator(pg, V, 0.5, vprime=Vp)
-    observers = [koopman_generator(pg, Vp), G, unified_generator(pg, V, 1.0, hbar=2.0, vprime=Vp)]
-    shared = evolve_many(blob, G, observers, 0.02, 20)
-    for O, traj in zip(observers, shared):
-        alone = evolve_many(blob, G, [O], 0.02, 20)[0]
+    G = unified_generator(pg, V, 0.5, hbar=2.0, vprime=Vp)
+    kappas = (0.0, 0.5, 1.0)
+    shared = evolve_many(blob, G, kappas, 0.02, 20)
+    for kappa, traj in zip(kappas, shared):
+        alone = evolve_many(blob, G, (kappa,), 0.02, 20)[0]
         for name in ("times", "q_mean", "p_mean", "vprime_mean", "norms", "boundary_mass"):
             assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes(), name
         assert traj.final_state.amplitudes.tobytes() == alone.final_state.amplitudes.tobytes()
 
 
 def test_shared_record_adds_no_transform(call_counts):
-    # two Bopp observers read the spectrum the Koopman step already holds
+    # two Bopp kappas read the spectrum the Koopman step already holds
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
     blob = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
-    V, Vp = POTENTIALS["harmonic"]
-    K = koopman_generator(pg, Vp)
-    observers = [K] + [unified_generator(pg, V, kappa, vprime=Vp) for kappa in (0.5, 1.0)]
+    K = koopman_generator(pg, POTENTIALS["harmonic"][1])
 
     def transforms(n_steps):
         call_counts.clear()
-        evolve_many(blob, K, observers, 1e-3 * n_steps, n_steps)
+        evolve_many(blob, K, (0.0, 0.5, 1.0), 1e-3 * n_steps, n_steps)
         return sum(call_counts[name] for name in ("fft", "ifft", "rfft", "irfft"))
 
     assert 0 < (transforms(20) - transforms(10)) / 10 <= 5
@@ -562,16 +560,16 @@ def test_complex_evolve_is_its_parts_evolved(call_counts, kappa):
 
 @pytest.mark.parametrize("kappa", [None, 1.0], ids=["koopman", "unified-1"])
 def test_vanishing_imaginary_part_changes_no_density(kappa):
-    # ehrenfest's blob and the same blob times (1 + 1e-300 i), 1000 quartic
-    # steps to t = 1 at 128^2: the imaginary part, subnormal, is a second
-    # part that the step never mixes into the first
+    # ehrenfest's blob and the same blob times (1 + 1e-300 i), 100 quartic
+    # steps of its dt to t = 0.1 at 128^2: the imaginary part, subnormal, is
+    # a second part that the step never mixes into the first
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
     V, Vp = POTENTIALS["quartic"]
     G = koopman_generator(pg, Vp) if kappa is None else unified_generator(pg, V, kappa, vprime=Vp)
     blob = gaussian_phase(pg, q0=0.8, sigma_q=0.35, sigma_p=0.7)
     tiny = Wavefunction(pg, blob.amplitudes * (1 + 1e-300j))
     assert tiny.amplitudes.imag.any()
-    a, b = (evolve(psi, G, 1.0, 1000).final_state.amplitudes for psi in (blob, tiny))
+    a, b = (evolve(psi, G, 0.1, 100).final_state.amplitudes for psi in (blob, tiny))
     assert np.max(np.abs(np.abs(a) ** 2 - np.abs(b) ** 2)) == 0.0
     assert np.max(np.abs(b.imag)) < 1e-290
 
@@ -597,7 +595,7 @@ def test_propagate_refuses_a_state_on_another_grid(call_counts):
     blob = gaussian_phase(pg, sigma_q=0.7, sigma_p=0.7)
     K = koopman_generator(PhaseGrid(pg.q, Grid1D(32, -4.0, 4.0)), lambda q: q**3)
     runs = (lambda: evolve(psi, H, 1.0, 1000), lambda: propagate(psi, H, 1e-3, 1),
-            lambda: evolve_many(blob, K, (K,), 1.0, 10), lambda: kvn_step(blob, K, 1e-2))
+            lambda: evolve_many(blob, K, (0.0,), 1.0, 10), lambda: kvn_step(blob, K, 1e-2))
     for run in runs:
         call_counts.clear()
         with pytest.raises(GridMismatchError):
