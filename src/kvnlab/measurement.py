@@ -14,7 +14,10 @@ system.  The classical analogue discards the phase-space phase instead,
 which provably leaves every later |psi|^2 unchanged.
 
 Closed forms and density-matrix simulations are kept as separate code paths
-so each can check the other.
+so each can check the other.  Both take one omega*tau or an array of them;
+at an array the simulations run on one stack of 2x2 density matrices, each
+member checked, and ``measure``'s sweep feeds them a block of points at a
+time.
 """
 
 from __future__ import annotations
@@ -34,35 +37,42 @@ PSI0 = np.array([0.5, SQ34], dtype=complex)
 AB_BASIS = np.array([[HALF, HALF], [HALF, -HALF]], dtype=complex)
 
 
-def _evolution(t: float) -> np.ndarray:
-    """Diagonal of exp(-iHt) in the (|+>, |->) basis, hbar = omega = 1."""
-    return np.exp(np.array([-1j, 1j]) * t)
+def _evolution(t: float | np.ndarray) -> np.ndarray:
+    """Diagonal of exp(-iHt) in the (|+>, |->) basis, hbar = omega = 1: shape
+    (2,) at one time, one row per time for an array of times."""
+    return np.exp(np.multiply.outer(t, [-1j, 1j]))
 
 
-def p_a_unmeasured(omega_tau: float) -> float:
+def _evolve_density(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """U rho U^dagger for the diagonal U = diag(u), member by member of a stack."""
+    return u[..., :, None] * rho * u[..., None, :].conj()
+
+
+def p_a_unmeasured(omega_tau: float | np.ndarray) -> float | np.ndarray:
     """Probability of outcome a at t = 2 tau with no intermediate measurement."""
     return 0.5 * (1.0 + SQ34 * np.cos(4.0 * omega_tau))
 
 
-def p_a_nonselective(omega_tau: float) -> float:
+def p_a_nonselective(omega_tau: float | np.ndarray) -> float | np.ndarray:
     """Same readout with an unrecorded a/b measurement inserted at t = tau."""
     return 0.5 * (1.0 + SQ34 * np.cos(2.0 * omega_tau) ** 2)
 
 
-def simulate_p_a_unmeasured(omega_tau: float) -> float:
-    """Explicit 2x2 simulation of the undisturbed readout."""
+def simulate_p_a_unmeasured(omega_tau: float | np.ndarray) -> float | np.ndarray:
+    """Explicit 2x2 simulation of the undisturbed readout: a float at one
+    omega*tau, an array at an array of them."""
     psi = _evolution(2.0 * omega_tau) * PSI0
-    a = AB_BASIS[:, 0]
-    return float(np.abs(a.conj() @ psi) ** 2)
+    p_a = np.abs(psi @ AB_BASIS[:, 0].conj()) ** 2
+    return float(p_a) if p_a.ndim == 0 else p_a
 
 
-def simulate_p_a_nonselective(omega_tau: float) -> float:
-    """Density-matrix simulation: evolve, dephase in {a, b} at tau, evolve, read."""
-    U = np.diag(_evolution(omega_tau))
-    rho = pure_density(PSI0)
-    rho_tau = DensityMatrix(U @ rho.entries @ U.conj().T)
+def simulate_p_a_nonselective(omega_tau: float | np.ndarray) -> float | np.ndarray:
+    """Density-matrix simulation: evolve, dephase in {a, b} at tau, evolve,
+    read; at an array of omega*tau, one stack of 2x2 matrices throughout."""
+    u = _evolution(omega_tau)
+    rho_tau = DensityMatrix(_evolve_density(u, pure_density(PSI0).entries))
     rho_tau = dephase(rho_tau, AB_BASIS)
-    rho_2tau = DensityMatrix(U @ rho_tau.entries @ U.conj().T)
+    rho_2tau = DensityMatrix(_evolve_density(u, rho_tau.entries))
     return measure_probability(rho_2tau, AB_BASIS[:, 0])
 
 

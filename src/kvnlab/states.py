@@ -3,7 +3,15 @@
 One state type, ``Wavefunction``, serves both mechanics: psi(q) on a ``Grid1D``
 or psi(q, p) on a ``PhaseGrid``, its shape and cell measure read from the grid.
 States are value-semantic; ``normalize`` returns a new state.  Mixed states of
-small finite systems are handled by ``DensityMatrix`` (dense, dim <= 64).
+small finite systems are handled by ``DensityMatrix`` (dense, dim <= 64), one
+matrix or a stack of them, shape (..., d, d), whose every member is checked.
+``pure_density``, ``dephase`` and ``measure_probability`` act on each member
+of a stack, so a sweep of small states runs as one stack of arrays.
+
+An expectation value of a grid operator is a reduction of a density: the
+operator is diagonal where its payload lives, so <A> is the payload summed
+against |psi|^2 in that representation (one FFT of the state for a
+spectral operator, none for a position one).  Generators are applied.
 
 Planck's constant is a parameter (default 1) so that hbar-explicit formulas
 stay testable away from natural units.
@@ -82,60 +90,91 @@ def density(fields: list[np.ndarray]) -> np.ndarray:
 def expectation(op, psi: Wavefunction) -> complex:
     """<psi| op |psi> for a normalized state on ``op``'s grid (else GridMismatchError).
 
-    A ``GridOperator`` stands for a Hermitian operator (every builder's
-    payload is real), so its imaginary part must be numerical noise: a
-    residue above 1e-10 of the largest |payload|, which bounds the value,
-    raises :class:`PhysicsError`.
+    A ``GridOperator`` is diagonal in one representation, so its mean is a
+    reduction of the density there: sum(payload * |psi~|^2) * measure / N,
+    where psi~ is psi itself for a position operator and otherwise its FFT
+    along ``fft_axis``, whose N points the 1/N of Parseval's theorem divides
+    out.  No operator is applied.  A generator is applied and projected.
+
+    A grid operator stands for a Hermitian one (every builder's payload is
+    real), so its imaginary part must be numerical noise: a residue above
+    1e-10 of the largest |payload|, which bounds the value, raises
+    :class:`PhysicsError`.
     """
     _require_same_grid(op, psi)
-    applied = op.apply(psi.amplitudes)
-    value = complex(np.sum(np.conj(psi.amplitudes) * applied) * psi.measure)
-    if isinstance(op, GridOperator) and abs(value.imag) > 1e-10 * np.max(np.abs(op.payload)):
+    if not isinstance(op, GridOperator):
+        return complex(np.sum(np.conj(psi.amplitudes) * op.apply(psi.amplitudes)) * psi.measure)
+    amp, scale = psi.amplitudes, psi.measure
+    if op.fft_axis is not None:
+        amp = np.fft.fft(amp, axis=op.fft_axis)
+        scale /= amp.shape[op.fft_axis]
+    value = complex(np.sum(op.payload * density([amp])) * scale)
+    if abs(value.imag) > 1e-10 * np.max(np.abs(op.payload)):
         raise PhysicsError(
             f"Hermitian expectation grew an imaginary part {value.imag:.3e}"
         )
     return value
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix in a stack."""
+    return m.swapaxes(-2, -1).conj()
+
+
+def _refuse(bad: np.ndarray, message: str, values: np.ndarray | None = None) -> None:
+    """Raise ValueError(``message``) if any member of a stack of checks is
+    ``bad``, formatted with the first failing member's entry of ``values``;
+    a stack's message names that member's index."""
+    failing = np.argwhere(bad)
+    if len(failing):
+        first = tuple(int(i) for i in failing[0])
+        text = message if values is None else message.format(values[first])
+        raise ValueError(text + (f" at stack index {first}" if first else ""))
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite state of a small system."""
+    """Hermitian, unit-trace, positive-semidefinite state of a small system,
+    or a stack of them, shape (..., d, d), each member checked."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.entries, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        if rho.ndim < 2 or rho.shape[-2] != rho.shape[-1]:
             raise ValueError(f"density matrix must be square, got {rho.shape}")
-        if rho.shape[0] > MAX_DENSITY_DIM:
+        dim = rho.shape[-1]
+        if dim > MAX_DENSITY_DIM:
             raise ValueError(f"density matrices limited to dim <= {MAX_DENSITY_DIM}")
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
-            raise ValueError("density matrix trace must be 1")
-        eigs = np.linalg.eigvalsh(rho)
-        if eigs.min() < -1e-10:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
-        pur = float(np.real(np.trace(rho @ rho)))
-        if pur < 1.0 / rho.shape[0] - 1e-10 or pur > 1.0 + 1e-10:
-            raise ValueError(f"purity {pur} outside [1/dim, 1]")
+        asymmetry = np.max(np.abs(rho - _dagger(rho)), axis=(-2, -1))
+        _refuse(asymmetry > 1e-12, "density matrix is not Hermitian")
+        trace = np.trace(rho, axis1=-2, axis2=-1)
+        _refuse((abs(trace.real - 1.0) > 1e-12) | (abs(trace.imag) > 1e-12),
+                "density matrix trace must be 1")
+        lowest = np.linalg.eigvalsh(rho)[..., 0]
+        _refuse(lowest < -1e-10, "density matrix has negative eigenvalue {:.3e}", lowest)
+        pur = np.trace(rho @ rho, axis1=-2, axis2=-1).real
+        _refuse((pur < 1.0 / dim - 1e-10) | (pur > 1.0 + 1e-10),
+                "purity {} outside [1/dim, 1]", pur)
         object.__setattr__(self, "entries", rho)
 
 
 def pure_density(psi: np.ndarray) -> DensityMatrix:
-    """|psi><psi| from a normalized finite-dimensional state vector."""
+    """|psi><psi| from a finite-dimensional state vector, or a stack (..., d)
+    of them, each normalized first."""
     v = np.asarray(psi, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return DensityMatrix(np.outer(v, v.conj()))
+    v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return DensityMatrix(v[..., :, None] * v[..., None, :].conj())
 
 
-def measure_probability(rho: DensityMatrix, a: np.ndarray) -> float:
-    """Tr[rho |a><a|] for a normalized vector |a>."""
+def measure_probability(rho: DensityMatrix, a: np.ndarray) -> float | np.ndarray:
+    """Tr[rho |a><a|] for a normalized vector |a>: a float for one matrix,
+    an array of them for a stack."""
     v = np.asarray(a, dtype=complex)
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("projector target |a> must be normalized")
-    value = float(np.real(v.conj() @ rho.entries @ v))
-    return min(max(value, 0.0), 1.0)
+    value = np.clip(np.real(v.conj() @ rho.entries @ v), 0.0, 1.0)
+    return float(value) if value.ndim == 0 else value
 
 
 def _check_orthonormal(basis: np.ndarray) -> np.ndarray:
@@ -149,15 +188,15 @@ def _check_orthonormal(basis: np.ndarray) -> np.ndarray:
 
 
 def dephase(rho: DensityMatrix, basis: np.ndarray) -> DensityMatrix:
-    """Zero the off-diagonal entries of ``rho`` in the given orthonormal basis.
+    """Zero the off-diagonal entries of ``rho`` (each member of a stack) in
+    the given orthonormal basis.
 
     This is the non-selective projective measurement: the outcome is not
     recorded, so coherences between outcomes are destroyed while the
     populations (and the trace) are kept.
     """
     b = _check_orthonormal(basis)
-    in_basis = b.conj().T @ rho.entries @ b
-    diag = np.diag(np.diag(in_basis))
-    out = b @ diag @ b.conj().T
-    out = 0.5 * (out + out.conj().T)  # scrub rounding asymmetry
+    populations = np.diagonal(_dagger(b) @ rho.entries @ b, axis1=-2, axis2=-1)
+    out = (b * populations[..., None, :]) @ _dagger(b)
+    out = 0.5 * (out + _dagger(out))  # scrub rounding asymmetry
     return DensityMatrix(out)

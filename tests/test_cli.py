@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import CallCounter, gaussian_phase, read_table
 import kvnlab.cli as cli
+import kvnlab.measurement as measurement
 import kvnlab.oscillator as oscillator
 from kvnlab.analysis import ehrenfest_residuals
 from kvnlab.cli import SPECS, _pmap, _workers, load_config, main
@@ -393,6 +395,52 @@ def test_measure_table_contents(tmp_path):
         rows[:, 2], 0.5 * (1 + sq34 * np.cos(2 * rows[:, 0]) ** 2), atol=1e-12
     )
     assert (tmp_path / "measure_sweep.svg").exists()
+
+
+def test_planted_two_level_fault_exits_3_naming_the_first_point(tmp_path, capsys, monkeypatch):
+    # omega x 1.02 on the |+> level only: the simulations leave the closed
+    # forms from the second sweep point on, which the run must name
+    monkeypatch.setattr(measurement, "_evolution",
+                        lambda t: np.exp(np.multiply.outer(t, [-1.02j, 1j])))
+    ts = np.linspace(0.0, np.pi / 2, 65)
+    first = next(t for t in ts
+                 if abs(measurement.simulate_p_a_unmeasured(t) - measurement.p_a_unmeasured(t)) > 1e-12
+                 or abs(measurement.simulate_p_a_nonselective(t)
+                        - measurement.p_a_nonselective(t)) > 1e-12)
+    cfg = write_config(tmp_path, {"experiment": "measure"})
+    assert main(["run", str(cfg)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"physics precondition violated: simulation disagrees with closed form at omega*tau={first}"
+    ]
+    assert first == ts[1]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_measure_sweep_holds_a_few_stacks_at_a_time(tmp_path):
+    # the sweep runs in stacks of MEASURE_BLOCK points: one stack of all
+    # 1e5 points peaked at 40 MB
+    cfg = load_config(write_config(
+        tmp_path, {"experiment": "measure", "params": {"n_points": 10**5},
+                   "output": {"svg": False}}))
+    tracemalloc.start()
+    try:
+        results = cli._run_measure(cfg, cli._Output(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results == {"points": 10**5}
+    assert peak < 8e6
+
+
+def test_uncertainty_transform_budget(tmp_path, call_counts):
+    # 23 of the run's Robertson checks hold a spectral operator: two means of
+    # one FFT each and a commutator of four transforms; each of the 20 random
+    # states is drawn with one ifft.  Means as applied operators made it 204.
+    cfg = write_config(tmp_path, {"experiment": "uncertainty"})
+    assert main(["run", str(cfg)]) == 0
+    assert call_counts["fft"] + call_counts["ifft"] == 158
 
 
 def test_aharonov_bohm_outputs(tmp_path):

@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
-from conftest import gaussian_1d, gaussian_phase, purity
+from conftest import (
+    gaussian_1d,
+    gaussian_phase,
+    purity,
+    random_bandlimited_1d,
+    random_bandlimited_phase,
+)
 from kvnlab.errors import GridMismatchError
-from kvnlab.grid import Grid1D
-from kvnlab.operators import hamiltonian, momentum_op, position_op
+from kvnlab.grid import Grid1D, PhaseGrid
+from kvnlab.operators import (
+    hamiltonian,
+    lambda_op,
+    momentum_op,
+    operator_square,
+    position_op,
+    theta_op,
+)
 from kvnlab.states import (
     DensityMatrix,
     Wavefunction,
@@ -79,6 +92,58 @@ def test_expectation_guards_hermitian_flag(grid_small):
         expectation(bogus, psi)
 
 
+def _operators():
+    """Every grid-operator builder on the grids of
+    ``test_robertson_holds_on_random_states``, with its square."""
+    g = Grid1D(256, -16.0, 16.0)
+    pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(128, -8.0, 8.0))
+    ops = {
+        "q": position_op(g), "p": momentum_op(g), "p-hbar-1e-6": momentum_op(g, hbar=1e-6),
+        "q-phase": position_op(pg), "p-phase": momentum_op(pg),
+        "theta": theta_op(pg), "lambda": lambda_op(pg),
+    }
+    ops.update({f"{name}^2": operator_square(op) for name, op in list(ops.items())})
+    return ops
+
+
+OPERATORS = _operators()
+
+
+def _random_state(grid, rng):
+    """A random band-limited state, as in ``test_robertson_holds_on_random_states``."""
+    if isinstance(grid, Grid1D):
+        return random_bandlimited_1d(grid, rng)
+    return random_bandlimited_phase(grid, rng)
+
+
+@pytest.mark.parametrize("name", list(OPERATORS))
+def test_expectation_matches_applied_operator(name):
+    # reference: the applied-operator formula sum(conj(psi) * A psi) * measure
+    op = OPERATORS[name]
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        psi = _random_state(op.grid, rng)
+        reference = np.sum(np.conj(psi.amplitudes) * op.apply(psi.amplitudes)) * psi.measure
+        value = expectation(op, psi)
+        assert value.imag == 0.0
+        assert abs(value - reference) <= 1e-13 * np.max(np.abs(op.payload))
+
+
+@pytest.mark.parametrize(
+    "name, fft_calls",
+    [("p", 1), ("p^2", 1), ("theta", 1), ("lambda^2", 1), ("q", 0), ("q-phase^2", 0),
+     ("p-phase", 0)],
+)
+def test_expectation_transform_budget(call_counts, name, fft_calls):
+    # a spectral mean is one forward FFT of the state, by Parseval; a
+    # position-diagonal one needs none
+    op = OPERATORS[name]
+    psi = _random_state(op.grid, np.random.default_rng(3))
+    call_counts.clear()
+    expectation(op, psi)
+    assert dict(call_counts) == ({"fft": fft_calls} if fft_calls else {})
+
+
 def test_born_density_plane_wave():
     g = Grid1D(64, 0.0, 2 * np.pi)
     psi = Wavefunction(g, np.exp(1j * 4 * g.points)).normalize()
@@ -123,6 +188,67 @@ def test_density_matrix_validation():
     bad = np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)
     with pytest.raises(ValueError):
         DensityMatrix(bad)  # negative eigenvalue
+
+
+def _stack_members(rng, count=5, dim=3):
+    """``count`` valid mixed states of dimension ``dim``."""
+    members = []
+    for _ in range(count):
+        v = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        w = rng.uniform(0.2, 0.8)
+        members.append(w * np.outer(v[0], v[0].conj()) + (1 - w) * np.outer(v[1], v[1].conj()))
+    return np.array(members)
+
+
+@pytest.mark.parametrize(
+    "fault, match",
+    [
+        (lambda m: m + np.array([[0, 0.1, 0], [0, 0, 0], [0, 0, 0]]), "not Hermitian"),
+        (lambda m: 2 * m, "trace must be 1"),
+        (lambda m: np.diag([1.5, -0.25, -0.25]).astype(complex), "negative eigenvalue -2.500e-01"),
+        # Hermitian with unit trace, and no eigenvalue below -1e-10, but
+        # Tr rho^2 = 1 + 3e-10 > 1 + 1e-10
+        (lambda m: np.diag([1 + 1.5e-10, -0.75e-10, -0.75e-10]).astype(complex), "purity"),
+    ],
+    ids=["hermitian", "trace", "negative-eigenvalue", "purity"],
+)
+def test_density_matrix_stack_refuses_one_bad_member(fault, match):
+    members = _stack_members(np.random.default_rng(17))
+    for m in members:
+        DensityMatrix(m)  # every member is valid alone
+    stack = DensityMatrix(members.reshape(5, 1, 3, 3))
+    assert stack.entries.shape == (5, 1, 3, 3)
+    bad = members.copy()
+    bad[3] = fault(members[3])
+    with pytest.raises(ValueError, match=match) as alone:
+        DensityMatrix(bad[3])
+    assert "stack index" not in str(alone.value)  # one matrix reads as before stacks
+    with pytest.raises(ValueError, match=match) as stacked:
+        DensityMatrix(bad)
+    assert str(stacked.value).endswith("at stack index (3,)")
+
+
+def test_measure_probability_of_a_stack_matches_each_member():
+    rng = np.random.default_rng(23)
+    members = _stack_members(rng, count=7)
+    a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    a /= np.linalg.norm(a)
+    stacked = measure_probability(DensityMatrix(members), a)
+    one_by_one = [measure_probability(DensityMatrix(m), a) for m in members]
+    assert all(type(p) is float for p in one_by_one)
+    assert stacked.shape == (7,)
+    np.testing.assert_allclose(stacked, one_by_one, rtol=0, atol=1e-15)
+
+
+def test_pure_density_and_dephase_act_on_each_member():
+    rng = np.random.default_rng(29)
+    vectors = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    stacked = dephase(pure_density(vectors), basis).entries
+    for v, member in zip(vectors, stacked):
+        np.testing.assert_allclose(member, dephase(pure_density(v), basis).entries,
+                                   rtol=0, atol=1e-15)
 
 
 def test_measure_probability_projectors():
