@@ -4,7 +4,9 @@ and the Wigner transform.
 The Robertson bound sigma_A sigma_B >= |<[A, B]>| / 2 holds in any inner
 product space for Hermitian A, B, so it is checked with the operators'
 actual grid realizations; which commutator sits on the right-hand side is
-what separates the quantum from the classical flavor.
+what separates the quantum from the classical flavor.  A width reads <A> and
+<A^2> from one density, where A is diagonal; the right-hand side applies the
+commutator, so the two sides are not read from the same numbers.
 
 The Wigner transform maps a configuration-space state to a real phase-space
 field whose marginals are the position and momentum densities.  It is
@@ -25,15 +27,17 @@ import numpy as np
 
 from .errors import GridMismatchError, PhysicsError
 from .grid import PhaseGrid
-from .operators import GridOperator, commutator_apply, operator_square
-from .states import Wavefunction, expectation
+from .operators import GridOperator, commutator_apply
+from .states import Wavefunction, _diagonal_density
 
 
 def std_dev(op: GridOperator, psi: Wavefunction) -> float:
-    """sqrt(<A^2> - <A>^2) on a normalized state; a variance below -1e-10 <A^2>,
-    more than rounding at any scale of A, raises PhysicsError."""
-    mean = expectation(op, psi).real
-    second = expectation(operator_square(op), psi).real
+    """sqrt(<A^2> - <A>^2) on a normalized state, both means read from one
+    density where A is diagonal; a variance below -1e-10 <A^2>, more than
+    rounding at any scale of A, raises PhysicsError."""
+    rho, scale = _diagonal_density(op, psi)
+    mean = float(np.sum(op.payload * rho) * scale)
+    second = float(np.sum(op.payload * op.payload * rho) * scale)
     radicand = second - mean * mean
     if radicand < -1e-10 * second:
         raise PhysicsError(f"variance came out negative: {radicand:.3e}")
@@ -74,31 +78,25 @@ class EhrenfestResiduals:
 
 
 def _time_derivative(series: np.ndarray, dt: float) -> np.ndarray:
-    """Centered differences inside, one-sided 2nd-order stencils at the ends."""
-    d = np.empty_like(series)
-    d[1:-1] = (series[2:] - series[:-2]) / (2 * dt)
-    d[0] = (-3 * series[0] + 4 * series[1] - series[2]) / (2 * dt)
-    d[-1] = (3 * series[-1] - 4 * series[-2] + series[-3]) / (2 * dt)
-    return d
+    """Centered differences at the interior samples, series[1:-1]."""
+    return (series[2:] - series[:-2]) / (2 * dt)
 
 
 def ehrenfest_residuals(trajectory) -> EhrenfestResiduals:
     """Violations of d<q>/dt = <p> and d<p>/dt = -<V'> (unit mass, as the
-    generators) along a trajectory."""
+    generators) along a trajectory, at its interior samples."""
     t = trajectory.times
     if len(t) < 5:
         raise ValueError("need at least 5 time samples")
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=1e-12):
         raise ValueError("time samples must be uniform")
-    dq = _time_derivative(trajectory.q_mean, dt)
-    dp = _time_derivative(trajectory.p_mean, dt)
-    r1 = np.abs(dq - trajectory.p_mean)
-    r2 = np.abs(dp + trajectory.vprime_mean)
     interior = slice(1, -1)
+    r1 = np.abs(_time_derivative(trajectory.q_mean, dt) - trajectory.p_mean[interior])
+    r2 = np.abs(_time_derivative(trajectory.p_mean, dt) + trajectory.vprime_mean[interior])
     return EhrenfestResiduals(
-        r1_max=float(np.max(r1[interior])),
-        r2_max=float(np.max(r2[interior])),
+        r1_max=float(np.max(r1)),
+        r2_max=float(np.max(r2)),
         r1_scale=float(np.max(np.abs(trajectory.p_mean))),
         r2_scale=float(np.max(np.abs(trajectory.vprime_mean))),
     )

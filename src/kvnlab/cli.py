@@ -17,8 +17,10 @@ type per key (finite JSON number, JSON integer, choice, list, grid) whose
 Numbers must be JSON numbers, not strings; ``MAX_GRID_N`` and ``MAX_COUNT``
 bound every array and loop before anything is allocated.  Unknown keys are
 rejected.  Output paths resolve relative to the config file.  Exit codes: 0
-success, 2 config error, 3 physics precondition violation (a non-finite table
-among them; nothing is written), 4 I/O error or a worker process that died.
+success, 2 config error, 3 physics precondition violation (a non-finite table,
+a kernelcheck row not below its ``KERNEL_BOUNDS`` entry and an unsatisfied
+Robertson row among them; nothing is written), 4 I/O error or a worker
+process that died.
 For a fixed config and seed the tables are byte-identical across runs on one
 platform; wall time is printed to stdout rather than written into the files.
 Each runner writes its tables and returns its results, a dict of named
@@ -483,6 +485,10 @@ def _run_uncertainty(cfg: ExperimentConfig, out: _Output):
         rows.append([10 + i, rep.lhs, rep.rhs, float(rep.satisfied)])
     out.table("uncertainty", ["case", "lhs", "rhs", "satisfied"],
               ["id", "hbar", "hbar", "bool"], rows)
+    for case, lhs, rhs, satisfied in rows:
+        if not satisfied:
+            raise PhysicsError(f"uncertainty case {case} misses the Robertson bound: "
+                               f"lhs {lhs:.3e} < rhs {rhs:.3e} at hbar {cfg.hbar:g}")
     return {"satisfied": int(sum(r[3] for r in rows)), "checks": len(rows)}
 
 
@@ -626,6 +632,10 @@ def _run_aharonov_bohm(cfg: ExperimentConfig, out: _Output):
     return {"distinct_records": len(distinct)}
 
 
+#: Criterion 6's bound on each kernelcheck row, by its check code.
+KERNEL_BOUNDS = {0: ("group law", 1e-6), 1: ("quadrature", 1e-6), 2: ("shear", 1e-10)}
+
+
 def _run_kernelcheck(cfg: ExperimentConfig, out: _Output):
     p = cfg.params
     hbar = cfg.hbar
@@ -649,6 +659,10 @@ def _run_kernelcheck(cfg: ExperimentConfig, out: _Output):
     b = kvn_step(blob, koopman_generator(pg, lambda q: np.zeros_like(q)), t_free)
     rows.append([2, float(np.max(np.abs(a.amplitudes - b.amplitudes)))])
     out.table("kernelcheck", ["check", "residual"], ["0group_1quad_2shear", "mixed"], rows)
+    for check, residual in rows:
+        name, bound = KERNEL_BOUNDS[check]
+        if not residual < bound:
+            raise PhysicsError(f"kernelcheck {name} residual {residual:.3e} is not below {bound:g}")
     return {"max_residual": float(max(r[1] for r in rows))}
 
 

@@ -203,7 +203,6 @@ def kvn_screens(
     cfg: SlitConfig,
     whiches: Iterable[int | None],
     phase: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    boundary_limit: float = APERTURE_BOUNDARY_LIMIT,
 ) -> list[ScreenResult]:
     """Classical screen densities at t_R, one per aperture in ``whiches``
     (None for both slits, 1 or 2 for one), from one shared source run."""
@@ -244,7 +243,7 @@ def kvn_screens(
         weight = float(mass / source_mass)
         _check_weight(weight, cfg)
         edge = float((rho_q[:c].sum() + rho_q[-c:].sum() + col[:c].sum() + col[-c:].sum()) / mass)
-        _check_edges(edge, boundary_limit)
+        _check_edges(edge, APERTURE_BOUNDARY_LIMIT)
         screen = rho_q / (np.sum(rho_q) * q.dx)
         results.append(ScreenResult(q.points.copy(), screen, weight, edge))
     return results

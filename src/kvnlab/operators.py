@@ -8,10 +8,11 @@ grid operator and each of a generator's two parts.  The grid decides what
 momentum means: ``momentum_op`` is the spectral hbar k on a ``Grid1D`` and
 multiplication by p on a ``PhaseGrid``.
 
-An operator is one diagonal, so the square of one and the commutator of two
-diagonal in the same representation are payload products: the commutator
-of such a pair is an exact zero field (multiplication of floats commutes),
-exactly as the operator algebra says.
+A grid operator stands for a Hermitian one, so its payload is real: a
+complex one is refused when the operator is built.  The commutator of two
+operators diagonal in the same representation is a payload product, an
+exact zero field (multiplication of floats commutes), exactly as the
+operator algebra says.
 
 Generators bundle the two exactly-exponentiable parts used by the
 split-step propagators, at unit mass, with evolution exp(-i G t / hbar):
@@ -58,19 +59,19 @@ def _apply_diagonal(payload: np.ndarray, axis: int | None, field: np.ndarray) ->
 
 @dataclass(frozen=True)
 class GridOperator:
-    """A diagonal operator: ``payload`` after an FFT along ``fft_axis``, or in position if None."""
+    """A Hermitian diagonal operator: the real ``payload`` after an FFT along
+    ``fft_axis``, or in position if None (a complex payload raises ValueError)."""
 
     grid: Grid1D | PhaseGrid
     payload: np.ndarray
     fft_axis: int | None = None
 
+    def __post_init__(self) -> None:
+        if np.iscomplexobj(self.payload):
+            raise ValueError("a grid operator is Hermitian: its payload must be real")
+
     def apply(self, field: np.ndarray) -> np.ndarray:
         return _apply_diagonal(self.payload, self.fft_axis, field)
-
-
-def operator_square(op: GridOperator) -> GridOperator:
-    """A^2: the same diagonal with its payload squared."""
-    return replace(op, payload=op.payload * op.payload)
 
 
 def commutator_apply(a: GridOperator, b: GridOperator, field: np.ndarray) -> np.ndarray:

@@ -9,9 +9,10 @@ matrix or a stack of them, shape (..., d, d), whose every member is checked.
 of a stack, so a sweep of small states runs as one stack of arrays.
 
 An expectation value of a grid operator is a reduction of a density: the
-operator is diagonal where its payload lives, so <A> is the payload summed
-against |psi|^2 in that representation (one FFT of the state for a
-spectral operator, none for a position one).  Generators are applied.
+operator is diagonal where its real payload lives, so <A> is the payload
+summed against |psi|^2 in that representation (one FFT of the state for a
+spectral operator, none for a position one).  Any power of the operator
+reads the same density, so a width takes <A> and <A^2> from one transform.
 
 Planck's constant is a parameter (default 1) so that hbar-explicit formulas
 stay testable away from natural units.
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GridMismatchError, PhysicsError
+from .errors import GridMismatchError
 from .grid import Grid1D, PhaseGrid
 from .operators import GridOperator
 
@@ -87,33 +88,27 @@ def density(fields: list[np.ndarray]) -> np.ndarray:
     return rho
 
 
-def expectation(op, psi: Wavefunction) -> complex:
-    """<psi| op |psi> for a normalized state on ``op``'s grid (else GridMismatchError).
+def _diagonal_density(op: GridOperator, psi: Wavefunction) -> tuple[np.ndarray, float]:
+    """|psi~|^2 where ``op`` is diagonal, and the weight of each of its samples.
 
-    A ``GridOperator`` is diagonal in one representation, so its mean is a
-    reduction of the density there: sum(payload * |psi~|^2) * measure / N,
-    where psi~ is psi itself for a position operator and otherwise its FFT
-    along ``fft_axis``, whose N points the 1/N of Parseval's theorem divides
-    out.  No operator is applied.  A generator is applied and projected.
-
-    A grid operator stands for a Hermitian one (every builder's payload is
-    real), so its imaginary part must be numerical noise: a residue above
-    1e-10 of the largest |payload|, which bounds the value, raises
-    :class:`PhysicsError`.
+    psi~ is psi itself for a position operator, with weight ``measure``, and
+    otherwise its FFT along ``fft_axis``, with weight measure / N: the 1/N of
+    Parseval's theorem over that axis's N points.  A state on another grid
+    raises GridMismatchError.
     """
     _require_same_grid(op, psi)
-    if not isinstance(op, GridOperator):
-        return complex(np.sum(np.conj(psi.amplitudes) * op.apply(psi.amplitudes)) * psi.measure)
     amp, scale = psi.amplitudes, psi.measure
     if op.fft_axis is not None:
         amp = np.fft.fft(amp, axis=op.fft_axis)
         scale /= amp.shape[op.fft_axis]
-    value = complex(np.sum(op.payload * density([amp])) * scale)
-    if abs(value.imag) > 1e-10 * np.max(np.abs(op.payload)):
-        raise PhysicsError(
-            f"Hermitian expectation grew an imaginary part {value.imag:.3e}"
-        )
-    return value
+    return density([amp]), scale
+
+
+def expectation(op: GridOperator, psi: Wavefunction) -> float:
+    """<psi| op |psi> for a normalized state on ``op``'s grid: the real payload
+    summed against the density where ``op`` is diagonal.  No operator is applied."""
+    rho, scale = _diagonal_density(op, psi)
+    return float(np.sum(op.payload * rho) * scale)
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:

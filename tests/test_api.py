@@ -27,6 +27,8 @@ NO_SRC_CALLER = {
         "criteria and the tests; the benchmark's tracer wraps it by name, but no run calls it",
     "measurement.phase_discard_disturbance":
         "criterion 10's protocol, kept for a nondisturbance table in `measure`",
+    "states.expectation": "a grid operator's mean, read by the tests; `analysis.std_dev` "
+        "reduces the same density for <A> and <A^2> itself",
 }
 
 

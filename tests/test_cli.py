@@ -435,12 +435,12 @@ def test_measure_sweep_holds_a_few_stacks_at_a_time(tmp_path):
 
 
 def test_uncertainty_transform_budget(tmp_path, call_counts):
-    # 23 of the run's Robertson checks hold a spectral operator: two means of
-    # one FFT each and a commutator of four transforms; each of the 20 random
-    # states is drawn with one ifft.  Means as applied operators made it 204.
+    # 23 of the run's Robertson checks hold a spectral operator: its width,
+    # <A> and <A^2> from one FFT, and a commutator of four transforms; each of
+    # the 20 random states is drawn with one ifft
     cfg = write_config(tmp_path, {"experiment": "uncertainty"})
     assert main(["run", str(cfg)]) == 0
-    assert call_counts["fft"] + call_counts["ifft"] == 158
+    assert call_counts["fft"] + call_counts["ifft"] == 135
 
 
 def test_aharonov_bohm_outputs(tmp_path):
@@ -484,6 +484,39 @@ def test_kernelcheck_unresolvable_group_law_exits_2_with_one_line(tmp_path, caps
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "t1=" in err[0] and "t2=" in err[0] and "(x, x0)" in err[0]
     assert list(tmp_path.iterdir()) == [cfg]  # no table written
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ({"experiment": "kernelcheck", "params": {"t_free": 1e-3}},
+         "quadrature residual 1.789e+01 is not below 1e-06"),
+        ({"experiment": "kernelcheck", "params": {"t_free": 1e6}},
+         "quadrature residual 9.986e-01 is not below 1e-06"),
+        ({"experiment": "kernelcheck", "hbar": 1e300},
+         "quadrature residual 1.000e+00 is not below 1e-06"),
+        ({"experiment": "kernelcheck", "params": {"sigma": 1e-5}},
+         "quadrature residual 8.258e-01 is not below 1e-06"),
+        ({"experiment": "kernelcheck", "params": {"grid": {"n": 8, "min": -1, "max": 1}}},
+         "quadrature residual 5.137e-01 is not below 1e-06"),
+        ({"experiment": "kernelcheck", "params": {"t_free": 1e-300}},
+         "quadrature residual 5.507e+149 is not below 1e-06"),
+        # hbar^2 k^2 underflows, so case 0 reads a zero width product
+        ({"experiment": "uncertainty", "hbar": 1e-300},
+         "uncertainty case 0 misses the Robertson bound: lhs 0.000e+00 < rhs 5.000e-301 "
+         "at hbar 1e-300"),
+    ],
+    ids=["t_free-1e-3", "t_free-1e6", "hbar-1e300", "sigma-1e-5", "grid-8", "t_free-1e-300",
+         "uncertainty-hbar-1e-300"],
+)
+def test_missed_bound_exits_3_writing_nothing(tmp_path, capsys, body, message):
+    # the run's own check fails: a kernelcheck row misses its criterion-6
+    # bound, or a Robertson row is not satisfied
+    cfg = write_config(tmp_path, dict(body, output={"directory": ".", "svg": True}))
+    assert main(["run", str(cfg)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_wigner_run_with_axis_metadata(tmp_path):
@@ -700,9 +733,8 @@ def test_uncertainty_run(tmp_path):
 
 @pytest.mark.parametrize("hbar", [3e3, 1e5])
 def test_uncertainty_at_large_hbar_satisfies_every_check(tmp_path, hbar):
-    # <p^2> at these hbar is ~1e7 and ~1e10, and its rounding residue in the
-    # imaginary part (2.3e-10 and 2.0e-7) is noise on that scale, not a
-    # non-Hermitian operator
+    # <p^2> at these hbar is ~1e7 and ~1e10; the Robertson slack is relative,
+    # so rounding on that scale fails no row
     cfg = write_config(tmp_path, {"experiment": "uncertainty", "hbar": hbar,
                                   "output": {"directory": ".", "svg": False}})
     results = cli.run(cfg)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kvnlab.doubleslit as doubleslit
 from kvnlab.doubleslit import (
     SLAB_COLUMNS,
     FringeStats,
@@ -269,10 +270,11 @@ def test_skipped_slabs_would_add_nothing(cfg):
             assert np.all(term == 0.0) and not np.any(np.signbit(term))
 
 
-def test_beam_reaching_every_slab_shears_all_of_them(call_counts):
+def test_beam_reaching_every_slab_shears_all_of_them(monkeypatch, call_counts):
     cfg = SlitConfig(sigma_p=1.0, x_grid=Grid1D(256, -16.0, 16.0), p_grid=Grid1D(128, -4.0, 4.0))
     assert _dead_slabs(cfg) == []
-    kvn_screens(cfg, (None,), boundary_limit=np.inf)
+    monkeypatch.setattr(doubleslit, "APERTURE_BOUNDARY_LIMIT", np.inf)
+    kvn_screens(cfg, (None,))
     assert call_counts["rfft"] == call_counts["irfft"] == 2 * _slabs(cfg)
 
 
@@ -304,11 +306,12 @@ def _one_shot_screen(cfg, which, phase):
 @pytest.mark.parametrize("p_n", [16, 128], ids=["one-partial-slab", "several-slabs"])
 @pytest.mark.parametrize("phase", [None, lambda Q, P: np.sin(Q) * np.cos(P)],
                          ids=["real", "phased"])
-def test_kvn_slabs_match_the_one_shot_field(p_n, phase):
+def test_kvn_slabs_match_the_one_shot_field(monkeypatch, p_n, phase):
     # sigma_p 1 on p in [-4, 4) and a 32-wide q box put mass well above
     # round-off in the edge strips, so the boundary masses compare
     cfg = SlitConfig(sigma_p=1.0, x_grid=Grid1D(256, -16.0, 16.0), p_grid=Grid1D(p_n, -4.0, 4.0))
-    screens = kvn_screens(cfg, (None, 1, 2), phase, boundary_limit=np.inf)
+    monkeypatch.setattr(doubleslit, "APERTURE_BOUNDARY_LIMIT", np.inf)
+    screens = kvn_screens(cfg, (None, 1, 2), phase)
     for res, which in zip(screens, (None, 1, 2)):
         density, weight, edge = _one_shot_screen(cfg, which, phase)
         assert np.max(np.abs(res.density - density)) <= 1e-13 * np.max(density)
