@@ -102,12 +102,18 @@ def ehrenfest_residuals(trajectory) -> EhrenfestResiduals:
     )
 
 
+#: q rows of the Wigner table that ``wigner_transform`` computes at a time.
+WIGNER_BLOCK_ROWS = 64
+
+
 def wigner_transform(psi: Wavefunction, pg: PhaseGrid, hbar: float = 1.0) -> np.ndarray:
     """Real phase-space field W(q, p) of a configuration-space state.
 
     ``pg.q`` must equal the state's grid (else GridMismatchError); the
     momentum axis is free.  The output is normalized so that
     sum(W) * dq * dp = 1; the discarded imaginary residue must be below 1e-10.
+    The table is filled ``WIGNER_BLOCK_ROWS`` q rows at a time, so no complex
+    field over the whole phase grid is formed.
     """
     g = psi.grid
     if pg.q != g:
@@ -121,18 +127,21 @@ def wigner_transform(psi: Wavefunction, pg: PhaseGrid, hbar: float = 1.0) -> np.
     j = np.arange(-n // 4, n // 4 + 1)
     lam = 2.0 * g.dx * j / hbar
     dlam = 2.0 * g.dx / hbar
-    idx = np.arange(n)
-    minus = amp[(idx[:, None] - j[None, :]) % n]  # psi(q - hbar lam/2)
-    plus = np.conj(amp[(idx[:, None] + j[None, :]) % n])  # conj psi(q + hbar lam/2)
     phases = np.exp(1j * lam[:, None] * pg.p.points[None, :])
-    W = (minus * plus) @ phases * (dlam / (2 * np.pi))
-    imag_residue = float(np.max(np.abs(W.imag)))
+    W = np.empty(pg.shape)
+    imag_residue = 0.0
+    for start in range(0, n, WIGNER_BLOCK_ROWS):  # q rows, one block's products at a time
+        idx = np.arange(start, min(start + WIGNER_BLOCK_ROWS, n))
+        minus = amp[(idx[:, None] - j[None, :]) % n]  # psi(q - hbar lam/2)
+        plus = np.conj(amp[(idx[:, None] + j[None, :]) % n])  # conj psi(q + hbar lam/2)
+        block = (minus * plus) @ phases * (dlam / (2 * np.pi))
+        imag_residue = max(imag_residue, float(np.max(np.abs(block.imag))))
+        W[idx] = block.real
     if imag_residue > 1e-10:
         raise PhysicsError(f"Wigner transform imaginary residue {imag_residue:.3e} at hbar "
                            f"{hbar:g} (separation step 2 dx/hbar = {dlam:.3g})")
-    W = W.real
-    total = float(np.sum(W) * pg.cell_area)
-    return W / total
+    W /= float(np.sum(W) * pg.cell_area)
+    return W
 
 
 def momentum_density(psi: Wavefunction, p: np.ndarray, hbar: float = 1.0) -> np.ndarray:

@@ -108,7 +108,7 @@ def dft_powers(arg: np.ndarray, n: int, axis: int) -> np.ndarray:
     """
     powers = np.repeat(np.expand_dims(np.exp(arg), axis), n // 2 + 1, axis)
     np.moveaxis(powers, axis, 0)[0] = 1.0
-    return powers.cumprod(axis)
+    return powers.cumprod(axis, out=powers)
 
 
 def edge_mass(rho_times_measure: np.ndarray) -> float:

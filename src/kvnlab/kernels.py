@@ -27,6 +27,7 @@ The shear is a real operator: it maps a real field to a real field.  A
 state is sheared as its real parts (``states.real_parts``): its real part,
 and its imaginary part unless that is exactly zero, each as float64 with
 rfft/irfft along q and the factor over rows 0..n/2, the bins rfft keeps.
+A real state's shear is a real state.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def free_kvn_propagate(psi: Wavefunction, t: float, mass: float = 1.0) -> Wavefu
     pg = psi.grid
     factor = shear_factor(pg.q, pg.p.points, t, mass)
     parts = [shear(part, factor) for part in real_parts(psi.amplitudes)]
-    del factor  # free it before the complex result is made
+    del factor  # free it before a complex result is joined
     return Wavefunction(psi.grid, join_parts(parts), time=psi.time + t)
 
 

@@ -7,7 +7,8 @@ grid, which fixes where each part is diagonal: A after an FFT along axis 0,
 B as is on a 1-D grid and after an FFT along the p axis, in (q, lambda), on
 a phase grid.  Each factor is exact in that representation, so the step is
 unitary and second order in dt, and for classical generators every factor
-is an advection shear.  The factors are built once per call, and
+is an advection shear.  The factors are built once per call, each exponent
+formed only over the bins a step reads and exponentiated in place, and
 ``propagate`` is the one stepping loop.  On a phase grid a step ends in the
 (q, lambda) representation and the next step opens from that spectrum, so a
 Strang step costs five FFTs.
@@ -31,10 +32,12 @@ Real parts: the phase-space generators (Koopman, and the interpolating one
 at every kappa) are real operators, so a state's real and imaginary parts
 never mix.  On a phase grid a state is carried as its ``real_parts``, each
 stepped as float64 on rfft/irfft with every factor over bins 0..n/2, and
-the final state joins them.  Both exponents must be exactly
-conjugate-symmetric along their FFT axes, or ValueError names the generator
-before the first step; an exponent holding a NaN is let through, and its
-state stops the run at the edge check.  The Nyquist wavenumber +pi/dx has
+the final state joins them: a real state, of one part, stays real.  Both
+exponents must be exactly conjugate-symmetric along their FFT axes, or
+ValueError names the generator before any exponential is taken; the check
+forms each exponent in blocks of ``_CHECK_CELLS`` cells, never in full.  An
+exponent holding a NaN is let through, and its state stops the run at the
+edge check.  The Nyquist wavenumber +pi/dx has
 no -pi/dx partner: irfft reads only the real part of that bin, and the
 spectrum carried to the next step keeps only what it read.  A 1-D quantum
 state is one complex field on fft/ifft, the Schrodinger step not being a
@@ -94,6 +97,9 @@ _DRIFTS = _A + _A[::-1]
 _KICKS = _B + _B[-2::-1]
 _KICK_TIMES = (*accumulate(_DRIFTS[:-1], initial=0.0), 1.0)
 
+#: Cells of each block of an exponent that ``_real_exponent`` forms to check it.
+_CHECK_CELLS = 1 << 14
+
 
 def _conj_symmetric(arg: np.ndarray, axis: int) -> bool:
     """Whether exp(arg) is conjugate-symmetric along ``axis`` (bin -k the
@@ -105,17 +111,18 @@ def _conj_symmetric(arg: np.ndarray, axis: int) -> bool:
             and np.array_equal(a[1:(n + 1) // 2], np.conj(a[: n // 2 : -1])))
 
 
-def _kicks(pos_arg: np.ndarray, dt: float, scale: Callable) -> Callable:
+def _kicks(pos_arg: np.ndarray, dt: float, scale: Callable, n: int | None = None) -> Callable:
     """SRKN6b's position factors: ``kicks(t)`` yields the seven kicks of the
     step from t, exp(c * pos_arg) over lambda bins 0..n/2 with c = 2 b_j k_j,
-    pos_arg the position exponent of a half-step of dt and k_j = scale(t +
+    pos_arg the position exponent of a half-step of dt over all ``n`` lambda
+    bins or over bins 0..n/2 (``n`` given) and k_j = scale(t +
     _KICK_TIMES[j] dt), each built only as it is taken (``dft_powers``).
     The last kick is kept, so a step's closing kick serves as the next
     step's opening one (both b1 at the same time).  Raises ValueError unless
     pos_arg is a phase-space position part linear in lambda."""
-    n = pos_arg.shape[-1]
+    n = pos_arg.shape[-1] if n is None else n
     if pos_arg.ndim != 2 or pos_arg.real.any() or not np.allclose(
-        pos_arg.imag, dft_bins(n) * pos_arg.imag[:, 1:2], rtol=1e-12, atol=0
+        pos_arg.imag, dft_bins(n)[: pos_arg.shape[1]] * pos_arg.imag[:, 1:2], rtol=1e-12, atol=0
     ):
         raise ValueError("position_scale needs a phase-space position part linear in lambda")
     unit, last = pos_arg[:, 1].copy(), [None, None]  # (c, factor) of the last kick built
@@ -126,6 +133,21 @@ def _kicks(pos_arg: np.ndarray, dt: float, scale: Callable) -> Callable:
         return last[1]
 
     return lambda t: (kick(2.0 * b * scale(t + s * dt)) for b, s in zip(_KICKS, _KICK_TIMES))
+
+
+def _real_exponent(part: np.ndarray, arg: complex, axis: int) -> tuple[bool, bool]:
+    """Whether exp(arg * part) is conjugate-symmetric along ``axis``
+    (``_conj_symmetric``), and whether arg * part holds a NaN, the exponent
+    formed in blocks of the other axis, each of at most ``_CHECK_CELLS``
+    cells, never in full."""
+    index, symmetric, nan = [slice(None)] * 2, True, False
+    step = max(1, _CHECK_CELLS // part.shape[axis])
+    for start in range(0, part.shape[1 - axis], step):
+        index[1 - axis] = slice(start, start + step)
+        block = arg * part[tuple(index)]
+        symmetric = symmetric and _conj_symmetric(block, axis)
+        nan = nan or bool(np.isnan(block).any())
+    return symmetric, nan
 
 
 def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
@@ -146,33 +168,42 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
     parts (on a 1-D grid its one complex field), rho = |psi|^2 * measure and
     each part's rfft along the p axis (on a 1-D grid the parts themselves).
     Returns ``(final_state, times, norms, boundary_mass)`` with one
-    series entry per sample; the final state is complex, as always.
+    series entry per sample.  A phase-space state of one real part ends as
+    a real state; a complex one, or any 1-D state that took a step, ends
+    complex.
     """
     _require_same_grid(state, G)
     arg = -1j * dt / G.hbar
-    conj_arg, pos_arg = arg * G.conjugate_part, 0.5 * arg * G.position_part
-    if position_scale is not None:
-        position = _kicks(pos_arg, dt, position_scale)
     real = isinstance(G.grid, PhaseGrid)
+    # the exponents over the bins a step reads: rfft's 0..n/2 along each
+    # FFT axis on a phase grid, every bin on a 1-D one
+    rows = slice(G.grid.q.n // 2 + 1) if real else slice(None)
+    cols = (slice(None), slice(G.grid.p.n // 2 + 1)) if real else slice(None)
+    if position_scale is not None:
+        position = _kicks(0.5 * arg * G.position_part[cols], dt, position_scale,
+                          G.position_part.shape[-1])
     if real:
-        # NaN is looked for only once the check fails: it fails on every NaN
-        if not (_conj_symmetric(conj_arg, 0) and _conj_symmetric(pos_arg, 1)
-                or np.isnan(conj_arg).any() or np.isnan(pos_arg).any()):
+        (conj_symmetric, conj_nan), (pos_symmetric, pos_nan) = (
+            _real_exponent(G.conjugate_part, arg, 0), _real_exponent(G.position_part, 0.5 * arg, 1))
+        if not (conj_symmetric and pos_symmetric or conj_nan or pos_nan):
             raise ValueError(f"the {G.label} generator is not a real operator: "
                              "its split factors are not conjugate-symmetric")
         parts, fft, ifft = real_parts(state.amplitudes), np.fft.rfft, np.fft.irfft
         to_p, from_p = partial(fft, axis=1), partial(ifft, axis=1)
-        conj_arg = conj_arg[: len(conj_arg) // 2 + 1].copy()  # the rows rfft keeps
     else:  # B is diagonal as is
         parts, fft, ifft = [state.amplitudes], np.fft.fft, np.fft.ifft
         to_p = from_p = lambda field: field
+    # each exponent is formed and exponentiated in place, one at a time
+    conj_arg = arg * G.conjugate_part[rows]
     if position_scale is None:
-        pos = np.exp(pos_arg[:, : pos_arg.shape[1] // 2 + 1] if real else pos_arg)
-        position, conj = lambda t: (pos, pos), (np.exp(conj_arg),)
+        conj = (np.exp(conj_arg, out=conj_arg),)
+        pos = 0.5 * arg * G.position_part[cols]
+        np.exp(pos, out=pos)
+        position = lambda t: (pos, pos)
     else:
-        drifts = [np.exp(a * conj_arg) for a in _A]
+        drifts = [np.exp(d, out=d) for d in (a * conj_arg for a in _A)]
         conj = (*drifts, *drifts[::-1])
-    del conj_arg, pos_arg  # free the exponents: the steps read only the factors
+    del conj_arg
 
     times, norms, edges = np.empty((3, n_steps + 1))
     t = state.time
@@ -196,7 +227,8 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
                 for j in range(len(specs)):
                     specs[j][:, -1].imag = 0.0
             t = t + dt
-        rho = density(parts) * state.measure
+        rho = density(parts)
+        rho *= state.measure
         times[i], norms[i], edges[i] = t, rho.sum(), edge_mass(rho)
         if not edges[i] <= boundary_limit:  # also stops a NaN state
             raise BoundaryMassError(
@@ -205,7 +237,7 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
             )
         if record is not None:
             record(i, parts, rho, specs)
-    # free the factors before the complex final state is made
+    # free the factors before the final state is joined
     pos = drifts = position = conj = factors = conj_factor = kick = None
     return Wavefunction(state.grid, join_parts(parts), time=t), times, norms, edges
 

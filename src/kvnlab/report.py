@@ -8,15 +8,22 @@ byte-identical files, whatever the number of CPUs or worker processes (BLAS
 runs on one thread, see the package docstring); volatile quantities such as
 wall time are reported on stdout, never written into the tables.
 
+Both writers stream: a table or a heatmap is formatted and written
+``BLOCK_CELLS`` cells at a time, so neither the file's text nor one string
+per cell is ever held whole.
+
 A float costs about a microsecond to format to 17 digits, so the writers
 format each distinct number once where numbers repeat.  A table of at least
-``DISTINCT_MIN_CELLS`` cells has each distinct bit pattern formatted once
-and the strings placed by index; keying on bit patterns keeps -0.0 apart
-from 0.0.  Smaller tables are formatted row by row: for them the sort that
-finds the distinct patterns (numpy code a run may otherwise never touch)
-costs more than it can save.  A heatmap formats each of its cell x's and
-y's once and picks each cell's fill from the 2 x 256 it can have.  Either
-way the bytes are those of formatting every value in place.
+``DISTINCT_MIN_CELLS`` cells is sorted by bit pattern once; each pattern
+that occurs more than once is formatted once and its string looked up per
+block, and a pattern that occurs once is formatted where it stands, so a
+table of nearly distinct numbers holds no string table.  Keying on bit
+patterns keeps -0.0 apart from 0.0.  Smaller tables are formatted row by
+row: for them the sort that finds the repeats (numpy code a run may
+otherwise never touch) costs more than it can save.  A heatmap formats each
+of its cell x's and y's once and picks each cell's fill from the 2 x 256 it
+can have.  Either way the bytes are those of formatting every value in
+place.
 
 SVG plots are generated directly (no plotting toolkit): polyline charts for
 curves and rect rasters for matrices, both 960x540.
@@ -36,6 +43,8 @@ SVG_SIZE = (960, 540)
 HEATMAP_MAX_CELLS = 128
 #: cells from which ``write_csv`` formats each distinct number of a table once
 DISTINCT_MIN_CELLS = 1 << 15
+#: cells of each block of rows that the writers format and write at a time
+BLOCK_CELLS = 1 << 12
 _MARGIN = 60
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -66,7 +75,7 @@ class ResultTable:
             raise ValueError("provenance must carry the config hash")
 
     def write_csv(self, path: Path) -> None:
-        lines = [
+        header = [
             f"# kvnlab {self.provenance.get('code_version', 'unknown')}",
             f"# experiment: {self.experiment}",
             f"# config_hash: {self.provenance['config_hash']}",
@@ -74,13 +83,21 @@ class ResultTable:
             f"# columns: {','.join(self.columns)}",
             f"# units: {','.join(self.units)}",
         ]
-        cells = _distinct_format(self.rows)
-        if cells is None:
-            row = ",".join(["%.17g"] * self.rows.shape[1])
-            lines += [row % values for values in map(tuple, self.rows.tolist())]
-        else:
-            lines += map(",".join, cells.tolist())
-        path.write_text("\n".join(lines) + "\n")
+        repeats = _repeats(self.rows)
+        step = max(1, BLOCK_CELLS // self.rows.shape[1])
+        blocks = (_format_rows(self.rows[start : start + step], repeats)
+                  for start in range(0, len(self.rows), step))
+        _write_lines(path, header, blocks)
+
+
+def _write_lines(path: Path, *groups) -> None:
+    """Write each line of each iterable in ``groups`` to ``path``, each
+    followed by a newline, as it comes: a line may be a block of lines."""
+    with path.open("w") as f:
+        for group in groups:
+            for line in group:
+                f.write(line)
+                f.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +111,46 @@ def _map(v, lo, hi, out_lo, out_hi):
     return out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def _distinct_format(values: np.ndarray) -> np.ndarray | None:
-    """``"%.17g" % v`` for each float of ``values``, as an object array of its
-    shape, each distinct bit pattern formatted once; None for fewer than
-    ``DISTINCT_MIN_CELLS`` values, which are cheaper to format in place."""
+def _bits(values: np.ndarray) -> np.ndarray:
+    """The bit patterns of ``values`` as float64, keyed apart for -0.0 and 0.0."""
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def _repeats(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The bit patterns that occur more than once among ``values``, sorted,
+    and ``"%.17g"`` of each, formatted once; None for fewer than
+    ``DISTINCT_MIN_CELLS`` values, which are cheaper to format in place.
+    A pattern that occurs once gets no string here: ``_format_rows``
+    formats it where it stands."""
     if values.size < DISTINCT_MIN_CELLS:
         return None
-    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    strings = np.array(["%.17g" % v for v in distinct.view(float).tolist()], dtype=object)
-    return strings[inverse.reshape(bits.shape)]
+    bits = np.sort(_bits(values), axis=None)
+    twice = bits[1:][bits[1:] == bits[:-1]]  # each repeat after a pattern's first, sorted
+    first = np.ones(len(twice), dtype=bool)
+    first[1:] = twice[1:] != twice[:-1]
+    patterns = twice[first]
+    del bits, twice  # free the sorted copy before the strings are made
+    return patterns, np.array(["%.17g" % v for v in patterns.view(float).tolist()], dtype=object)
+
+
+def _format_rows(block: np.ndarray, repeats) -> str:
+    """The CSV lines of the rows of ``block``, joined by newlines: each cell
+    ``"%.17g"``, read from ``repeats`` (see ``_repeats``) where its pattern
+    repeats in the table and formatted in place otherwise."""
+    if repeats is None:
+        row = ",".join(["%.17g"] * block.shape[1])
+        return "\n".join([row % values for values in map(tuple, block.tolist())])
+    patterns, strings = repeats
+    bits = _bits(block).ravel()
+    order = bits.argsort()  # the search is quicker for sorted keys
+    where = np.empty_like(order)
+    where[order] = np.searchsorted(patterns, bits[order])
+    found = where < len(patterns)
+    found[found] = patterns[where[found]] == bits[found]
+    cells = np.empty(bits.shape, dtype=object)
+    cells[found] = strings[where[found]]
+    cells[~found] = ["%.17g" % v for v in block.ravel()[~found].tolist()]
+    return "\n".join(map(",".join, cells.reshape(block.shape).tolist()))
 
 
 def _format(template: str, sep: str, *columns: np.ndarray) -> str:
@@ -116,15 +163,16 @@ def _write_svg(path: Path, title: str, x_label: str, y_label: str, xlim, ylim,
                under=(), over=()) -> None:
     """A white SVG_SIZE page at ``path``: its title, the elements ``under``,
     the plot frame with its labels and ticks over ``xlim`` x ``ylim``, then
-    the elements ``over``."""
+    the elements ``over``, each written as ``under`` and ``over`` yield it."""
     w, h = SVG_SIZE
     m = _MARGIN
-    parts = [
+    page = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
         f'viewBox="0 0 {w} {h}">',
         f'<rect width="{w}" height="{h}" fill="white"/>',
         f'<text x="{w // 2}" y="28" text-anchor="middle" font-size="16">{title}</text>',
-        *under,
+    ]
+    parts = [
         f'<rect x="{m}" y="{m}" width="{w - 2 * m}" height="{h - 2 * m}" '
         f'fill="none" stroke="#333" stroke-width="1"/>',
         f'<text x="{w // 2}" y="{h - 12}" text-anchor="middle" '
@@ -145,9 +193,7 @@ def _write_svg(path: Path, title: str, x_label: str, y_label: str, xlim, ylim,
             f'<text x="{m - 6}" y="{py:.1f}" text-anchor="end" '
             f'font-size="11">{yv:.4g}</text>'
         )
-    parts += over
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    _write_lines(path, page, under, parts, over, ["</svg>"])
 
 
 def svg_line_plot(
@@ -203,15 +249,20 @@ def svg_heatmap(
     ch = (h - 2 * m) / ny
     # cell (i, j) at x = m + i cw, y = h - m - (j + 1) ch; red above 0, blue
     # below, faded to white as 255 (1 - |v|) truncated, v the cell over vmax
-    # (a fade level 0..255); each x, y and fill is formatted once
-    v = (mat / vmax).ravel()
-    level = np.trunc(255 * (1 - np.abs(v))).astype(np.intp)
+    # (a fade level 0..255); each x, y and fill is formatted once, and the
+    # cells are written a block of x columns at a time
     fills = np.array([f"rgb(255,{k},{k})" for k in range(256)]
                      + [f"rgb({k},{k},255)" for k in range(256)], dtype=object)
     xs = np.array(["%.2f" % x for x in (m + np.arange(nx) * cw).tolist()], dtype=object)
     ys = np.array(["%.2f" % y for y in (h - m - np.arange(1, ny + 1) * ch).tolist()], dtype=object)
-    cells = _format(
-        f'<rect x="%s" y="%s" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" fill="%s"/>', "\n",
-        np.repeat(xs, ny), np.tile(ys, nx), fills[level + 256 * (v < 0)],
-    )
-    _write_svg(path, title, x_label, y_label, extent[:2], extent[2:], under=[cells])
+    rect = f'<rect x="%s" y="%s" width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" fill="%s"/>'
+
+    def cells(span: slice) -> str:
+        v = (mat[span] / vmax).ravel()
+        level = np.trunc(255 * (1 - np.abs(v))).astype(np.intp)
+        return _format(rect, "\n", np.repeat(xs[span], ny), np.tile(ys, len(v) // ny),
+                       fills[level + 256 * (v < 0)])
+
+    step = max(1, BLOCK_CELLS // ny)
+    blocks = (cells(slice(i, i + step)) for i in range(0, nx, step))
+    _write_svg(path, title, x_label, y_label, extent[:2], extent[2:], under=blocks)

@@ -2,7 +2,11 @@
 
 One state type, ``Wavefunction``, serves both mechanics: psi(q) on a ``Grid1D``
 or psi(q, p) on a ``PhaseGrid``, its shape and cell measure read from the grid.
-States are value-semantic; ``normalize`` returns a new state.  Mixed states of
+A real state is held as float64 and a complex one as complex128, so a real
+phase-space state, which every phase-space generator and the free shear
+keep real, costs half the memory and is never cast.  States are
+value-semantic; ``normalize`` returns a new state, bit for bit the real part
+of the complex path for a real one.  Mixed states of
 small finite systems are handled by ``DensityMatrix`` (dense, dim <= 64), one
 matrix or a stack of them, shape (..., d, d), whose every member is checked.
 ``pure_density``, ``dephase`` and ``measure_probability`` act on each member
@@ -40,7 +44,8 @@ class Wavefunction:
     time: float = 0.0
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.asarray(self.amplitudes)
+        amp = amp.astype(complex if np.iscomplexobj(amp) else float, copy=False)
         if amp.shape != self.grid.shape:
             raise ValueError(f"amplitude shape {amp.shape} != {self.grid.shape}")
         object.__setattr__(self, "amplitudes", amp)
@@ -53,7 +58,9 @@ class Wavefunction:
         return float(np.sum(np.abs(self.amplitudes) ** 2) * self.measure)
 
     def normalize(self) -> "Wavefunction":
-        return replace(self, amplitudes=self.amplitudes / np.sqrt(self.norm_squared()))
+        # numpy divides a complex array by a real scalar as a product with its
+        # reciprocal: a real state takes the same product, so it keeps the bits
+        return replace(self, amplitudes=self.amplitudes * (1.0 / np.sqrt(self.norm_squared())))
 
 
 def _require_same_grid(a, b) -> None:
@@ -69,12 +76,12 @@ def real_parts(amp: np.ndarray) -> list[np.ndarray]:
 
 
 def join_parts(parts: list[np.ndarray]) -> np.ndarray:
-    """The complex amplitudes whose ``real_parts`` are ``parts``, or a lone complex field."""
-    if np.iscomplexobj(parts[0]):
+    """The amplitudes whose ``real_parts`` are ``parts``: a lone field as it
+    is (real or complex), two real parts as one complex field."""
+    if len(parts) == 1:
         return parts[0]
     amp = parts[0].astype(complex)
-    if len(parts) > 1:
-        amp.imag = parts[1]
+    amp.imag = parts[1]
     return amp
 
 

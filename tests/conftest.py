@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -49,11 +50,10 @@ def gaussian_1d(grid, center=0.0, sigma=1.0, k0=0.0, hbar=1.0):
 
 
 def gaussian_phase(pg, q0=0.0, p0=0.0, sigma_q=1.0, sigma_p=1.0, phase=None):
-    """Normalized product Gaussian on a phase grid, with optional phase field."""
+    """Normalized product Gaussian on a phase grid, with optional phase field:
+    a real state without one."""
     Q, P = pg.meshes()
-    amp = np.exp(
-        -((Q - q0) ** 2) / (4 * sigma_q**2) - ((P - p0) ** 2) / (4 * sigma_p**2)
-    ).astype(complex)
+    amp = np.exp(-((Q - q0) ** 2) / (4 * sigma_q**2) - ((P - p0) ** 2) / (4 * sigma_p**2))
     if phase is not None:
         amp = amp * np.exp(1j * phase(Q, P))
     return Wavefunction(pg, amp).normalize()
@@ -136,3 +136,15 @@ def call_counts(monkeypatch):
         counter.watch(np.fft, name)
     counter.watch(np, "exp")
     return counter
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of ``fn()`` on its second call, so that
+    what a first call fills once (imports, caches) does not count."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -505,13 +505,17 @@ def test_kernelcheck_unresolvable_group_law_exits_2_with_one_line(tmp_path, caps
         ({"experiment": "uncertainty", "hbar": 1e-300},
          "uncertainty case 0 misses the Robertson bound: lhs 0.000e+00 < rhs 5.000e-301 "
          "at hbar 1e-300"),
+        # the quantum step's phase is -inf: <q> and <p> read the state frozen
+        ({"experiment": "ehrenfest", "hbar": 1e-300, "params": {"dt": 1e-2}},
+         "ehrenfest row (quantum, harmonic, kappa 1) has relative residual 1.000e+00, "
+         "not below 0.001, at hbar 1e-300"),
     ],
     ids=["t_free-1e-3", "t_free-1e6", "hbar-1e300", "sigma-1e-5", "grid-8", "t_free-1e-300",
-         "uncertainty-hbar-1e-300"],
+         "uncertainty-hbar-1e-300", "ehrenfest-hbar-1e-300"],
 )
 def test_missed_bound_exits_3_writing_nothing(tmp_path, capsys, body, message):
     # the run's own check fails: a kernelcheck row misses its criterion-6
-    # bound, or a Robertson row is not satisfied
+    # bound, an ehrenfest row criterion 5's, or a Robertson row is not satisfied
     cfg = write_config(tmp_path, dict(body, output={"directory": ".", "svg": True}))
     assert main(["run", str(cfg)]) == 3
     err = capsys.readouterr().err.strip().splitlines()

@@ -11,9 +11,11 @@ from kvnlab.errors import BoundaryMassError, GridMismatchError
 from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from kvnlab.operators import hamiltonian, koopman_generator, unified_generator
 from kvnlab.oscillator import kvn_tdho_evolve
+import kvnlab.propagation as propagation
 from kvnlab.propagation import (
     _conj_symmetric,
     _kicks,
+    _real_exponent,
     _theta_mean,
     evolve,
     evolve_many,
@@ -530,7 +532,8 @@ def test_real_field_path_selection(call_counts, variant):
     parts = 2 if variant == "complex-state" else 1
     assert call_counts["rfft"] == call_counts["irfft"] == 3 * parts
     assert call_counts["fft"] == call_counts["ifft"] == 0
-    assert final.amplitudes.dtype == complex
+    # a real state stays real: only the phased one is joined into complex
+    assert final.amplitudes.dtype == (np.complex128 if variant == "complex-state" else np.float64)
 
 
 def test_nan_generator_stops_the_run_at_the_edge_check():
@@ -729,6 +732,33 @@ def test_conj_symmetric_matches_full_copy_reference(n, width, axis, case, seed):
     arg = np.moveaxis(a, 0, axis)
     assert _conj_symmetric(arg, axis) == reference_conj_symmetric(arg, axis)
     assert _conj_symmetric(arg, axis) == (case != "asymmetric")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(n=st.integers(8, 40), width=st.integers(1, 9), axis=st.sampled_from([0, 1]),
+       case=st.sampled_from(["odd", "asymmetric", "nan", "nyquist-nan"]),
+       cells=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_real_exponent_in_blocks_matches_the_whole_exponent(n, width, axis, case, cells, seed):
+    # the check forms the exponent a block of the other axis at a time and
+    # reads what the whole exponent would: its symmetry and whether it holds a NaN
+    rng = np.random.default_rng(seed)
+    part = rng.standard_normal((n, width))
+    part[0] = 0.0
+    for k in range(1, (n + 1) // 2):  # odd: bin n-k the negative of bin k
+        part[n - k] = -part[k]
+    if case == "asymmetric":
+        part[rng.integers(n), rng.integers(width)] += 1e-3
+    if case == "nan":
+        part[rng.integers(n), rng.integers(width)] = np.nan
+    if case == "nyquist-nan" and n % 2 == 0:  # in the one bin the symmetry check skips
+        part[n // 2, rng.integers(width)] = np.nan
+    part = np.moveaxis(part, 0, axis)
+    arg = -1j * 0.37
+    whole = arg * part
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagation, "_CHECK_CELLS", cells)
+        blocks = _real_exponent(part, arg, axis)
+    assert blocks == (_conj_symmetric(whole, axis), bool(np.isnan(whole).any()))
 
 
 def test_kvn_step_setup_holds_few_fields():

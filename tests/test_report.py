@@ -10,7 +10,7 @@ from kvnlab.report import (
     _MARGIN,
     SVG_SIZE,
     ResultTable,
-    _distinct_format,
+    _repeats,
     svg_heatmap,
     svg_line_plot,
 )
@@ -122,7 +122,7 @@ def test_csv_rows_match_per_value_format(tmp_path, monkeypatch):
     for min_cells in (0, report.DISTINCT_MIN_CELLS):  # each distinct value once, then row-wise
         monkeypatch.setattr(report, "DISTINCT_MIN_CELLS", min_cells)
         for case, rows in ROW_CASES.items():
-            assert (_distinct_format(rows) is None) == (min_cells > 0), case
+            assert (_repeats(rows) is None) == (min_cells > 0), case
             ncol = rows.shape[1]
             out = tmp_path / f"{case}.csv"
             ResultTable([f"c{j}" for j in range(ncol)], ["1"] * ncol, rows, "demo",
@@ -135,13 +135,38 @@ def test_csv_rows_match_per_value_format(tmp_path, monkeypatch):
 
 def test_only_large_tables_format_each_distinct_number_once():
     repeated = np.tile([0.1, -0.0, 0.0], (report.DISTINCT_MIN_CELLS // 3 + 1, 1))
-    assert _distinct_format(repeated[:-1]) is None  # one row short
-    cells = _distinct_format(repeated)
-    assert cells.shape == repeated.shape
-    assert cells[-1].tolist() == ["0.10000000000000001", "-0", "0"]
+    assert _repeats(repeated[:-1]) is None  # one row short
+    patterns, strings = _repeats(repeated)
+    # one string per repeated bit pattern, sorted by pattern: 0.0, 0.1, -0.0
+    assert strings.tolist() == ["0", "0.10000000000000001", "-0"]
+    assert patterns.view(float).tolist() == [0.0, 0.1, -0.0]
+    # a number that occurs once is formatted where it stands: no string is held for it
     distinct = np.arange(report.DISTINCT_MIN_CELLS, dtype=float).reshape(-1, 4) / 3
-    assert _distinct_format(distinct).tolist() == [["%.17g" % v for v in row]
-                                                   for row in distinct.tolist()]
+    patterns, strings = _repeats(distinct)
+    assert len(patterns) == len(strings) == 0
+    # mixed: exactly the patterns that occur more than once get a string
+    mixed = np.concatenate([distinct, distinct[:100], -distinct[:7]])
+    patterns, strings = _repeats(mixed)
+    bits, counts = np.unique(mixed.view(np.uint64), return_counts=True)
+    assert patterns.tolist() == bits[counts > 1].tolist()
+    assert strings.tolist() == ["%.17g" % v for v in patterns.view(float).tolist()]
+
+
+def test_streamed_csv_bytes_are_each_cell_formatted(tmp_path):
+    # a table past DISTINCT_MIN_CELLS, written in several blocks: repeats,
+    # signed zeros and numbers that occur once, each cell "%.17g" in place
+    rng = np.random.default_rng(11)
+    rows = np.round(rng.standard_normal((report.DISTINCT_MIN_CELLS // 4 + 5, 5)), 1)
+    rows[:, 4] = rng.standard_normal(len(rows))  # distinct
+    rows[::7, 1], rows[::11, 2] = 0.0, -0.0
+    assert rows.size >= report.DISTINCT_MIN_CELLS and rows.size > 4 * report.BLOCK_CELLS
+    assert np.signbit(rows[rows == 0]).any() and not np.signbit(rows[rows == 0]).all()
+    out = tmp_path / "t.csv"
+    ResultTable([f"c{j}" for j in range(5)], ["1"] * 5, rows, "demo", PROV).write_csv(out)
+    head = (b"# kvnlab 9.9\n# experiment: demo\n# config_hash: 0123456789abcdef\n"
+            b"# columns: c0,c1,c2,c3,c4\n# units: 1,1,1,1,1\n")
+    body = "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows.tolist())
+    assert out.read_bytes() == head + body.encode()
 
 
 @pytest.mark.parametrize("x, y", [

@@ -26,8 +26,10 @@ from kvnlab.states import (
     Wavefunction,
     dephase,
     expectation,
+    join_parts,
     measure_probability,
     pure_density,
+    real_parts,
 )
 
 HALF = 1 / np.sqrt(2)
@@ -47,6 +49,37 @@ def test_normalize_idempotent(grid_small):
 def test_kvn_normalize(phase_small):
     psi = gaussian_phase(phase_small, sigma_q=0.7, sigma_p=1.2)
     assert abs(psi.norm_squared() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("dtype, kept", [(float, np.float64), (np.int64, np.float64),
+                                          (np.float32, np.float64), (complex, np.complex128)])
+def test_a_state_keeps_its_kind(phase_small, dtype, kept):
+    # a real state is held as float64 and a complex one as complex128
+    amp = np.ones(phase_small.shape, dtype=dtype)
+    psi = Wavefunction(phase_small, amp)
+    assert psi.amplitudes.dtype == kept
+    assert psi.normalize().amplitudes.dtype == kept
+
+
+@pytest.mark.parametrize("grid", ["grid_small", "phase_small"])
+def test_real_normalize_is_the_real_part_of_the_complex_one(request, grid):
+    # bit for bit: a real state takes the complex path's product with 1/sqrt(norm)
+    g = request.getfixturevalue(grid)
+    amp = np.random.default_rng(3).standard_normal(g.shape) * 1e-3
+    real = Wavefunction(g, amp).normalize().amplitudes
+    whole = Wavefunction(g, amp.astype(complex)).normalize().amplitudes
+    assert real.dtype == np.float64 and whole.dtype == np.complex128
+    assert real.tobytes() == whole.real.tobytes()
+    assert not whole.imag.any()
+
+
+def test_real_parts_round_trip_keeps_a_real_field_real(phase_small):
+    amp = gaussian_phase(phase_small).amplitudes
+    (part,) = real_parts(amp)
+    assert join_parts([part]) is part  # a lone real part, as it is
+    phased = amp * np.exp(1j * phase_small.meshes()[0])
+    joined = join_parts(real_parts(phased))
+    assert joined.dtype == np.complex128 and joined.tobytes() == phased.tobytes()
 
 
 def test_expectation_position_gaussian(grid_small):
