@@ -727,7 +727,11 @@ def run(config_path: str | Path) -> dict:
     out = _Output(cfg)
     start = time.perf_counter()
     with np.errstate(all="ignore"):  # a non-finite result stops the run once, as exit 3
-        results = RUNNERS[cfg.experiment](cfg, out)
+        try:
+            results = RUNNERS[cfg.experiment](cfg, out)
+        except ArithmeticError as exc:  # a Python float left its range: name the run
+            raise PhysicsError(f"the {cfg.experiment} run left the float range "
+                               f"({type(exc).__name__}: {exc})") from exc
     files = out.write()
     wall = time.perf_counter() - start
     print(f"{cfg.experiment}: config {cfg.hash}, wall time {wall:.2f} s")

@@ -79,10 +79,6 @@ class PhaseGrid:
     def shape(self) -> tuple[int, int]:
         return (self.q.n, self.p.n)
 
-    def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Broadcastable coordinate arrays (Q over axis 0, P over axis 1)."""
-        return self.q.points[:, None], self.p.points[None, :]
-
 
 def dft_bins(n: int) -> np.ndarray:
     """The bin indices ``[0, 1, ..., n/2, -n/2+1, ..., -1]`` of an n-point DFT."""

@@ -3,10 +3,9 @@
 Operators are represented by their action on fields, not by dense matrices.
 Every one is a diagonal: a (broadcastable) payload array and the axis of the
 FFT that brings a field into the representation where the operator is
-diagonal, or None for position.  One rule, ``_apply_diagonal``, applies a
-grid operator and each of a generator's two parts.  The grid decides what
-momentum means: ``momentum_op`` is the spectral hbar k on a ``Grid1D`` and
-multiplication by p on a ``PhaseGrid``.
+diagonal, or None for position.  The grid decides what momentum means:
+``momentum_op`` is the spectral hbar k on a ``Grid1D`` and multiplication by
+p on a ``PhaseGrid``.
 
 A grid operator stands for a Hermitian one, so its payload is real: a
 complex one is refused when the operator is built.  The commutator of two
@@ -30,6 +29,18 @@ The grid fixes the representations: the conjugate part is diagonal after an
 FFT along axis 0 (k on a ``Grid1D``, theta on a ``PhaseGrid``), the position
 part as is on a ``Grid1D`` and after an FFT along axis 1 (lambda) on a
 ``PhaseGrid``.
+
+Half spectra: every phase-space generator is odd in theta and in lambda, and
+is a real operator.  Its parts are stored over the bins a real step reads,
+rfft's 0..n/2 along each part's FFT axis: the conjugate part over theta bins
+0..n_q/2, shape (n_q/2 + 1, n_p), the position part over lambda bins
+0..n_p/2, shape (n_q, n_p/2 + 1).  Bin -k holds minus bin k, so the full
+parts are these extended as odd functions.  On such a half spectrum only
+bin 0 can break realness (its factor must be real), so ``Generator``
+refuses, by label, a phase-space part that is nonzero on its bin-0 line; a
+NaN there is let through, and the state it makes stops at the edge check.
+Parts of another shape are refused too.  A 1-D quantum generator keeps
+every bin, its step not being a real operator.
 """
 
 from __future__ import annotations
@@ -49,14 +60,6 @@ Potential = Callable[[np.ndarray], np.ndarray]
 # grid operators
 
 
-def _apply_diagonal(payload: np.ndarray, axis: int | None, field: np.ndarray) -> np.ndarray:
-    """Multiply ``field`` by ``payload`` in the representation it is diagonal
-    in: as is when ``axis`` is None, else after an FFT along ``axis``."""
-    if axis is None:
-        return payload * field
-    return np.fft.ifft(payload * np.fft.fft(field, axis=axis), axis=axis)
-
-
 @dataclass(frozen=True)
 class GridOperator:
     """A Hermitian diagonal operator: the real ``payload`` after an FFT along
@@ -71,7 +74,10 @@ class GridOperator:
             raise ValueError("a grid operator is Hermitian: its payload must be real")
 
     def apply(self, field: np.ndarray) -> np.ndarray:
-        return _apply_diagonal(self.payload, self.fft_axis, field)
+        axis = self.fft_axis
+        if axis is None:
+            return self.payload * field
+        return np.fft.ifft(self.payload * np.fft.fft(field, axis=axis), axis=axis)
 
 
 def commutator_apply(a: GridOperator, b: GridOperator, field: np.ndarray) -> np.ndarray:
@@ -127,6 +133,8 @@ class Generator:
     a ``PhaseGrid``.  One split step multiplies by
     ``exp(-1j * part * dt / hbar)`` in the respective representation.
     ``potential_prime`` is the exact V' that the recorded force means use.
+    On a ``PhaseGrid`` each part holds bins 0..n/2 of its FFT axis only,
+    zero on bin 0; ValueError, naming the label, refuses any other part.
     """
 
     label: str  # quantum | koopman | unified
@@ -137,11 +145,18 @@ class Generator:
     potential_prime: Potential
     kappa: float = 0.0
 
-    def apply(self, field: np.ndarray) -> np.ndarray:
-        """Generator action on a field (used by Hermiticity and algebra checks)."""
-        position_axis = 1 if isinstance(self.grid, PhaseGrid) else None
-        return (_apply_diagonal(self.conjugate_part, 0, field)
-                + _apply_diagonal(self.position_part, position_axis, field))
+    def __post_init__(self) -> None:
+        phase = isinstance(self.grid, PhaseGrid)
+        for name, axis in (("conjugate_part", 0), ("position_part", 1)):
+            part, shape = getattr(self, name), list(self.grid.shape)
+            if phase:
+                shape[axis] = shape[axis] // 2 + 1
+            if np.shape(part) != tuple(shape):
+                raise ValueError(f"the {self.label} generator's {name} has shape "
+                                 f"{np.shape(part)}, not {tuple(shape)}")
+            if phase and (np.abs(np.take(part, 0, axis)) > 0).any():  # a NaN passes
+                raise ValueError(f"the {self.label} generator is not a real operator: "
+                                 f"its {name} is nonzero on bin 0")
 
 
 def hamiltonian(
@@ -196,8 +211,9 @@ def unified_generator(
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
-    kq = wavenumbers(pg.q)[:, None]
-    kp = wavenumbers(pg.p)[None, :]
+    # the half spectra a real step reads: theta bins 0..n_q/2, lambda bins 0..n_p/2
+    kq = wavenumbers(pg.q)[: pg.q.n // 2 + 1, None]
+    kp = wavenumbers(pg.p)[None, : pg.p.n // 2 + 1]
     q = pg.q.points[:, None]
     p = pg.p.points[None, :]
     if kappa == 0.0:
@@ -205,7 +221,7 @@ def unified_generator(
     else:
         shift = hbar * kappa * kp / 2.0
         force = (potential(q - shift) - potential(q + shift)) / kappa
-        force = np.asarray(force, dtype=float) * np.ones(pg.shape)
+        force = np.asarray(force, dtype=float) * np.ones((pg.q.n, kp.shape[1]))
     return Generator(
         label="unified",
         grid=pg,

@@ -8,10 +8,10 @@ B as is on a 1-D grid and after an FFT along the p axis, in (q, lambda), on
 a phase grid.  Each factor is exact in that representation, so the step is
 unitary and second order in dt, and for classical generators every factor
 is an advection shear.  The factors are built once per call, each exponent
-formed only over the bins a step reads and exponentiated in place, and
-``propagate`` is the one stepping loop.  On a phase grid a step ends in the
-(q, lambda) representation and the next step opens from that spectrum, so a
-Strang step costs five FFTs.
+formed from the generator's parts, which hold only the bins a step reads,
+and exponentiated in place, and ``propagate`` is the one stepping loop.  On
+a phase grid a step ends in the (q, lambda) representation and the next
+step opens from that spectrum, so a Strang step costs five FFTs.
 
 A time-dependent force enters through ``position_scale``, which rescales B
 at each force kick of a fourth-order step: Blanes and Moan's RKN splitting
@@ -31,15 +31,14 @@ factor exp(c B) is the powers of its first lambda column
 Real parts: the phase-space generators (Koopman, and the interpolating one
 at every kappa) are real operators, so a state's real and imaginary parts
 never mix.  On a phase grid a state is carried as its ``real_parts``, each
-stepped as float64 on rfft/irfft with every factor over bins 0..n/2, and
-the final state joins them: a real state, of one part, stays real.  Both
-exponents must be exactly conjugate-symmetric along their FFT axes, or
-ValueError names the generator before any exponential is taken; the check
-forms each exponent in blocks of ``_CHECK_CELLS`` cells, never in full.  An
-exponent holding a NaN is let through, and its state stops the run at the
-edge check.  The Nyquist wavenumber +pi/dx has
-no -pi/dx partner: irfft reads only the real part of that bin, and the
-spectrum carried to the next step keeps only what it read.  A 1-D quantum
+stepped as float64 on rfft/irfft, and the final state joins them: a real
+state, of one part, stays real.  A phase-space ``Generator`` holds each part
+over rfft's bins 0..n/2 only, and its construction has already refused a
+part that is not a real operator's, so the factors are formed from the parts
+as they are.  A part holding a NaN is let through, and its state stops the
+run at the edge check.  The Nyquist wavenumber +pi/dx has no -pi/dx
+partner: irfft reads only the real part of that bin, and the spectrum
+carried to the next step keeps only what it read.  A 1-D quantum
 state is one complex field on fft/ifft, the Schrodinger step not being a
 real operator.
 
@@ -78,7 +77,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryMassError
-from .grid import Grid1D, PhaseGrid, dft_bins, dft_powers, edge_mass, wavenumbers
+from .grid import Grid1D, PhaseGrid, dft_powers, edge_mass, wavenumbers
 from .operators import Generator
 from .states import Wavefunction, _require_same_grid, density, join_parts, real_parts
 
@@ -97,57 +96,28 @@ _DRIFTS = _A + _A[::-1]
 _KICKS = _B + _B[-2::-1]
 _KICK_TIMES = (*accumulate(_DRIFTS[:-1], initial=0.0), 1.0)
 
-#: Cells of each block of an exponent that ``_real_exponent`` forms to check it.
-_CHECK_CELLS = 1 << 14
 
-
-def _conj_symmetric(arg: np.ndarray, axis: int) -> bool:
-    """Whether exp(arg) is conjugate-symmetric along ``axis`` (bin -k the
-    conjugate of bin k) at every bin but the Nyquist one, exactly."""
-    a = np.moveaxis(arg, axis, 0)
-    n = len(a)
-    # bin 0 is its own partner; bins 1.. pair with n-1.. down to past the middle
-    return (np.array_equal(a[0], np.conj(a[0]))
-            and np.array_equal(a[1:(n + 1) // 2], np.conj(a[: n // 2 : -1])))
-
-
-def _kicks(pos_arg: np.ndarray, dt: float, scale: Callable, n: int | None = None) -> Callable:
+def _kicks(pos_arg: np.ndarray, dt: float, scale: Callable, grid: Grid1D | PhaseGrid) -> Callable:
     """SRKN6b's position factors: ``kicks(t)`` yields the seven kicks of the
     step from t, exp(c * pos_arg) over lambda bins 0..n/2 with c = 2 b_j k_j,
-    pos_arg the position exponent of a half-step of dt over all ``n`` lambda
-    bins or over bins 0..n/2 (``n`` given) and k_j = scale(t +
-    _KICK_TIMES[j] dt), each built only as it is taken (``dft_powers``).
-    The last kick is kept, so a step's closing kick serves as the next
-    step's opening one (both b1 at the same time).  Raises ValueError unless
-    pos_arg is a phase-space position part linear in lambda."""
-    n = pos_arg.shape[-1] if n is None else n
-    if pos_arg.ndim != 2 or pos_arg.real.any() or not np.allclose(
-        pos_arg.imag, dft_bins(n)[: pos_arg.shape[1]] * pos_arg.imag[:, 1:2], rtol=1e-12, atol=0
+    pos_arg the position exponent of a half-step of dt over those bins, n
+    the p points of ``grid`` and k_j = scale(t + _KICK_TIMES[j] dt), each
+    built only as it is taken (``dft_powers``).  The last kick is kept, so a
+    step's closing kick serves as the next step's opening one (both b1 at
+    the same time).  Raises ValueError unless pos_arg is a phase-space
+    position part linear in lambda."""
+    if not isinstance(grid, PhaseGrid) or pos_arg.real.any() or not np.allclose(
+        pos_arg.imag, np.arange(pos_arg.shape[1]) * pos_arg.imag[:, 1:2], rtol=1e-12, atol=0
     ):
         raise ValueError("position_scale needs a phase-space position part linear in lambda")
     unit, last = pos_arg[:, 1].copy(), [None, None]  # (c, factor) of the last kick built
 
     def kick(c: float) -> np.ndarray:
         if c != last[0]:
-            last[:] = c, dft_powers(c * unit, n, 1)
+            last[:] = c, dft_powers(c * unit, grid.p.n, 1)
         return last[1]
 
     return lambda t: (kick(2.0 * b * scale(t + s * dt)) for b, s in zip(_KICKS, _KICK_TIMES))
-
-
-def _real_exponent(part: np.ndarray, arg: complex, axis: int) -> tuple[bool, bool]:
-    """Whether exp(arg * part) is conjugate-symmetric along ``axis``
-    (``_conj_symmetric``), and whether arg * part holds a NaN, the exponent
-    formed in blocks of the other axis, each of at most ``_CHECK_CELLS``
-    cells, never in full."""
-    index, symmetric, nan = [slice(None)] * 2, True, False
-    step = max(1, _CHECK_CELLS // part.shape[axis])
-    for start in range(0, part.shape[1 - axis], step):
-        index[1 - axis] = slice(start, start + step)
-        block = arg * part[tuple(index)]
-        symmetric = symmetric and _conj_symmetric(block, axis)
-        nan = nan or bool(np.isnan(block).any())
-    return symmetric, nan
 
 
 def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
@@ -161,8 +131,7 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
     with B scaled by ``position_scale(t + _KICK_TIMES[j] * dt)``, between
     conjugate drifts of ``_DRIFTS[j] * dt``; B must then be a phase-space
     position part linear in lambda, or ValueError is raised before any step.
-    A state on another grid than G's raises GridMismatchError, and a
-    phase-space G that is not a real operator ValueError.
+    A state on another grid than G's raises GridMismatchError.
 
     ``record(i, parts, rho, spectra)`` sees every sample: the state's real
     parts (on a 1-D grid its one complex field), rho = |psi|^2 * measure and
@@ -175,29 +144,19 @@ def propagate(state: Wavefunction, G: Generator, dt: float, n_steps: int,
     _require_same_grid(state, G)
     arg = -1j * dt / G.hbar
     real = isinstance(G.grid, PhaseGrid)
-    # the exponents over the bins a step reads: rfft's 0..n/2 along each
-    # FFT axis on a phase grid, every bin on a 1-D one
-    rows = slice(G.grid.q.n // 2 + 1) if real else slice(None)
-    cols = (slice(None), slice(G.grid.p.n // 2 + 1)) if real else slice(None)
     if position_scale is not None:
-        position = _kicks(0.5 * arg * G.position_part[cols], dt, position_scale,
-                          G.position_part.shape[-1])
+        position = _kicks(0.5 * arg * G.position_part, dt, position_scale, G.grid)
     if real:
-        (conj_symmetric, conj_nan), (pos_symmetric, pos_nan) = (
-            _real_exponent(G.conjugate_part, arg, 0), _real_exponent(G.position_part, 0.5 * arg, 1))
-        if not (conj_symmetric and pos_symmetric or conj_nan or pos_nan):
-            raise ValueError(f"the {G.label} generator is not a real operator: "
-                             "its split factors are not conjugate-symmetric")
         parts, fft, ifft = real_parts(state.amplitudes), np.fft.rfft, np.fft.irfft
         to_p, from_p = partial(fft, axis=1), partial(ifft, axis=1)
     else:  # B is diagonal as is
         parts, fft, ifft = [state.amplitudes], np.fft.fft, np.fft.ifft
         to_p = from_p = lambda field: field
     # each exponent is formed and exponentiated in place, one at a time
-    conj_arg = arg * G.conjugate_part[rows]
+    conj_arg = arg * G.conjugate_part
     if position_scale is None:
         conj = (np.exp(conj_arg, out=conj_arg),)
-        pos = 0.5 * arg * G.position_part[cols]
+        pos = 0.5 * arg * G.position_part
         np.exp(pos, out=pos)
         position = lambda t: (pos, pos)
     else:

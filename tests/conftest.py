@@ -11,6 +11,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["MKL_NUM_THREADS"] = "1"
 
 from kvnlab.grid import Grid1D, PhaseGrid
+from kvnlab.operators import GridOperator
 from kvnlab.states import Wavefunction
 
 import numpy as np
@@ -39,6 +40,34 @@ def purity(rho) -> float:
     return float(np.real(np.trace(rho.entries @ rho.entries)))
 
 
+def meshes(pg):
+    """Broadcastable coordinate arrays of a phase grid: Q over axis 0, P over axis 1."""
+    return pg.q.points[:, None], pg.p.points[None, :]
+
+
+def full_parts(G):
+    """G's (conjugate_part, position_part) over every bin of their FFT axes.
+    A phase-space part holds bins 0..n/2 only and is odd: bin -k, here
+    bin n - k, is minus bin k."""
+    if isinstance(G.grid, Grid1D):
+        return G.conjugate_part, G.position_part
+
+    def odd(half, axis):
+        n = 2 * (half.shape[axis] - 1)
+        return np.concatenate([half, -np.flip(np.take(half, range(1, n // 2), axis), axis)], axis)
+
+    return odd(G.conjugate_part, 0), odd(G.position_part, 1)
+
+
+def apply_generator(G, field):
+    """G acting on ``field``: each of its full parts multiplied in the
+    representation it is diagonal in, and the two results added."""
+    conj, pos = full_parts(G)
+    position_axis = 1 if isinstance(G.grid, PhaseGrid) else None
+    return (GridOperator(G.grid, conj, 0).apply(field)
+            + GridOperator(G.grid, pos, position_axis).apply(field))
+
+
 def gaussian_1d(grid, center=0.0, sigma=1.0, k0=0.0, hbar=1.0):
     """Normalized Gaussian wave packet, optionally momentum-kicked."""
     x = grid.points
@@ -52,7 +81,7 @@ def gaussian_1d(grid, center=0.0, sigma=1.0, k0=0.0, hbar=1.0):
 def gaussian_phase(pg, q0=0.0, p0=0.0, sigma_q=1.0, sigma_p=1.0, phase=None):
     """Normalized product Gaussian on a phase grid, with optional phase field:
     a real state without one."""
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     amp = np.exp(-((Q - q0) ** 2) / (4 * sigma_q**2) - ((P - p0) ** 2) / (4 * sigma_p**2))
     if phase is not None:
         amp = amp * np.exp(1j * phase(Q, P))
@@ -93,7 +122,7 @@ def random_bandlimited_phase(pg, rng, n_modes=5):
         (2 * n_modes, 2 * n_modes)
     )
     f = np.fft.ifft2(coeff)
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     mq = 0.5 * (pg.q.x_min + pg.q.x_max)
     mp = 0.5 * (pg.p.x_min + pg.p.x_max)
     sq, sp = pg.q.length / 16.0, pg.p.length / 16.0

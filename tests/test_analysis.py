@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     gaussian_1d,
     gaussian_phase,
+    meshes,
     random_bandlimited_1d,
     random_bandlimited_phase,
 )
@@ -211,7 +212,7 @@ def test_wigner_gaussian_matches_analytic_oracle(wigner_setup):
     s = 1.0 / np.sqrt(2)  # ground state of the unit oscillator
     psi = gaussian_1d(g, sigma=s)
     W = wigner_transform(psi, pg)
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     analytic = np.exp(-(Q**2) / (2 * s**2) - (2 * s**2) * P**2) / np.pi
     np.testing.assert_allclose(W, analytic, atol=1e-8)
     assert W.min() >= -1e-10

@@ -33,8 +33,9 @@ NO_SRC_CALLER = {
 
 
 def test_every_public_name_has_a_src_caller():
-    """Each public function, class and constant at the top level of a module
-    is read somewhere in ``src/kvnlab``; exports and imports do not count."""
+    """Each public function, class and constant at the top level of a module,
+    and each public method and property of a public class, is read somewhere
+    in ``src/kvnlab``; exports and imports do not count."""
     src = Path(kvnlab.__file__).resolve().parent
     read, public = set(), []
     for path in sorted(src.glob("*.py")):
@@ -47,8 +48,12 @@ def test_every_public_name_has_a_src_caller():
         if path.name == "__init__.py":
             continue
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.FunctionDef):
                 names = [node.name]
+            elif isinstance(node, ast.ClassDef):
+                names = [node.name] + [f"{node.name}.{item.name}" for item in node.body
+                                       if isinstance(item, ast.FunctionDef)
+                                       and not item.name.startswith("_")]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [t.id for t in targets if isinstance(t, ast.Name)]

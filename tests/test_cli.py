@@ -199,9 +199,14 @@ def test_non_integer_or_non_finite_exits_2_naming_key(tmp_path, capsys, command,
         ({"experiment": "aharonov-bohm", "params": {"mass": 5e-324}}, "non-finite"),
         ({"experiment": "wigner", "params": {"center": 1e300}}, "non-finite"),
         ({"experiment": "aharonov-bohm", "params": {"R_boundary": 1e300}}, "out of range"),
+        # a Python float overflows where no key is named: the run and the error are
+        ({"experiment": "oscillator", "params": {"k_base": 1e300}},
+         "the oscillator run left the float range (OverflowError: "),
+        ({"experiment": "uncertainty", "params": {"sigma": 1e300}},
+         "the uncertainty run left the float range (OverflowError: "),
     ],
     ids=["ehrenfest-nan-state", "oscillator-nan-state", "energies-overflow", "wigner-nan",
-         "python-float-overflow"],
+         "python-float-overflow", "oscillator-float-overflow", "uncertainty-float-overflow"],
 )
 def test_non_finite_result_exits_3_writing_nothing(tmp_path, body, message):
     # a subprocess, so that numpy's floating-point warnings would reach stderr

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import meshes
 import kvnlab.doubleslit as doubleslit
 from kvnlab.doubleslit import (
     SLAB_COLUMNS,
@@ -287,7 +288,7 @@ def test_grids_holding_none_of_the_source_are_refused_naming_them():
 def _one_shot_screen(cfg, which, phase):
     """The classical pipeline on the whole phase-space field at once."""
     pg = PhaseGrid(cfg.x_grid, cfg.p_grid)
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     amp = np.exp(-(Q**2) / (2 * cfg.sigma_x**2) - P**2 / (2 * cfg.sigma_p**2))
     if phase is not None:
         amp = amp * np.exp(1j * phase(Q, P))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import meshes
 from kvnlab.grid import Grid1D, PhaseGrid, dft_powers, wavenumbers
 from kvnlab.operators import momentum_op
 
@@ -124,7 +125,7 @@ def test_phase_grid_cell_area():
     pg = PhaseGrid(Grid1D(32, -4.0, 4.0), Grid1D(16, -2.0, 2.0))
     assert pg.cell_area == pytest.approx(0.25 * 0.25)
     assert pg.shape == (32, 16)
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     assert Q.shape == (32, 1) and P.shape == (1, 16)
 
 

@@ -1,7 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import random_bandlimited_1d, random_bandlimited_phase
+from conftest import (
+    apply_generator,
+    full_parts,
+    meshes,
+    random_bandlimited_1d,
+    random_bandlimited_phase,
+)
 from kvnlab.grid import Grid1D, PhaseGrid
 from kvnlab.operators import (
     commutator_apply,
@@ -61,19 +69,19 @@ def test_position_expectation_of_sharp_peak():
 
 def test_theta_on_grid_mode_times_p_profile(pg):
     k0 = 2 * np.pi / pg.q.length * 4
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     f = np.exp(1j * k0 * Q) * np.exp(-(P**2))
     np.testing.assert_allclose(theta_op(pg).apply(f), k0 * f, atol=1e-10)
 
 
 def test_lambda_on_q_only_field_is_zero(pg):
-    Q, _ = pg.meshes()
+    Q, _ = meshes(pg)
     f = (np.exp(-(Q**2)) * np.ones(pg.shape)).astype(complex)
     assert np.max(np.abs(lambda_op(pg).apply(f))) < 1e-12
 
 
 def test_theta_matches_finite_difference_oracle(pg):
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     f = (np.exp(-(Q**2) / 2 - P**2 / 2)).astype(complex)
     got = theta_op(pg).apply(f)
     # oracle: 4th-order stencil on a 4x refined q sampling of the analytic field
@@ -157,7 +165,7 @@ def test_hamiltonian_on_plane_wave():
     k0 = 3.0
     H = hamiltonian(g, lambda q: np.zeros_like(q), hbar=0.5, vprime=np.zeros_like)
     f = np.exp(1j * k0 * g.points)
-    np.testing.assert_allclose(H.apply(f), ((0.5 * k0) ** 2 / 2.0) * f, atol=1e-10)
+    np.testing.assert_allclose(apply_generator(H, f), ((0.5 * k0) ** 2 / 2.0) * f, atol=1e-10)
 
 
 def test_hamiltonian_on_harmonic_ground_state():
@@ -165,7 +173,7 @@ def test_hamiltonian_on_harmonic_ground_state():
     H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
     amp = np.exp(-g.points**2 / 2).astype(complex)
     psi = Wavefunction(g, amp).normalize()
-    resid = H.apply(psi.amplitudes) - 0.5 * psi.amplitudes
+    resid = apply_generator(H, psi.amplitudes) - 0.5 * psi.amplitudes
     assert l2(resid, g.dx) < 1e-6
 
 
@@ -176,26 +184,26 @@ def test_generator_hermiticity_random_states():
     for _ in range(3):
         f = random_bandlimited_1d(g, rng)
         h = random_bandlimited_1d(g, rng)
-        lhs = np.sum(np.conj(f.amplitudes) * H.apply(h.amplitudes)) * g.dx
-        rhs = np.sum(np.conj(H.apply(f.amplitudes)) * h.amplitudes) * g.dx
+        lhs = np.sum(np.conj(f.amplitudes) * apply_generator(H, h.amplitudes)) * g.dx
+        rhs = np.sum(np.conj(apply_generator(H, f.amplitudes)) * h.amplitudes) * g.dx
         assert abs(lhs - rhs) / max(abs(lhs), 1e-30) < 1e-9
 
 
 def test_liouvillian_annihilates_functions_of_h(pg):
     # stationarity: L f(H) = 0 since the Poisson bracket {H, f(H)} vanishes
     L = koopman_generator(pg, lambda q: q)  # V = q^2/2
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     H = P**2 / 2 + Q**2 / 2
     f = np.exp(-H).astype(complex)
-    assert np.max(np.abs(L.apply(f))) < 1e-6
+    assert np.max(np.abs(apply_generator(L, f))) < 1e-6
 
 
 def test_liouvillian_advection_on_plane_wave(pg):
     L = koopman_generator(pg, lambda q: np.zeros_like(q))
     k0 = 2 * np.pi / pg.q.length * 3
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     f = np.exp(1j * k0 * Q) * np.exp(-(P**2) / 2)
-    np.testing.assert_allclose(L.apply(f), (P * k0) * f, atol=1e-10)
+    np.testing.assert_allclose(apply_generator(L, f), (P * k0) * f, atol=1e-10)
 
 
 def test_liouvillian_hermitian_on_phase_states(pg):
@@ -203,8 +211,8 @@ def test_liouvillian_hermitian_on_phase_states(pg):
     L = koopman_generator(pg, lambda q: q)
     f = random_bandlimited_phase(pg, rng)
     h = random_bandlimited_phase(pg, rng)
-    lhs = np.sum(np.conj(f.amplitudes) * L.apply(h.amplitudes)) * pg.cell_area
-    rhs = np.sum(np.conj(L.apply(f.amplitudes)) * h.amplitudes) * pg.cell_area
+    lhs = np.sum(np.conj(f.amplitudes) * apply_generator(L, h.amplitudes)) * pg.cell_area
+    rhs = np.sum(np.conj(apply_generator(L, f.amplitudes)) * h.amplitudes) * pg.cell_area
     assert abs(lhs - rhs) / max(abs(lhs), 1e-30) < 1e-9
 
 
@@ -215,15 +223,15 @@ def test_koopman_equals_liouvillian(pg):
     K = koopman_generator(pg, lambda q: q**3)
     psi = random_bandlimited_phase(pg, rng)
     f = psi.amplitudes
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     L_f = P * theta_op(pg).apply(f) - Q**3 * lambda_op(pg).apply(f)
-    diff = K.apply(f) - L_f
+    diff = apply_generator(K, f) - L_f
     assert l2(diff, pg.cell_area) < 1e-12
 
 
 def test_koopman_vprime_zero_reduces_to_advection(pg):
     K = koopman_generator(pg, lambda q: np.zeros_like(q))
-    assert np.max(np.abs(K.position_part)) == 0.0
+    assert np.max(np.abs(full_parts(K)[1])) == 0.0
 
 
 def test_unified_kappa_range(pg):
@@ -240,7 +248,7 @@ def test_unified_small_kappa_matches_scaled_koopman(pg):
     G_eps = unified_generator(pg, V, kappa=1e-6, hbar=hbar, vprime=Vp)
     K = koopman_generator(pg, Vp)
     psi = random_bandlimited_phase(pg, np.random.default_rng(53))
-    diff = G_eps.apply(psi.amplitudes) - hbar * K.apply(psi.amplitudes)
+    diff = apply_generator(G_eps, psi.amplitudes) - hbar * apply_generator(K, psi.amplitudes)
     assert l2(diff, pg.cell_area) < 1e-8
 
 
@@ -248,7 +256,7 @@ def test_unified_kappa_zero_uses_analytic_limit(pg):
     V = lambda q: q**2 / 2
     G0 = unified_generator(pg, V, kappa=0.0, vprime=lambda q: q)
     K = koopman_generator(pg, lambda q: q)
-    np.testing.assert_allclose(G0.position_part, K.position_part * np.ones(pg.shape))
+    np.testing.assert_allclose(full_parts(G0)[1], full_parts(K)[1])
 
 
 @pytest.mark.parametrize("Vp", [np.zeros_like, lambda q: q, lambda q: q**3],
@@ -258,8 +266,8 @@ def test_koopman_is_the_unified_member_at_kappa_0(pg, Vp):
     # at kappa = 0 only V' is read, so any V will do
     K = koopman_generator(pg, Vp)
     U = unified_generator(pg, lambda q: q**4 / 4, 0.0, vprime=Vp)
-    for part in ("position_part", "conjugate_part"):
-        assert getattr(K, part).shape == pg.shape
+    for part, shape in (("position_part", (128, 65)), ("conjugate_part", (65, 128))):
+        assert getattr(K, part).shape == shape
         assert getattr(K, part).tobytes() == getattr(U, part).tobytes(), part
     assert (K.label, K.hbar, K.kappa, K.potential_prime) == ("koopman", 1.0, 0.0, Vp)
 
@@ -267,8 +275,39 @@ def test_koopman_is_the_unified_member_at_kappa_0(pg, Vp):
 def test_unified_kappa_independent_for_quadratic_potential(pg):
     V = lambda q: 0.7 * q**2 / 2
     parts = [
-        unified_generator(pg, V, kappa=k, vprime=lambda q: 0.7 * q).position_part
+        full_parts(unified_generator(pg, V, kappa=k, vprime=lambda q: 0.7 * q))[1]
         for k in (0.0, 0.3, 1.0)
     ]
     np.testing.assert_allclose(parts[1], parts[0], atol=1e-9)
     np.testing.assert_allclose(parts[2], parts[0], atol=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [None, 0.5], ids=["koopman", "unified-0.5"])
+def test_phase_generator_holds_half_spectra_and_refuses_other_parts(pg, call_counts, kappa):
+    # a phase-space part holds bins 0..n/2 of its FFT axis, zero on bin 0:
+    # the full spectrum, or anything on bin 0, is refused when the generator
+    # is built, by label and before any transform; a NaN is let through
+    V, Vp = (lambda q: q**4 / 4), (lambda q: q**3)
+    G = koopman_generator(pg, Vp) if kappa is None else unified_generator(pg, V, kappa, vprime=Vp)
+    full = dict(zip(("conjugate_part", "position_part"), full_parts(G)))
+    call_counts.clear()
+    for name, bin_0 in (("conjugate_part", (0, 5)), ("position_part", (5, 0))):
+        with pytest.raises(ValueError, match=rf"the {G.label} generator's {name} has shape "
+                                             rf"\(128, 128\), not"):
+            replace(G, **{name: full[name]})
+        shifted = getattr(G, name).copy()
+        shifted[bin_0] = 1e-300
+        with pytest.raises(ValueError, match=f"the {G.label} generator is not a real operator: "
+                                             f"its {name} is nonzero on bin 0"):
+            replace(G, **{name: shifted})
+        shifted[bin_0] = np.nan
+        replace(G, **{name: shifted})
+    assert not call_counts
+
+
+def test_quantum_generator_refuses_parts_of_another_shape():
+    g = Grid1D(64, -8.0, 8.0)
+    H = hamiltonian(g, lambda q: 0.5 * q**2, vprime=lambda q: q)
+    for name in ("conjugate_part", "position_part"):
+        with pytest.raises(ValueError, match=f"the quantum generator's {name} has shape"):
+            replace(H, **{name: getattr(H, name)[:33]})

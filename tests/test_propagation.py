@@ -4,18 +4,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from conftest import assert_runs_its_parts_apart, gaussian_1d, gaussian_phase
+from conftest import (
+    assert_runs_its_parts_apart,
+    full_parts,
+    gaussian_1d,
+    gaussian_phase,
+    meshes,
+)
 from kvnlab.errors import BoundaryMassError, GridMismatchError
 from kvnlab.grid import Grid1D, PhaseGrid, edge_mass, wavenumbers
 from kvnlab.operators import hamiltonian, koopman_generator, unified_generator
 from kvnlab.oscillator import kvn_tdho_evolve
-import kvnlab.propagation as propagation
 from kvnlab.propagation import (
-    _conj_symmetric,
     _kicks,
-    _real_exponent,
     _theta_mean,
     evolve,
     evolve_many,
@@ -81,7 +83,7 @@ def test_kvn_step_free_is_exact_shear():
     G = koopman_generator(pg, lambda q: np.zeros_like(q))
     dt = 0.7
     out = kvn_step(psi, G, dt)
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     target = np.exp(
         -((Q - P * dt) ** 2) / (4 * sq**2) - P**2 / (4 * sp**2)
     ).astype(complex)
@@ -223,7 +225,7 @@ def test_liouville_pde_residual():
             - 8 * np.roll(f, 1, axis) + np.roll(f, 2, axis)
         ) / (12 * h)
 
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     resid = drho_dt + P * d4(rho1, 0, pg.q.dx) - Q * d4(rho1, 1, pg.p.dx)
     interior = resid[16:-16, 16:-16]
     assert np.max(np.abs(interior)) < 1e-5
@@ -243,7 +245,7 @@ def test_quartic_koopman_density_is_pulled_back_initial_density():
     def field(z):
         return np.stack([z[1], -z[0] ** 3])
 
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     z, h = np.stack(np.broadcast_arrays(Q, P)), -t / 200
     for _ in range(200):
         k1 = field(z)
@@ -295,8 +297,9 @@ def test_unified_kappa_0_is_koopman(hbar):
 def reference_step(amp, G, dt, real=False):
     """One Strang step, every factor exponentiated and transformed afresh; with
     ``real``, the real part is taken after each inverse transform."""
-    half_pos = np.exp(-0.5j * G.position_part * dt / G.hbar)
-    full_conj = np.exp(-1j * G.conjugate_part * dt / G.hbar)
+    conjugate_part, position_part = full_parts(G)
+    half_pos = np.exp(-0.5j * position_part * dt / G.hbar)
+    full_conj = np.exp(-1j * conjugate_part * dt / G.hbar)
 
     def inverse(f, axis):
         out = np.fft.ifft(f, axis=axis)
@@ -434,11 +437,11 @@ def srkn_reference_step(amp, pg, k, t, dt):
     """One SRKN6b step by FFTs of the full field, with the Koopman generator
     rebuilt at each kick's stiffness, on the real and imaginary parts of
     ``amp`` apart, the real part taken after each inverse transform."""
-    drift_part = koopman_generator(pg, lambda q: q).conjugate_part
+    drift_part = full_parts(koopman_generator(pg, lambda q: q))[0]
     parts = [amp.real, amp.imag]
     for j, t_kick in enumerate(kick_times(t, dt)):
         G = koopman_generator(pg, lambda q: k(t_kick) * q)
-        kick = np.exp(-1j * KICKS[j] * dt * G.position_part)
+        kick = np.exp(-1j * KICKS[j] * dt * full_parts(G)[1])
         parts = [np.fft.ifft(kick * np.fft.fft(a, axis=1), axis=1).real for a in parts]
         if j < 6:
             drift = np.exp(-1j * DRIFTS[j] * dt * drift_part)
@@ -454,7 +457,7 @@ def test_tdho_evolve_matches_reference_kick_drift_loop():
     pg = PhaseGrid(Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     k = lambda t: 1.0 + 0.1 * np.sin(t)
     n_steps, dt = 20, 0.2
-    Q, P = pg.meshes()
+    Q, P = meshes(pg)
     for phase in (None, WOBBLE):
         psi = gaussian_phase(pg, q0=1.0, sigma_q=0.5, sigma_p=0.5, phase=phase)
         run = kvn_tdho_evolve(psi, k, n_steps * dt, n_steps)
@@ -510,22 +513,21 @@ def test_phase_step_fft_budget(call_counts, kappa, budget):
 )
 def test_real_field_path_selection(call_counts, variant):
     # every phase-space state runs on rfft/irfft, a complex one as its two
-    # real parts; a generator whose factors are not conjugate-symmetric is
-    # not a real operator and is refused, named, before any factor is built
+    # real parts; a part that is nonzero on bin 0, where an odd part is zero,
+    # is not a real operator's and is refused, named, when the generator is built
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
     G = koopman_generator(pg, lambda q: q)
-    if variant == "asymmetric-conjugate-part":
-        G = replace(G, conjugate_part=G.conjugate_part + 0.1)
-    if variant == "asymmetric-position-part":
-        G = replace(G, position_part=G.position_part + 0.1)
+    if variant.startswith("asymmetric"):
+        name = variant.removeprefix("asymmetric-").replace("-", "_")
+        call_counts.clear()
+        with pytest.raises(ValueError, match=f"the koopman generator is not a real operator: "
+                                             f"its {name} is nonzero on bin 0"):
+            replace(G, **{name: getattr(G, name) + 0.1})
+        assert not call_counts
+        return
     psi = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7,
                          phase=WOBBLE if variant == "complex-state" else None)
     call_counts.clear()
-    if variant.startswith("asymmetric"):
-        with pytest.raises(ValueError, match="the koopman generator is not a real operator"):
-            propagate(psi, G, 1e-2, 1)
-        assert not call_counts
-        return
     final = propagate(psi, G, 1e-2, 1)[0]
     # per part: the opening rfft along p, then irfft along p, the drift's
     # rfft/irfft pair along q, rfft along p, and the closing irfft
@@ -537,11 +539,11 @@ def test_real_field_path_selection(call_counts, variant):
 
 
 def test_nan_generator_stops_the_run_at_the_edge_check():
-    # a NaN exponent fails the symmetry check too, but the run is let through
+    # a NaN part, on bin 0 too, is let through when the generator is built,
     # so that the NaN state it makes stops at the edge check (exit 3, not 2)
     pg = PhaseGrid(Grid1D(32, -8.0, 8.0), Grid1D(32, -8.0, 8.0))
     G = koopman_generator(pg, lambda q: q)
-    G = replace(G, position_part=np.where(pg.meshes()[0] > 7.0, np.nan, G.position_part))
+    G = replace(G, position_part=np.where(meshes(pg)[0] > 7.0, np.nan, G.position_part))
     psi = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
     with pytest.raises(BoundaryMassError, match="boundary mass nan"):
         propagate(psi, G, 1e-2, 1)
@@ -621,7 +623,7 @@ def test_real_path_position_factor_is_head_of_exp():
     scales = [lambda t: 1.0 + 0.1 * np.sin(t), lambda t: t]
     scales += [lambda t, s=s: s for s in (0.0, -1.3, 40.0)]
     for scale in scales:
-        kicks, t = _kicks(arg, dt, scale), 0.0
+        kicks, t = _kicks(arg, dt, scale, pg), 0.0
         for i in range(250):
             if i % 5 == 0:
                 coeffs = [2 * b * scale(s) for b, s in zip(KICKS, kick_times(t, dt))]
@@ -629,7 +631,7 @@ def test_real_path_position_factor_is_head_of_exp():
                 assert len(heads) == 7
                 for c, head in zip(coeffs, heads):
                     assert head.shape == (128, 65)
-                    assert np.max(np.abs(head - np.exp(c * arg)[:, :65])) <= 1e-13
+                    assert np.max(np.abs(head - np.exp(c * arg))) <= 1e-13
             t = t + dt
 
 
@@ -638,10 +640,12 @@ def test_position_part_not_linear_in_lambda_refuses_scale(call_counts):
     V, Vp = POTENTIALS["quartic"]
     G = koopman_generator(pg, lambda q: q)
     psi = gaussian_phase(pg, q0=0.8, sigma_q=0.7, sigma_p=0.7)
-    offset = replace(G, position_part=G.position_part + 0.1)
+    # an offset is nonzero on lambda bin 0: no real operator's part, refused when built
+    with pytest.raises(ValueError, match="the koopman generator is not a real operator"):
+        replace(G, position_part=G.position_part + 0.1)
     cubic = replace(G, position_part=G.position_part * (1 + 1e-9 * G.position_part**2))
     unified, quantum = unified_generator(pg, V, 0.5, vprime=Vp), hamiltonian(pg.q, V, vprime=Vp)
-    for G in (offset, cubic, unified, quantum):
+    for G in (cubic, unified, quantum):
         state = gaussian_1d(pg.q) if G is quantum else psi
         call_counts.clear()
         with pytest.raises(ValueError, match="linear in lambda"):
@@ -695,70 +699,15 @@ def test_theta_mean_without_fft_matches_fft_formula():
     pg = PhaseGrid(Grid1D(128, -8.0, 8.0), Grid1D(64, -8.0, 8.0))
     kq = wavenumbers(pg.q)
     blob = gaussian_phase(pg, q0=0.8).amplitudes.real
-    zigzag = (-1.0) ** np.arange(128)[:, None] * np.exp(-pg.meshes()[1] ** 2)
+    zigzag = (-1.0) ** np.arange(128)[:, None] * np.exp(-meshes(pg)[1] ** 2)
     noise = rng.standard_normal((128, 64))
     fields = (noise, blob + 0.01 * zigzag, noise + 1j * rng.standard_normal((128, 64)),
-              (blob + 0.01 * zigzag) * np.exp(1j * WOBBLE(*pg.meshes())))
+              (blob + 0.01 * zigzag) * np.exp(1j * WOBBLE(*meshes(pg))))
     for amp in fields:
         w_th = (np.abs(np.fft.fft(amp, axis=0)) ** 2).sum(axis=1)
         expected = (kq @ w_th) / w_th.sum()
         parts = [amp.real, amp.imag] if np.iscomplexobj(amp) else [amp]
         assert _theta_mean(parts, kq) == pytest.approx(expected, rel=1e-12, abs=0)
-
-
-def reference_conj_symmetric(arg, axis):
-    """Every bin but the Nyquist one against the conjugate of its mirror
-    bin, through full copies (the check as first written)."""
-    n = arg.shape[axis]
-    k = np.delete(np.arange(n), n // 2)
-    return np.array_equal(np.take(arg, k, axis), np.conj(np.take(arg, -k % n, axis)))
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
-@given(n=st.integers(8, 70), width=st.integers(1, 4), axis=st.sampled_from([0, 1]),
-       case=st.sampled_from(["symmetric", "nyquist", "asymmetric"]),
-       seed=st.integers(0, 2**32 - 1))
-def test_conj_symmetric_matches_full_copy_reference(n, width, axis, case, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
-    a[0] = a[0].real
-    for k in range(1, n):  # bin n-k the conjugate of bin k; an even n's Nyquist bin real
-        a[n - k] = np.conj(a[k]) if 2 * k != n else a[k].real
-    if case == "nyquist" and n % 2 == 0:  # asymmetric in the one bin the check skips
-        a[n // 2] += 1j
-    if case == "asymmetric":
-        j = rng.choice([k for k in range(n) if 2 * k != n])
-        a[j, rng.integers(width)] += 1e-3j if j == 0 else 1e-3
-    arg = np.moveaxis(a, 0, axis)
-    assert _conj_symmetric(arg, axis) == reference_conj_symmetric(arg, axis)
-    assert _conj_symmetric(arg, axis) == (case != "asymmetric")
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=100)
-@given(n=st.integers(8, 40), width=st.integers(1, 9), axis=st.sampled_from([0, 1]),
-       case=st.sampled_from(["odd", "asymmetric", "nan", "nyquist-nan"]),
-       cells=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-def test_real_exponent_in_blocks_matches_the_whole_exponent(n, width, axis, case, cells, seed):
-    # the check forms the exponent a block of the other axis at a time and
-    # reads what the whole exponent would: its symmetry and whether it holds a NaN
-    rng = np.random.default_rng(seed)
-    part = rng.standard_normal((n, width))
-    part[0] = 0.0
-    for k in range(1, (n + 1) // 2):  # odd: bin n-k the negative of bin k
-        part[n - k] = -part[k]
-    if case == "asymmetric":
-        part[rng.integers(n), rng.integers(width)] += 1e-3
-    if case == "nan":
-        part[rng.integers(n), rng.integers(width)] = np.nan
-    if case == "nyquist-nan" and n % 2 == 0:  # in the one bin the symmetry check skips
-        part[n // 2, rng.integers(width)] = np.nan
-    part = np.moveaxis(part, 0, axis)
-    arg = -1j * 0.37
-    whole = arg * part
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(propagation, "_CHECK_CELLS", cells)
-        blocks = _real_exponent(part, arg, axis)
-    assert blocks == (_conj_symmetric(whole, axis), bool(np.isnan(whole).any()))
 
 
 def test_kvn_step_setup_holds_few_fields():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    apply_generator,
     gaussian_1d,
     gaussian_phase,
+    meshes,
     purity,
     random_bandlimited_1d,
     random_bandlimited_phase,
@@ -77,7 +79,7 @@ def test_real_parts_round_trip_keeps_a_real_field_real(phase_small):
     amp = gaussian_phase(phase_small).amplitudes
     (part,) = real_parts(amp)
     assert join_parts([part]) is part  # a lone real part, as it is
-    phased = amp * np.exp(1j * phase_small.meshes()[0])
+    phased = amp * np.exp(1j * meshes(phase_small)[0])
     joined = join_parts(real_parts(phased))
     assert joined.dtype == np.complex128 and joined.tobytes() == phased.tobytes()
 
@@ -103,7 +105,7 @@ def test_expectation_harmonic_ground_energy(grid_small):
     # hbar = m = omega = 1: sigma^2 = 1/2, E0 = 0.5
     psi = gaussian_1d(grid_small, sigma=np.sqrt(0.5))
     H = hamiltonian(grid_small, lambda q: 0.5 * q**2, vprime=lambda q: q)
-    energy = np.sum(np.conj(psi.amplitudes) * H.apply(psi.amplitudes)) * psi.measure
+    energy = np.sum(np.conj(psi.amplitudes) * apply_generator(H, psi.amplitudes)) * psi.measure
     assert energy.real == pytest.approx(0.5, abs=1e-8)
 
 
